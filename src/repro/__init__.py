@@ -61,8 +61,7 @@ from repro.errors import ReproError
 from repro.obs import Observability
 from repro.service import (MonitorService, ServiceClient, ServiceConfig,
                            ServiceRunner)
-from repro.shard import (EventTrace, Partitioner, SerialShardExecutor,
-                         ShardedSQLCM, ThreadShardExecutor)
+from repro.shard import EventTrace, Partitioner, ShardedSQLCM
 from repro.sim import CostModel, SimClock
 
 __version__ = "1.0.0"
@@ -119,8 +118,6 @@ __all__ = [
     "ShardedSQLCM",
     "Partitioner",
     "EventTrace",
-    "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ReproError",
     "__version__",
 ]

@@ -29,6 +29,13 @@ equals the digest at the last committed journal record before the crash
 ``monitor_crash`` chaos drill and ``tests/test_durability.py`` kill the
 monitor at every site and assert digest equality after rebuild.
 
+What "the monitor's state" is, is not decided here: every stateful class
+declares its durable fields once (:mod:`repro.core.state`), checkpoint
+sections and journal record images are ``dump`` images of those
+declarations, and :func:`build_sections` is one walk over a *sequence*
+of monitors — a serial monitor alone, or a sharded deployment's shard
+monitors folded field by field with each field's declared merge-op.
+
 Deliberately **not** persisted (see DESIGN.md section 14): the pending
 event queue and in-flight dispatch (the journal only commits completed
 event groups), the outbox/command side-effect logs (already delivered),
@@ -44,128 +51,31 @@ import ast
 import os
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 from repro.core.actions import (Action, CancelAction, InsertAction,
                                 ResetAction, PersistAction,
                                 RunExternalAction, SendMailAction,
                                 SetTimerAction)
-from repro.core.aggregates import AgingSpec, AgingState, FirstAgg, LastAgg
-from repro.core.engine import SQLCM
-from repro.core.governor import (GovernorPolicy, GovernorTransition,
-                                 OverloadGovernor)
+from repro.core.engine import SQLCM, fold_lat, fold_window
+from repro.core.governor import GovernorPolicy
 from repro.core.incidents import (CancelBlockerAction, Incident,
                                   IncidentPolicy, OpenIncidentAction,
-                                  QuarantineRuleAction, RemediationRecord,
-                                  ResetLATAction)
-from repro.core.lat import (AggSpec, GroupSpec, LAT, LATDefinition,
-                            OrderSpec, _Row)
+                                  QuarantineRuleAction, ResetLATAction)
+from repro.core.lat import LAT, LATDefinition, _Row
 from repro.core.resilience import DeadLetter, RuleHealth
 from repro.core.rules import Rule
+from repro.core.state import (dec_plain, dec_state, dump, enc_plain,
+                              enc_state, literalize, load, load_into)
 from repro.errors import DurabilityError, FaultInjected
 
-CHECKPOINT_HEADER = "SQLCM-CHECKPOINT v1"
-_NEG_INF = float("-inf")
+CHECKPOINT_HEADER = "SQLCM-CHECKPOINT v2"
 
 
 # ---------------------------------------------------------------------------
-# literal codec: everything on disk round-trips through repr/literal_eval
+# images the field codec cannot derive: polymorphic actions, registrations
 # ---------------------------------------------------------------------------
-
-def _literalize(value: Any) -> Any:
-    """Coerce a value into something ``ast.literal_eval`` can read back."""
-    if value is None or isinstance(value, (bool, int, str, bytes)):
-        return value
-    if isinstance(value, float):
-        # inf/nan have no literal form; clamp to a parseable stand-in
-        return value if value == value and abs(value) != float("inf") else 0.0
-    if isinstance(value, tuple):
-        return tuple(_literalize(v) for v in value)
-    if isinstance(value, (list, deque)):
-        return [_literalize(v) for v in value]
-    if isinstance(value, dict):
-        return {_literalize(k): _literalize(v) for k, v in value.items()}
-    return str(value)
-
-
-# FIRST/LAST carry class-level "no value yet" sentinels that repr cannot
-# round-trip; aging aggregates carry block deques.  States are encoded as
-# small tagged lists (raw states are never lists, so the tag is unambiguous):
-# ["V", value] plain, ["E"] empty sentinel, ["A", [(block_start, enc), ...]].
-_EMPTY_SENTINELS = (FirstAgg._EMPTY, LastAgg._EMPTY)
-
-
-def _enc_plain(state: Any) -> list:
-    for sentinel in _EMPTY_SENTINELS:
-        if state is sentinel:
-            return ["E"]
-    return ["V", _literalize(state)]
-
-
-def _dec_plain(enc: list, func) -> Any:
-    if enc[0] == "E":
-        return func.new_state()
-    value = enc[1]
-    return tuple(value) if isinstance(value, list) else value
-
-
-def _enc_state(state: Any) -> list:
-    if isinstance(state, AgingState):
-        return ["A", [(start, _enc_plain(block))
-                      for start, block in state.blocks]]
-    return _enc_plain(state)
-
-
-def _dec_state(enc: list, func, aging: AgingSpec | None) -> Any:
-    if enc[0] == "A":
-        state = AgingState(func, aging)
-        state.blocks.extend((start, _dec_plain(block, func))
-                            for start, block in enc[1])
-        return state
-    return _dec_plain(enc, func)
-
-
-def _dec_tuple(value: Any) -> tuple:
-    return tuple(value)
-
-
-# ---------------------------------------------------------------------------
-# component specs: LAT definitions, actions, rules
-# ---------------------------------------------------------------------------
-
-def lat_definition_spec(definition: LATDefinition) -> dict:
-    return {
-        "name": definition.name,
-        "monitored_class": definition.monitored_class,
-        "grouping": [(g.attr, g.alias) for g in definition.grouping],
-        "aggregations": [
-            (a.func, a.attr, a.alias,
-             None if a.aging is None else (a.aging.window, a.aging.delta))
-            for a in definition.aggregations],
-        "ordering": [(o.column, o.descending) for o in definition.ordering],
-        "max_rows": definition.max_rows,
-        "max_bytes": definition.max_bytes,
-        "criticality": definition.criticality,
-    }
-
-
-def lat_definition_from_spec(spec: dict) -> LATDefinition:
-    return LATDefinition(
-        name=spec["name"],
-        monitored_class=spec["monitored_class"],
-        grouping=[GroupSpec(attr, alias) for attr, alias in spec["grouping"]],
-        aggregations=[
-            AggSpec(func, attr, alias,
-                    None if aging is None else AgingSpec(*aging))
-            for func, attr, alias, aging in spec["aggregations"]],
-        ordering=[OrderSpec(column, descending)
-                  for column, descending in spec["ordering"]],
-        max_rows=spec["max_rows"],
-        max_bytes=spec["max_bytes"],
-        criticality=spec["criticality"],
-    )
-
 
 # every declaratively-constructed action round-trips; CallbackAction holds
 # a live closure and cannot (its rules are re-created by the recovery
@@ -180,210 +90,39 @@ _ACTION_TYPES: dict[str, type] = {
 
 
 def action_spec(action: Action) -> list | None:
-    name = type(action).__name__
-    cls = _ACTION_TYPES.get(name)
-    if cls is None or type(action) is not cls:
+    cls = _ACTION_TYPES.get(type(action).__name__)
+    if type(action) is not cls:
         return None
-    kwargs = {f.name: _literalize(getattr(action, f.name))
-              for f in dataclass_fields(cls)}
-    return [name, kwargs]
+    return [cls.__name__, dump(action)]
 
 
 def action_from_spec(spec: list) -> Action:
-    name, kwargs = spec
-    cls = _ACTION_TYPES[name]
-    decoded = {}
-    for f in dataclass_fields(cls):
-        if f.name not in kwargs:
-            continue
-        value = kwargs[f.name]
-        decoded[f.name] = value
-    return cls(**decoded)
+    name, image = spec
+    return load(_ACTION_TYPES[name], image)
 
 
-def rule_spec(rule: Rule) -> dict:
+def rule_image(clones: Sequence[Rule]) -> dict:
+    """One rule's image: its declared fields folded across its per-shard
+    clones (counters summed), plus the action specs."""
+    return dump(*clones) | {
+        "actions": [action_spec(a) for a in clones[0].actions]}
+
+
+def stream_registration(query) -> dict:
+    """What ``StreamEngine.register`` needs to re-create a query."""
     return {
-        "name": rule.name,
-        "event": rule.event,
-        "condition": rule.condition,
-        "enabled": rule.enabled,
-        "criticality": rule.criticality,
-        "actions": [action_spec(a) for a in rule.actions],
-        "fire_count": rule.fire_count,
-        "evaluation_count": rule.evaluation_count,
+        "text": query.spec.text,
+        "name": query.name,
+        "sink_lat": query.sink_lat,
+        "criticality": query.criticality,
+        "max_alerts": query.alerts.maxlen,
     }
 
 
-# ---------------------------------------------------------------------------
-# subsystem images: health, governor, incidents, dead letters
-# ---------------------------------------------------------------------------
-
-_HEALTH_FIELDS = ("state", "error_count", "condition_errors",
-                  "action_errors", "quarantine_count", "quarantined_at",
-                  "reactivate_at", "quarantine_reason", "last_error",
-                  "last_site", "current_cooldown")
-
-
-def health_image(health: RuleHealth) -> dict:
-    image = {"name": health.name,
-             "recent_failures": list(health.recent_failures)}
-    for name in _HEALTH_FIELDS:
-        image[name] = _literalize(getattr(health, name))
-    return image
-
-
-def apply_health_image(registry, image: dict) -> None:
-    health = registry.health_of(image["name"])
-    for name in _HEALTH_FIELDS:
-        setattr(health, name, image[name])
-    health.recent_failures.clear()
-    health.recent_failures.extend(image["recent_failures"])
-
-
-_GOVERNOR_POLICY_FIELDS = ("target_overhead", "exit_overhead", "window",
-                           "cooldown", "decision_interval", "sample_rate",
-                           "shed_headroom")
-_GOVERNOR_COUNTERS = ("events_seen", "evals_sampled_out", "evals_suspended",
-                      "inserts_shed", "stream_events_shed",
-                      "requests_denied", "measured_ratio",
-                      "estimated_ratio", "sample_digest")
-
-
-def governor_image(governor: OverloadGovernor) -> dict:
-    policy = governor.policy
-    image = {
-        "policy": {name: getattr(policy, name)
-                   for name in _GOVERNOR_POLICY_FIELDS},
-        "state": governor.state,
-        "last_transition_at": (None
-                               if governor.last_transition_at == _NEG_INF
-                               else governor.last_transition_at),
-        "suspended": sorted(governor.suspended),
-        "transitions": [
-            (t.time, t.from_state, t.to_state, t.reason,
-             t.overhead_ratio, t.estimated_ratio, list(t.suspended))
-            for t in governor.transitions],
-        "ema": dict(governor._ema),
-        "global_ema": governor._global_ema,
-        "event_seq": governor._event_seq,
-        "event_salt": governor._event_salt,
-    }
-    for name in _GOVERNOR_COUNTERS:
-        image[name] = getattr(governor, name)
-    return image
-
-
-def apply_governor_image(sqlcm: SQLCM, image: dict) -> OverloadGovernor:
-    if sqlcm.governor is None:
-        sqlcm.enable_governor(GovernorPolicy(**image["policy"]))
-    governor = sqlcm.governor
-    governor.state = image["state"]
-    governor.last_transition_at = (
-        _NEG_INF if image["last_transition_at"] is None
-        else image["last_transition_at"])
-    governor.suspended = {tuple(entry) for entry in image["suspended"]}
-    governor.transitions = [
-        GovernorTransition(time=t, from_state=f, to_state=to, reason=r,
-                           overhead_ratio=o, estimated_ratio=e,
-                           suspended=tuple(s))
-        for t, f, to, r, o, e, s in image["transitions"]]
-    governor._ema = {tuple(k) if isinstance(k, list) else k: v
-                     for k, v in image["ema"].items()}
-    governor._global_ema = image["global_ema"]
-    governor._event_seq = image["event_seq"]
-    governor._event_salt = image["event_salt"]
-    for name in _GOVERNOR_COUNTERS:
-        setattr(governor, name, image[name])
-    return governor
-
-
-_INCIDENT_FIELDS = ("severity", "summary", "state", "acked_at",
-                    "resolved_at", "resolution", "last_seen",
-                    "occurrences", "escalated")
-
-
-def incident_image(manager, incident: Incident) -> dict:
-    return {
-        "incident": {
-            "incident_id": incident.incident_id,
-            "incident_class": incident.incident_class,
-            "signature": incident.signature,
-            "opened_at": incident.opened_at,
-            "remediations": [
-                (r.time, r.action, r.target, r.outcome, r.detail)
-                for r in incident.remediations],
-            "timeline": [tuple(_literalize(entry))
-                         for entry in incident.timeline],
-            **{name: _literalize(getattr(incident, name))
-               for name in _INCIDENT_FIELDS},
-        },
-        "counters": incident_counters(manager),
-    }
-
-
-def incident_counters(manager) -> dict:
-    return {
-        "opened": manager.opened,
-        "deduplicated": manager.deduplicated,
-        "resolved_count": manager.resolved_count,
-        "escalations": manager.escalations,
-        "remediation_counts": dict(manager.remediation_counts),
-        "next_id": manager._next_id,
-        "open_times": [(list(key), list(times))
-                       for key, times in manager._open_times.items()],
-    }
-
-
-def apply_incident_image(manager, image: dict) -> Incident:
-    data = image["incident"]
-    incident = manager._incidents.get(data["incident_id"])
-    if incident is None:
-        incident = Incident(
-            incident_id=data["incident_id"],
-            incident_class=data["incident_class"],
-            signature=data["signature"],
-            severity=data["severity"],
-            summary=data["summary"],
-            opened_at=data["opened_at"],
-        )
-        manager._incidents[incident.incident_id] = incident
-    for name in _INCIDENT_FIELDS:
-        setattr(incident, name, data[name])
-    incident.remediations = [
-        RemediationRecord(time=t, incident_id=incident.incident_id,
-                          action=action, target=target, outcome=outcome,
-                          detail=detail)
-        for t, action, target, outcome, detail in data["remediations"]]
-    incident.timeline = [tuple(entry) for entry in data["timeline"]]
-    if incident.active:
-        manager._active[incident.key] = incident.incident_id
-    else:
-        manager._active.pop(incident.key, None)
-    apply_incident_counters(manager, image["counters"])
-    return incident
-
-
-def apply_incident_counters(manager, counters: dict) -> None:
-    manager.opened = counters["opened"]
-    manager.deduplicated = counters["deduplicated"]
-    manager.resolved_count = counters["resolved_count"]
-    manager.escalations = counters["escalations"]
-    manager.remediation_counts = dict(counters["remediation_counts"])
-    manager._next_id = max(manager._next_id, counters["next_id"])
-    manager._open_times.clear()
-    for key, times in counters["open_times"]:
-        manager._open_times[tuple(key)] = deque(times)
-
-
-def dead_letter_image(entry: DeadLetter) -> list:
-    return [entry.time, entry.rule, entry.action,
-            _literalize(entry.payload), entry.error, entry.attempts]
-
-
-def dead_letter_from_image(image: list) -> DeadLetter:
-    time, rule, action, payload, error, attempts = image
-    return DeadLetter(time=time, rule=rule, action=action, payload=payload,
-                      error=error, attempts=attempts)
+def _register_stream(streams, data: dict):
+    return streams.register(
+        data["text"], name=data["name"], sink_lat=data["sink_lat"],
+        max_alerts=data["max_alerts"], criticality=data["criticality"])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +197,7 @@ class Journal:
             commit = not self._dispatching()
         self.seq += 1
         payload = repr((self.seq, kind, bool(commit), self.clock.now,
-                        _literalize(data)))
+                        literalize(data)))
         line = f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
         try:
             self._sqlcm.check_fault("durability.append")
@@ -481,17 +220,17 @@ class Journal:
             for callback in self.on_commit:
                 callback()
 
-    # convenience appenders used by the wired subsystems (keeps the spec
-    # codecs out of the hot modules)
+    # convenience appenders used by the wired subsystems; state records
+    # (dataclasses) are turned into images by ``literalize`` on append
 
     def lat_created(self, definition: LATDefinition) -> None:
-        self.append("lat_create", {"definition": lat_definition_spec(definition)})
+        self.append("lat_create", {"definition": definition})
 
     def lat_dropped(self, name: str) -> None:
         self.append("lat_drop", {"name": name})
 
     def rule_added(self, rule: Rule) -> None:
-        self.append("rule_add", {"rule": rule_spec(rule)})
+        self.append("rule_add", {"rule": rule_image([rule])})
 
     def rule_removed(self, name: str) -> None:
         self.append("rule_remove", {"name": name})
@@ -500,28 +239,23 @@ class Journal:
         self.append("rule_enable", {"name": name, "enabled": enabled})
 
     def stream_registered(self, query) -> None:
-        self.append("stream_register", {
-            "text": query.spec.text,
-            "name": query.name,
-            "sink_lat": query.sink_lat,
-            "criticality": query.criticality,
-            "max_alerts": query.alerts.maxlen,
-        })
+        self.append("stream_register", stream_registration(query))
 
     def stream_removed(self, name: str) -> None:
         self.append("stream_remove", {"name": name})
 
     def health_changed(self, namespace: str, health: RuleHealth) -> None:
-        self.append("health", {"ns": namespace, "image": health_image(health)})
+        self.append("health", {"ns": namespace, "image": health})
 
     def incident_changed(self, manager, incident: Incident) -> None:
-        self.append("incident", incident_image(manager, incident))
+        self.append("incident", {"incident": incident,
+                                 "manager": dump(manager)})
 
-    def governor_changed(self, governor: OverloadGovernor) -> None:
-        self.append("governor", governor_image(governor))
+    def governor_changed(self, governor) -> None:
+        self.append("governor", dump(governor))
 
     def dead_lettered(self, entry: DeadLetter) -> None:
-        self.append("deadletter", {"entry": dead_letter_image(entry)})
+        self.append("deadletter", {"entry": entry})
 
     def attach_stream_health(self, streams) -> None:
         """Wire a (possibly lazily-created) stream engine's health registry."""
@@ -631,244 +365,120 @@ def parse_checkpoint(path: str) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint section builders
+# the checkpoint walk: one pass over a sequence of monitors
 # ---------------------------------------------------------------------------
 
-def _lat_section(lat: LAT) -> dict:
-    return {
-        "definition": lat_definition_spec(lat.definition),
-        "seq": lat._seq,
-        "rows": [(row.key, [_enc_state(s) for s in row.states], row.seq)
+def _lat_image(lat: LAT) -> dict:
+    return dump(lat) | {
+        "definition": dump(lat.definition),
+        "rows": [(row.key, [enc_state(s) for s in row.states], row.seq)
                  for row in lat._rows.values()],
-        "counters": (lat.insert_count, lat.eviction_count,
-                     lat.latch_acquisitions, lat.peak_rows, lat.seed_count),
     }
 
 
-def _load_lat_section(lat: LAT, data: dict) -> None:
+def _load_lat(lat: LAT, data: dict) -> None:
     lat._rows.clear()
     aggs = lat.definition.aggregations
     for key, states, seq in data["rows"]:
         key = tuple(key)
-        decoded = [_dec_state(enc, func, spec.aging)
+        decoded = [dec_state(enc, func, spec.aging)
                    for enc, spec, func in zip(states, aggs, lat._functions)]
-        row = _Row(key, decoded, seq)
-        lat._rows[key] = row
-    lat._seq = data["seq"]
-    (lat.insert_count, lat.eviction_count, lat.latch_acquisitions,
-     lat.peak_rows, lat.seed_count) = data["counters"]
+        lat._rows[key] = _Row(key, decoded, seq)
+    load_into(lat, data)
 
 
-def _stream_query_section(query) -> dict:
-    deviation = None
-    if query.deviation is not None:
-        deviation = {
-            "history": [(key, list(values))
-                        for key, values in query.deviation._history.items()],
-            "observations": query.deviation.observations,
-            "flagged": query.deviation.flagged,
-        }
-    topk = None
-    if query.topk is not None:
-        topk = {"windows_ranked": query.topk.windows_ranked}
-    return {
-        "text": query.spec.text,
-        "name": query.name,
-        "sink_lat": query.sink_lat,
-        "criticality": query.criticality,
-        "max_alerts": query.alerts.maxlen,
-        "enabled": query.enabled,
-        "next_boundary": query.next_boundary,
-        "counters": (query.events_seen, query.events_ingested,
-                     query.where_rejected, query.windows_emitted,
-                     query.alert_count, query.errors),
-        "last_error": query.last_error,
-        "alerts": [_literalize(alert) for alert in query.alerts],
-        "window": [(key, [(pane, [_enc_plain(s) for s in states])
+def _query_image(copies: Sequence) -> dict:
+    """One stream query across its per-shard ``copies``: registration and
+    anomaly history from the control shard's, counters summed, panes
+    merged."""
+    query = copies[0]
+    image = stream_registration(query) | dump(*copies)
+    image["window"] = dump(*(q.window for q in copies)) | {
+        "groups": [(key, [(pane, [enc_plain(s) for s in states])
                           for pane, states in panes])
-                   for key, panes in query.window.groups.items()],
-        "window_ops": (query.window.update_ops, query.window.combine_ops),
-    } | {"deviation": deviation, "topk": topk}
+                   for key, panes in fold_window(copies).groups.items()]}
+    if query.deviation is not None:
+        image["deviation"] = dump(*(q.deviation for q in copies)) | {
+            "history": [(key, list(values)) for key, values
+                        in query.deviation._history.items()]}
+    if query.topk is not None:
+        image["topk"] = dump(*(q.topk for q in copies))
+    return image
 
 
-def _load_stream_query_section(streams, data: dict):
-    query = streams.register(
-        data["text"], name=data["name"], sink_lat=data["sink_lat"],
-        max_alerts=data["max_alerts"], criticality=data["criticality"])
-    query.enabled = data["enabled"]
-    query.next_boundary = data["next_boundary"]
-    (query.events_seen, query.events_ingested, query.where_rejected,
-     query.windows_emitted, query.alert_count,
-     query.errors) = data["counters"]
-    query.last_error = data["last_error"]
-    for alert in data["alerts"]:
-        alert = dict(alert)
-        if isinstance(alert.get("key"), list):
-            alert["key"] = tuple(alert["key"])
-        query.alerts.append(alert)
-    funcs = query.window.funcs
-    query.window.groups = {
-        tuple(key): deque((pane, [_dec_plain(enc, func)
-                                  for enc, func in zip(states, funcs)])
+def _load_query(streams, data: dict):
+    query = load_into(_register_stream(streams, data), data)
+    window = load_into(query.window, data["window"])
+    window.groups = {
+        tuple(key): deque((pane, [dec_plain(enc, func)
+                                  for enc, func in zip(states, window.funcs)])
                           for pane, states in panes)
-        for key, panes in data["window"]}
-    query.window.update_ops, query.window.combine_ops = data["window_ops"]
-    if query.deviation is not None and data["deviation"] is not None:
-        operator = query.deviation
+        for key, panes in data["window"]["groups"]}
+    if query.deviation is not None and "deviation" in data:
+        operator = load_into(query.deviation, data["deviation"])
         operator._history = {
             tuple(key): deque(values, maxlen=operator.spec.history)
             for key, values in data["deviation"]["history"]}
-        operator.observations = data["deviation"]["observations"]
-        operator.flagged = data["deviation"]["flagged"]
-    if query.topk is not None and data["topk"] is not None:
-        query.topk.windows_ranked = data["topk"]["windows_ranked"]
+    if query.topk is not None and "topk" in data:
+        load_into(query.topk, data["topk"])
     return query
 
 
-_INCIDENT_POLICY_FIELDS = ("escalation_timeout", "clear_after",
-                           "sweep_interval", "max_remediations",
-                           "remediation_window", "flap_threshold",
-                           "flap_window", "history", "alert_to_incident")
+def build_sections(monitors: Sequence[SQLCM]) -> dict[str, Any]:
+    """The full monitor state as checkpoint sections, folded across
+    ``monitors`` by each field's declared merge-op.
 
-
-def build_sections(sqlcm: SQLCM) -> dict[str, Any]:
-    """The full monitor state of one serial SQLCM, as checkpoint sections."""
-    clock = sqlcm.server.clock
+    A serial monitor is the one-element sequence: its live LATs and
+    windows are read in place.  A sharded deployment passes its shard
+    monitors, control shard first: totals and counters sum, LAT
+    partitions and window panes merge, and registrations and supervisory
+    state (health, incidents, governor ladder, dead letters, timers) are
+    the control shard's — recovery always rebuilds a *serial* monitor.
+    """
+    control = monitors[0]
     sections: dict[str, Any] = {
-        "meta": {
-            "version": 1,
-            "time": clock.now,
-            "events_handled": sqlcm.events_handled,
-            "rule_firings": sqlcm.rule_firings,
-            "rule_errors": sqlcm.rule_errors,
-        },
+        "meta": {"version": 2, "time": control.server.clock.now}
+                | dump(*monitors),
     }
-    incidents = sqlcm._incidents
+    incidents = control._incidents
     if incidents is not None:
-        policy = incidents.policy
         sections["incidents"] = {
-            "policy": ({name: getattr(policy, name)
-                        for name in _INCIDENT_POLICY_FIELDS}
-                       | {"alert_kinds": list(policy.alert_kinds)}),
-            "incidents": [incident_image(incidents, incident)["incident"]
+            "policy": dump(incidents.policy),
+            "manager": dump(incidents),
+            "incidents": [dump(incident)
                           for incident in incidents._incidents.values()],
-            "counters": incident_counters(incidents),
         }
-    sections["lats"] = [_lat_section(lat) for lat in sqlcm.lats()]
-    sections["rules"] = [rule_spec(rule) for rule in sqlcm._rule_order]
-    streams = sqlcm._streams
+    sections["lats"] = [_lat_image(fold_lat(monitors, name))
+                        for name in control._lats]
+    sections["rules"] = [
+        rule_image([m.rules[key] for m in monitors if key in m.rules])
+        for key in control.rules]
+    streams = control._streams
     if streams is not None:
+        engines = [m._streams for m in monitors if m._streams is not None]
         sections["streams"] = {
-            "queries": [_stream_query_section(query)
-                        for query in streams._queries.values()],
-            "counters": (streams.events_seen, streams.alerts_published,
-                         streams.errors),
+            "engine": dump(*engines),
+            "queries": [_query_image([e.query(name) for e in engines])
+                        for name in streams._queries],
         }
-    health = {"engine": [health_image(h)
-                         for h in sqlcm.health._health.values()]}
+    health = {"engine": dump(control.health)}
     if streams is not None:
-        health["stream"] = [health_image(h)
-                            for h in streams.health._health.values()]
+        health["stream"] = dump(streams.health)
     sections["health"] = health
-    sections["instances"] = sorted(
-        (sig.hex(), count) for sig, count in sqlcm._instance_counts.items())
-    governor = sqlcm.governor
-    sections["governor"] = (None if governor is None
-                            else governor_image(governor))
-    letters = sqlcm.dead_letters
-    sections["deadletters"] = {
-        "entries": [dead_letter_image(entry) for entry in letters.entries()],
-        "capacity": letters.capacity,
-        "dropped": letters.dropped,
-        "poison_dropped": letters.poison_dropped,
-    }
+    governor = control.governor
+    sections["governor"] = None if governor is None else dump(governor)
+    sections["deadletters"] = dump(control.dead_letters)
     sections["timers"] = [
         (timer.name, timer.interval, timer.remaining)
-        for timer in sqlcm.timer_service.timers()]
+        for timer in control.timer_service.timers()]
     if incidents is not None and incidents.policy.history:
         tables = {}
         for table_name in incidents.history_tables():
-            if sqlcm.server.catalog.has_table(table_name):
-                table = sqlcm.server.table(table_name)
+            if control.server.catalog.has_table(table_name):
+                table = control.server.table(table_name)
                 tables[table_name] = [
-                    _literalize(list(row)) for __, row in table.scan()]
+                    literalize(list(row)) for __, row in table.scan()]
         sections["history"] = tables
-    return sections
-
-
-def build_sections_sharded(sharded) -> dict[str, Any]:
-    """Checkpoint sections for a ShardedSQLCM, built from merged state.
-
-    Covers the digest-bearing state (merged LATs, summed rule counters,
-    summed instance counts, summed totals) plus registrations and merged
-    stream panes.  Supervisory state (health, incidents, governor ladder,
-    dead letters, timers) is per-shard and is carried by the journal
-    between checkpoints rather than merged here; recovery of a sharded
-    journal always targets a *serial* monitor.
-    """
-    clock = sharded.server.clock
-    control = sharded.shards[0].sqlcm
-    sections: dict[str, Any] = {
-        "meta": {
-            "version": 1,
-            "time": clock.now,
-            "events_handled": sum(s.sqlcm.events_handled
-                                  for s in sharded.shards),
-            "rule_firings": sum(s.sqlcm.rule_firings
-                                for s in sharded.shards),
-            "rule_errors": sum(s.sqlcm.rule_errors for s in sharded.shards),
-        },
-    }
-    lats = []
-    for name in sorted(sharded._lat_definitions):
-        merged = sharded.merged_lat(name)
-        lats.append(_lat_section(merged))
-    sections["lats"] = lats
-    rules = []
-    for rule in control._rule_order:
-        spec = rule_spec(rule)
-        fires, evals = sharded.rule_stats(rule.name)
-        spec["fire_count"] = fires
-        spec["evaluation_count"] = evals
-        rules.append(spec)
-    sections["rules"] = rules
-    streams = control._streams
-    if streams is not None:
-        queries = []
-        for query in streams._queries.values():
-            data = _stream_query_section(query)
-            merged = sharded.merged_window(query.name)
-            data["window"] = [
-                (key, [(pane, [_enc_plain(s) for s in states])
-                       for pane, states in panes])
-                for key, panes in merged.groups.items()]
-            counters = [0] * 6
-            for shard in sharded.shards:
-                q = shard.sqlcm._streams.query(query.name)
-                for i, value in enumerate((q.events_seen, q.events_ingested,
-                                           q.where_rejected,
-                                           q.windows_emitted, q.alert_count,
-                                           q.errors)):
-                    counters[i] += value
-            data["counters"] = tuple(counters)
-            data["alerts"] = []  # per-shard rings have no merge order
-            queries.append(data)
-        sections["streams"] = {
-            "queries": queries,
-            "counters": (
-                sum(s.sqlcm._streams.events_seen for s in sharded.shards
-                    if s.sqlcm._streams is not None),
-                sum(s.sqlcm._streams.alerts_published for s in sharded.shards
-                    if s.sqlcm._streams is not None),
-                sum(s.sqlcm._streams.errors for s in sharded.shards
-                    if s.sqlcm._streams is not None)),
-        }
-    instances: dict[bytes, int] = {}
-    for shard in sharded.shards:
-        for sig, count in shard.sqlcm._instance_counts.items():
-            instances[sig] = instances.get(sig, 0) + count
-    sections["instances"] = sorted(
-        (sig.hex(), count) for sig, count in instances.items())
     return sections
 
 
@@ -906,95 +516,65 @@ class _Restorer:
         sqlcm = self.sqlcm
         meta = sections["meta"]
         sqlcm.server.clock.advance_to(meta["time"])
-        sqlcm.events_handled = meta["events_handled"]
-        sqlcm.rule_firings = meta["rule_firings"]
-        sqlcm.rule_errors = meta["rule_errors"]
+        load_into(sqlcm, meta)
         incidents = sections.get("incidents")
         if incidents is not None:
-            policy_spec = dict(incidents["policy"])
-            policy_spec["alert_kinds"] = tuple(policy_spec["alert_kinds"])
             self.apply_history = not sqlcm.server.catalog.has_table(
                 "sqlcm_incidents")
-            manager = sqlcm.incident_manager(IncidentPolicy(**policy_spec))
+            manager = sqlcm.incident_manager(
+                load(IncidentPolicy, incidents["policy"]))
             for image in incidents["incidents"]:
-                apply_incident_image(
-                    manager, {"incident": image,
-                              "counters": incidents["counters"]})
-            apply_incident_counters(manager, incidents["counters"])
+                manager._incidents[image["incident_id"]] = load(Incident,
+                                                                image)
+            load_into(manager, incidents["manager"])
         for lat_data in sections.get("lats", ()):
-            definition = lat_definition_from_spec(lat_data["definition"])
+            definition = load(LATDefinition, lat_data["definition"])
             if not sqlcm.has_lat(definition.name):
                 sqlcm.create_lat(definition)
-        for spec in sections.get("rules", ()):
-            self._restore_rule(spec)
+        for image in sections.get("rules", ()):
+            self._restore_rule(image)
         streams_data = sections.get("streams")
         if streams_data is not None:
             streams = sqlcm.stream_engine()
             for query_data in streams_data["queries"]:
-                if query_data["name"].lower() not in streams._queries:
-                    _load_stream_query_section(streams, query_data)
-                else:
+                if query_data["name"].lower() in streams._queries:
                     # re-registered by an earlier restore step; refresh state
                     streams.remove(query_data["name"])
-                    _load_stream_query_section(streams, query_data)
-            (streams.events_seen, streams.alerts_published,
-             streams.errors) = streams_data["counters"]
+                _load_query(streams, query_data)
+            load_into(streams, streams_data["engine"])
         for lat_data in sections.get("lats", ()):
-            lat = sqlcm.lat(lat_data["definition"]["name"])
-            _load_lat_section(lat, lat_data)
+            _load_lat(sqlcm.lat(lat_data["definition"]["name"]), lat_data)
         health = sections.get("health", {})
-        for image in health.get("engine", ()):
-            apply_health_image(sqlcm.health, image)
-        stream_health = health.get("stream")
-        if stream_health:
-            registry = sqlcm.stream_engine().health
-            for image in stream_health:
-                apply_health_image(registry, image)
-        self._apply_instances(sections.get("instances", ()), absolute=True)
+        load_into(sqlcm.health, health.get("engine", {}))
+        if health.get("stream"):
+            load_into(sqlcm.stream_engine().health, health["stream"])
         governor = sections.get("governor")
         if governor is not None:
-            apply_governor_image(sqlcm, governor)
-        letters = sections.get("deadletters")
-        if letters is not None:
-            sqlcm.dead_letters.capacity = letters["capacity"]
-            sqlcm.dead_letters.dropped = letters["dropped"]
-            sqlcm.dead_letters.poison_dropped = letters["poison_dropped"]
-            for image in letters["entries"]:
-                sqlcm.dead_letters._entries.append(
-                    dead_letter_from_image(image))
+            self._replay_governor(governor, meta["time"])
+        load_into(sqlcm.dead_letters, sections.get("deadletters", {}))
         for name, interval, remaining in sections.get("timers", ()):
             self.pending_timers[name.lower()] = (name, interval, remaining)
         history = sections.get("history")
         if history and self.apply_history:
             self._restore_history(history)
 
-    def _restore_rule(self, spec: dict) -> None:
+    def _restore_rule(self, image: dict) -> None:
         sqlcm = self.sqlcm
-        key = spec["name"].lower()
-        rule = sqlcm.rules.get(key)
+        rule = sqlcm.rules.get(image["name"].lower())
         if rule is None:
-            actions = []
-            placeholder = False
-            for action in spec["actions"]:
-                if action is None:
-                    placeholder = True
-                else:
-                    actions.append(action_from_spec(action))
-            if placeholder and not actions:
-                # a pure-callback rule (e.g. an app component's) cannot be
-                # rebuilt from disk; the recovery setup() callback is the
-                # supported path — report it so the operator knows
-                self.report.placeholder_rules.append(spec["name"])
-                return
-            if placeholder:
-                self.report.placeholder_rules.append(spec["name"])
-            rule = sqlcm.add_rule(Rule(
-                name=spec["name"], event=spec["event"],
-                condition=spec["condition"], actions=actions,
-                enabled=spec["enabled"], criticality=spec["criticality"]))
-        rule.enabled = spec["enabled"]
-        rule.fire_count = spec["fire_count"]
-        rule.evaluation_count = spec["evaluation_count"]
+            actions = [action_from_spec(spec) for spec in image["actions"]
+                       if spec is not None]
+            if len(actions) < len(image["actions"]):
+                # a callback action cannot be rebuilt from disk; the
+                # recovery setup() callback is the supported path — report
+                # the rule so the operator knows
+                self.report.placeholder_rules.append(image["name"])
+            if not actions:
+                return  # a pure-callback rule (e.g. an app component's)
+            rule = sqlcm.add_rule(load(Rule, image, actions=actions))
+        rule.enabled = image["enabled"]
+        rule.fire_count = image["fire_count"]
+        rule.evaluation_count = image["evaluation_count"]
 
     def _restore_history(self, tables: dict[str, list]) -> None:
         sqlcm = self.sqlcm
@@ -1008,13 +588,6 @@ class _Restorer:
             table = sqlcm.server.table(table_name)
             for row in rows:
                 table.insert(list(row))
-
-    def _apply_instances(self, entries, absolute: bool) -> None:
-        counts = self.sqlcm._instance_counts
-        if absolute:
-            counts.clear()
-            for sig_hex, count in entries:
-                counts[bytes.fromhex(sig_hex)] = count
 
     # -- journal ---------------------------------------------------------
 
@@ -1052,7 +625,7 @@ class _Restorer:
             self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
 
     def _replay_lat_create(self, data: dict, t: float) -> None:
-        definition = lat_definition_from_spec(data["definition"])
+        definition = load(LATDefinition, data["definition"])
         if not self.sqlcm.has_lat(definition.name):
             self.sqlcm.create_lat(definition)
 
@@ -1061,10 +634,10 @@ class _Restorer:
             self.sqlcm.drop_lat(data["name"])
 
     def _replay_rule_add(self, data: dict, t: float) -> None:
-        spec = dict(data["rule"])
-        if spec["name"].lower() not in self.sqlcm.rules:
-            spec = spec | {"fire_count": 0, "evaluation_count": 0}
-        self._restore_rule(spec)
+        image = data["rule"]
+        if image["name"].lower() not in self.sqlcm.rules:
+            image = image | {"fire_count": 0, "evaluation_count": 0}
+        self._restore_rule(image)
 
     def _replay_rule_remove(self, data: dict, t: float) -> None:
         if data["name"].lower() in self.sqlcm.rules:
@@ -1078,10 +651,7 @@ class _Restorer:
     def _replay_stream_register(self, data: dict, t: float) -> None:
         streams = self.sqlcm.stream_engine()
         if data["name"].lower() not in streams._queries:
-            streams.register(data["text"], name=data["name"],
-                             sink_lat=data["sink_lat"],
-                             max_alerts=data["max_alerts"],
-                             criticality=data["criticality"])
+            _register_stream(streams, data)
 
     def _replay_stream_remove(self, data: dict, t: float) -> None:
         streams = self.sqlcm._streams
@@ -1133,18 +703,23 @@ class _Restorer:
             registry = self.sqlcm.stream_engine().health
         else:
             registry = self.sqlcm.health
-        apply_health_image(registry, data["image"])
+        image = data["image"]
+        registry._health[image["name"]] = load(RuleHealth, image)
 
     def _replay_incident(self, data: dict, t: float) -> None:
         manager = self.sqlcm.incident_manager()
-        apply_incident_image(manager, data)
+        image = data["incident"]
+        manager._incidents[image["incident_id"]] = load(Incident, image)
+        load_into(manager, data["manager"])
 
     def _replay_governor(self, data: dict, t: float) -> None:
-        apply_governor_image(self.sqlcm, data)
+        if self.sqlcm.governor is None:
+            self.sqlcm.enable_governor(load(GovernorPolicy, data["policy"]))
+        load_into(self.sqlcm.governor, data)
 
     def _replay_deadletter(self, data: dict, t: float) -> None:
         self.sqlcm.dead_letters._entries.append(
-            dead_letter_from_image(data["entry"]))
+            load(DeadLetter, data["entry"]))
 
     def _replay_timer(self, data: dict, t: float) -> None:
         self.pending_timers[data["name"].lower()] = (
@@ -1206,13 +781,15 @@ class DurabilityManager:
         self.directory = directory
         self.checkpoint_interval = checkpoint_interval
         self.sharded = hasattr(target, "shards")
-        self.control = target.shards[0].sqlcm if self.sharded else target
+        #: the monitors the checkpoint walk folds, control shard first
+        self.monitors: list[SQLCM] = (target.monitors if self.sharded
+                                      else [target])
+        self.control = self.monitors[0]
         if self.sharded:
-            shards = target.shards
+            monitors = self.monitors
             self.journal = Journal(
                 self.control,
-                dispatching=lambda: any(s.sqlcm._dispatching
-                                        for s in shards))
+                dispatching=lambda: any(m._dispatching for m in monitors))
         else:
             self.journal = Journal(target)
         existing = _list_generations(directory)
@@ -1231,9 +808,7 @@ class DurabilityManager:
         """Install journal hooks on every subsystem, then checkpoint."""
         os.makedirs(self.directory, exist_ok=True)
         journal = self.journal
-        monitors = ([shard.sqlcm for shard in self.target.shards]
-                    if self.sharded else [self.target])
-        for sqlcm in monitors:
+        for sqlcm in self.monitors:
             sqlcm.journal = journal
             for lat in sqlcm.lats():
                 lat.journal = journal
@@ -1250,9 +825,7 @@ class DurabilityManager:
 
     def detach(self) -> None:
         """Remove every journal hook and close the journal file."""
-        monitors = ([shard.sqlcm for shard in self.target.shards]
-                    if self.sharded else [self.target])
-        for sqlcm in monitors:
+        for sqlcm in self.monitors:
             sqlcm.journal = None
             for lat in sqlcm.lats():
                 lat.journal = None
@@ -1281,9 +854,7 @@ class DurabilityManager:
         if self.control._dispatching:
             raise DurabilityError("cannot checkpoint mid-dispatch")
         generation = self.generation + 1
-        sections = (build_sections_sharded(self.target) if self.sharded
-                    else build_sections(self.target))
-        content = render_checkpoint(sections)
+        content = render_checkpoint(build_sections(self.monitors))
         partial: FaultInjected | None = None
         try:
             self.control.check_fault("durability.checkpoint")

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
+from repro.core import state
 from repro.core.condition import bind_condition
 from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
@@ -64,6 +65,24 @@ class SQLCM:
         "query.rollback", "query.blocked", "query.block_released",
         "txn.begin", "txn.commit", "txn.rollback", "session.login",
         "session.login_failed", "session.logout", "sqlcm.stream_alert",
+    )
+
+    # the totals every shard counts for itself; the children are walked
+    # (digest_parts below, durability.build_sections) and fold one by one
+    STATE = (
+        *state.fields(sum, "events_handled", "rule_firings",
+                      "rule_errors"),
+        ("_instance_counts", state.dict_total),
+        *state.walked("rules", "_rule_order", "_lats", "_streams",
+                      "_incidents", "health", "dead_letters", "governor",
+                      "timer_service"),
+        # wiring, caches, in-flight dispatch, already-delivered side effects
+        *state.transient(
+            "driver", "server", "bus_subscribed", "schema", "sample_weight",
+            "factory", "_rules_by_event", "outbox", "command_journal",
+            "external_handler", "_sig_registry", "_signatures_forced",
+            "_signatures_needed_cache", "_event_queue", "_dispatching",
+            "retry_policy", "faults", "journal"),
     )
 
     def __init__(self, server=None, schema: SQLCMSchema | None = None,
@@ -920,27 +939,9 @@ class SQLCM:
     # ------------------------------------------------------------------
 
     def state_digest(self) -> int:
-        """Replay-stable digest over the monitor's observable state.
-
-        CRC32 of a canonical tuple: per-LAT integrity signatures, per-rule
-        firing/evaluation counters, instance counts, and the handled/fired
-        totals.  Two monitors that processed the same trace — serially, or
-        sharded and merged (see :mod:`repro.shard`) — produce the same
-        digest; this reuses the governor's ``sample_digest`` technique of
-        order-independent CRC accumulation over replay-stable inputs."""
-        return zlib.crc32(repr(self._digest_parts()).encode())
-
-    def _digest_parts(self) -> tuple:
-        lats = tuple((name, self._lats[name].integrity_signature())
-                     for name in sorted(self._lats))
-        rules = tuple((r.name, r.fire_count, r.evaluation_count)
-                      for r in sorted(self._rule_order,
-                                      key=lambda r: r.name))
-        instances = tuple(sorted(
-            (sig.hex(), count)
-            for sig, count in self._instance_counts.items()))
-        return (lats, rules, instances,
-                self.events_handled, self.rule_firings)
+        """Replay-stable digest over the monitor's observable state; see
+        :func:`state_digest` (a serial monitor is the one-element case)."""
+        return state_digest([self])
 
     # ------------------------------------------------------------------
     # persistence (Persist action + LAT restore)
@@ -1120,6 +1121,77 @@ class SQLCM:
                     "time": now,
                 })
         return restored
+
+
+# ----------------------------------------------------------------------
+# the fold: one walk over a sequence of monitors (determinism proof surface)
+# ----------------------------------------------------------------------
+
+def _merged(holders: Sequence, blank: Callable[[], Any]) -> Any:
+    """Fold ``merge_from`` holders (LAT partitions, window panes) into a
+    ``blank()`` one; a lone holder is returned as is, read in place."""
+    if len(holders) == 1:
+        return holders[0]
+    result = blank()
+    for holder in holders:
+        result.merge_from(holder)
+    return result
+
+
+def fold_lat(monitors: Sequence[SQLCM], name: str) -> LAT:
+    """One LAT across ``monitors``: a serial monitor's live table, read in
+    place, or the merge of every shard's partition — size limits are
+    enforced during the merge (the boundary where a partitioned LAT's
+    global limit is meaningful) and aging results read the control
+    shard's clock view."""
+    lats = [monitor.lat(name) for monitor in monitors]
+    return _merged(lats, lambda: LAT(lats[0].definition, lats[0]._clock))
+
+
+def fold_window(queries: Sequence):
+    """One stream query's pane state across its per-shard copies: the live
+    window of a serial monitor, or every shard's panes merged."""
+    window = queries[0].window
+    return _merged([query.window for query in queries],
+                   lambda: type(window)(window.spec, window.funcs))
+
+
+def fold_rule(monitors: Sequence[SQLCM], name: str) -> dict[str, Any]:
+    """One rule's declared fields across ``monitors`` (counters summed)."""
+    key = name.lower()
+    clones = [m.rules[key] for m in monitors if key in m.rules]
+    if not clones:
+        raise RuleError(f"unknown rule {name!r}")
+    return state.fold(clones)
+
+
+def digest_parts(monitors: Sequence[SQLCM]) -> tuple:
+    """The canonical tuple the state digest hashes: per-LAT integrity
+    signatures, per-rule firing/evaluation counters, instance counts, and
+    the handled/fired totals, each folded across ``monitors``."""
+    control = monitors[0]
+    lats = tuple((name, fold_lat(monitors, name).integrity_signature())
+                 for name in sorted(control._lats))
+    rules = []
+    for rule in sorted(control._rule_order, key=lambda r: r.name):
+        folded = fold_rule(monitors, rule.name)
+        rules.append((rule.name, folded["fire_count"],
+                      folded["evaluation_count"]))
+    totals = state.fold(monitors)
+    instances = tuple(sorted(
+        (sig.hex(), count)
+        for sig, count in totals["_instance_counts"].items()))
+    return (lats, tuple(rules), instances,
+            totals["events_handled"], totals["rule_firings"])
+
+
+def state_digest(monitors: Sequence[SQLCM]) -> int:
+    """CRC32 of :func:`digest_parts`.  Two deployments that processed the
+    same trace — one serial monitor, or N shard monitors folded (see
+    :mod:`repro.shard`) — produce the same digest; this reuses the
+    governor's ``sample_digest`` technique of order-independent CRC
+    accumulation over replay-stable inputs."""
+    return zlib.crc32(repr(digest_parts(monitors)).encode())
 
 
 def _sanitize(name: str) -> str:

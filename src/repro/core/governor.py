@@ -51,6 +51,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core import state
 from repro.errors import SQLCMError
 
 __all__ = [
@@ -179,6 +180,22 @@ class OverloadGovernor:
     consult :meth:`lat_allowed`.
     """
 
+    # one ladder serves every shard, so each field folds as the control's
+    STATE = (
+        ("policy", state.first, GovernorPolicy),
+        ("transitions", state.first, GovernorTransition),
+        *state.fields(
+            state.first, "state", "last_transition_at", "suspended", "_ema",
+            "_global_ema", "_event_seq", "_event_salt", "measured_ratio",
+            "estimated_ratio", "events_seen", "evals_sampled_out",
+            "evals_suspended", "inserts_shed", "stream_events_shed",
+            "requests_denied", "sample_digest"),
+        # the open measurement window and per-state tallies restart
+        *state.transient("sqlcm", "server", "_samples", "_skipped_total",
+                         "_last_decision_at", "_in_decision", "_eff_crit",
+                         "state_time", "state_cost", "_last_mark"),
+    )
+
     def __init__(self, sqlcm, policy: GovernorPolicy | None = None):
         self.sqlcm = sqlcm
         self.server = sqlcm.server
@@ -188,7 +205,7 @@ class OverloadGovernor:
         self._samples: deque[tuple[float, float, float]] = deque()
         self._skipped_total = 0.0
         self._last_decision_at = float("-inf")
-        self.last_transition_at = float("-inf")
+        self.last_transition_at: float | None = None  # never, so far
         self.transitions: list[GovernorTransition] = []
         #: currently suspended components as (kind, lowercase name) pairs
         self.suspended: set[tuple[str, str]] = set()
@@ -431,7 +448,8 @@ class OverloadGovernor:
             obs.gauge("sqlcm.governor.sampled_out", self.evals_sampled_out)
         if span < self.policy.window * 0.5:
             return  # not enough history for a trustworthy ratio yet
-        if now - self.last_transition_at < self.policy.cooldown:
+        if self.last_transition_at is not None \
+                and now - self.last_transition_at < self.policy.cooldown:
             return  # dwell: at most one transition per cooldown window
         index = LADDER.index(self.state)
         if measured > self.policy.target_overhead and index < len(LADDER) - 1:

@@ -37,6 +37,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core import state as schema  # ``Incident.state`` is a field
 from repro.core.actions import (Action, CallbackAction, _PLACEHOLDER_RE,
                                 _substitute, cancel_with_outcome)
 from repro.core.rules import Rule
@@ -128,7 +129,9 @@ class Incident:
     last_seen: float = 0.0
     occurrences: int = 1
     escalated: bool = False
-    remediations: list[RemediationRecord] = field(default_factory=list)
+    remediations: list[RemediationRecord] = field(
+        default_factory=list,
+        metadata=schema.mark(element=RemediationRecord))
     #: ordered (time, phase, detail) lifecycle entries — the unit of the
     #: chaos determinism tests' timeline digest
     timeline: list[tuple] = field(default_factory=list)
@@ -157,6 +160,18 @@ class IncidentManager:
     :meth:`SQLCM.incident_manager` (pay only for what you monitor).  All
     bookkeeping charges the monitor-cost pool.
     """
+
+    # the counters ride every journaled incident image; the incidents
+    # themselves (and the construction-time policy) are saved one by one
+    STATE = (
+        ("_open_times", schema.first, deque),
+        *schema.fields(schema.first, "_active", "_next_id", "opened",
+                      "deduplicated", "resolved_count", "escalations",
+                      "remediation_counts"),
+        *schema.walked("policy", "_incidents"),
+        *schema.transient("sqlcm", "server", "_listeners", "_history_ready",
+                         "_alert_subscribed"),
+    )
 
     def __init__(self, sqlcm, policy: IncidentPolicy | None = None):
         self.sqlcm = sqlcm

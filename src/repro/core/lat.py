@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.core import state as schema  # ``state`` names aggregate states here
 from repro.core.aggregates import (AggregateFunction, AgingSpec, AgingState,
                                    aggregate_function)
 from repro.core.governor import validate_criticality
@@ -45,7 +46,8 @@ class AggSpec:
     func: str
     attr: str
     alias: str | None = None
-    aging: AgingSpec | None = None
+    aging: AgingSpec | None = field(
+        default=None, metadata=schema.mark(element=AgingSpec))
 
     @property
     def column(self) -> str:
@@ -104,9 +106,12 @@ class LATDefinition:
 
     name: str
     monitored_class: str = "Query"
-    grouping: list = field(default_factory=list)
-    aggregations: list = field(default_factory=list)
-    ordering: list = field(default_factory=list)
+    grouping: list = field(default_factory=list,
+                           metadata=schema.mark(element=GroupSpec))
+    aggregations: list = field(default_factory=list,
+                               metadata=schema.mark(element=AggSpec))
+    ordering: list = field(default_factory=list,
+                           metadata=schema.mark(element=OrderSpec))
     max_rows: int | None = None
     max_bytes: int | None = None
     criticality: str = "normal"
@@ -181,6 +186,17 @@ class LAT:
     # durability journal (set by DurabilityManager.attach / create_lat);
     # mutations append redo records after they complete
     journal = None
+
+    # the counters and the row sequence: everything scratch_copy, adopt,
+    # and the checkpoint carry besides the rows themselves
+    STATE = (
+        *schema.fields(schema.first, "_seq", "insert_count",
+                       "eviction_count", "latch_acquisitions", "peak_rows",
+                       "seed_count"),
+        *schema.walked("definition", "_rows"),
+        *schema.transient("_clock", "_functions", "_order_indexes",
+                          "_ordering_cacheable", "journal"),
+    )
 
     def __init__(self, definition: LATDefinition, clock):
         self.definition = definition
@@ -473,23 +489,17 @@ class LAT:
                 for state in row.states
             ]
             scratch._rows[key] = _Row(key, states, row.seq)
-        scratch._seq = self._seq
-        scratch.insert_count = self.insert_count
-        scratch.eviction_count = self.eviction_count
-        scratch.latch_acquisitions = self.latch_acquisitions
-        scratch.peak_rows = self.peak_rows
-        scratch.seed_count = self.seed_count
+        for name, value in schema.fold([self]).items():
+            setattr(scratch, name, value)
         return scratch
 
     def adopt(self, scratch: "LAT") -> None:
         """Swap in a scratch copy's state (the commit of an atomic restore)."""
         self._rows = scratch._rows
-        self._seq = scratch._seq
-        self.insert_count = scratch.insert_count
-        self.eviction_count = scratch.eviction_count
-        self.latch_acquisitions = scratch.latch_acquisitions + 1
-        self.peak_rows = max(self.peak_rows, scratch.peak_rows)
-        self.seed_count = scratch.seed_count
+        # the scratch started from this LAT's counters and only grew them
+        for name, value in schema.fold([scratch]).items():
+            setattr(self, name, value)
+        self.latch_acquisitions += 1
 
     def merge_from(self, other: "LAT") -> list[dict]:
         """Merge another partition of the same LAT definition into this one.

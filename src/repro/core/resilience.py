@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import state
 from repro.errors import FaultInjected, RuleError
 
 # rule health states
@@ -137,6 +138,9 @@ class RuleHealthRegistry:
     # durability hook (set by DurabilityManager.attach): called with the
     # RuleHealth record after every durable state change
     journal_hook = None
+
+    STATE = (("_health", state.first, RuleHealth),
+             *state.transient("policy", "journal_hook"))
 
     def __init__(self, policy: QuarantinePolicy | None = None):
         self.policy = policy or QuarantinePolicy()
@@ -298,10 +302,12 @@ class DeadLetter:
     payload: str
     error: str
     attempts: int
-    # retained so the journal can replay the delivery later
-    action_obj: Any = field(default=None, repr=False)
-    context: Any = field(default=None, repr=False)
-    lat_rows: Any = field(default=None, repr=False)
+    # retained so the journal can replay the delivery later (live
+    # references: a recovered entry can be inspected, not redelivered)
+    action_obj: Any = field(default=None, repr=False,
+                            metadata=state.TRANSIENT)
+    context: Any = field(default=None, repr=False, metadata=state.TRANSIENT)
+    lat_rows: Any = field(default=None, repr=False, metadata=state.TRANSIENT)
 
 
 @dataclass
@@ -324,6 +330,11 @@ class DeadLetterJournal:
     # durability hook (set by DurabilityManager.attach): called with each
     # appended DeadLetter so the entry survives a monitor crash
     journal_hook = None
+
+    STATE = (("_entries", state.first, DeadLetter),
+             *state.fields(state.first, "capacity", "dropped",
+                           "poison_dropped"),
+             *state.transient("journal_hook"))
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:

@@ -12,6 +12,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import state
 from repro.core.governor import validate_criticality
 from repro.errors import RuleError
 
@@ -30,19 +31,24 @@ class Rule:
 
     name: str
     event: str
-    actions: list[Any]
+    # polymorphic: saved through durability.action_spec, not the field codec
+    actions: list[Any] = field(metadata=state.TRANSIENT)
     condition: str | None = None
     enabled: bool = True
     criticality: str = "normal"
 
     # bound by SQLCM.add_rule
-    event_class: Any = field(default=None, repr=False)
-    event_def: Any = field(default=None, repr=False)
-    compiled_condition: Any = field(default=None, repr=False)
+    event_class: Any = field(default=None, repr=False,
+                             metadata=state.TRANSIENT)
+    event_def: Any = field(default=None, repr=False,
+                           metadata=state.TRANSIENT)
+    compiled_condition: Any = field(default=None, repr=False,
+                                    metadata=state.TRANSIENT)
 
-    # statistics
-    fire_count: int = 0
-    evaluation_count: int = 0
+    # statistics (per-shard clones each count; the fold sums them)
+    fire_count: int = field(default=0, metadata=state.mark(sum))
+    evaluation_count: int = field(default=0,
+                                  metadata=state.mark(sum))
 
     def __post_init__(self):
         if not self.name:

@@ -1,0 +1,216 @@
+"""One declared state schema for the monitor, and the codec it drives.
+
+The monitor's durable state is a short, enumerable list of fields.  Each
+owning module declares its fields once, and every consumer — checkpoint
+sections, journal record images, the state digest, the shard merge —
+reads that one declaration through this module:
+
+* a **dataclass** record (``RuleHealth``, ``Incident``, ``DeadLetter``,
+  ``LATDefinition`` …) is its own declaration: every field is durable
+  unless marked ``field(metadata=TRANSIENT)``; ``mark(op, element)``
+  names a merge-op other than :func:`first`, or the record class of a
+  nested record / a collection's elements;
+* any other **holder** (``LAT``, ``OverloadGovernor``, ``SQLCM`` …) has
+  one class-level ``STATE`` tuple of ``(field, merge-op[, element])``
+  entries; attributes outside its image are listed by :func:`transient`
+  (rebuilt, never saved) or :func:`walked` (saved piece by piece by the
+  walk in :mod:`repro.core.durability`: rows, panes, child holders).
+
+A merge-op folds one field across a sequence of holders — the monitors
+of a sharded deployment.  A serial monitor is the one-element sequence,
+for which :func:`fold` returns the live values themselves (no copy).
+Field lists are resolved once per class (:func:`schema`); per-row and
+per-pane aggregate states keep the direct tagged encodings below.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import deque
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, Sequence
+
+from repro.core.aggregates import AgingSpec, AgingState, FirstAgg, LastAgg
+
+# ---------------------------------------------------------------------------
+# literal codec: everything on disk round-trips through repr/literal_eval
+# ---------------------------------------------------------------------------
+
+
+def literalize(value: Any) -> Any:
+    """Coerce a value into something ``ast.literal_eval`` can read back."""
+    if value is None or isinstance(value, (bool, int, str, bytes)):
+        return value
+    if isinstance(value, float):
+        # inf/nan have no literal form; clamp to a parseable stand-in
+        return value if value == value and abs(value) != float("inf") else 0.0
+    if isinstance(value, tuple):
+        return tuple(literalize(v) for v in value)
+    if isinstance(value, (list, deque)):
+        return [literalize(v) for v in value]
+    if isinstance(value, dict):
+        return {literalize(k): literalize(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(literalize(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return dump(value)
+    return str(value)
+
+
+# FIRST/LAST carry class-level "no value yet" sentinels that repr cannot
+# round-trip; aging aggregates carry block deques.  States are encoded as
+# small tagged lists (raw states are never lists, so the tag is unambiguous):
+# ["V", value] plain, ["E"] empty sentinel, ["A", [(block_start, enc), ...]].
+_EMPTY_SENTINELS = (FirstAgg._EMPTY, LastAgg._EMPTY)
+
+
+def enc_plain(state: Any) -> list:
+    for sentinel in _EMPTY_SENTINELS:
+        if state is sentinel:
+            return ["E"]
+    return ["V", literalize(state)]
+
+
+def dec_plain(enc: list, func) -> Any:
+    if enc[0] == "E":
+        return func.new_state()
+    value = enc[1]
+    return tuple(value) if isinstance(value, list) else value
+
+
+def enc_state(state: Any) -> list:
+    if isinstance(state, AgingState):
+        return ["A", [(start, enc_plain(block))
+                      for start, block in state.blocks]]
+    return enc_plain(state)
+
+
+def dec_state(enc: list, func, aging: AgingSpec | None) -> Any:
+    if enc[0] == "A":
+        state = AgingState(func, aging)
+        state.blocks.extend((start, dec_plain(block, func))
+                            for start, block in enc[1])
+        return state
+    return dec_plain(enc, func)
+
+
+# ---------------------------------------------------------------------------
+# merge-ops (how one field folds across holders; counters use builtin sum)
+# and the declaration helpers of the owning modules
+# ---------------------------------------------------------------------------
+
+
+def first(values: Sequence) -> Any:
+    """The control shard's value: registrations and supervisory state."""
+    return values[0]
+
+
+def dict_total(values: Sequence[dict]) -> dict:
+    folded: dict = {}
+    for counts in values:
+        for key, count in counts.items():
+            folded[key] = folded.get(key, 0) + count
+    return folded
+
+
+#: ``field(metadata=TRANSIENT)``: live references a record cannot save
+TRANSIENT = {"state": None}
+
+
+def mark(op: Callable = first, element: Any = None) -> dict:
+    """``field(metadata=mark(...))``: a non-default merge-op and/or the
+    class a nested record (or each element of a collection) is rebuilt as."""
+    return {"state": (op, element)}
+
+
+def fields(op: Callable | None, *names: str) -> tuple:
+    """``STATE`` entries for several attributes sharing one merge-op."""
+    return tuple((name, op) for name in names)
+
+
+def transient(*names: str) -> tuple:
+    """``STATE`` entries for attributes that are rebuilt, never saved."""
+    return fields(None, *names)
+
+
+#: ``STATE`` entries for durable attributes the checkpoint walk saves piece
+#: by piece rather than as one field of the holder's image
+walked = transient
+
+
+class Field(NamedTuple):
+    name: str
+    op: Callable
+    element: Any = None
+    like: Any = None  # a dataclass field's default (its container type)
+
+
+@lru_cache(maxsize=None)
+def schema(cls: type) -> tuple[Field, ...]:
+    """The durable fields of a state class, resolved once per class."""
+    if not dataclasses.is_dataclass(cls):
+        return tuple(Field(*entry) for entry in cls.STATE
+                     if entry[1] is not None)
+    resolved = []
+    for f in dataclasses.fields(cls):
+        spec = f.metadata.get("state", (first, None))
+        if spec is not None:
+            like = (f.default_factory()
+                    if f.default_factory is not dataclasses.MISSING
+                    else f.default)
+            resolved.append(Field(f.name, *spec, like))
+    return tuple(resolved)
+
+
+# ---------------------------------------------------------------------------
+# the walk: fold, dump, load
+# ---------------------------------------------------------------------------
+
+
+def fold(holders: Sequence) -> dict[str, Any]:
+    """Each declared field folded across ``holders`` with its merge-op."""
+    declared = schema(type(holders[0]))
+    if len(holders) == 1:
+        return {f.name: getattr(holders[0], f.name) for f in declared}
+    return {f.name: f.op([getattr(h, f.name) for h in holders])
+            for f in declared}
+
+
+def dump(*holders: Any) -> dict[str, Any]:
+    """The literal image of one holder, or of several folded into one."""
+    return {name: literalize(value)
+            for name, value in fold(holders).items()}
+
+
+def _decode(image: Any, like: Any, element: Any) -> Any:
+    """Rebuild one field from its image; ``like`` (the value a fresh holder
+    carries) names the container type the literal form lost."""
+    if element is not None and image is not None:
+        build = ((lambda item: load(element, item))
+                 if dataclasses.is_dataclass(element) else element)
+        if isinstance(like, dict):
+            return {key: build(item) for key, item in image.items()}
+        if isinstance(image, dict):
+            return build(image)  # one nested record, not a collection
+        image = [build(item) for item in image]
+    if isinstance(like, deque):
+        return deque(image, like.maxlen)
+    return set(image) if isinstance(like, set) else image
+
+
+def load(cls: type, image: dict, **extra: Any) -> Any:
+    """Build a dataclass record from its image (``extra`` supplies fields
+    the image does not carry)."""
+    values = {f.name: _decode(image[f.name], f.like, f.element)
+              for f in schema(cls) if f.name in image}
+    return cls(**values, **extra)
+
+
+def load_into(holder: Any, image: dict) -> Any:
+    """Apply an image to a live holder, field by declared field."""
+    for f in schema(type(holder)):
+        if f.name in image:
+            setattr(holder, f.name,
+                    _decode(image[f.name], getattr(holder, f.name, None),
+                            f.element))
+    return holder

@@ -7,7 +7,6 @@ the report boundary the way window panes merge.  See DESIGN.md section 12
 for the partitioning contract and the determinism proof.
 """
 
-from repro.shard.executor import SerialShardExecutor, ThreadShardExecutor
 from repro.shard.partition import QUERY_KEY_MODES, EventTrace, Partitioner
 from repro.shard.sharded import (ShardedSQLCM, ShardObs, ShardServer,
                                  ShardState)
@@ -16,8 +15,6 @@ __all__ = [
     "ShardedSQLCM",
     "Partitioner",
     "EventTrace",
-    "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ShardServer",
     "ShardState",
     "ShardObs",

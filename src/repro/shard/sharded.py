@@ -6,8 +6,8 @@ shard-local :class:`~repro.core.engine.SQLCM` — its own LAT partitions,
 stream panes, rule clones, timers, and fault-isolation state — built
 against a :class:`ShardServer` proxy so the per-event dispatch path is a
 pure function of (shard-local state, event): no shard ever writes another
-shard's state, which is what makes the executor choice irrelevant to the
-result.  Shard state merges at the report boundary exactly the way window
+shard's state, so the order shards run in is irrelevant to the result.
+Shard state merges at the report boundary exactly the way window
 panes merge — via the aggregate functions' mergeable ``combine`` states
 (``LAT.merge_from`` / ``WindowState.merge_from``).
 
@@ -23,33 +23,33 @@ Two modes:
   :class:`~repro.shard.partition.EventTrace`.  Each shard processes its
   partition of the trace with a shard-local clock view pinned to each
   event's recorded time, accumulating costs and attribution entirely
-  shard-locally — so partitions can run on a thread pool
-  (:class:`~repro.shard.executor.ThreadShardExecutor`) without touching
-  shared state.  The virtual makespan (max per-shard cost) is the
-  sharded tier's cost model: events/makespan is the throughput the
-  P1 bench reports.
+  shard-locally; partitions run one after another (sharding is a
+  state-partitioning model: a thread pool measured no wall-clock gain,
+  see DESIGN.md section 12).  The virtual makespan (max per-shard cost)
+  is the sharded tier's cost model: events/makespan is the throughput
+  the P1 bench reports.
 
-Determinism proof: :meth:`state_digest` builds the same canonical tuple
-as :meth:`SQLCM._digest_parts` from *merged* shard state, so a sharded
-run on any shard count — under any executor — must digest-equal the
-serial run on the same trace whenever the monitored group keys align
-with the partition key.  See DESIGN.md section 12.
+Determinism proof: :meth:`state_digest` is the serial monitor's digest
+function (:func:`repro.core.engine.state_digest`) applied to the shard
+monitors — one walk that folds each declared state field across them —
+so a sharded run on any shard count must digest-equal the serial run on
+the same trace whenever the monitored group keys align with the
+partition key.  See DESIGN.md section 12.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Iterable
 
-from repro.core.engine import SQLCM
+from repro.core.engine import (SQLCM, fold_lat, fold_rule, fold_window,
+                               state_digest)
 from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
 from repro.core.rules import Rule
 from repro.core.schema import SCHEMA, SQLCMSchema
 from repro.engine.events import EventBus
-from repro.errors import LATError, RuleError, StreamError
+from repro.errors import RuleError, StreamError
 from repro.obs.attribution import CostAttribution
-from repro.shard.executor import SerialShardExecutor
 from repro.shard.partition import EventTrace, Partitioner
 from repro.stream.windows import WindowState
 
@@ -149,7 +149,7 @@ class ShardServer:
     shard-local or — in live mode — an explicitly forwarded cost charge.
     The shard-local event bus keeps monitor-raised events (stream alerts)
     inside the raising shard, preserving the in-shard cascade ordering
-    that makes per-shard work executor-independent.
+    that makes per-shard work independent of every other shard's.
     """
 
     def __init__(self, server, shard_id: int, live: bool):
@@ -267,7 +267,6 @@ class ShardedSQLCM:
             for i in range(n_shards)
         ]
         self.rules: dict[str, Rule] = {}  # templates, unbound
-        self._lat_definitions: dict[str, LATDefinition] = {}
         self.governor: OverloadGovernor | None = None
         self.events_routed = 0
         if subscribe:
@@ -284,15 +283,12 @@ class ShardedSQLCM:
     def create_lat(self, definition: LATDefinition,
                    structure: type[LAT] = LAT) -> list[LAT]:
         """Create one LAT partition per shard; returns the partitions."""
-        created = [shard.sqlcm.create_lat(definition, structure)
-                   for shard in self.shards]
-        self._lat_definitions[definition.name.lower()] = definition
-        return created
+        return [shard.sqlcm.create_lat(definition, structure)
+                for shard in self.shards]
 
     def drop_lat(self, name: str) -> None:
         for shard in self.shards:
             shard.sqlcm.drop_lat(name)
-        self._lat_definitions.pop(name.lower(), None)
 
     def add_rule(self, rule: Rule) -> Rule:
         """Register a rule on every shard (each shard binds its own clone).
@@ -398,8 +394,7 @@ class ShardedSQLCM:
     # replay: partition a recorded trace, run shards independently
     # ------------------------------------------------------------------
 
-    def run_trace(self, trace: "EventTrace | Iterable",
-                  executor=None) -> dict:
+    def run_trace(self, trace: "EventTrace | Iterable") -> dict:
         """Replay a recorded trace through the shards.
 
         Returns ``{"events", "makespan", "shard_costs", "end_time"}``
@@ -423,16 +418,13 @@ class ShardedSQLCM:
         for record in events:
             partitions[self.partitioner.shard_of(record[0],
                                                  record[1])].append(record)
-        runner = executor or SerialShardExecutor()
-        costs = runner.run([
-            (lambda s=shard, p=partition: s.replay(p, end_time))
-            for shard, partition in zip(self.shards, partitions)
-        ])
+        costs = [shard.replay(partition, end_time)
+                 for shard, partition in zip(self.shards, partitions)]
         self.events_routed += len(events)
         return {
             "events": len(events),
             "makespan": max(costs) if costs else 0.0,
-            "shard_costs": list(costs),
+            "shard_costs": costs,
             "shard_events": [len(p) for p in partitions],
             "end_time": end_time,
         }
@@ -450,39 +442,28 @@ class ShardedSQLCM:
     # merge boundary: report-time reads over merged shard state
     # ------------------------------------------------------------------
 
-    def merged_lat(self, name: str) -> LAT:
-        """A fresh LAT holding the merge of every shard's partition.
+    @property
+    def monitors(self) -> list[SQLCM]:
+        """The shard monitors, control shard first: the sequence every
+        fold (digest, checkpoint, merged reads) walks."""
+        return [shard.sqlcm for shard in self.shards]
 
-        Size limits are enforced during the merge (the merge boundary is
-        where a partitioned LAT's global limit is meaningful); the merged
-        LAT reads the real server clock for aging results.
-        """
-        definition = self._lat_definitions.get(name.lower())
-        if definition is None:
-            raise LATError(f"unknown LAT {name!r}")
-        merged = LAT(definition, self.server.clock)
-        for shard in self.shards:
-            merged.merge_from(shard.sqlcm.lat(name))
-        return merged
+    def merged_lat(self, name: str) -> LAT:
+        """The merge of every shard's partition as a fresh LAT — with one
+        shard, that shard's live LAT (:func:`repro.core.engine.fold_lat`)."""
+        return fold_lat(self.monitors, name)
 
     def merged_lat_rows(self, name: str) -> list[dict]:
         return self.merged_lat(name).rows()
 
     def merged_window(self, stream_name: str) -> WindowState:
         """The merge of every shard's pane state for one stream query."""
-        first = None
-        merged: WindowState | None = None
-        for shard in self.shards:
-            streams = shard.sqlcm._streams
-            if streams is None:
+        queries = []
+        for monitor in self.monitors:
+            if monitor._streams is None:
                 raise StreamError(f"unknown stream query {stream_name!r}")
-            query = streams.query(stream_name)
-            if merged is None:
-                first = query
-                merged = WindowState(query.spec.window, query.window.funcs)
-            merged.merge_from(query.window)
-        assert merged is not None and first is not None
-        return merged
+            queries.append(monitor._streams.query(stream_name))
+        return fold_window(queries)
 
     def merged_attribution(self) -> CostAttribution:
         """Per-shard attributions folded together (replay mode).
@@ -500,50 +481,19 @@ class ShardedSQLCM:
 
     def rule_stats(self, name: str) -> tuple[int, int]:
         """Merged ``(fire_count, evaluation_count)`` across shards."""
-        fires = evals = 0
-        for shard in self.shards:
-            rule = shard.sqlcm.rules.get(name.lower())
-            if rule is None:
-                raise RuleError(f"unknown rule {name!r}")
-            fires += rule.fire_count
-            evals += rule.evaluation_count
-        return fires, evals
+        folded = fold_rule(self.monitors, name)
+        return folded["fire_count"], folded["evaluation_count"]
 
     # ------------------------------------------------------------------
     # determinism proof surface
     # ------------------------------------------------------------------
 
     def state_digest(self) -> int:
-        """Digest of merged shard state, comparable to SQLCM.state_digest.
-
-        Builds the identical canonical tuple from merged state: merged
-        LAT integrity signatures, summed rule counters, summed instance
-        counts, summed handled/fired totals.  Equality with the serial
-        digest on the same trace is the sharding determinism proof.
-        """
-        lat_parts = tuple(
-            (name, self.merged_lat(name).integrity_signature())
-            for name in sorted(self._lat_definitions))
-        counters: dict[str, list[int]] = {}
-        for shard in self.shards:
-            for rule in shard.sqlcm._rule_order:
-                entry = counters.setdefault(rule.name, [0, 0])
-                entry[0] += rule.fire_count
-                entry[1] += rule.evaluation_count
-        rule_parts = tuple((name, fires, evals)
-                           for name, (fires, evals)
-                           in sorted(counters.items()))
-        instances: dict[bytes, int] = {}
-        for shard in self.shards:
-            for sig, count in shard.sqlcm._instance_counts.items():
-                instances[sig] = instances.get(sig, 0) + count
-        instance_parts = tuple(sorted(
-            (sig.hex(), count) for sig, count in instances.items()))
-        events_handled = sum(s.sqlcm.events_handled for s in self.shards)
-        rule_firings = sum(s.sqlcm.rule_firings for s in self.shards)
-        parts = (lat_parts, rule_parts, instance_parts,
-                 events_handled, rule_firings)
-        return zlib.crc32(repr(parts).encode())
+        """Digest of the shard monitors folded into one — the same
+        function :meth:`SQLCM.state_digest` calls with one monitor.
+        Equality with the serial digest on the same trace is the
+        sharding determinism proof."""
+        return state_digest(self.monitors)
 
     # ------------------------------------------------------------------
     # reporting
@@ -558,7 +508,7 @@ class ShardedSQLCM:
             "shard_events": [s.events_routed for s in self.shards],
             "shard_costs": self.shard_costs(),
             "rules": sorted(self.rules),
-            "lats": sorted(self._lat_definitions),
+            "lats": sorted(self.shards[0].sqlcm._lats),
             "governor": (None if self.governor is None
                          else self.governor.state),
         }

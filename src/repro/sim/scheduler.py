@@ -107,6 +107,8 @@ class Scheduler:
         self.clock = clock or SimClock()
         self._heap: list[tuple[float, int, int, Process]] = []
         self._seq = 0
+        # live processes only, in spawn order: a finished process (and the
+        # result rows it holds) must not stay reachable from the scheduler
         self._processes: list[Process] = []
         self._stall_handlers: list[Callable[[list[Process]], bool]] = []
 
@@ -162,10 +164,12 @@ class Scheduler:
         except StopIteration as stop:
             proc.state = _DONE
             proc.result = stop.value
+            self._processes.remove(proc)
             return proc
         except BaseException as err:  # noqa: BLE001 - recorded, not swallowed
             proc.state = _FAILED
             proc.error = err
+            self._processes.remove(proc)
             raise
         if isinstance(item, Delay):
             proc.wake_time = self.clock.now + item.dt

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core import state
 from repro.errors import StreamError
 
 
@@ -62,6 +63,9 @@ class Deviation:
 
 class DeviationOperator:
     """Moving-average ± k·σ deviation detection, one baseline per group."""
+
+    STATE = (*state.fields(sum, "observations", "flagged"),
+             *state.walked("_history"), *state.transient("spec"))
 
     def __init__(self, spec: DeviationSpec):
         self.spec = spec
@@ -118,6 +122,8 @@ class DeviationOperator:
 
 class TopKOperator:
     """Top-k-within-window ranking over one output column."""
+
+    STATE = (("windows_ranked", sum), *state.transient("spec"))
 
     def __init__(self, spec: TopKSpec):
         self.spec = spec

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
+from repro.core import state
 from repro.core.aggregates import aggregate_function
 from repro.core.governor import validate_criticality
 from repro.core.resilience import (QuarantinePolicy, RuleHealthRegistry,
@@ -50,6 +51,19 @@ register_fault_sites(*STREAM_FAULT_SITES)
 
 class StreamQuery:
     """One registered continuous query: spec + window state + operators."""
+
+    # the registration (spec text, sink, criticality, ring size) and the
+    # child holders are saved by the checkpoint walk
+    STATE = (
+        *state.fields(sum, "events_seen", "events_ingested",
+                      "where_rejected", "windows_emitted", "alert_count",
+                      "errors"),
+        # per-shard alert rings have no merge order: the control's is kept
+        *state.fields(state.first, "enabled", "next_boundary", "last_error",
+                      "alerts"),
+        *state.walked("spec", "sink_lat", "criticality", "window",
+                      "deviation", "topk"),
+    )
 
     def __init__(self, spec: StreamSpec, sink_lat: str | None = None,
                  max_alerts: int = 256, criticality: str = "normal"):
@@ -100,6 +114,14 @@ class StreamQuery:
 class StreamEngine:
     """All stream queries of one SQLCM instance, sharing its event bus,
     cost pool, fault injector, and virtual clock."""
+
+    STATE = (
+        *state.fields(sum, "events_seen", "alerts_published",
+                      "errors"),
+        *state.walked("_queries", "health"),
+        *state.transient("_sqlcm", "server", "_by_event", "_subscribed",
+                         "_in_emit", "replaying"),
+    )
 
     def __init__(self, sqlcm, quarantine: QuarantinePolicy | None = None):
         self._sqlcm = sqlcm

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from repro.core import state
 from repro.core.aggregates import AggregateFunction
 from repro.errors import StreamError
 
@@ -73,6 +74,9 @@ class WindowState:
     panes older than the largest window that could still need them are
     dropped during emission.
     """
+
+    STATE = (*state.fields(sum, "update_ops", "combine_ops"),
+             *state.walked("groups"), *state.transient("spec", "funcs"))
 
     def __init__(self, spec: WindowSpec, funcs: list[AggregateFunction]):
         self.spec = spec

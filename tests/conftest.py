@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import DatabaseServer, ServerConfig, SQLCM
 from repro.workloads.tpch import TPCHConfig, setup_tpch
+
+# tier-1 is a fixed function of the tree: examples derive from each test's
+# source, and no on-disk example database feeds runs into one another.  The
+# randomised CI job overrides this with ``--hypothesis-profile=default``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

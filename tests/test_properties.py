@@ -70,6 +70,24 @@ class TestAggregateProperties:
                 assert combined == pytest.approx(sequential,
                                                  rel=1e-5, abs=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "float SUM/AVG combine is not associative: the open ROADMAP item "
+        "'make merge exact' (order-independent accumulator)"))
+    @pytest.mark.parametrize("name", ["SUM", "AVG"])
+    def test_combine_survives_float_cancellation(self, name):
+        """The counter-example hypothesis found for the property above,
+        pinned: 1.0 is absorbed by 3.4e38 on the right-hand partition
+        (SUM combines to 0.0, sequential is 1.0; AVG 0.0 vs 0.333...)."""
+        func = aggregate_function(name)
+        left, right = [-3.4e38], [3.4e38, 1.0]
+        s1, s2, s3 = func.new_state(), func.new_state(), func.new_state()
+        for value in left:
+            s1, s3 = func.update(s1, value), func.update(s3, value)
+        for value in right:
+            s2, s3 = func.update(s2, value), func.update(s3, value)
+        assert func.result(func.combine(s1, s2)) == pytest.approx(
+            func.result(s3), rel=1e-5, abs=1e-6)
+
     @given(st.lists(st.tuples(
         st.floats(min_value=0, max_value=100, allow_nan=False),
         finite_floats), max_size=50).map(

@@ -190,3 +190,28 @@ class TestBlockingAndWake:
         sched.spawn("bad", bad())
         with pytest.raises(ValueError, match="exploded"):
             sched.run()
+
+
+class TestLiveProcessTracking:
+    def test_finished_processes_are_released(self, items_server):
+        """The scheduler holds O(live) processes, not every one it ever
+        ran: a finished statement's result rows must become garbage."""
+        background = items_server.scheduler.spawn(
+            "bg", (Delay(1e9) for __ in range(2)))
+        session = items_server.create_session(user="u")
+        for i in range(1000):
+            result = session.execute(
+                f"SELECT name FROM items WHERE id = {i % 6 + 1}")
+            assert result.error is None
+        assert items_server.scheduler._processes == [background]
+
+    def test_failed_process_is_released(self):
+        def bad():
+            yield Delay(0.1)
+            raise ValueError("exploded")
+
+        sched = Scheduler()
+        sched.spawn("bad", bad())
+        with pytest.raises(ValueError, match="exploded"):
+            sched.run()
+        assert sched._processes == []

@@ -2,10 +2,10 @@
 
 Covers the replay-stable partitioner, event-trace recording, the LAT /
 window / attribution merge boundary, and the determinism proof: a
-sharded run — live or replayed, on any shard count, under either
-executor — digest-equals the serial run on the same trace whenever the
-monitored group keys align with the partition key.  The proof tests are
-marked ``shard_determinism`` so CI can run them as a named tier-1 step.
+sharded run — live or replayed, on any shard count — digest-equals the
+serial run on the same trace whenever the monitored group keys align
+with the partition key.  The proof tests are marked ``shard_determinism``
+so CI can run them as a named tier-1 step.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import itertools
 import pytest
 
 from repro import (LATDefinition, Rule, ServerConfig, SQLCM, DatabaseServer,
-                   ShardedSQLCM, EventTrace, Partitioner,
-                   SerialShardExecutor, ThreadShardExecutor)
+                   ShardedSQLCM, EventTrace, Partitioner)
 from repro.core import InsertAction
 from repro.core.lat import LAT
 from repro.engine.query import QueryContext
@@ -349,12 +348,10 @@ class TestDeterminismProof:
             facade.events_routed
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor_cls",
-                             [SerialShardExecutor, ThreadShardExecutor])
-    def test_replay_matches_serial_digest(self, n_shards, executor_cls):
+    def test_replay_matches_serial_digest(self, n_shards):
         serial_digest, trace = serial_reference()
         facade = replay_facade(n_shards)
-        result = facade.run_trace(trace, executor=executor_cls())
+        result = facade.run_trace(trace)
         assert facade.state_digest() == serial_digest
         assert result["events"] == len(trace)
         assert sum(result["shard_events"]) == len(trace)
