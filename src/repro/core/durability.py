@@ -1,40 +1,45 @@
-"""Crash-safe monitor durability: checkpoint + journal + recovery.
+"""Crash-safe monitor durability: one journal format, compacted at checkpoints.
 
 The monitor's state — rules and their health, LAT contents, stream window
 panes, open incidents, the governor ladder, dead letters, pending timers —
-lives in memory; this module makes it survive being killed.  Two on-disk
-structures per *generation* N:
+lives in memory; this module makes it survive being killed.  There is one
+on-disk form, the CRC-framed record line (:func:`frame`), one reader
+(:func:`read_journal`) and one apply table (:data:`HANDLERS`).  Two files
+per *generation* N hold such records:
 
-* ``checkpoint-000N.ckpt`` — an **atomic checkpoint**: the full monitor
-  state serialized as one text file (versioned header, one ``section``
-  line per subsystem with a CRC32 over its payload, an ``end`` line with
-  a CRC over the section table), written to a temp file and published
-  with ``os.replace``.  A reader either sees a complete, verified
+* ``journal-000N.wal`` — the **append-only logical redo journal** of every
+  mutation made after checkpoint N.  The reader is torn-tail tolerant: it
+  stops at the first record that fails its CRC, fails to parse, or lacks
+  its trailing newline, then discards any trailing records past the last
+  *committed* one.  Records written inside an event dispatch are
+  committed as a group by the per-event ``counts`` marker; records
+  written outside dispatch commit alone.
+* ``checkpoint-000N.ckpt`` — a **compacted journal**: the shortest record
+  sequence that recreates the monitor's folded state in registration
+  order (:func:`compact`), written to a temp file and published with
+  ``os.replace``.  Every record in it is uncommitted except the final
+  end marker, which carries the record count and a CRC chained over all
+  preceding record CRCs — so a reader either sees a complete, verified
   checkpoint or rejects the file and falls back to generation N-1.
-* ``journal-000N.wal`` — an **append-only logical redo journal** of every
-  mutation made after checkpoint N, one CRC-framed line per record.  The
-  reader is torn-tail tolerant: it stops at the first record that fails
-  its CRC, fails to parse, or lacks its trailing newline, then discards
-  any trailing records past the last *committed* one.  Records written
-  inside an event dispatch are committed as a group by the per-event
-  ``counts`` marker; records written outside dispatch commit alone.
 
-Recovery loads the newest valid checkpoint and replays its journal, so
-the restored monitor's :meth:`~repro.core.engine.SQLCM.state_digest`
-equals the digest at the last committed journal record before the crash
-— the same replay-stable digest that proves sharded == serial in
-:mod:`repro.shard`.  Crash-point fault injection rides the existing
-:class:`~repro.core.resilience.FaultInjector` at two new sites
-(``durability.checkpoint``, ``durability.append``); the
-``monitor_crash`` chaos drill and ``tests/test_durability.py`` kill the
-monitor at every site and assert digest equality after rebuild.
+Recovery applies the newest valid checkpoint's records and then its
+journal's through the same handlers, so the restored monitor's
+:meth:`~repro.core.engine.SQLCM.state_digest` equals the digest at the
+last committed journal record before the crash — the same replay-stable
+digest that proves sharded == serial in :mod:`repro.shard`.  Crash-point
+fault injection rides the existing
+:class:`~repro.core.resilience.FaultInjector` at two sites
+(``durability.checkpoint``, ``durability.append``); the ``monitor_crash``
+chaos drill and ``tests/test_durability.py`` kill the monitor at every
+site and assert digest equality after rebuild.
 
 What "the monitor's state" is, is not decided here: every stateful class
-declares its durable fields once (:mod:`repro.core.state`), checkpoint
-sections and journal record images are ``dump`` images of those
-declarations, and :func:`build_sections` is one walk over a *sequence*
-of monitors — a serial monitor alone, or a sharded deployment's shard
-monitors folded field by field with each field's declared merge-op.
+declares its durable fields once (:mod:`repro.core.state`), record
+payloads are ``fold`` images of those declarations (made literal once,
+when the record is framed), and :func:`compact` is one walk over a
+*sequence* of monitors — a serial monitor alone, or a sharded
+deployment's shard monitors folded field by field with each field's
+declared merge-op.
 
 Deliberately **not** persisted (see DESIGN.md section 14): the pending
 event queue and in-flight dispatch (the journal only commits completed
@@ -47,7 +52,6 @@ tallies between checkpoints.
 
 from __future__ import annotations
 
-import ast
 import os
 import zlib
 from collections import deque
@@ -60,17 +64,20 @@ from repro.core.actions import (Action, CancelAction, InsertAction,
                                 SetTimerAction)
 from repro.core.engine import SQLCM, fold_lat, fold_window
 from repro.core.governor import GovernorPolicy
-from repro.core.incidents import (CancelBlockerAction, Incident,
+from repro.core.incidents import (INCIDENT_TABLE, SWEEP_TIMER,
+                                  CancelBlockerAction, Incident,
                                   IncidentPolicy, OpenIncidentAction,
                                   QuarantineRuleAction, ResetLATAction)
 from repro.core.lat import LAT, LATDefinition, _Row
 from repro.core.resilience import DeadLetter, RuleHealth
 from repro.core.rules import Rule
-from repro.core.state import (dec_plain, dec_state, dump, enc_plain,
-                              enc_state, literalize, load, load_into)
+from repro.core.state import (dec_plain, dec_state, enc_plain, enc_state,
+                              fold, literalize, load, load_into,
+                              parse_literal)
 from repro.errors import DurabilityError, FaultInjected
 
-CHECKPOINT_HEADER = "SQLCM-CHECKPOINT v2"
+#: version of the record vocabulary, carried by a checkpoint's first record
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +100,7 @@ def action_spec(action: Action) -> list | None:
     cls = _ACTION_TYPES.get(type(action).__name__)
     if type(action) is not cls:
         return None
-    return [cls.__name__, dump(action)]
+    return [cls.__name__, fold([action])]
 
 
 def action_from_spec(spec: list) -> Action:
@@ -104,29 +111,12 @@ def action_from_spec(spec: list) -> Action:
 def rule_image(clones: Sequence[Rule]) -> dict:
     """One rule's image: its declared fields folded across its per-shard
     clones (counters summed), plus the action specs."""
-    return dump(*clones) | {
+    return fold(clones) | {
         "actions": [action_spec(a) for a in clones[0].actions]}
 
 
-def stream_registration(query) -> dict:
-    """What ``StreamEngine.register`` needs to re-create a query."""
-    return {
-        "text": query.spec.text,
-        "name": query.name,
-        "sink_lat": query.sink_lat,
-        "criticality": query.criticality,
-        "max_alerts": query.alerts.maxlen,
-    }
-
-
-def _register_stream(streams, data: dict):
-    return streams.register(
-        data["text"], name=data["name"], sink_lat=data["sink_lat"],
-        max_alerts=data["max_alerts"], criticality=data["criticality"])
-
-
 # ---------------------------------------------------------------------------
-# the append-only journal
+# the record line, the journal that appends it, the reader that parses it
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -136,22 +126,37 @@ class JournalRecord:
     commit: bool
     time: float
     data: Any
+    crc: str = ""  # the line's CRC as read (chained by the end marker)
+
+
+def frame(seq: int, kind: str, commit: bool, time: float, data: Any) -> str:
+    """The one on-disk form, journal and checkpoint alike::
+
+        <crc32 of payload, 8 hex> <repr((seq, kind, commit, time, data))>\n
+    """
+    payload = repr((seq, kind, bool(commit), time, literalize(data)))
+    return f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
+
+
+def _chain(crcs) -> int:
+    """CRC chained over a sequence of record CRCs (8 hex chars each)."""
+    chained = 0
+    for crc in crcs:
+        chained = zlib.crc32(crc.encode("ascii"), chained)
+    return chained
 
 
 class Journal:
     """Append-only logical redo journal with group-commit markers.
 
-    One CRC-framed text line per record::
-
-        <crc32 of payload, 8 hex chars> <repr((seq, kind, commit, time, data))>\\n
-
-    ``commit`` semantics: records appended while the owning monitor is
-    inside event dispatch default to ``False`` — the per-event ``counts``
-    record at the end of ``_process_event`` carries an explicit
-    ``commit=True`` and commits the whole group.  Records appended
-    outside dispatch commit alone.  Recovery replays records only up to
-    and including the last committed one; an uncommitted tail (crash
-    mid-event) is discarded, exactly like a torn tail.
+    One :func:`frame` line per record.  ``commit`` semantics: records
+    appended while the owning monitor is inside event dispatch default to
+    ``False`` — the per-event ``counts`` record at the end of
+    ``_process_event`` carries an explicit ``commit=True`` and commits the
+    whole group.  Records appended outside dispatch commit alone.
+    Recovery replays records only up to and including the last committed
+    one; an uncommitted tail (crash mid-event) is discarded, exactly like
+    a torn tail.
 
     A fault injected at ``durability.append`` marks the journal **dead**
     (the process crashed as far as the disk is concerned): subsequent
@@ -196,9 +201,7 @@ class Journal:
         if commit is None:
             commit = not self._dispatching()
         self.seq += 1
-        payload = repr((self.seq, kind, bool(commit), self.clock.now,
-                        literalize(data)))
-        line = f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
+        line = frame(self.seq, kind, commit, self.clock.now, data)
         try:
             self._sqlcm.check_fault("durability.append")
         except FaultInjected as err:
@@ -220,39 +223,35 @@ class Journal:
             for callback in self.on_commit:
                 callback()
 
-    # convenience appenders used by the wired subsystems; state records
-    # (dataclasses) are turned into images by ``literalize`` on append
+    # builders of the records both the wired subsystems and the checkpoint
+    # walk emit (every other kind is appended where it happens); state
+    # records (dataclasses) are turned into images by ``literalize``
 
     def lat_created(self, definition: LATDefinition) -> None:
         self.append("lat_create", {"definition": definition})
 
-    def lat_dropped(self, name: str) -> None:
-        self.append("lat_drop", {"name": name})
-
-    def rule_added(self, rule: Rule) -> None:
-        self.append("rule_add", {"rule": rule_image([rule])})
-
-    def rule_removed(self, name: str) -> None:
-        self.append("rule_remove", {"name": name})
-
-    def rule_enabled(self, name: str, enabled: bool) -> None:
-        self.append("rule_enable", {"name": name, "enabled": enabled})
+    def rule_added(self, *clones: Rule) -> None:
+        self.append("rule_add", {"rule": rule_image(clones)})
 
     def stream_registered(self, query) -> None:
-        self.append("stream_register", stream_registration(query))
-
-    def stream_removed(self, name: str) -> None:
-        self.append("stream_remove", {"name": name})
+        """What ``StreamEngine.register`` needs to re-create a query."""
+        self.append("stream_register", {
+            "text": query.spec.text, "name": query.name,
+            "sink_lat": query.sink_lat, "criticality": query.criticality,
+            "max_alerts": query.alerts.maxlen})
 
     def health_changed(self, namespace: str, health: RuleHealth) -> None:
         self.append("health", {"ns": namespace, "image": health})
 
-    def incident_changed(self, manager, incident: Incident) -> None:
-        self.append("incident", {"incident": incident,
-                                 "manager": dump(manager)})
+    def incidents_changed(self, manager, incidents) -> None:
+        """``incidents`` (all of them, or the one that changed) plus what
+        re-creates their manager where it stood in the rule order."""
+        self.append("incidents", {"policy": manager.policy,
+                                  "manager": fold([manager]),
+                                  "incidents": list(incidents)})
 
     def governor_changed(self, governor) -> None:
-        self.append("governor", dump(governor))
+        self.append("governor", fold([governor]))
 
     def dead_lettered(self, entry: DeadLetter) -> None:
         self.append("deadletter", {"entry": entry})
@@ -264,7 +263,7 @@ class Journal:
 
 
 def read_journal(path: str) -> tuple[list[JournalRecord], int]:
-    """Read a journal segment, tolerating a torn tail.
+    """Read a file of record lines, tolerating a torn tail.
 
     Returns ``(committed_records, discarded)`` where ``discarded`` counts
     valid-but-uncommitted trailing records plus any torn line.  Reading
@@ -276,157 +275,74 @@ def read_journal(path: str) -> tuple[list[JournalRecord], int]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         content = handle.read()
     records: list[JournalRecord] = []
-    torn = 0
-    pieces = content.split("\n")
+    lines = content.split("\n")
     # a well-formed file ends with "\n", leaving one empty trailing piece;
     # anything else in the final slot is a torn line
-    if pieces and pieces[-1] == "":
-        pieces.pop()
-    elif pieces:
-        torn = 1
-        pieces.pop()
-    for line in pieces:
-        crc_hex, sep, payload = line.partition(" ")
-        if not sep or len(crc_hex) != 8:
-            torn = 1
-            break
+    torn = 1 if lines.pop() else 0
+    for line in lines:
+        crc_hex, __, payload = line.partition(" ")
         try:
-            if int(crc_hex, 16) != zlib.crc32(payload.encode("utf-8")):
-                torn = 1
-                break
-            seq, kind, commit, time, data = ast.literal_eval(payload)
+            if len(crc_hex) != 8 or \
+                    int(crc_hex, 16) != zlib.crc32(payload.encode("utf-8")):
+                raise ValueError("CRC mismatch")
+            seq, kind, commit, time, data = parse_literal(payload)
         except (ValueError, SyntaxError):
             torn = 1
             break
-        records.append(JournalRecord(seq, kind, commit, time, data))
-    last_commit = -1
-    for index, record in enumerate(records):
-        if record.commit:
-            last_commit = index
+        records.append(JournalRecord(seq, kind, commit, time, data, crc_hex))
+    last_commit = max((index for index, record in enumerate(records)
+                       if record.commit), default=-1)
     committed = records[: last_commit + 1]
-    discarded = len(records) - len(committed) + torn
-    return committed, discarded
+    return committed, len(records) - len(committed) + torn
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file format
+# the checkpoint: one walk over a sequence of monitors, emitting records
 # ---------------------------------------------------------------------------
 
-def render_checkpoint(sections: dict[str, Any]) -> str:
-    lines = [CHECKPOINT_HEADER]
-    table_crc = 0
-    for name, payload in sections.items():
-        text = repr(payload)
-        crc = zlib.crc32(text.encode("utf-8"))
-        table_crc = zlib.crc32(f"{name}:{crc:08x}".encode("utf-8"), table_crc)
-        lines.append(f"section {name} {crc:08x} {text}")
-    lines.append(f"end {table_crc:08x}")
-    return "\n".join(lines) + "\n"
+class _Compactor(Journal):
+    """The checkpoint walk's sink: a journal that frames every record into
+    memory, uncommitted, so the walk shares the journal's record builders."""
 
+    def __init__(self, sqlcm: SQLCM):
+        super().__init__(sqlcm)
+        self.lines: list[str] = []
 
-def parse_checkpoint(path: str) -> dict[str, Any]:
-    """Parse and CRC-verify a checkpoint; raises DurabilityError if invalid."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        content = handle.read()
-    lines = content.split("\n")
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise DurabilityError(f"{path}: bad checkpoint header")
-    sections: dict[str, Any] = {}
-    table_crc = 0
-    ended = False
-    for line in lines[1:]:
-        if not line:
-            continue
-        if line.startswith("section "):
-            if ended:
-                raise DurabilityError(f"{path}: section after end marker")
-            try:
-                __, name, crc_hex, text = line.split(" ", 3)
-            except ValueError:
-                raise DurabilityError(f"{path}: malformed section line")
-            if int(crc_hex, 16) != zlib.crc32(text.encode("utf-8")):
-                raise DurabilityError(f"{path}: CRC mismatch in {name!r}")
-            try:
-                sections[name] = ast.literal_eval(text)
-            except (ValueError, SyntaxError) as err:
-                raise DurabilityError(
-                    f"{path}: unreadable section {name!r}") from err
-            table_crc = zlib.crc32(f"{name}:{crc_hex}".encode("utf-8"),
-                                   table_crc)
-        elif line.startswith("end "):
-            if int(line.split(" ", 1)[1], 16) != table_crc:
-                raise DurabilityError(f"{path}: section table CRC mismatch")
-            ended = True
-        else:
-            raise DurabilityError(f"{path}: unrecognized line")
-    if not ended:
-        raise DurabilityError(f"{path}: missing end marker (torn write)")
-    return sections
+    def append(self, kind: str, data: Any, commit: bool = False) -> None:
+        self.lines.append(frame(len(self.lines) + 1, kind, commit,
+                                self.clock.now, data))
 
-
-# ---------------------------------------------------------------------------
-# the checkpoint walk: one pass over a sequence of monitors
-# ---------------------------------------------------------------------------
 
 def _lat_image(lat: LAT) -> dict:
-    return dump(lat) | {
-        "definition": dump(lat.definition),
+    return fold([lat]) | {
+        "lat": lat.definition.name,
         "rows": [(row.key, [enc_state(s) for s in row.states], row.seq)
                  for row in lat._rows.values()],
     }
 
 
-def _load_lat(lat: LAT, data: dict) -> None:
-    lat._rows.clear()
-    aggs = lat.definition.aggregations
-    for key, states, seq in data["rows"]:
-        key = tuple(key)
-        decoded = [dec_state(enc, func, spec.aging)
-                   for enc, spec, func in zip(states, aggs, lat._functions)]
-        lat._rows[key] = _Row(key, decoded, seq)
-    load_into(lat, data)
-
-
 def _query_image(copies: Sequence) -> dict:
-    """One stream query across its per-shard ``copies``: registration and
-    anomaly history from the control shard's, counters summed, panes
-    merged."""
+    """One stream query across its per-shard ``copies``: anomaly history
+    from the control shard's, counters summed, panes merged."""
     query = copies[0]
-    image = stream_registration(query) | dump(*copies)
-    image["window"] = dump(*(q.window for q in copies)) | {
+    image = fold(copies) | {"stream": query.name}
+    image["window"] = fold([q.window for q in copies]) | {
         "groups": [(key, [(pane, [enc_plain(s) for s in states])
                           for pane, states in panes])
                    for key, panes in fold_window(copies).groups.items()]}
     if query.deviation is not None:
-        image["deviation"] = dump(*(q.deviation for q in copies)) | {
+        image["deviation"] = fold([q.deviation for q in copies]) | {
             "history": [(key, list(values)) for key, values
                         in query.deviation._history.items()]}
     if query.topk is not None:
-        image["topk"] = dump(*(q.topk for q in copies))
+        image["topk"] = fold([q.topk for q in copies])
     return image
 
 
-def _load_query(streams, data: dict):
-    query = load_into(_register_stream(streams, data), data)
-    window = load_into(query.window, data["window"])
-    window.groups = {
-        tuple(key): deque((pane, [dec_plain(enc, func)
-                                  for enc, func in zip(states, window.funcs)])
-                          for pane, states in panes)
-        for key, panes in data["window"]["groups"]}
-    if query.deviation is not None and "deviation" in data:
-        operator = load_into(query.deviation, data["deviation"])
-        operator._history = {
-            tuple(key): deque(values, maxlen=operator.spec.history)
-            for key, values in data["deviation"]["history"]}
-    if query.topk is not None and "topk" in data:
-        load_into(query.topk, data["topk"])
-    return query
-
-
-def build_sections(monitors: Sequence[SQLCM]) -> dict[str, Any]:
-    """The full monitor state as checkpoint sections, folded across
-    ``monitors`` by each field's declared merge-op.
+def compact(monitors: Sequence[SQLCM]) -> str:
+    """The text of a checkpoint: the shortest record sequence that
+    recreates the state of ``monitors``, folded by each field's declared
+    merge-op, in registration order.
 
     A serial monitor is the one-element sequence: its live LATs and
     windows are read in place.  A sharded deployment passes its shard
@@ -434,56 +350,90 @@ def build_sections(monitors: Sequence[SQLCM]) -> dict[str, Any]:
     partitions and window panes merge, and registrations and supervisory
     state (health, incidents, governor ladder, dead letters, timers) are
     the control shard's — recovery always rebuilds a *serial* monitor.
+
+    Registrations come first, in the order they were made (the incident
+    manager where its sweep rule stands), then one state image per LAT
+    and per stream query and the engine totals, then supervisory state.
+    Only the closing end marker is committed, and it vouches for the
+    whole file: the record count and a CRC chained over every preceding
+    record's CRC.
     """
     control = monitors[0]
-    sections: dict[str, Any] = {
-        "meta": {"version": 2, "time": control.server.clock.now}
-                | dump(*monitors),
-    }
-    incidents = control._incidents
-    if incidents is not None:
-        sections["incidents"] = {
-            "policy": dump(incidents.policy),
-            "manager": dump(incidents),
-            "incidents": [dump(incident)
-                          for incident in incidents._incidents.values()],
-        }
-    sections["lats"] = [_lat_image(fold_lat(monitors, name))
-                        for name in control._lats]
-    sections["rules"] = [
-        rule_image([m.rules[key] for m in monitors if key in m.rules])
-        for key in control.rules]
+    out = _Compactor(control)
+    out.append("checkpoint", {"version": CHECKPOINT_VERSION})
+    for lat in control.lats():
+        out.lat_created(lat.definition)
+    manager = control._incidents
+    unplaced = manager is not None
+    for rule in control._rule_order:
+        key = rule.name.lower()
+        if unplaced and key == SWEEP_TIMER:
+            out.incidents_changed(manager, manager._incidents.values())
+            unplaced = False
+        out.rule_added(*(m.rules[key] for m in monitors if key in m.rules))
+    if unplaced:  # a manager that never installed its sweeper
+        out.incidents_changed(manager, manager._incidents.values())
     streams = control._streams
+    engines = [m._streams for m in monitors if m._streams is not None]
     if streams is not None:
-        engines = [m._streams for m in monitors if m._streams is not None]
-        sections["streams"] = {
-            "engine": dump(*engines),
-            "queries": [_query_image([e.query(name) for e in engines])
-                        for name in streams._queries],
-        }
-    health = {"engine": dump(control.health)}
+        for query in streams.queries():
+            out.stream_registered(query)
+    for name in control._lats:
+        out.append("lat_image", _lat_image(fold_lat(monitors, name)))
     if streams is not None:
-        health["stream"] = dump(streams.health)
-    sections["health"] = health
-    governor = control.governor
-    sections["governor"] = None if governor is None else dump(governor)
-    sections["deadletters"] = dump(control.dead_letters)
-    sections["timers"] = [
-        (timer.name, timer.interval, timer.remaining)
-        for timer in control.timer_service.timers()]
-    if incidents is not None and incidents.policy.history:
-        tables = {}
-        for table_name in incidents.history_tables():
+        for name in streams._queries:
+            out.append("stream_image",
+                       _query_image([e.query(name) for e in engines]))
+    out.append("totals", {
+        "sqlcm": fold(monitors),
+        "streams": fold(engines) if engines else None,
+        "deadletters": fold([control.dead_letters])})
+    for health in control.health.known():
+        out.health_changed("engine", health)
+    if streams is not None:
+        for health in streams.health.known():
+            out.health_changed("stream", health)
+    if control.governor is not None:
+        out.governor_changed(control.governor)
+    for entry in control.dead_letters.entries():
+        out.dead_lettered(entry)
+    for timer in control.timer_service.timers():
+        out.append("timer", {"name": timer.name, "interval": timer.interval,
+                             "repeats": timer.remaining})
+    if manager is not None and manager.policy.history:
+        for table_name in manager.history_tables():
             if control.server.catalog.has_table(table_name):
-                table = control.server.table(table_name)
-                tables[table_name] = [
-                    literalize(list(row)) for __, row in table.scan()]
-        sections["history"] = tables
-    return sections
+                for __, row in control.server.table(table_name).scan():
+                    out.append("history", {"table": table_name,
+                                           "values": list(row[:-1]),
+                                           "time": row[-1]})
+    out.append("checkpoint_end", {
+        "records": len(out.lines),
+        "crc": _chain(line[:8] for line in out.lines)}, commit=True)
+    return "".join(out.lines)
+
+
+def read_checkpoint(path: str) -> list[JournalRecord]:
+    """A checkpoint's records; raises DurabilityError unless the file is
+    whole.  It is whole *iff* its last committed record is the end marker
+    and that marker's count and chained CRC match what precedes it — no
+    other record commits, so no prefix of the file can pass."""
+    records, __ = read_journal(path)
+    if not records or records[-1].kind != "checkpoint_end":
+        raise DurabilityError(f"{path}: no end marker (torn or foreign file)")
+    *body, end = records
+    if end.data != {"records": len(body),
+                    "crc": _chain(record.crc for record in body)}:
+        raise DurabilityError(f"{path}: end marker does not match its records")
+    if not body or body[0].kind != "checkpoint" \
+            or body[0].data.get("version") != CHECKPOINT_VERSION:
+        raise DurabilityError(f"{path}: not a version "
+                              f"{CHECKPOINT_VERSION} checkpoint")
+    return records
 
 
 # ---------------------------------------------------------------------------
-# checkpoint restore + journal replay
+# recovery: every record, checkpoint's or journal's, through one table
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -500,66 +450,50 @@ class RecoveryReport:
 
 
 class _Restorer:
-    """Applies checkpoint sections and journal records to a fresh monitor."""
+    """Applies records to a fresh monitor; one handler per record kind,
+    listed in :data:`HANDLERS`."""
 
     def __init__(self, sqlcm: SQLCM, report: RecoveryReport):
         self.sqlcm = sqlcm
         self.report = report
-        self.pending_timers: dict[str, tuple[float, int]] = {}
+        self.pending_timers: dict[str, tuple[str, float, int]] = {}
         # history rows replay only into a server that did not already
         # hold the history tables (a live supervised restart keeps them)
-        self.apply_history = True
+        self.apply_history = not sqlcm.server.catalog.has_table(
+            INCIDENT_TABLE)
 
-    # -- checkpoint ------------------------------------------------------
+    def apply(self, records: list[JournalRecord]) -> None:
+        for record in records:
+            self.sqlcm.server.clock.advance_to(record.time)
+            handler = HANDLERS.get(record.kind)
+            if handler is None:
+                raise DurabilityError(
+                    f"unknown journal record kind {record.kind!r}")
+            handler(self, record.data)
 
-    def load_checkpoint(self, sections: dict[str, Any]) -> None:
+    def finish(self) -> None:
+        """Re-arm pending timers (last: their processes need final clock)."""
+        for name, interval, remaining in self.pending_timers.values():
+            self.sqlcm.set_timer(name, interval, remaining)
+
+    def framing(self, data: dict) -> None:
+        """Checkpoint header / end marker: verified by
+        :func:`read_checkpoint` before anything is applied."""
+
+    # -- registrations ---------------------------------------------------
+
+    def lat_create(self, data: dict) -> None:
+        definition = load(LATDefinition, data["definition"])
+        if not self.sqlcm.has_lat(definition.name):
+            self.sqlcm.create_lat(definition)
+
+    def lat_drop(self, data: dict) -> None:
+        if self.sqlcm.has_lat(data["name"]):
+            self.sqlcm.drop_lat(data["name"])
+
+    def rule_add(self, data: dict) -> None:
         sqlcm = self.sqlcm
-        meta = sections["meta"]
-        sqlcm.server.clock.advance_to(meta["time"])
-        load_into(sqlcm, meta)
-        incidents = sections.get("incidents")
-        if incidents is not None:
-            self.apply_history = not sqlcm.server.catalog.has_table(
-                "sqlcm_incidents")
-            manager = sqlcm.incident_manager(
-                load(IncidentPolicy, incidents["policy"]))
-            for image in incidents["incidents"]:
-                manager._incidents[image["incident_id"]] = load(Incident,
-                                                                image)
-            load_into(manager, incidents["manager"])
-        for lat_data in sections.get("lats", ()):
-            definition = load(LATDefinition, lat_data["definition"])
-            if not sqlcm.has_lat(definition.name):
-                sqlcm.create_lat(definition)
-        for image in sections.get("rules", ()):
-            self._restore_rule(image)
-        streams_data = sections.get("streams")
-        if streams_data is not None:
-            streams = sqlcm.stream_engine()
-            for query_data in streams_data["queries"]:
-                if query_data["name"].lower() in streams._queries:
-                    # re-registered by an earlier restore step; refresh state
-                    streams.remove(query_data["name"])
-                _load_query(streams, query_data)
-            load_into(streams, streams_data["engine"])
-        for lat_data in sections.get("lats", ()):
-            _load_lat(sqlcm.lat(lat_data["definition"]["name"]), lat_data)
-        health = sections.get("health", {})
-        load_into(sqlcm.health, health.get("engine", {}))
-        if health.get("stream"):
-            load_into(sqlcm.stream_engine().health, health["stream"])
-        governor = sections.get("governor")
-        if governor is not None:
-            self._replay_governor(governor, meta["time"])
-        load_into(sqlcm.dead_letters, sections.get("deadletters", {}))
-        for name, interval, remaining in sections.get("timers", ()):
-            self.pending_timers[name.lower()] = (name, interval, remaining)
-        history = sections.get("history")
-        if history and self.apply_history:
-            self._restore_history(history)
-
-    def _restore_rule(self, image: dict) -> None:
-        sqlcm = self.sqlcm
+        image = data["rule"]
         rule = sqlcm.rules.get(image["name"].lower())
         if rule is None:
             actions = [action_from_spec(spec) for spec in image["actions"]
@@ -576,89 +510,87 @@ class _Restorer:
         rule.fire_count = image["fire_count"]
         rule.evaluation_count = image["evaluation_count"]
 
-    def _restore_history(self, tables: dict[str, list]) -> None:
-        sqlcm = self.sqlcm
-        manager = sqlcm._incidents
-        if manager is None:
-            return
-        manager._ensure_history()
-        for table_name, rows in tables.items():
-            if not sqlcm.server.catalog.has_table(table_name):
-                continue
-            table = sqlcm.server.table(table_name)
-            for row in rows:
-                table.insert(list(row))
-
-    # -- journal ---------------------------------------------------------
-
-    def replay(self, records: list[JournalRecord]) -> None:
-        for record in records:
-            self.sqlcm.server.clock.advance_to(record.time)
-            handler = getattr(self, f"_replay_{record.kind}", None)
-            if handler is None:
-                raise DurabilityError(
-                    f"unknown journal record kind {record.kind!r}")
-            handler(record.data, record.time)
-            self.report.records_replayed += 1
-
-    def finish(self) -> None:
-        """Re-arm pending timers (last: their processes need final clock)."""
-        for name, interval, remaining in self.pending_timers.values():
-            self.sqlcm.set_timer(name, interval, remaining)
-
-    def _replay_lat_insert(self, data: dict, t: float) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).insert(
-                data["values"], data["weight"], now=data["time"])
-
-    def _replay_lat_seed(self, data: dict, t: float) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).seed_row(
-                data["values"], now=data["time"])
-
-    def _replay_lat_reset(self, data: dict, t: float) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).reset()
-
-    def _replay_lat_del(self, data: dict, t: float) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
-
-    def _replay_lat_create(self, data: dict, t: float) -> None:
-        definition = load(LATDefinition, data["definition"])
-        if not self.sqlcm.has_lat(definition.name):
-            self.sqlcm.create_lat(definition)
-
-    def _replay_lat_drop(self, data: dict, t: float) -> None:
-        if self.sqlcm.has_lat(data["name"]):
-            self.sqlcm.drop_lat(data["name"])
-
-    def _replay_rule_add(self, data: dict, t: float) -> None:
-        image = data["rule"]
-        if image["name"].lower() not in self.sqlcm.rules:
-            image = image | {"fire_count": 0, "evaluation_count": 0}
-        self._restore_rule(image)
-
-    def _replay_rule_remove(self, data: dict, t: float) -> None:
+    def rule_remove(self, data: dict) -> None:
         if data["name"].lower() in self.sqlcm.rules:
             self.sqlcm.remove_rule(data["name"])
 
-    def _replay_rule_enable(self, data: dict, t: float) -> None:
+    def rule_enable(self, data: dict) -> None:
         rule = self.sqlcm.rules.get(data["name"].lower())
         if rule is not None:
             rule.enabled = data["enabled"]
 
-    def _replay_stream_register(self, data: dict, t: float) -> None:
+    def stream_register(self, data: dict) -> None:
         streams = self.sqlcm.stream_engine()
         if data["name"].lower() not in streams._queries:
-            _register_stream(streams, data)
+            streams.register(
+                data["text"], name=data["name"], sink_lat=data["sink_lat"],
+                max_alerts=data["max_alerts"],
+                criticality=data["criticality"])
 
-    def _replay_stream_remove(self, data: dict, t: float) -> None:
+    def stream_remove(self, data: dict) -> None:
         streams = self.sqlcm._streams
         if streams is not None and data["name"].lower() in streams._queries:
             streams.remove(data["name"])
 
-    def _replay_stream_obs(self, data: dict, t: float) -> None:
+    # -- state images (checkpoints only) ---------------------------------
+
+    def lat_image(self, data: dict) -> None:
+        lat = self.sqlcm.lat(data["lat"])
+        lat._rows.clear()
+        aggs = lat.definition.aggregations
+        for key, states, seq in data["rows"]:
+            key = tuple(key)
+            decoded = [dec_state(enc, func, spec.aging)
+                       for enc, spec, func in zip(states, aggs,
+                                                  lat._functions)]
+            lat._rows[key] = _Row(key, decoded, seq)
+        load_into(lat, data)
+
+    def stream_image(self, data: dict) -> None:
+        query = load_into(self.sqlcm.stream_engine().query(data["stream"]),
+                          data)
+        window = load_into(query.window, data["window"])
+        window.groups = {
+            tuple(key): deque(
+                (pane, [dec_plain(enc, func)
+                        for enc, func in zip(states, window.funcs)])
+                for pane, states in panes)
+            for key, panes in data["window"]["groups"]}
+        if query.deviation is not None and "deviation" in data:
+            operator = load_into(query.deviation, data["deviation"])
+            operator._history = {
+                tuple(key): deque(values, maxlen=operator.spec.history)
+                for key, values in data["deviation"]["history"]}
+        if query.topk is not None and "topk" in data:
+            load_into(query.topk, data["topk"])
+
+    def totals(self, data: dict) -> None:
+        load_into(self.sqlcm, data["sqlcm"])
+        load_into(self.sqlcm.dead_letters, data["deadletters"])
+        if data["streams"] is not None:
+            load_into(self.sqlcm.stream_engine(), data["streams"])
+
+    # -- mutations (journals only) ---------------------------------------
+
+    def lat_insert(self, data: dict) -> None:
+        if self.sqlcm.has_lat(data["lat"]):
+            self.sqlcm.lat(data["lat"]).insert(
+                data["values"], data["weight"], now=data["time"])
+
+    def lat_seed(self, data: dict) -> None:
+        if self.sqlcm.has_lat(data["lat"]):
+            self.sqlcm.lat(data["lat"]).seed_row(
+                data["values"], now=data["time"])
+
+    def lat_reset(self, data: dict) -> None:
+        if self.sqlcm.has_lat(data["lat"]):
+            self.sqlcm.lat(data["lat"]).reset()
+
+    def lat_del(self, data: dict) -> None:
+        if self.sqlcm.has_lat(data["lat"]):
+            self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
+
+    def stream_obs(self, data: dict) -> None:
         streams = self.sqlcm._streams
         if streams is None:
             return
@@ -672,7 +604,7 @@ class _Restorer:
                 query.spec.window.pane_index(data["time"]) + 1)
         query.events_ingested += 1
 
-    def _replay_stream_flush(self, data: dict, t: float) -> None:
+    def stream_flush(self, data: dict) -> None:
         streams = self.sqlcm._streams
         if streams is None:
             return
@@ -682,7 +614,7 @@ class _Restorer:
         finally:
             streams.replaying = False
 
-    def _replay_counts(self, data: dict, t: float) -> None:
+    def counts(self, data: dict) -> None:
         sqlcm = self.sqlcm
         sqlcm.events_handled += 1
         sqlcm.rule_firings += data["firings"]
@@ -693,12 +625,14 @@ class _Restorer:
                 rule.evaluation_count += evals
                 rule.fire_count += fires
 
-    def _replay_instance(self, data: dict, t: float) -> None:
+    def instance(self, data: dict) -> None:
         counts = self.sqlcm._instance_counts
         sig = bytes.fromhex(data["sig"])
         counts[sig] = counts.get(sig, 0) + data["delta"]
 
-    def _replay_health(self, data: dict, t: float) -> None:
+    # -- supervisory state -----------------------------------------------
+
+    def health(self, data: dict) -> None:
         if data["ns"] == "stream":
             registry = self.sqlcm.stream_engine().health
         else:
@@ -706,26 +640,26 @@ class _Restorer:
         image = data["image"]
         registry._health[image["name"]] = load(RuleHealth, image)
 
-    def _replay_incident(self, data: dict, t: float) -> None:
-        manager = self.sqlcm.incident_manager()
-        image = data["incident"]
-        manager._incidents[image["incident_id"]] = load(Incident, image)
+    def incidents(self, data: dict) -> None:
+        manager = self.sqlcm.incident_manager(
+            load(IncidentPolicy, data["policy"]))
+        for image in data["incidents"]:
+            manager._incidents[image["incident_id"]] = load(Incident, image)
         load_into(manager, data["manager"])
 
-    def _replay_governor(self, data: dict, t: float) -> None:
+    def governor(self, data: dict) -> None:
         if self.sqlcm.governor is None:
             self.sqlcm.enable_governor(load(GovernorPolicy, data["policy"]))
         load_into(self.sqlcm.governor, data)
 
-    def _replay_deadletter(self, data: dict, t: float) -> None:
-        self.sqlcm.dead_letters._entries.append(
-            load(DeadLetter, data["entry"]))
+    def deadletter(self, data: dict) -> None:
+        self.sqlcm.dead_letters.append(load(DeadLetter, data["entry"]))
 
-    def _replay_timer(self, data: dict, t: float) -> None:
+    def timer(self, data: dict) -> None:
         self.pending_timers[data["name"].lower()] = (
             data["name"], data["interval"], data["repeats"])
 
-    def _replay_history(self, data: dict, t: float) -> None:
+    def history(self, data: dict) -> None:
         if not self.apply_history:
             return
         sqlcm = self.sqlcm
@@ -735,6 +669,37 @@ class _Restorer:
         if sqlcm.server.catalog.has_table(data["table"]):
             sqlcm.server.table(data["table"]).insert(
                 list(data["values"]) + [data["time"]])
+
+
+#: the apply table: every record kind a journal or a checkpoint may hold
+HANDLERS: dict[str, Callable[[_Restorer, Any], None]] = {
+    "checkpoint": _Restorer.framing,
+    "checkpoint_end": _Restorer.framing,
+    "lat_create": _Restorer.lat_create,
+    "lat_drop": _Restorer.lat_drop,
+    "rule_add": _Restorer.rule_add,
+    "rule_remove": _Restorer.rule_remove,
+    "rule_enable": _Restorer.rule_enable,
+    "stream_register": _Restorer.stream_register,
+    "stream_remove": _Restorer.stream_remove,
+    "lat_image": _Restorer.lat_image,
+    "stream_image": _Restorer.stream_image,
+    "totals": _Restorer.totals,
+    "lat_insert": _Restorer.lat_insert,
+    "lat_seed": _Restorer.lat_seed,
+    "lat_reset": _Restorer.lat_reset,
+    "lat_del": _Restorer.lat_del,
+    "stream_obs": _Restorer.stream_obs,
+    "stream_flush": _Restorer.stream_flush,
+    "counts": _Restorer.counts,
+    "instance": _Restorer.instance,
+    "health": _Restorer.health,
+    "incidents": _Restorer.incidents,
+    "governor": _Restorer.governor,
+    "deadletter": _Restorer.deadletter,
+    "timer": _Restorer.timer,
+    "history": _Restorer.history,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -843,18 +808,18 @@ class DurabilityManager:
     def checkpoint(self) -> str:
         """Write a new checkpoint generation atomically; rotate the journal.
 
-        Protocol: render the full state, consult the
+        Protocol: compact the full state into records, consult the
         ``durability.checkpoint`` fault site (an *exception* fault models
         a crash before the rename — the temp file never becomes visible;
         a *partial* fault models a torn write that does become visible —
-        recovery CRC-rejects it and falls back a generation), publish via
-        ``os.replace``, and only then start the new journal segment and
-        prune generations older than the previous one.
+        recovery finds no end marker and falls back a generation), publish
+        via ``os.replace``, and only then start the new journal segment
+        and prune generations older than the previous one.
         """
         if self.control._dispatching:
             raise DurabilityError("cannot checkpoint mid-dispatch")
         generation = self.generation + 1
-        content = render_checkpoint(build_sections(self.monitors))
+        content = compact(self.monitors)
         partial: FaultInjected | None = None
         try:
             self.control.check_fault("durability.checkpoint")
@@ -921,7 +886,7 @@ class DurabilityManager:
         """Rebuild a serial monitor from the newest valid generation.
 
         Tries checkpoint generations newest-first; a generation whose
-        checkpoint fails CRC verification (torn write) is skipped in
+        checkpoint fails verification (torn write) is skipped in
         favor of the previous one, whose journal kept growing because
         rotation only happens after a successful checkpoint publish.
 
@@ -934,17 +899,14 @@ class DurabilityManager:
         generations = _list_generations(directory)
         if not generations:
             raise DurabilityError(f"no checkpoint found in {directory!r}")
-        chosen = None
-        sections = None
-        for generation in reversed(generations):
-            path = _checkpoint_path(directory, generation)
+        for chosen in reversed(generations):
+            checkpoint_path = _checkpoint_path(directory, chosen)
             try:
-                sections = parse_checkpoint(path)
+                image = read_checkpoint(checkpoint_path)
             except (DurabilityError, OSError):
                 continue
-            chosen = generation
             break
-        if chosen is None or sections is None:
+        else:
             raise DurabilityError(
                 f"no valid checkpoint generation in {directory!r}")
         if sqlcm is None:
@@ -952,15 +914,13 @@ class DurabilityManager:
         if setup is not None:
             setup(sqlcm)
         journal_path = _journal_path(directory, chosen)
-        report = RecoveryReport(
-            sqlcm=sqlcm, generation=chosen,
-            checkpoint_path=_checkpoint_path(directory, chosen),
-            journal_path=journal_path)
-        restorer = _Restorer(sqlcm, report)
-        restorer.load_checkpoint(sections)
         records, discarded = read_journal(journal_path)
-        report.records_discarded = discarded
-        restorer.replay(records)
+        report = RecoveryReport(
+            sqlcm=sqlcm, generation=chosen, checkpoint_path=checkpoint_path,
+            journal_path=journal_path, records_replayed=len(records),
+            records_discarded=discarded)
+        restorer = _Restorer(sqlcm, report)
+        restorer.apply(image + records)
         restorer.finish()
         return report
 

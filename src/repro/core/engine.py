@@ -68,7 +68,7 @@ class SQLCM:
     )
 
     # the totals every shard counts for itself; the children are walked
-    # (digest_parts below, durability.build_sections) and fold one by one
+    # (digest_parts below, durability.compact) and fold one by one
     STATE = (
         *state.fields(sum, "events_handled", "rule_firings",
                       "rule_errors"),
@@ -190,7 +190,7 @@ class SQLCM:
         del self._lats[key]
         self.invalidate_signature_cache()
         if self.journal is not None:
-            self.journal.lat_dropped(name)
+            self.journal.append("lat_drop", {"name": name})
 
     def lat(self, name: str) -> LAT:
         try:
@@ -251,7 +251,7 @@ class SQLCM:
             self.governor.forget_rule(rule.name)
         self.invalidate_signature_cache()
         if self.journal is not None:
-            self.journal.rule_removed(rule.name)
+            self.journal.append("rule_remove", {"name": rule.name})
 
     def enable_rule(self, name: str, enabled: bool = True) -> None:
         rule = self.rules.get(name.lower())
@@ -264,7 +264,8 @@ class SQLCM:
                 f"call release_quarantine first")
         rule.enabled = enabled
         if self.journal is not None:
-            self.journal.rule_enabled(rule.name, enabled)
+            self.journal.append("rule_enable", {"name": rule.name,
+                                                "enabled": enabled})
 
     # ------------------------------------------------------------------
     # fault isolation: health, quarantine, fault injection

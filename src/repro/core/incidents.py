@@ -198,6 +198,10 @@ class IncidentManager:
             self.server.events.subscribe("sqlcm.stream_alert",
                                          self._on_stream_alert)
             self._alert_subscribed = True
+        if sqlcm.journal is not None:
+            # before the sweeper: replay re-creates the manager — and with
+            # it the sweep rule — where it stood in the rule order
+            sqlcm.journal.incidents_changed(self, [])
         if self.policy.sweep_interval > 0:
             self._install_sweeper()
 
@@ -454,7 +458,7 @@ class IncidentManager:
 
     def _journal_incident(self, incident: Incident) -> None:
         if self.sqlcm.journal is not None:
-            self.sqlcm.journal.incident_changed(self, incident)
+            self.sqlcm.journal.incidents_changed(self, [incident])
 
     def add_listener(self, listener) -> None:
         """Register a callable fired on every incident lifecycle

@@ -139,7 +139,7 @@ class RuleHealthRegistry:
     # RuleHealth record after every durable state change
     journal_hook = None
 
-    STATE = (("_health", state.first, RuleHealth),
+    STATE = (*state.walked("_health"),
              *state.transient("policy", "journal_hook"))
 
     def __init__(self, policy: QuarantinePolicy | None = None):
@@ -331,7 +331,7 @@ class DeadLetterJournal:
     # appended DeadLetter so the entry survives a monitor crash
     journal_hook = None
 
-    STATE = (("_entries", state.first, DeadLetter),
+    STATE = (*state.walked("_entries"),
              *state.fields(state.first, "capacity", "dropped",
                            "poison_dropped"),
              *state.transient("journal_hook"))

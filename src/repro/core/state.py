@@ -1,8 +1,8 @@
 """One declared state schema for the monitor, and the codec it drives.
 
 The monitor's durable state is a short, enumerable list of fields.  Each
-owning module declares its fields once, and every consumer — checkpoint
-sections, journal record images, the state digest, the shard merge —
+owning module declares its fields once, and every consumer — the record
+payloads of journal and checkpoint, the state digest, the shard merge —
 reads that one declaration through this module:
 
 * a **dataclass** record (``RuleHealth``, ``Incident``, ``DeadLetter``,
@@ -25,7 +25,9 @@ per-pane aggregate states keep the direct tagged encodings below.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import math
 from collections import deque
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Sequence
@@ -33,34 +35,65 @@ from typing import Any, Callable, NamedTuple, Sequence
 from repro.core.aggregates import AgingSpec, AgingState, FirstAgg, LastAgg
 
 # ---------------------------------------------------------------------------
-# literal codec: everything on disk round-trips through repr/literal_eval
+# literal codec: everything on disk round-trips through repr/parse_literal
 # ---------------------------------------------------------------------------
 
 
+#: inf/nan have no literal form: they travel as ``(_NONFINITE, repr)`` pairs
+_NONFINITE = "~float"
+
+
+#: passed through by the container branches below without a call: this walk
+#: is the hot loop of every journal append and every checkpoint
+_ATOMS = frozenset((type(None), bool, int, str, bytes))
+
+
 def literalize(value: Any) -> Any:
-    """Coerce a value into something ``ast.literal_eval`` can read back."""
+    """Coerce a value into something :func:`parse_literal` reads back."""
     if value is None or isinstance(value, (bool, int, str, bytes)):
         return value
     if isinstance(value, float):
-        # inf/nan have no literal form; clamp to a parseable stand-in
-        return value if value == value and abs(value) != float("inf") else 0.0
+        return value if math.isfinite(value) else (_NONFINITE, repr(value))
     if isinstance(value, tuple):
-        return tuple(literalize(v) for v in value)
+        return tuple([v if type(v) in _ATOMS else literalize(v)
+                      for v in value])
     if isinstance(value, (list, deque)):
-        return [literalize(v) for v in value]
+        return [v if type(v) in _ATOMS else literalize(v) for v in value]
     if isinstance(value, dict):
-        return {literalize(k): literalize(v) for k, v in value.items()}
+        return {(k if type(k) in _ATOMS else literalize(k)):
+                (v if type(v) in _ATOMS else literalize(v))
+                for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted(literalize(v) for v in value)
     if dataclasses.is_dataclass(value):
-        return dump(value)
+        return literalize(fold([value]))  # a state record: its image
     return str(value)
+
+
+def parse_literal(text: str) -> Any:
+    """Read back ``repr(literalize(value))``, non-finite floats included."""
+    value = ast.literal_eval(text)
+    # the walk is paid only by the rare text that carries a tagged float
+    return _untag(value) if _NONFINITE in text else value
+
+
+def _untag(value: Any) -> Any:
+    if isinstance(value, tuple):
+        if len(value) == 2 and value[0] == _NONFINITE:
+            return float(value[1])
+        return tuple(_untag(v) for v in value)
+    if isinstance(value, list):
+        return [_untag(v) for v in value]
+    if isinstance(value, dict):
+        return {_untag(k): _untag(v) for k, v in value.items()}
+    return value
 
 
 # FIRST/LAST carry class-level "no value yet" sentinels that repr cannot
 # round-trip; aging aggregates carry block deques.  States are encoded as
 # small tagged lists (raw states are never lists, so the tag is unambiguous):
-# ["V", value] plain, ["E"] empty sentinel, ["A", [(block_start, enc), ...]].
+# ["V", value] plain, ["E"] empty sentinel, ["A", [(block_start, enc), ...]];
+# the values inside become literal with the rest of the record.
 _EMPTY_SENTINELS = (FirstAgg._EMPTY, LastAgg._EMPTY)
 
 
@@ -68,7 +101,7 @@ def enc_plain(state: Any) -> list:
     for sentinel in _EMPTY_SENTINELS:
         if state is sentinel:
             return ["E"]
-    return ["V", literalize(state)]
+    return ["V", state]
 
 
 def dec_plain(enc: list, func) -> Any:
@@ -163,7 +196,7 @@ def schema(cls: type) -> tuple[Field, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the walk: fold, dump, load
+# the walk: fold, load
 # ---------------------------------------------------------------------------
 
 
@@ -174,12 +207,6 @@ def fold(holders: Sequence) -> dict[str, Any]:
         return {f.name: getattr(holders[0], f.name) for f in declared}
     return {f.name: f.op([getattr(h, f.name) for h in holders])
             for f in declared}
-
-
-def dump(*holders: Any) -> dict[str, Any]:
-    """The literal image of one holder, or of several folded into one."""
-    return {name: literalize(value)
-            for name, value in fold(holders).items()}
 
 
 def _decode(image: Any, like: Any, element: Any) -> Any:

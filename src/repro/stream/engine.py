@@ -187,7 +187,8 @@ class StreamEngine:
             self._sqlcm.governor.forget_stream(query.spec.name)
         self._sqlcm.invalidate_signature_cache()
         if self._sqlcm.journal is not None:
-            self._sqlcm.journal.stream_removed(query.spec.name)
+            self._sqlcm.journal.append("stream_remove",
+                                       {"name": query.spec.name})
 
     def detach(self) -> None:
         """Unsubscribe from the host bus (supervised restart teardown)."""

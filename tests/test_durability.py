@@ -12,6 +12,7 @@ lose the uncommitted tail, nothing more.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import pytest
@@ -19,8 +20,9 @@ import pytest
 from repro import (DatabaseServer, InsertAction, LATDefinition, Rule,
                    ServerConfig, ShardedSQLCM, SQLCM)
 from repro.core.actions import CallbackAction
-from repro.core.durability import (DigestTap, DurabilityManager,
-                                   read_journal, verify_recovery)
+from repro.core.durability import (DigestTap, DurabilityManager, frame,
+                                   read_checkpoint, read_journal,
+                                   verify_recovery)
 from repro.core.resilience import FaultInjected, FaultInjector
 from repro.errors import DurabilityError
 
@@ -56,6 +58,10 @@ def build_monitor():
                       "AVG(Query.Duration) AS D"]))
     sqlcm.add_rule(Rule(name="track", event="Query.Commit",
                         actions=[InsertAction("Q_LAT")]))
+    sqlcm.create_lat(LATDefinition(
+        name="OVF", monitored_class="Query", grouping=["Query.User AS U"],
+        aggregations=["SUM(Query.Duration) AS S"]))
+    overflow(sqlcm, "early")  # every first checkpoint carries an inf
     sqlcm.stream_engine().register(
         "STREAM s1 FROM Query.Commit GROUP BY Query.User AS U "
         "WINDOW TUMBLING(2) AGG COUNT(*) AS N "
@@ -64,6 +70,13 @@ def build_monitor():
     sqlcm.enable_governor()
     sqlcm.set_timer("t1", 5.0, 3)
     return server, sqlcm
+
+
+def overflow(sqlcm, user, *more):
+    """Push a SUM past the float range: the row reads inf (and, fed a
+    ``-inf`` in ``more``, nan) — values with no Python literal."""
+    for duration in (1e308, 1e308, *more):
+        sqlcm.lat("OVF").insert({"User": user, "Duration": duration})
 
 
 def work(server, n):
@@ -254,6 +267,7 @@ class TestCrashMatrix:
         if state != "empty":
             work(server, 20)
             server.clock.advance(10.0)
+            overflow(sqlcm, "late", -math.inf)  # inf payload, nan state
             work(server, 5)
         crash(manager, sqlcm, server, site, mode)
         if state == "torn":
@@ -261,6 +275,9 @@ class TestCrashMatrix:
         report = verify_recovery(str(tmp_path), tap)
         if state != "empty":
             assert report.records_replayed > 0
+            late, = (row for row in report.sqlcm.lat("OVF").rows()
+                     if row["U"] == "late")
+            assert math.isnan(late["S"])
         if state == "torn" or (site == "durability.append"
                                and mode == "partial"):
             assert report.records_discarded >= 1
@@ -318,6 +335,134 @@ class TestShardedCrashMatrix:
         report = verify_recovery(str(tmp_path), tap)
         if state != "empty":
             assert report.records_replayed > 0
+
+
+# ---------------------------------------------------------------------------
+# a checkpoint is whole or it is nothing: only the end marker commits
+# ---------------------------------------------------------------------------
+
+class TestCheckpointTruncation:
+    def test_every_truncation_falls_back_a_generation(self, tmp_path):
+        server, sqlcm = build_monitor()
+        manager, tap = attach(sqlcm, tmp_path)  # generation 1
+        work(server, 8)
+        path = manager.checkpoint()             # generation 2, then idle
+        with open(path, encoding="utf-8") as handle:
+            whole = handle.read()
+        assert read_checkpoint(path)[-1].kind == "checkpoint_end"
+        boundaries = [i + 1 for i, ch in enumerate(whole) if ch == "\n"]
+        assert len(boundaries) > 12
+        # after every record but the last, and inside every record
+        cuts = set(boundaries[:-1]) | {0} | {b - 3 for b in boundaries}
+        for cut in sorted(cuts):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(whole[:cut])
+            with pytest.raises(DurabilityError):
+                read_checkpoint(path)
+            report = verify_recovery(str(tmp_path), tap)
+            assert report.generation == 1, f"cut at byte {cut} validated"
+            assert report.records_replayed > 0
+
+    def test_an_intermediate_commit_validates_nothing(self, tmp_path):
+        """A forged commit flag mid-file makes the prefix *readable*, but a
+        checkpoint's last committed record must be the end marker."""
+        path = tmp_path / "checkpoint-0001.ckpt"
+        path.write_text(
+            frame(1, "checkpoint", False, 0.0, {"version": 3})
+            + frame(2, "totals", True, 0.0, {}), encoding="utf-8")
+        records, __ = read_journal(str(path))
+        assert [r.kind for r in records] == ["checkpoint", "totals"]
+        with pytest.raises(DurabilityError, match="no end marker"):
+            read_checkpoint(str(path))
+
+    def test_end_marker_must_match_count_and_chained_crc(self, tmp_path):
+        server, sqlcm = build_monitor()
+        manager, __ = attach(sqlcm, tmp_path)
+        path = tmp_path / "checkpoint-0001.ckpt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # drop one whole record from the middle: every remaining line still
+        # passes its own CRC, only the end marker can tell
+        path.write_text("".join(lines[:3] + lines[4:]), encoding="utf-8")
+        with pytest.raises(DurabilityError, match="end marker does not"):
+            read_checkpoint(str(path))
+
+
+# ---------------------------------------------------------------------------
+# values and orders the old two-format tier lost
+# ---------------------------------------------------------------------------
+
+class TestNonFiniteFloats:
+    def test_overflowed_sum_survives_checkpoint_and_recover(self, tmp_path):
+        server, sqlcm = build_monitor()
+        assert sqlcm.lat("OVF").rows() == [{"U": "early", "S": math.inf}]
+        manager, tap = attach(sqlcm, tmp_path)
+        report = verify_recovery(str(tmp_path), tap)  # digest equality
+        assert report.records_replayed == 0           # checkpoint only
+        assert report.sqlcm.lat("OVF").rows() == sqlcm.lat("OVF").rows()
+
+    def test_record_payloads_carry_inf_and_nan_losslessly(self, tmp_path):
+        path = tmp_path / "j.wal"
+        data = {"values": [math.inf, -math.inf, (1.5, math.nan)],
+                math.inf: "key"}
+        path.write_text(frame(1, "lat_insert", True, 0.0, data),
+                        encoding="utf-8")
+        (record,), discarded = read_journal(str(path))
+        assert discarded == 0
+        assert record.data["values"][:2] == [math.inf, -math.inf]
+        assert record.data["values"][2][0] == 1.5
+        assert math.isnan(record.data["values"][2][1])
+        assert record.data[math.inf] == "key"
+
+
+class TestRuleOrder:
+    @staticmethod
+    def _monitor(server):
+        sqlcm = SQLCM(server)
+        sqlcm.create_lat(LATDefinition(
+            name="L", grouping=["Query.User AS U"],
+            aggregations=["COUNT(Query.ID) AS N"]))
+        sqlcm.add_rule(Rule(name="zz_user", event="Query.Commit",
+                            actions=[InsertAction("L")]))
+        return sqlcm
+
+    @staticmethod
+    def _order(sqlcm):
+        return [rule.name for rule in sqlcm._rule_order]
+
+    @pytest.mark.parametrize("journaled", [False, True],
+                             ids=["checkpoint-only", "checkpoint+journal"])
+    def test_registration_order_survives_recovery(self, tmp_path, server,
+                                                  journaled):
+        sqlcm = self._monitor(server)
+        sqlcm.incident_manager()  # registers its sweep rule *after* zz_user
+        sqlcm.add_rule(Rule(name="aa_user", event="Query.Commit",
+                            actions=[InsertAction("L")]))
+        manager, tap = attach(sqlcm, tmp_path)
+        if journaled:
+            sqlcm.add_rule(Rule(name="mm_late", event="Query.Commit",
+                                actions=[InsertAction("L")]))
+            session = server.create_session(user="u1")
+            session.execute("SELECT 1")
+            server.close_session(session)
+        expected = ["zz_user", "sqlcm_incident_sweep", "aa_user"] \
+            + ["mm_late"] * journaled
+        assert self._order(sqlcm) == expected
+        report = verify_recovery(str(tmp_path), tap)
+        assert (report.records_replayed > 0) == journaled
+        assert self._order(report.sqlcm) == expected
+        assert report.placeholder_rules == []
+
+    def test_manager_created_after_the_checkpoint_keeps_its_place(
+            self, tmp_path, server):
+        sqlcm = self._monitor(server)
+        manager, tap = attach(sqlcm, tmp_path)
+        sqlcm.incident_manager()
+        sqlcm.add_rule(Rule(name="aa_user", event="Query.Commit",
+                            actions=[InsertAction("L")]))
+        report = verify_recovery(str(tmp_path), tap)
+        assert self._order(report.sqlcm) == self._order(sqlcm) \
+            == ["zz_user", "sqlcm_incident_sweep", "aa_user"]
+        assert report.placeholder_rules == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 Every stateful class declares its fields once (``STATE`` tuple or dataclass
 fields, see :mod:`repro.core.state`).  These tests fail — naming the
 attribute — when an attribute is added without deciding its durability and
-merge-op, and prove that what the checkpoint walk dumps is exactly what a
-recovery loads back.
+merge-op, and prove that the records the checkpoint walk emits are exactly
+what a recovery applies back.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +20,9 @@ from repro import (DatabaseServer, InsertAction, LATDefinition, Rule,
                    SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
 from repro.core import state
 from repro.core.aggregates import AgingSpec
-from repro.core.durability import (DurabilityManager, build_sections,
-                                   parse_checkpoint)
+from repro.core import durability
+from repro.core.durability import (HANDLERS, DurabilityManager, frame,
+                                   read_journal)
 from repro.core.engine import fold_lat, fold_window
 from repro.core.governor import (GOV_SHEDDING, GovernorPolicy,
                                  GovernorTransition)
@@ -47,10 +51,6 @@ def populated_monitor():
     loader.execute("INSERT INTO items (id, price) VALUES (1, 1.5), (2, 2.0)")
     server.close_session(loader)
     sqlcm = SQLCM(server)
-    # first, as recovery re-creates it: the manager registers its own
-    # sweep rule, and rule order is part of the image
-    manager = sqlcm.incident_manager(IncidentPolicy(escalation_timeout=3.0,
-                                                    clear_after=1000.0))
     sqlcm.create_lat(LATDefinition(
         name="Aged", monitored_class="Query",
         grouping=["Query.User AS U"],
@@ -61,6 +61,10 @@ def populated_monitor():
         ordering=["N DESC"], max_rows=50))
     sqlcm.add_rule(Rule(name="track", event="Query.Commit",
                         actions=[InsertAction("Aged")]))
+    # between two user rules: the manager registers its own sweep rule, and
+    # rule order is part of what a checkpoint carries
+    manager = sqlcm.incident_manager(IncidentPolicy(escalation_timeout=3.0,
+                                                    clear_after=1000.0))
     sqlcm.add_rule(Rule(name="mailer", event="Query.Commit",
                         condition="Query.Duration > 1000",
                         actions=[SendMailAction("slow", "dba@example.com")],
@@ -146,51 +150,131 @@ class TestCompleteness:
                    sqlcm.governor.transitions[-1], sqlcm._incidents.policy,
                    sqlcm.lat("Aged").definition]
         for record in records:
-            assert state.load(type(record), state.dump(record)) == record
+            assert state.load(type(record), state.literalize(record)) == record
         letter = sqlcm.dead_letters.entries()[0]
-        restored = state.load(DeadLetter, state.dump(letter))
+        restored = state.load(DeadLetter, state.literalize(letter))
         assert restored.action_obj is None and restored.context is None
-        assert state.dump(restored) == state.dump(letter)
+        assert state.literalize(restored) == state.literalize(letter)
+
+
+def checkpoint_records(manager):
+    """The newest checkpoint of ``manager``, read back as records."""
+    path = f"{manager.directory}/checkpoint-{manager.generation:04d}.ckpt"
+    records, discarded = read_journal(path)
+    assert discarded == 0
+    return records
 
 
 class TestCheckpointRoundTrip:
-    def test_dump_render_parse_load_dump_is_a_fixed_point(self, tmp_path):
+    def test_emit_write_read_apply_emit_is_a_fixed_point(self, tmp_path):
         server, sqlcm = populated_monitor()
-        manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
-        path = tmp_path / f"checkpoint-{manager.generation:04d}.ckpt"
-        on_disk = parse_checkpoint(str(path))
-        # the walk dumped the interesting shapes, not their defaults
-        aged = on_disk["lats"][0]
+        manager = DurabilityManager(sqlcm, str(tmp_path / "a")).attach()
+        on_disk = checkpoint_records(manager)
+        # only the end marker commits, and it counts what precedes it
+        assert [r.commit for r in on_disk] == \
+            [False] * (len(on_disk) - 1) + [True]
+        assert on_disk[0].kind == "checkpoint" \
+            and on_disk[0].data == {"version": 3}
+        assert on_disk[-1].kind == "checkpoint_end" \
+            and on_disk[-1].data["records"] == len(on_disk) - 1
+
+        def only(kind):
+            return [r.data for r in on_disk if r.kind == kind]
+        # the walk emitted the interesting shapes, not their defaults
+        aged, = only("lat_image")
         assert any(enc[0] == "A" for __, states, __ in aged["rows"]
                    for enc in states)
         assert any(enc == ["E"] for __, states, __ in aged["rows"]
                    for enc in states)
-        assert on_disk["governor"]["state"] == GOV_SHEDDING
-        blocking, = (image for image in on_disk["incidents"]["incidents"]
+        governor, = only("governor")
+        assert governor["state"] == GOV_SHEDDING
+        incidents, = only("incidents")
+        blocking, = (image for image in incidents["incidents"]
                      if image["incident_class"] == "blocking")
         assert blocking["escalated"] and len(blocking["remediations"]) == 2
-        assert on_disk["health"]["engine"]["_health"]["mailer"]["state"] \
-            == "quarantined"
-        assert len(on_disk["deadletters"]["_entries"]) == 1
+        mailer, = (data["image"] for data in only("health")
+                   if data["image"]["name"] == "mailer")
+        assert mailer["state"] == "quarantined"
+        assert len(only("deadletter")) == 1
         manager.detach()
-        report = DurabilityManager.recover(str(tmp_path))
+        report = DurabilityManager.recover(str(tmp_path / "a"))
         assert report.records_replayed == 0
-        assert build_sections([report.sqlcm]) == on_disk
+        again = DurabilityManager(report.sqlcm, str(tmp_path / "b")).attach()
+        assert checkpoint_records(again) == on_disk
         report.sqlcm.server.clock.advance_to(server.clock.now)
         assert report.sqlcm.state_digest() == sqlcm.state_digest()
 
-    def test_v1_checkpoint_is_rejected_by_the_header_check(self, tmp_path):
+    def test_v2_section_checkpoint_is_not_a_valid_checkpoint(self, tmp_path):
         server, sqlcm = populated_monitor()
         manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
         manager.detach()
         path = tmp_path / f"checkpoint-{manager.generation:04d}.ckpt"
-        text = path.read_text(encoding="utf-8")
-        assert text.startswith("SQLCM-CHECKPOINT v2\n")
-        path.write_text(text.replace("CHECKPOINT v2", "CHECKPOINT v1", 1),
-                        encoding="utf-8")
-        with pytest.raises(DurabilityError, match="bad checkpoint header"):
-            parse_checkpoint(str(path))
+        path.write_text("SQLCM-CHECKPOINT v2\n"
+                        "section meta 1b3b2b5f {'version': 2, 'time': 0.0}\n"
+                        "end 0f4a3c21\n", encoding="utf-8")
         with pytest.raises(DurabilityError, match="no valid checkpoint"):
+            DurabilityManager.recover(str(tmp_path))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: ``journal.append("kind", ...)`` anywhere, and the ``self``/``out`` spellings
+#: of the journal's own builders and the checkpoint walk in durability.py
+_APPEND_RE = re.compile(r"""\bjournal\.append\(\s*['"]([a-z_]+)['"]""")
+_OWN_APPEND_RE = re.compile(
+    r"""\b(?:self|out)\.append\(\s*['"]([a-z_]+)['"]""")
+
+
+def appended_kinds() -> set[str]:
+    kinds: set[str] = set()
+    for path in SRC.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        kinds.update(_APPEND_RE.findall(text))
+        if path.name == "durability.py":
+            kinds.update(_OWN_APPEND_RE.findall(text))
+    return kinds
+
+
+class TestRecordKinds:
+    """One apply table: every kind written anywhere has exactly one handler
+    in :data:`HANDLERS`, and the table lists nothing that is never written."""
+
+    def test_grep_finds_the_known_call_sites(self):
+        """Guard the guard."""
+        kinds = appended_kinds()
+        assert {"lat_insert", "counts", "timer", "history", "stream_obs",
+                "rule_add", "lat_image", "checkpoint_end"} <= kinds
+
+    def test_every_appended_kind_has_a_handler_and_no_handler_is_dead(self):
+        assert appended_kinds() == set(HANDLERS)
+
+    def test_every_kind_the_checkpoint_walk_emits_has_a_handler(
+            self, tmp_path):
+        server, sqlcm = populated_monitor()
+        manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
+        emitted = {record.kind for record in checkpoint_records(manager)}
+        assert emitted <= set(HANDLERS)
+        # the populated monitor makes the walk emit its whole vocabulary
+        assert emitted >= {"checkpoint", "lat_create", "rule_add",
+                           "incidents", "stream_register", "lat_image",
+                           "stream_image", "totals", "health", "governor",
+                           "deadletter", "timer", "checkpoint_end"}
+
+    def test_the_table_is_one_dict_literal_with_no_repeated_kind(self):
+        tree = ast.parse(Path(durability.__file__).read_text("utf-8"))
+        table, = (node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.AnnAssign)
+                  and getattr(node.target, "id", None) == "HANDLERS")
+        keys = [key.value for key in table.keys]
+        assert sorted(keys) == sorted(set(keys)) == sorted(HANDLERS)
+
+    def test_unknown_kind_is_a_durability_error(self, tmp_path):
+        server, sqlcm = populated_monitor()
+        manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
+        manager.detach()
+        with open(manager.journal.path, "a", encoding="utf-8") as handle:
+            handle.write(frame(1, "lat_teleport", True, 0.0, {}))
+        with pytest.raises(DurabilityError, match="unknown journal record"):
             DurabilityManager.recover(str(tmp_path))
 
 
