@@ -12,13 +12,20 @@ crucial"):
 LAT references are implicitly ∃-quantified: the row whose grouping columns
 match the in-context object is selected; if no row matches, the whole
 condition evaluates to false.
+
+Rules, LAT references and stream clauses are fixed at registration, so a
+condition is compiled there, once: binding emits the source of one flat
+Python function per condition (kept on ``CompiledCondition.source``) and
+``evaluate`` calls it.  Nothing interprets a condition per event.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import ConditionSyntaxError, SchemaError
 
@@ -225,32 +232,28 @@ def parse_condition(text: str):
     return _Parser(_tokenize(text)).parse()
 
 
-# -- binding / evaluation -------------------------------------------------------
+# -- binding -------------------------------------------------------------------
 
-class _MissingLATRow(Exception):
-    """Raised during evaluation when a referenced LAT row does not exist.
-
-    Implements the implicit ∃-quantification: the condition as a whole
-    becomes false.
-    """
+_COMPARISONS = {"=": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=",
+                ">=": ">="}
 
 
 class CompiledCondition:
-    """A bound, evaluable condition (compiled to nested closures).
+    """A bound, evaluable condition: one generated Python function.
 
     ``classes`` — monitored classes referenced (objects must be in context);
     ``lats`` — LAT names referenced; ``atomic_count`` — number of comparison
     operators (the unit of the paper's rule-complexity experiments);
     ``attributes`` — lowercase class-attribute names the condition reads
     (bound references only, not LAT columns or literals — this is what
-    ``signatures_needed`` consults instead of scanning the raw text).
+    ``signatures_needed`` consults instead of scanning the raw text);
+    ``source`` — the text of the generated function, for debugging.
     """
 
     def __init__(self, text: str, tree, classes: set[str], lats: set[str],
                  atomic_count: int, attributes: set[str] | None = None):
         self.text = text
-        self._tree = tree
-        self._fn = _compile(tree)
+        self.source, self._fn = _generate(tree)
         self.classes = classes
         self.lats = lats
         self.atomic_count = atomic_count
@@ -264,64 +267,70 @@ class CompiledCondition:
         ``lat_rows`` maps lowercase LAT names to the matched row (or None
         for no match → condition false).
         """
-        try:
-            result = self._fn(context, lat_rows)
-        except _MissingLATRow:
-            return False
-        return result is True
+        return self._fn(context, lat_rows)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CompiledCondition({self.text!r})"
 
 
+def _count_atoms(node) -> int:
+    if isinstance(node, CBinary):
+        return (node.op in _COMPARISONS) + _count_atoms(node.left) \
+            + _count_atoms(node.right)
+    if isinstance(node, CUnary):
+        return _count_atoms(node.operand)
+    return 0
+
+
+def _references(node):
+    if isinstance(node, CAttrRef):
+        yield node
+    elif isinstance(node, CBinary):
+        yield from _references(node.left)
+        yield from _references(node.right)
+    elif isinstance(node, CUnary):
+        yield from _references(node.operand)
+
+
 def bind_condition(text: str, schema, lat_names: set[str],
                    lat_columns: Callable[[str], set[str]]) -> CompiledCondition:
     """Parse and bind a condition: resolve every qualifier to a monitored
-    class or a LAT, validate attributes/columns, count atomic conditions."""
+    class or a LAT, validate attributes/columns, count atomic conditions.
+
+    ``lat_columns(lat)`` names the LAT's columns; a row is read by the
+    spelling given here first, by any other casing of it second."""
     tree = parse_condition(text)
     classes: set[str] = set()
-    lats: set[str] = set()
     attributes: set[str] = set()
-    atomic = 0
-
-    def walk(node) -> None:
-        nonlocal atomic
-        if isinstance(node, CBinary):
-            if node.op in ("=", "!=", "<", ">", "<=", ">="):
-                atomic += 1
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, CUnary):
-            walk(node.operand)
-        elif isinstance(node, CAttrRef):
-            qualifier = node.qualifier.lower()
-            if qualifier in lat_names:
-                lats.add(qualifier)
-                columns = lat_columns(qualifier)
-                if node.attribute.lower() not in columns:
-                    raise SchemaError(
-                        f"LAT {node.qualifier!r} has no column "
-                        f"{node.attribute!r}"
-                    )
-            elif schema.has_class(node.qualifier):
-                cls = schema.monitored_class(node.qualifier)
-                if cls.name.lower() != "evicted" and \
-                        not cls.has_attribute(node.attribute):
-                    raise SchemaError(
-                        f"class {cls.name} has no attribute "
-                        f"{node.attribute!r}"
-                    )
-                classes.add(cls.name.lower())
-                attributes.add(node.attribute.lower())
-            else:
+    columns: dict[str, dict[str, str]] = {}
+    for ref in _references(tree):
+        qualifier = ref.qualifier.lower()
+        if qualifier in lat_names:
+            if qualifier not in columns:
+                columns[qualifier] = {c.lower(): c
+                                      for c in lat_columns(qualifier)}
+            if ref.attribute.lower() not in columns[qualifier]:
                 raise SchemaError(
-                    f"unknown qualifier {node.qualifier!r} (neither a "
-                    "monitored class nor a LAT)"
+                    f"LAT {ref.qualifier!r} has no column "
+                    f"{ref.attribute!r}"
                 )
-
-    walk(tree)
-    bound = _bind_refs(tree, lat_names)
-    return CompiledCondition(text, bound, classes, lats, atomic, attributes)
+        elif schema.has_class(ref.qualifier):
+            cls = schema.monitored_class(ref.qualifier)
+            if cls.name.lower() != "evicted" and \
+                    not cls.has_attribute(ref.attribute):
+                raise SchemaError(
+                    f"class {cls.name} has no attribute "
+                    f"{ref.attribute!r}"
+                )
+            classes.add(cls.name.lower())
+            attributes.add(ref.attribute.lower())
+        else:
+            raise SchemaError(
+                f"unknown qualifier {ref.qualifier!r} (neither a "
+                "monitored class nor a LAT)"
+            )
+    return CompiledCondition(text, _bind_refs(tree, columns), classes,
+                             set(columns), _count_atoms(tree), attributes)
 
 
 def bind_row_condition(text: str, columns: set[str],
@@ -335,157 +344,343 @@ def bind_row_condition(text: str, columns: set[str],
     """
     tree = parse_condition(text)
     key = qualifier.lower()
-    lowered = {c.lower() for c in columns}
-    atomic = 0
-
-    def walk(node) -> None:
-        nonlocal atomic
-        if isinstance(node, CBinary):
-            if node.op in ("=", "!=", "<", ">", "<=", ">="):
-                atomic += 1
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, CUnary):
-            walk(node.operand)
-        elif isinstance(node, CAttrRef):
-            if node.qualifier.lower() != key:
-                raise SchemaError(
-                    f"row condition references must be "
-                    f"{qualifier}.<column>, got {node.qualifier!r}"
-                )
-            if node.attribute.lower() not in lowered:
-                raise SchemaError(
-                    f"unknown output column {node.attribute!r}; "
-                    f"expected one of {sorted(lowered)}"
-                )
-
-    walk(tree)
-    bound = _bind_refs(tree, {key})
-    return CompiledCondition(text, bound, set(), {key}, atomic)
+    spelling = {c.lower(): c for c in columns}
+    for ref in _references(tree):
+        if ref.qualifier.lower() != key:
+            raise SchemaError(
+                f"row condition references must be "
+                f"{qualifier}.<column>, got {ref.qualifier!r}"
+            )
+        if ref.attribute.lower() not in spelling:
+            raise SchemaError(
+                f"unknown output column {ref.attribute!r}; "
+                f"expected one of {sorted(spelling)}"
+            )
+    return CompiledCondition(text, _bind_refs(tree, {key: spelling}), set(),
+                             {key}, _count_atoms(tree))
 
 
 @dataclass(frozen=True)
 class _BoundClassAttr:
     class_name: str  # lowercase
-    attribute: str
+    attribute: str   # lowercase: the key MonitoredObject._probe takes
 
 
 @dataclass(frozen=True)
 class _BoundLATCol:
     lat_name: str  # lowercase
-    column: str
+    column: str    # as the LAT (or the stream query) spells it
 
 
-def _bind_refs(node, lat_names: set[str]):
+def _bind_refs(node, columns: dict[str, dict[str, str]]):
+    """The bound tree: references resolved to a class attribute or to a
+    column of one of the LATs in ``columns`` (lowercase LAT name →
+    lowercase column → declared spelling); ``NOT literal`` and
+    ``-number`` folded."""
     if isinstance(node, CAttrRef):
         qualifier = node.qualifier.lower()
-        if qualifier in lat_names:
-            return _BoundLATCol(qualifier, node.attribute.lower())
-        return _BoundClassAttr(qualifier, node.attribute)
+        if qualifier in columns:
+            return _BoundLATCol(
+                qualifier, columns[qualifier][node.attribute.lower()])
+        return _BoundClassAttr(qualifier, node.attribute.lower())
     if isinstance(node, CBinary):
-        return CBinary(node.op, _bind_refs(node.left, lat_names),
-                       _bind_refs(node.right, lat_names))
+        return CBinary(node.op, _bind_refs(node.left, columns),
+                       _bind_refs(node.right, columns))
     if isinstance(node, CUnary):
-        return CUnary(node.op, _bind_refs(node.operand, lat_names))
+        operand = _bind_refs(node.operand, columns)
+        if isinstance(operand, CLiteral):
+            value = operand.value
+            if node.op == "NOT":
+                return CLiteral(None if value is None else value is not True)
+            if type(value) in (int, float):
+                return CLiteral(-value)
+        return CUnary(node.op, operand)
     return node
 
 
-def _compile(node):
-    """Compile a bound condition tree to ``fn(context, lat_rows)``.
+# -- code generation -------------------------------------------------------------
+#
+# A bound tree becomes the source of one function
+# ``_condition(context, lat_rows) -> bool``.  What the generated code keeps:
+#
+# * AND/OR short-circuit left to right and yield True or False, a
+#   comparison with a NULL operand is False, one that raises TypeError
+#   (mixed types) is False for that comparison only, NOT NULL and
+#   arithmetic on NULL or by zero are NULL;
+# * a probe — the object of a class, one of its attributes, a LAT's
+#   matched row, one of its columns — is made at most once, into a local,
+#   and no earlier than short-circuit order reaches it; a LAT with no
+#   matched row makes the whole condition false where it is first read;
+# * nothing the user wrote is interpolated: names are schema- or
+#   LAT-validated identifiers, literals other than plain finite numbers
+#   are bound as constants of the function's namespace.
 
-    Rules evaluate on every matching event under heavy load; closures avoid
-    the per-evaluation tree walk.
-    """
-    if isinstance(node, CLiteral):
-        value = node.value
-        return lambda context, lat_rows: value
-    if isinstance(node, _BoundClassAttr):
-        class_name, attribute = node.class_name, node.attribute
+#: a local first probed on a path that may not have run holds this until then
+_UNSET = object()
 
-        def read_attr(context, lat_rows):
-            obj = context.get(class_name)
-            if obj is None:
-                raise SchemaError(
-                    f"no {class_name!r} object in rule context"
-                )
-            return obj.get(attribute)
-        return read_attr
-    if isinstance(node, _BoundLATCol):
-        lat_name = node.lat_name
-        column = node.column
 
-        def read_lat(context, lat_rows):
-            row = lat_rows.get(lat_name)
-            if row is None:
-                raise _MissingLATRow(lat_name)
-            if column in row:
-                return row[column]
-            for key, value in row.items():
-                if key.lower() == column:
-                    return value
-            return None
-        return read_lat
-    if isinstance(node, CUnary):
-        operand = _compile(node.operand)
-        if node.op == "NOT":
-            def negate(context, lat_rows):
-                value = operand(context, lat_rows)
-                return None if value is None else (value is not True)
-            return negate
+def _column(row: dict, column: str) -> Any:
+    """A row's value by lowercase column name, NULL when it has none: how a
+    row keyed in another casing than its LAT declared is read."""
+    for key, value in row.items():
+        if key.lower() == column:
+            return value
+    return None
 
-        def minus(context, lat_rows):
-            value = operand(context, lat_rows)
-            return None if value is None else -value
-        return minus
-    if isinstance(node, CBinary):
-        op = node.op
-        left = _compile(node.left)
-        right = _compile(node.right)
-        if op == "AND":
-            def and_fn(context, lat_rows):
-                if left(context, lat_rows) is not True:
-                    return False
-                return right(context, lat_rows) is True
-            return and_fn
-        if op == "OR":
-            def or_fn(context, lat_rows):
-                if left(context, lat_rows) is True:
-                    return True
-                return right(context, lat_rows) is True
-            return or_fn
-        if op in ("+", "-", "*", "/"):
-            def arith(context, lat_rows):
-                a = left(context, lat_rows)
-                b = right(context, lat_rows)
-                if a is None or b is None:
-                    return None
-                if op == "+":
-                    return a + b
-                if op == "-":
-                    return a - b
-                if op == "*":
-                    return a * b
-                return None if b == 0 else a / b
-            return arith
 
-        def comparison(context, lat_rows):
-            a = left(context, lat_rows)
-            b = right(context, lat_rows)
-            if a is None or b is None:
-                return False
-            try:
-                if op == "=":
-                    return a == b
-                if op == "!=":
-                    return a != b
-                if op == "<":
-                    return a < b
-                if op == ">":
-                    return a > b
-                if op == "<=":
-                    return a <= b
-                return a >= b
-            except TypeError:
-                return False
-        return comparison
-    raise SchemaError(f"cannot compile condition node {node!r}")
+class _Sink(NamedTuple):
+    """Where a test's outcome goes.  ``true``/``false`` is the statement to
+    run when the outcome is known (None: fall through); ``put`` is the
+    statement's format for an outcome held in a bool expression."""
+
+    true: str | None
+    false: str | None
+    put: str
+    var: str | None = None  # the local a flag sink assigns
+
+
+_RETURN = _Sink("return True", "return False", "return {}")
+_FAIL = _Sink(None, "return False", "if not ({}): return False")
+_SUCCEED = _Sink("return True", None, "if {}: return True")
+
+
+def _flag(var: str) -> _Sink:
+    return _Sink(f"{var} = True", f"{var} = False", f"{var} = {{}}", var)
+
+
+class _Emitter:
+    """Writes the body of ``_condition`` for one bound tree."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.depth = 1
+        self.constants: dict[str, Any] = {}
+        #: probe -> the local that holds it, in order of first use
+        self.slots: dict[tuple, str] = {}
+        #: what certainly holds wherever control now stands: the probes
+        #: made, and ("not null", local) for locals tested since
+        self.sure: set[tuple] = set()
+        #: locals that start as _UNSET (read where their probe is not sure)
+        self.unset: list[str] = []
+        self.temps = 0
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def function(self, tree) -> str:
+        self.test(tree, _RETURN)
+        header = ["def _condition(context, lat_rows):"]
+        header += [f"    {name} = _UNSET" for name in self.unset]
+        return "\n".join(header + self.lines) + "\n"
+
+    # -- probes: each into one local, at most once per evaluation --------
+
+    def slot(self, key: tuple, prefix: str, probe) -> str:
+        """The local holding ``key``; ``probe(name)`` writes the statements
+        assigning it, here if no path has yet, under an ``_UNSET`` test if
+        only some have."""
+        name = self.slots.get(key)
+        if name is None:
+            name = self.slots[key] = f"{prefix}{len(self.slots)}"
+            probe(name)
+        elif key not in self.sure:
+            if name not in self.unset:
+                self.unset.append(name)
+            self.emit(f"if {name} is _UNSET:")
+            self.depth += 1
+            inner = set(self.sure)
+            probe(name)
+            self.sure = inner
+            self.depth -= 1
+        self.sure.add(key)
+        return name
+
+    def object_of(self, class_name: str) -> str:
+        def probe(name: str) -> None:
+            message = f"no {class_name!r} object in rule context"
+            self.emit(f"{name} = context.get({class_name!r})")
+            self.emit(f"if {name} is None:")
+            self.emit(f"    raise SchemaError({message!r})")
+        return self.slot(("object", class_name), "o", probe)
+
+    def attribute(self, node: _BoundClassAttr) -> str:
+        def probe(name: str) -> None:
+            obj = self.object_of(node.class_name)
+            self.emit(f"{name} = {obj}._probe({node.attribute!r})")
+        return self.slot(("attribute", node.class_name, node.attribute),
+                         "a", probe)
+
+    def row_of(self, lat_name: str) -> str:
+        def probe(name: str) -> None:
+            self.emit(f"{name} = lat_rows.get({lat_name!r})")
+            self.emit(f"if {name} is None:")
+            self.emit("    return False")
+        return self.slot(("row", lat_name), "r", probe)
+
+    def column(self, node: _BoundLATCol) -> str:
+        def probe(name: str) -> None:
+            row, column = self.row_of(node.lat_name), node.column
+            self.emit(f"{name} = {row}[{column!r}] if {column!r} in {row} "
+                      f"else _column({row}, {column.lower()!r})")
+        return self.slot(("column", node.lat_name, node.column), "c", probe)
+
+    # -- values ---------------------------------------------------------
+
+    def literal(self, value: Any) -> str:
+        if value is None or isinstance(value, bool):
+            return repr(value)
+        if type(value) is int or \
+                (type(value) is float and math.isfinite(value)):
+            return f"({value!r})" if value < 0 else repr(value)
+        name = f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def value(self, node) -> tuple[str, bool]:
+        """Statements computing ``node``; returns the expression that then
+        holds its value (a local, a constant) and whether it can be NULL."""
+        if isinstance(node, CLiteral):
+            return self.literal(node.value), node.value is None
+        if isinstance(node, (_BoundClassAttr, _BoundLATCol)):
+            name = self.attribute(node) \
+                if isinstance(node, _BoundClassAttr) else self.column(node)
+            return name, ("not null", name) not in self.sure
+        if isinstance(node, CUnary):
+            operand, nullable = self.value(node.operand)
+            result = self.temp()
+            expr = f"{operand} is not True" if node.op == "NOT" \
+                else f"-{operand}"
+            if nullable:
+                expr = f"None if {operand} is None else {expr}"
+            self.emit(f"{result} = {expr}")
+            return result, nullable
+        if isinstance(node, CBinary) and node.op in ("+", "-", "*", "/"):
+            left, left_null = self.value(node.left)
+            right, right_null = self.value(node.right)
+            null_if = [f"{operand} is None" for operand, nullable
+                       in ((left, left_null), (right, right_null))
+                       if nullable]
+            if node.op == "/":
+                null_if.append(f"{right} == 0")
+            result = self.temp()
+            expr = f"{left} {node.op} {right}"
+            if null_if:
+                expr = f"None if {' or '.join(null_if)} else {expr}"
+            self.emit(f"{result} = {expr}")
+            return result, bool(null_if)
+        if isinstance(node, CBinary):
+            result = self.temp()
+            self.test(node, _flag(result))
+            return result, False
+        raise SchemaError(f"cannot compile condition node {node!r}")
+
+    # -- tests: is the node True? ---------------------------------------
+
+    def test(self, node, sink: _Sink) -> None:
+        """Statements that hand ``sink`` whether ``node`` is True."""
+        if isinstance(node, CBinary) and node.op in ("AND", "OR"):
+            self.chain(node, sink)
+        elif isinstance(node, CBinary) and node.op in _COMPARISONS:
+            self.comparison(node, sink)
+        elif isinstance(node, CLiteral):
+            self.emit((sink.true if node.value is True else sink.false)
+                      or "pass")
+        else:
+            self.emit(sink.put.format(f"{self.value(node)[0]} is True"))
+
+    def comparison(self, node: CBinary, sink: _Sink) -> None:
+        left, left_null = self.value(node.left)
+        right, right_null = self.value(node.right)
+        null_if = [f"{operand} is None" for operand, nullable
+                   in ((left, left_null), (right, right_null)) if nullable]
+        otherwise = sink.false or "pass"
+        nested = False
+        if null_if:
+            self.emit(f"if {' or '.join(null_if)}:")
+            self.emit(f"    {otherwise}")
+            if otherwise.startswith("return"):
+                # control only goes on with both operands not NULL: later
+                # comparisons of the same locals need no second test
+                self.sure.update(("not null", operand)
+                                 for operand in (left, right))
+            else:
+                self.emit("else:")
+                self.depth += 1
+                nested = True
+        self.emit("try:")
+        self.emit("    " + sink.put.format(
+            f"({left} {_COMPARISONS[node.op]} {right}) is True"))
+        self.emit("except TypeError:")
+        self.emit(f"    {otherwise}")
+        if nested:
+            self.depth -= 1
+
+    def chain(self, node: CBinary, sink: _Sink) -> None:
+        """``a AND b AND …`` / ``a OR b OR …``: operands in order until one
+        settles it (not True under AND, True under OR)."""
+        operands = _operands(node)
+        conjunction = node.op == "AND"
+        settled = sink.false if conjunction else sink.true
+        if settled is not None and settled.startswith("return"):
+            # the settling operand settles the whole condition: straight
+            # code, each operand but the last leaving early
+            early = _FAIL if conjunction else _SUCCEED
+            for operand in operands[:-1]:
+                self.test(operand, early)
+            self.test(operands[-1], sink)
+            return
+        flag = sink if sink.var is not None else _flag(self.temp())
+        self.test(operands[0], flag)
+        after_first = set(self.sure)
+        guard = f"if {flag.var}:" if conjunction else f"if not {flag.var}:"
+        for operand in operands[1:]:
+            # an operand runs only if every one before it ran, so what
+            # those probed stays sure from block to block
+            self.emit(guard)
+            self.depth += 1
+            self.test(operand, flag)
+            self.depth -= 1
+        self.sure = after_first
+        if flag is not sink:
+            self.emit(sink.put.format(flag.var))
+
+
+def _operands(node: CBinary) -> list:
+    """The operands of a chain of one AND/OR operator, in evaluation order
+    (nested same-operator nodes flattened: both yield True or False, so
+    the grouping does not matter)."""
+    result = []
+    for side in (node.left, node.right):
+        if isinstance(side, CBinary) and side.op == node.op:
+            result += _operands(side)
+        else:
+            result.append(side)
+    return result
+
+
+@lru_cache(maxsize=1024)
+def _code(source: str):
+    """The code object of one generated source text.  Sharded monitors bind
+    every rule once per shard and ``compile()`` is most of a bind; the text
+    is the key because trees that differ only in ``1`` / ``1.0`` / ``TRUE``
+    compare equal yet generate different code."""
+    try:
+        return compile(source, "<condition>", "exec")
+    except SyntaxError:  # the tokenizer's limit of 100 indentation levels
+        raise ConditionSyntaxError(
+            "condition nests AND/OR too deeply to compile") from None
+
+
+def _generate(tree) -> tuple[str, Callable[[dict, dict], bool]]:
+    """Source text and function object for one bound tree."""
+    emitter = _Emitter()
+    source = emitter.function(tree)
+    namespace = {"__builtins__": {"TypeError": TypeError},
+                 "SchemaError": SchemaError, "_UNSET": _UNSET,
+                 "_column": _column, **emitter.constants}
+    exec(_code(source), namespace)
+    return source, namespace["_condition"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core import state
 from repro.core.condition import bind_condition
@@ -50,9 +50,85 @@ from repro.engine.types import SQLType
 from repro.errors import (ActionDeliveryError, FaultInjected, LATError,
                           PersistCorruptionError, RuleError,
                           RuleQuarantinedError, SchemaError)
+from repro.obs.observability import NULL_OBS
 
 _SIGNATURE_ATTRS = {"logical_signature", "physical_signature"}
 _INSTANCE_ATTRS = {"number_of_instances"}
+
+
+class _RulePlan(NamedTuple):
+    """What evaluating a rule needs besides the event: fixed while the set
+    of rules and LATs is, so worked out once (``SQLCM._plan``) and dropped
+    with the signature cache."""
+
+    #: classes the condition, its LATs' owners and the actions read
+    needed: frozenset
+    #: virtual cost of one evaluation
+    charge: float
+    #: ``(LAT name, LAT, owner class)`` per LAT the condition reads
+    lat_probes: tuple
+
+
+# -- rule context of each engine event: {class key: monitored object} ------
+
+def _query_context(factory, payload):
+    qctx = payload["query"]
+    return None if qctx is None else {"query": factory.query(qctx)}
+
+
+def _blocked_context(factory, payload):
+    context = _query_context(factory, payload)
+    if context is not None:
+        resource = payload.get("resource")
+        blockers = payload.get("blockers") or []
+        if blockers:
+            context["blocker"] = factory.blocker(blockers[0], resource)
+        context["blocked"] = factory.blocked(payload["query"], resource, 0.0)
+    return context
+
+
+def _block_released_context(factory, payload):
+    context = _query_context(factory, payload)
+    if context is not None:
+        resource = payload.get("resource")
+        wait = payload.get("wait_time", 0.0)
+        blocker = payload.get("blocker")
+        if blocker is not None:
+            context["blocker"] = factory.blocker(blocker, resource, wait)
+        context["blocked"] = factory.blocked(payload["query"], resource, wait)
+    return context
+
+
+def _transaction_context(factory, payload):
+    txn = payload.get("txn")
+    if txn is None:
+        return None
+    return {"transaction": factory.transaction(
+        txn, payload.get("statements", []))}
+
+
+#: engine event -> ``builder(factory, payload)``, found by the event's full
+#: name, else by its family (``query.commit`` -> ``query``: every query.*
+#: and txn.* event carries the same payload, an extension class's too).
+#: A builder returns None when there is nothing to evaluate against; an
+#: event listed in neither form gets an empty context.
+_CONTEXT_BUILDERS: dict[str, Callable] = {
+    "query": _query_context,
+    "query.blocked": _blocked_context,
+    "query.block_released": _block_released_context,
+    "txn": _transaction_context,
+    "session.login_failed": lambda f, p: {"session": f.failed_login(p)},
+    "session.login": lambda f, p: {"session": f.session(p["session"])},
+    "session.logout": lambda f, p: {"session": f.session(p["session"])},
+    "timer.alert": lambda f, p: {"timer": f.timer(p["timer"])},
+    "lat.evict": lambda f, p: {"evicted": f.evicted_row(p["lat"], p["row"])},
+    "sqlcm.rule_error": lambda f, p: {"rulefailure": f.rule_failure(p)},
+    "sqlcm.stream_alert": lambda f, p: {"streamalert": f.stream_alert(p)},
+    "sqlcm.governor_transition":
+        lambda f, p: {"governor": f.governor_transition(p)},
+    "sqlcm.incident": lambda f, p: {"incident": f.incident(p)},
+    "sqlcm.remediation": lambda f, p: {"remediation": f.remediation(p)},
+}
 
 
 class SQLCM:
@@ -112,7 +188,8 @@ class SQLCM:
         self.timer_service = TimerService(self)
         self.rules: dict[str, Rule] = {}
         self._rule_order: list[Rule] = []
-        self._rules_by_event: dict[str, list[Rule]] = {}
+        # copy-on-write tuples: a dispatch iterates the one it started on
+        self._rules_by_event: dict[str, tuple[Rule, ...]] = {}
         self._lats: dict[str, LAT] = {}
         self.outbox: list = []
         self.command_journal: list = []
@@ -219,14 +296,15 @@ class SQLCM:
         if rule.condition is not None:
             rule.compiled_condition = bind_condition(
                 rule.condition, self.schema, set(self._lats),
-                lambda lat: {c.lower() for c in
-                             self.lat(lat).definition.column_names()},
+                lambda lat: set(self.lat(lat).definition.column_names()),
             )
         for action in rule.actions:
             action.validate(self, rule)
         self.rules[key] = rule
         self._rule_order.append(rule)
-        self._rules_by_event.setdefault(event_def.engine_event, []).append(rule)
+        event = event_def.engine_event
+        self._rules_by_event[event] = \
+            self._rules_by_event.get(event, ()) + (rule,)
         self.invalidate_signature_cache()
         if self.journal is not None:
             self.journal.rule_added(rule)
@@ -238,11 +316,13 @@ class SQLCM:
             raise RuleError(f"unknown rule {name!r}")
         self._rule_order.remove(rule)
         event = rule.event_def.engine_event
-        peers = self._rules_by_event[event]
-        peers.remove(rule)
-        if not peers:
-            # drop the key outright: under rule churn, keeping empty lists
-            # keyed grows the dict without bound
+        peers = tuple(r for r in self._rules_by_event[event]
+                      if r is not rule)
+        if peers:
+            self._rules_by_event[event] = peers
+        else:
+            # drop the key outright: under rule churn, keeping empty
+            # tuples keyed grows the dict without bound
             del self._rules_by_event[event]
         # the health record goes with the rule: a later rule reusing the
         # name must not inherit error counts or quarantine state
@@ -420,9 +500,11 @@ class SQLCM:
 
         Called whenever the set of rules, LATs, or stream queries changes
         (the only inputs the flag depends on besides the forced switch).
-        The governor's cached criticality map depends on the same inputs
-        and is invalidated alongside."""
+        The rules' evaluation plans and the governor's cached criticality
+        map depend on the same inputs and are invalidated alongside."""
         self._signatures_needed_cache = None
+        for rule in self._rule_order:
+            rule.plan = None
         if self.governor is not None:
             self.governor.invalidate_components()
 
@@ -615,25 +697,44 @@ class SQLCM:
                 "errors": self.rule_errors - errors_before,
             }, commit=True)
 
-    def _dispatch_rules(self, event: str, payload: dict, rules: list,
+    def _dispatch_rules(self, event: str, payload: dict, rules: tuple,
                         obs) -> None:
         """The dispatch body: context assembly, then rules in order.
 
         ``obs`` is the server's observability facade (possibly the null
         object); each rule runs under its own attribution frame so every
         charge it makes is tallied against that rule."""
-        costs = self.server.costs
-        self.server.add_monitor_cost(costs.event_dispatch)
+        server = self.server
+        costs = server.costs
+        server.add_monitor_cost(costs.event_dispatch)
         context = self._build_context(event, payload)
         if context is None:
             return
-        now = self.server.clock.now
+        now = server.clock.now
         governor = self.governor
-        for rule in list(rules):
+        if governor is None and obs is NULL_OBS:
+            # nobody admits, attributes or traces: the same steps with no
+            # frames to enter.  The test is identity with the null object,
+            # not ``obs.enabled``: a replay shard's ShardObs reads disabled
+            # while its attribution frames are live
+            add_cost = server.add_monitor_cost
+            allow = self.health.allow
+            for rule in rules:
+                if not rule.enabled:
+                    continue
+                add_cost(costs.quarantine_check)
+                if not allow(rule.name, now):
+                    continue
+                try:
+                    self._evaluate_rule(rule, context)
+                except Exception as err:
+                    self._record_rule_failure(rule, "evaluate", err)
+            return
+        for rule in rules:
             if not rule.enabled:
                 continue
             with obs.attrib("rule", rule.name):
-                self.server.add_monitor_cost(costs.quarantine_check)
+                server.add_monitor_cost(costs.quarantine_check)
                 if not self.health.allow(rule.name, now):
                     continue
                 if governor is not None:
@@ -645,7 +746,7 @@ class SQLCM:
                         if governor is None:
                             self._evaluate_rule(rule, context)
                         else:
-                            cost_before = self.server.monitor_cost_total
+                            cost_before = server.monitor_cost_total
                             self.sample_weight = weight
                             try:
                                 self._evaluate_rule(rule, context)
@@ -653,7 +754,7 @@ class SQLCM:
                                 self.sample_weight = 1
                             governor.note_eval(
                                 rule.name,
-                                self.server.monitor_cost_total - cost_before)
+                                server.monitor_cost_total - cost_before)
                     except Exception as err:
                         # isolation backstop: scope iteration / context
                         # assembly failures
@@ -665,54 +766,9 @@ class SQLCM:
 
     def _build_context(self, event: str,
                        payload: dict) -> dict[str, MonitoredObject] | None:
-        factory = self.factory
-        if event.startswith("query."):
-            qctx = payload["query"]
-            if qctx is None:
-                return None
-            context = {"query": factory.query(qctx)}
-            if event == "query.blocked":
-                resource = payload.get("resource")
-                blockers = payload.get("blockers") or []
-                if blockers:
-                    context["blocker"] = factory.blocker(blockers[0],
-                                                         resource)
-                context["blocked"] = factory.blocked(qctx, resource, 0.0)
-            elif event == "query.block_released":
-                resource = payload.get("resource")
-                wait = payload.get("wait_time", 0.0)
-                blocker = payload.get("blocker")
-                if blocker is not None:
-                    context["blocker"] = factory.blocker(blocker, resource,
-                                                         wait)
-                context["blocked"] = factory.blocked(qctx, resource, wait)
-            return context
-        if event.startswith("txn."):
-            txn = payload.get("txn")
-            if txn is None:
-                return None
-            statements = payload.get("statements", [])
-            return {"transaction": factory.transaction(txn, statements)}
-        if event == "session.login_failed":
-            return {"session": factory.failed_login(payload)}
-        if event in ("session.login", "session.logout"):
-            return {"session": factory.session(payload["session"])}
-        if event == "timer.alert":
-            return {"timer": factory.timer(payload["timer"])}
-        if event == "lat.evict":
-            return {"evicted": factory.evicted_row(payload["lat"],
-                                                   payload["row"])}
-        if event == "sqlcm.rule_error":
-            return {"rulefailure": factory.rule_failure(payload)}
-        if event == "sqlcm.stream_alert":
-            return {"streamalert": factory.stream_alert(payload)}
-        if event == "sqlcm.governor_transition":
-            return {"governor": factory.governor_transition(payload)}
-        if event == "sqlcm.incident":
-            return {"incident": factory.incident(payload)}
-        if event == "sqlcm.remediation":
-            return {"remediation": factory.remediation(payload)}
-        return {}
+        builder = _CONTEXT_BUILDERS.get(event) \
+            or _CONTEXT_BUILDERS.get(event.partition(".")[0])
+        return {} if builder is None else builder(self.factory, payload)
 
     def _iterate_class(self, class_name: str) -> list[MonitoredObject]:
         """All registered objects of a class (Section 5.2 iteration scope)."""
@@ -750,62 +806,71 @@ class SQLCM:
     # rule evaluation
     # ------------------------------------------------------------------
 
-    def _evaluate_rule(self, rule: Rule,
-                       context: dict[str, MonitoredObject]) -> None:
+    def _plan(self, rule: Rule) -> _RulePlan:
+        """Build and keep ``rule.plan``.  Runs inside the rule's isolation
+        boundary on its first evaluation after a registration change, so
+        a plan that cannot be built (an action naming a dropped LAT) fails
+        there, every time: nothing is kept unless all of it resolved."""
         cond = rule.compiled_condition
         costs = self.server.costs
-
         needed: set[str] = set()
+        lat_probes = []
         if cond is not None:
             needed |= cond.classes
             for lat_name in cond.lats:
-                needed.add(self.lat(lat_name).definition
-                           .monitored_class.lower())
+                lat = self.lat(lat_name)
+                owner = lat.definition.monitored_class.lower()
+                needed.add(owner)
+                lat_probes.append((lat_name, lat, owner))
         for action in rule.actions:
             needed |= action.required_classes(self)
-        missing = needed - set(context)
+        rule.plan = _RulePlan(
+            frozenset(needed),
+            costs.rule_eval_base
+            + costs.rule_atomic_condition * rule.atomic_condition_count,
+            tuple(lat_probes))
+        return rule.plan
 
-        pair_iteration = bool(missing & {"blocker", "blocked"})
-        plain_missing = sorted(missing - {"blocker", "blocked"})
+    def _combos(self, missing: set[str],
+                context: dict[str, MonitoredObject]
+                ) -> list[dict[str, MonitoredObject]]:
+        """The event's context extended with every registered object (or
+        Blocker/Blocked pair) of each class it lacks (Section 5.2)."""
+        combos = [context]
+        if missing & {"blocker", "blocked"}:
+            combos = [{**combo, "blocker": blocker_obj,
+                       "blocked": blocked_obj}
+                      for blocker_obj, blocked_obj in self._blocking_pairs()
+                      for combo in combos]
+        for class_name in sorted(missing - {"blocker", "blocked"}):
+            combos = [{**combo, class_name: obj}
+                      for obj in self._iterate_class(class_name)
+                      for combo in combos]
+        return combos
 
-        combos: list[dict[str, MonitoredObject]] = [dict(context)]
-        if pair_iteration:
-            expanded = []
-            for blocker_obj, blocked_obj in self._blocking_pairs():
-                for combo in combos:
-                    candidate = dict(combo)
-                    candidate["blocker"] = blocker_obj
-                    candidate["blocked"] = blocked_obj
-                    expanded.append(candidate)
-            combos = expanded
-        for class_name in plain_missing:
-            objects = self._iterate_class(class_name)
-            expanded = []
-            for obj in objects:
-                for combo in combos:
-                    candidate = dict(combo)
-                    candidate[class_name] = obj
-                    expanded.append(candidate)
-            combos = expanded
-
+    def _evaluate_rule(self, rule: Rule,
+                       context: dict[str, MonitoredObject]) -> None:
+        plan = rule.plan or self._plan(rule)
+        if context.keys() >= plan.needed:
+            combos = (context,)  # the event's own context, as it is
+        else:
+            combos = self._combos(plan.needed.difference(context), context)
+        cond = rule.compiled_condition
+        server = self.server
+        costs = server.costs
         evaluated = False
         failed = False
         for combo in combos:
             rule.evaluation_count += 1
             evaluated = True
-            self.server.add_monitor_cost(
-                costs.rule_eval_base
-                + costs.rule_atomic_condition * rule.atomic_condition_count
-            )
+            server.add_monitor_cost(plan.charge)
             lat_rows: dict[str, dict | None] = {}
             try:
                 self.check_fault("condition")
                 if cond is not None:
-                    for lat_name in cond.lats:
-                        lat = self.lat(lat_name)
-                        owner = lat.definition.monitored_class.lower()
+                    for lat_name, lat, owner in plan.lat_probes:
                         obj = combo.get(owner)
-                        self.server.add_monitor_cost(
+                        server.add_monitor_cost(
                             costs.lat_lookup + costs.lat_latch
                         )
                         lat_rows[lat_name] = (
@@ -821,9 +886,9 @@ class SQLCM:
                 continue
             rule.fire_count += 1
             self.rule_firings += 1
-            self.server.obs.count("sqlcm.rules.fired")
+            server.obs.count("sqlcm.rules.fired")
             for action in rule.actions:
-                self.server.add_monitor_cost(costs.action_dispatch)
+                server.add_monitor_cost(costs.action_dispatch)
                 if not self._run_action(rule, action, combo, lat_rows):
                     failed = True
         if evaluated and not failed:

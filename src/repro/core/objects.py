@@ -10,27 +10,33 @@ them.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.schema import MonitoredClassDef
 from repro.errors import SchemaError
 
-_Extractor = Callable[..., Any]
+#: one probe of a monitored class: ``fn(source, factory)`` -> value
+_Extractor = Callable[[Any, Any], Any]
 
 
 class MonitoredObject:
-    """One instance of a monitored class with lazy probe extraction."""
+    """One instance of a monitored class with lazy probe extraction.
 
-    __slots__ = ("class_def", "_extractors", "_extra", "source")
+    ``extractors`` is the class's probe table — ``{lowercase attribute:
+    fn(source, factory)}``, shared by every object of the class — and
+    ``extra`` holds values this one object overrides or adds."""
+
+    __slots__ = ("class_def", "_extractors", "_extra", "source", "_factory")
 
     def __init__(self, class_def: MonitoredClassDef,
                  extractors: dict[str, _Extractor],
                  extra: dict[str, Any] | None = None,
-                 source: Any = None):
+                 source: Any = None, factory: Any = None):
         self.class_def = class_def
         self._extractors = extractors
         self._extra = extra or {}
         self.source = source
+        self._factory = factory
 
     @property
     def class_name(self) -> str:
@@ -38,15 +44,19 @@ class MonitoredObject:
 
     def get(self, attribute: str) -> Any:
         """Probe one attribute (case-insensitive)."""
-        key = attribute.lower()
+        return self._probe(attribute.lower())
+
+    def _probe(self, key: str) -> Any:
+        """Probe one attribute by its lowercase name: what generated
+        condition code calls, the name lowered once when it was bound."""
         if key in self._extra:
             return self._extra[key]
         extractor = self._extractors.get(key)
         if extractor is None:
             raise SchemaError(
-                f"class {self.class_name} exposes no probe {attribute!r}"
+                f"class {self.class_name} exposes no probe {key!r}"
             )
-        return extractor()
+        return extractor(self.source, self._factory)
 
     def snapshot(self, attributes: list[str] | None = None) -> dict[str, Any]:
         """Materialize attribute values into a plain dict."""
@@ -56,6 +66,101 @@ class MonitoredObject:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MonitoredObject({self.class_name})"
+
+
+# -- probe tables: one per class, built once ----------------------------------
+#
+# ``fn(source, factory)``: ``source`` is the engine-side record the object
+# wraps.  A Transaction's probes also read the statements its event carried,
+# so their second argument is a :class:`_TransactionScope`.
+
+def _query_resource(qctx, factory):
+    return str(qctx.blocked_on) if qctx.blocked_on is not None else None
+
+
+_QUERY_PROBES: dict[str, _Extractor] = {
+    "id": lambda q, f: q.query_id,
+    "query_text": lambda q, f: q.text,
+    "logical_signature": lambda q, f: q.logical_signature,
+    "physical_signature": lambda q, f: q.physical_signature,
+    "start_time": lambda q, f: q.start_time,
+    "duration": lambda q, f: q.duration_at(f._clock.now),
+    "estimated_cost": lambda q, f: q.estimated_cost,
+    "time_blocked": lambda q, f: q.time_blocked,
+    "times_blocked": lambda q, f: q.times_blocked,
+    "queries_blocked": lambda q, f: q.queries_blocked,
+    "time_blocking_others": lambda q, f: q.time_blocking_others,
+    "number_of_instances": lambda q, f: f._sqlcm.instance_count(
+        q.logical_signature),
+    "query_type": lambda q, f: q.query_type,
+    "user": lambda q, f: q.user,
+    "application": lambda q, f: q.application,
+    "rows_affected": lambda q, f: q.rows_affected,
+    "estimated_rows": lambda q, f: (q.plan.estimated_rows
+                                    if q.plan is not None else 0.0),
+    "actual_rows": lambda q, f: (len(q.result_rows)
+                                 if q.query_type == "SELECT"
+                                 else q.rows_affected),
+    "wait_time": lambda q, f: 0.0,
+    "resource": _query_resource,
+}
+
+
+class _TransactionScope(NamedTuple):
+    factory: "ObjectFactory"
+    statements: list
+
+
+def _transaction_duration(txn, scope):
+    end = txn.end_time if txn.end_time is not None \
+        else scope.factory._clock.now
+    return max(0.0, end - txn.start_time)
+
+
+def _first_statement(attribute: str) -> _Extractor:
+    def probe(txn, scope):
+        statements = scope.statements
+        return getattr(statements[0], attribute) if statements else ""
+    return probe
+
+
+def _statement_sum(attribute: str) -> _Extractor:
+    return lambda txn, scope: sum(getattr(q, attribute)
+                                  for q in scope.statements)
+
+
+_TRANSACTION_PROBES: dict[str, _Extractor] = {
+    "id": lambda t, s: t.txn_id,
+    "query_text": lambda t, s: "; ".join(q.text for q in s.statements),
+    "logical_signature": lambda t, s: s.factory._sqlcm.transaction_signature(
+        s.statements, physical=False),
+    "physical_signature": lambda t, s: s.factory._sqlcm.transaction_signature(
+        s.statements, physical=True),
+    "start_time": lambda t, s: t.start_time,
+    "duration": _transaction_duration,
+    "estimated_cost": _statement_sum("estimated_cost"),
+    "time_blocked": _statement_sum("time_blocked"),
+    "times_blocked": _statement_sum("times_blocked"),
+    "queries_blocked": _statement_sum("queries_blocked"),
+    "statement_count": lambda t, s: len(s.statements),
+    "user": _first_statement("user"),
+    "application": _first_statement("application"),
+}
+
+_SESSION_PROBES: dict[str, _Extractor] = {
+    "id": lambda s, f: s.session_id,
+    "user": lambda s, f: s.user,
+    "application": lambda s, f: s.application,
+    "login_time": lambda s, f: f._clock.now,
+}
+
+_TIMER_PROBES: dict[str, _Extractor] = {
+    "id": lambda t, f: t.timer_id,
+    "name": lambda t, f: t.name,
+    "current_time": lambda t, f: f._clock.now,
+    "interval": lambda t, f: t.interval,
+    "remaining_alarms": lambda t, f: t.remaining,
+}
 
 
 class ObjectFactory:
@@ -76,36 +181,7 @@ class ObjectFactory:
               extra: dict[str, Any] | None = None) -> MonitoredObject:
         """Wrap a QueryContext as a Query (or Blocker/Blocked) object."""
         cls = class_def or self._sqlcm.schema.monitored_class("Query")
-        clock = self._clock
-        sqlcm = self._sqlcm
-        extractors = {
-            "id": lambda: qctx.query_id,
-            "query_text": lambda: qctx.text,
-            "logical_signature": lambda: qctx.logical_signature,
-            "physical_signature": lambda: qctx.physical_signature,
-            "start_time": lambda: qctx.start_time,
-            "duration": lambda: qctx.duration_at(clock.now),
-            "estimated_cost": lambda: qctx.estimated_cost,
-            "time_blocked": lambda: qctx.time_blocked,
-            "times_blocked": lambda: qctx.times_blocked,
-            "queries_blocked": lambda: qctx.queries_blocked,
-            "time_blocking_others": lambda: qctx.time_blocking_others,
-            "number_of_instances": lambda: sqlcm.instance_count(
-                qctx.logical_signature),
-            "query_type": lambda: qctx.query_type,
-            "user": lambda: qctx.user,
-            "application": lambda: qctx.application,
-            "rows_affected": lambda: qctx.rows_affected,
-            "estimated_rows": lambda: (qctx.plan.estimated_rows
-                                       if qctx.plan is not None else 0.0),
-            "actual_rows": lambda: (len(qctx.result_rows)
-                                    if qctx.query_type == "SELECT"
-                                    else qctx.rows_affected),
-            "wait_time": lambda: 0.0,
-            "resource": lambda: (str(qctx.blocked_on)
-                                 if qctx.blocked_on is not None else None),
-        }
-        return MonitoredObject(cls, extractors, extra, source=qctx)
+        return MonitoredObject(cls, _QUERY_PROBES, extra, qctx, self)
 
     def blocker(self, qctx, resource, wait_time: float = 0.0) -> MonitoredObject:
         cls = self._sqlcm.schema.monitored_class("Blocker")
@@ -123,52 +199,16 @@ class ObjectFactory:
 
     def transaction(self, txn, statements: list) -> MonitoredObject:
         cls = self._sqlcm.schema.monitored_class("Transaction")
-        clock = self._clock
-        sqlcm = self._sqlcm
-
-        def duration() -> float:
-            end = txn.end_time if txn.end_time is not None else clock.now
-            return max(0.0, end - txn.start_time)
-
-        def text() -> str:
-            return "; ".join(q.text for q in statements)
-
-        first = statements[0] if statements else None
-        extractors = {
-            "id": lambda: txn.txn_id,
-            "query_text": text,
-            "logical_signature": lambda: sqlcm.transaction_signature(
-                statements, physical=False),
-            "physical_signature": lambda: sqlcm.transaction_signature(
-                statements, physical=True),
-            "start_time": lambda: txn.start_time,
-            "duration": duration,
-            "estimated_cost": lambda: sum(q.estimated_cost
-                                          for q in statements),
-            "time_blocked": lambda: sum(q.time_blocked for q in statements),
-            "times_blocked": lambda: sum(q.times_blocked
-                                         for q in statements),
-            "queries_blocked": lambda: sum(q.queries_blocked
-                                           for q in statements),
-            "statement_count": lambda: len(statements),
-            "user": lambda: first.user if first else "",
-            "application": lambda: first.application if first else "",
-        }
-        return MonitoredObject(cls, extractors, source=txn)
+        return MonitoredObject(cls, _TRANSACTION_PROBES, source=txn,
+                               factory=_TransactionScope(self, statements))
 
     # -- Session ------------------------------------------------------------------
 
     def session(self, session) -> MonitoredObject:
         """Wrap an engine session (successful login/logout events)."""
         cls = self._sqlcm.schema.monitored_class("Session")
-        clock = self._clock
-        extractors = {
-            "id": lambda: session.session_id,
-            "user": lambda: session.user,
-            "application": lambda: session.application,
-            "login_time": lambda: clock.now,
-        }
-        return MonitoredObject(cls, extractors, source=session)
+        return MonitoredObject(cls, _SESSION_PROBES, source=session,
+                               factory=self)
 
     def failed_login(self, payload: dict) -> MonitoredObject:
         """A Session object for a *failed* login (no real session exists)."""
@@ -184,15 +224,8 @@ class ObjectFactory:
 
     def timer(self, timer) -> MonitoredObject:
         cls = self._sqlcm.schema.monitored_class("Timer")
-        clock = self._clock
-        extractors = {
-            "id": lambda: timer.timer_id,
-            "name": lambda: timer.name,
-            "current_time": lambda: clock.now,
-            "interval": lambda: timer.interval,
-            "remaining_alarms": lambda: timer.remaining,
-        }
-        return MonitoredObject(cls, extractors, source=timer)
+        return MonitoredObject(cls, _TIMER_PROBES, source=timer,
+                               factory=self)
 
     # -- LAT evicted rows -----------------------------------------------------------
 

@@ -44,6 +44,9 @@ class Rule:
                            metadata=state.TRANSIENT)
     compiled_condition: Any = field(default=None, repr=False,
                                     metadata=state.TRANSIENT)
+    # worked out by the engine on first evaluation, dropped whenever the
+    # set of rules or LATs changes (see SQLCM._plan)
+    plan: Any = field(default=None, repr=False, metadata=state.TRANSIENT)
 
     # statistics (per-shard clones each count; the fold sums them)
     fire_count: int = field(default=0, metadata=state.mark(sum))

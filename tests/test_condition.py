@@ -157,3 +157,53 @@ class TestEvaluation:
     def test_cross_type_comparison_false_not_error(self):
         context = {"query": _query_obj(User="alice")}
         assert _eval("Query.User > 5", context) is False
+
+
+class TestGeneratedSourceCarriesNoUserText:
+    """Conditions arrive over the wire (``install_rule`` / ``install_stream``)
+    and are compiled to Python source.  Only schema- and LAT-validated
+    identifiers and plain finite numbers may reach that source; every
+    string literal and every number whose ``repr`` is not a literal is
+    bound as a constant of the function's namespace.  An emitter that
+    interpolated a literal (``f"{a} == '{value}'"``, or ``repr(value)``
+    for ``inf``) fails here: the source would contain the literal's text,
+    or not compile at all."""
+
+    def test_string_literal_that_closes_the_quote(self):
+        value = "x' + __import__('os').system('id') + '"
+        text = "Query.User = 'x'' + __import__(''os'').system(''id'') + '''"
+        assert parse_condition(text).right.value == value
+        compiled = _bind(text)
+        assert "__import__" not in compiled.source
+        assert "system" not in compiled.source
+        assert compiled.evaluate({"query": _query_obj(User=value)}, {}) \
+            is True
+        assert compiled.evaluate({"query": _query_obj(User="x")}, {}) \
+            is False
+
+    def test_string_literal_with_triple_quote_backslash_newline(self):
+        value = 'a"""b\\c\nd\'\'\'e'
+        text = "Query.Query_Text = '" + value.replace("'", "''") + "'"
+        compiled = _bind(text)
+        for piece in (value, '"""', "\\", "'''"):
+            assert piece not in compiled.source
+        assert compiled.evaluate(
+            {"query": _query_obj(Query_Text=value)}, {}) is True
+        assert compiled.evaluate(
+            {"query": _query_obj(Query_Text=value + " ")}, {}) is False
+
+    def test_number_whose_repr_is_not_a_literal(self):
+        """``1e999`` tokenises to ``inf``; ``repr(inf)`` is a name."""
+        compiled = _bind("Query.Duration < 1e999 AND Query.Duration > -1e999")
+        assert "inf" not in compiled.source
+        assert compiled.evaluate(
+            {"query": _query_obj(Duration=1e300)}, {}) is True
+
+    def test_source_is_a_function_of_names_and_plain_numbers_only(self):
+        compiled = _bind(
+            "Query.Duration > 5 * MyLat.Avg_D AND Query.User != 'root'",
+            lats={"mylat"}, columns={"mylat": {"Avg_D"}})
+        assert "'duration'" in compiled.source
+        assert "'Avg_D'" in compiled.source       # the declared spelling
+        assert "5 *" in compiled.source
+        assert "root" not in compiled.source

@@ -179,6 +179,72 @@ class TestQuarantine:
             sqlcm.rule_health("ghost")
 
 
+class TestRulePlans:
+    """The engine works out what a rule needs (classes, LATs) once and
+    keeps it until the set of rules or LATs changes."""
+
+    def test_plan_that_cannot_be_built_fails_in_the_boundary_every_time(
+            self, server, sqlcm):
+        """An Insert into a dropped LAT fails where it always did: at site
+        ``evaluate``, once per commit, up the quarantine ladder — not at
+        ``drop_lat``, not as a silent skip.  A variant that cached the
+        failed plan (or a marker for it) would record one failure and
+        then go quiet, or stay broken after the LAT is back."""
+        session = _items(server)
+        seen = LATDefinition(name="Seen", monitored_class="Query",
+                             grouping=["Query.ID AS Qid"],
+                             aggregations=["COUNT(Query.ID) AS N"])
+        sqlcm.create_lat(seen)
+        sqlcm.add_rule(Rule(name="track", event="Query.Commit",
+                            actions=[InsertAction("Seen")]))
+        session.execute("SELECT price FROM items WHERE id = 1")
+        rule = sqlcm.rules["track"]
+        assert (rule.fire_count, sqlcm.rule_errors) == (1, 0)
+
+        sqlcm.drop_lat("Seen")  # no rule *condition* reads it: allowed
+        threshold = sqlcm.health.policy.failure_threshold
+        for failures in range(1, threshold + 1):
+            result = session.execute("SELECT price FROM items WHERE id = 1")
+            assert result.error is None
+            health = sqlcm.rule_health("track")
+            assert health.error_count == failures
+            assert health.last_site == "evaluate"
+            assert "LATError" in health.last_error
+        assert health.quarantined
+        assert rule.evaluation_count == 1  # never got as far as evaluating
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert sqlcm.rule_health("track").error_count == threshold
+
+        sqlcm.create_lat(seen)
+        sqlcm.release_quarantine("track")
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert rule.fire_count == 2
+        assert len(sqlcm.lat("Seen")) == 1
+        assert sqlcm.rule_health("track").error_count == threshold
+
+    def test_lat_created_later_changes_what_a_rule_needs(
+            self, server, sqlcm):
+        """``Persist(source="Timer")`` needs a Timer object until a LAT of
+        that name exists; ``create_lat`` must drop the kept plan, or the
+        rule would go on evaluating once per timer."""
+        session = _items(server)
+        sqlcm.set_timer("a", 100.0)
+        sqlcm.set_timer("b", 100.0)
+        sqlcm.add_rule(Rule(
+            name="audit", event="Query.Commit",
+            actions=[PersistAction("audit_log", ["Name"], source="Timer")]))
+        rule = sqlcm.rules["audit"]
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert rule.evaluation_count == 2  # one per registered timer
+        sqlcm.create_lat(LATDefinition(
+            name="Timer", monitored_class="Query",
+            grouping=["Query.ID AS Qid"],
+            aggregations=["COUNT(Query.ID) AS N"]))
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert rule.evaluation_count == 3  # the LAT is the source now
+        assert sqlcm.rule_errors == 0
+
+
 class TestRetryAndDeadLetter:
     def test_transient_sink_failure_retried_to_success(self, server, sqlcm):
         session = _items(server)

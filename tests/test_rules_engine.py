@@ -220,6 +220,42 @@ class TestEventScope:
         session.execute("COMMIT")
         assert stats == [2]
 
+    def test_every_schema_event_has_a_context_builder(self):
+        """An event missing from the engine's builder table would hand its
+        rules an empty context; the table is keyed by name or family."""
+        from repro.core.engine import _CONTEXT_BUILDERS
+        from repro.core.schema import SCHEMA
+        for cls in SCHEMA.classes():
+            for event in cls.events.values():
+                name = event.engine_event
+                assert name in _CONTEXT_BUILDERS \
+                    or name.partition(".")[0] in _CONTEXT_BUILDERS, name
+
+    def test_extension_class_query_event_gets_the_query(self, monitored):
+        """A class registered later may name a ``query.*`` engine event the
+        built-in schema does not: it carries the query payload like the
+        rest of its family, so its rules see the Query object."""
+        from repro.core.schema import (AttributeDef, EventDef,
+                                       MonitoredClassDef, SCHEMA)
+        from repro.engine.types import SQLType
+        server, sqlcm = monitored
+        SCHEMA.register_class(MonitoredClassDef(
+            "Audit", [AttributeDef("Name", SQLType.STRING)],
+            [EventDef("Flag", "query.flagged")]))
+        try:
+            seen = []
+            sqlcm.add_rule(Rule(
+                name="flagged", event="Audit.Flag",
+                condition="Query.Query_Type = 'SELECT'",
+                actions=[CallbackAction(
+                    lambda s, c: seen.append(c["query"].get("ID")))]))
+            query = _run(server, "SELECT id FROM items WHERE id = 1").query
+            sqlcm.dispatch_event("query.flagged", {"query": query})
+            assert seen == [query.query_id]
+            assert sqlcm.rule_errors == 0
+        finally:
+            SCHEMA._classes.pop("audit")
+
 
 class TestLATIntegration:
     def test_insert_then_condition_on_lat(self, monitored):

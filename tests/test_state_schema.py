@@ -38,7 +38,8 @@ RECORDS = {
     LATDefinition: set(), GroupSpec: set(), AggSpec: set(),
     OrderSpec: set(), AgingSpec: set(),
     DeadLetter: {"action_obj", "context", "lat_rows"},
-    Rule: {"actions", "event_class", "event_def", "compiled_condition"},
+    Rule: {"actions", "event_class", "event_def", "compiled_condition",
+           "plan"},
 }
 
 
