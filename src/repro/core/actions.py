@@ -16,6 +16,7 @@ from typing import Any
 
 from repro.core.objects import MonitoredObject
 from repro.errors import ActionError
+from repro.obs.observability import NULL_OBS
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][\w]*)\.([A-Za-z_][\w]*)\}")
 
@@ -99,29 +100,29 @@ class InsertAction(Action):
         governor = sqlcm.governor
         if governor is not None and not governor.lat_allowed(self.lat_name):
             return  # the overload governor suspended this LAT's maintenance
-        lat = sqlcm.lat(self.lat_name)
-        class_key = lat.definition.monitored_class.lower()
+        # the rule's plan holds the LAT while the set of LATs stands; an
+        # action run outside a dispatch (no rule, no plan yet) looks it up
+        plan = rule.plan if rule is not None else None
+        target = plan.inserts.get(self.lat_name) if plan is not None else None
+        if target is None:
+            lat = sqlcm.lat(self.lat_name)
+            target = lat, lat.definition.monitored_class.lower()
+        lat, class_key = target
         obj = context.get(class_key)
         if obj is None:
             raise ActionError(
                 f"Insert({self.lat_name}): no {class_key!r} object in context"
             )
-        costs = sqlcm.server.costs
         obs = sqlcm.server.obs
+        if obs is NULL_OBS:  # nobody attributes or traces: no frames
+            self._maintain(sqlcm, lat, obj)
+            return
         # the LAT, not the firing rule, owns maintenance cost — the paper
         # calls LAT maintenance "the biggest factor" and attribution must
         # be able to show that
         with obs.attrib("lat", self.lat_name), \
                 obs.span(f"lat.insert:{self.lat_name}", "lat"):
-            sqlcm.server.add_monitor_cost(
-                costs.lat_insert + 3 * costs.lat_latch
-            )
-            sqlcm.check_fault("lat.insert")
-            evicted = lat.insert(obj, sqlcm.sample_weight)
-            if evicted:
-                sqlcm.server.add_monitor_cost(costs.lat_evict * len(evicted))
-                for row in evicted:
-                    sqlcm.enqueue_evict_event(self.lat_name, row)
+            evicted = self._maintain(sqlcm, lat, obj)
         if obs.enabled:
             obs.count("sqlcm.lat.inserts")
             if evicted:
@@ -129,6 +130,19 @@ class InsertAction(Action):
             obs.gauge(f"sqlcm.lat.rows.{self.lat_name.lower()}", len(lat))
             obs.gauge(f"sqlcm.lat.occupancy.{self.lat_name.lower()}",
                       lat.occupancy())
+
+    def _maintain(self, sqlcm, lat, obj) -> list[dict]:
+        """Charge, insert, and queue an evict event per row pushed out."""
+        server = sqlcm.server
+        costs = server.costs
+        server.add_monitor_cost(costs.lat_insert + 3 * costs.lat_latch)
+        sqlcm.check_fault("lat.insert")
+        evicted = lat.insert(obj, sqlcm.sample_weight)
+        if evicted:
+            server.add_monitor_cost(costs.lat_evict * len(evicted))
+            for row in evicted:
+                sqlcm.enqueue_evict_event(self.lat_name, row)
+        return evicted
 
 
 @dataclass

@@ -537,6 +537,7 @@ class _Restorer:
     def lat_image(self, data: dict) -> None:
         lat = self.sqlcm.lat(data["lat"])
         lat._rows.clear()
+        lat._drop_heap()
         aggs = lat.definition.aggregations
         for key, states, seq in data["rows"]:
             key = tuple(key)
@@ -638,7 +639,7 @@ class _Restorer:
         else:
             registry = self.sqlcm.health
         image = data["image"]
-        registry._health[image["name"]] = load(RuleHealth, image)
+        registry.restore(load(RuleHealth, image))
 
     def incidents(self, data: dict) -> None:
         manager = self.sqlcm.incident_manager(

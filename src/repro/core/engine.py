@@ -29,6 +29,7 @@ from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core import state
+from repro.core.actions import InsertAction
 from repro.core.condition import bind_condition
 from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
@@ -67,6 +68,8 @@ class _RulePlan(NamedTuple):
     charge: float
     #: ``(LAT name, LAT, owner class)`` per LAT the condition reads
     lat_probes: tuple
+    #: ``{LAT name: (LAT, owner class)}`` per LAT an ``InsertAction`` feeds
+    inserts: dict
 
 
 # -- rule context of each engine event: {class key: monitored object} ------
@@ -718,12 +721,14 @@ class SQLCM:
             # not ``obs.enabled``: a replay shard's ShardObs reads disabled
             # while its attribution frames are live
             add_cost = server.add_monitor_cost
-            allow = self.health.allow
+            health = self.health
             for rule in rules:
                 if not rule.enabled:
                     continue
                 add_cost(costs.quarantine_check)
-                if not allow(rule.name, now):
+                # while every record is healthy the answer is yes
+                if not health.all_clear and \
+                        not health.allow(rule.name, now):
                     continue
                 try:
                     self._evaluate_rule(rule, context)
@@ -822,13 +827,18 @@ class SQLCM:
                 owner = lat.definition.monitored_class.lower()
                 needed.add(owner)
                 lat_probes.append((lat_name, lat, owner))
+        inserts = {}
         for action in rule.actions:
             needed |= action.required_classes(self)
+            if isinstance(action, InsertAction):
+                lat = self.lat(action.lat_name)
+                inserts[action.lat_name] = (
+                    lat, lat.definition.monitored_class.lower())
         rule.plan = _RulePlan(
             frozenset(needed),
             costs.rule_eval_base
             + costs.rule_atomic_condition * rule.atomic_condition_count,
-            tuple(lat_probes))
+            tuple(lat_probes), inserts)
         return rule.plan
 
     def _combos(self, missing: set[str],
@@ -891,8 +901,8 @@ class SQLCM:
                 server.add_monitor_cost(costs.action_dispatch)
                 if not self._run_action(rule, action, combo, lat_rows):
                     failed = True
-        if evaluated and not failed:
-            self.health.record_success(rule.name)
+        if evaluated and not failed and not self.health.all_clear:
+            self.health.record_success(rule.name)  # ends a probation
 
     # ------------------------------------------------------------------
     # isolation boundary: action execution, retry, dead letters

@@ -6,18 +6,21 @@ a size limit (rows or bytes), and automatic eviction of the least-important
 row when the limit is exceeded.  Evicted rows are surfaced to the SQLCM
 engine so rules can react to them.
 
-The default structure follows the paper's implementation notes: a hash map
-on the grouping columns for O(1) row lookup, with eviction by importance
-scan (LATs are small by construction — that is the point of the size
-limit).  ``NaiveListLAT`` is a deliberately slower structure kept for the
-A1 ablation benchmark.
+The default structure is the paper's (Section 6.1): a hash map on the
+grouping columns for O(1) row lookup and a binary heap on the ordering
+columns for eviction.  ``insert`` is generated once per definition (see
+"compiled insert" below).  ``NaiveListLAT`` is a deliberately slower
+structure kept for the A1 ablation benchmark.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable
 
 from repro.core import state as schema  # ``state`` names aggregate states here
 from repro.core.aggregates import (AggregateFunction, AgingSpec, AgingState,
@@ -180,8 +183,183 @@ _VALUE_BYTES = 24
 _AGING_BLOCK_BYTES = 32
 
 
+# -- compiled insert -------------------------------------------------------------
+#
+# ``LAT.insert`` runs one function generated from the LAT's definition, in
+# the manner of ``core/condition.py``: the group key and the aggregate
+# updates are unrolled, each source attribute is read into a local once, at
+# the point the interpreted loop first read it, and a branch the definition
+# cannot reach (aging, a weighted form, a size limit, an importance to
+# reset) is not emitted.  Nothing the user wrote is interpolated but plain
+# identifiers; any other text, the aggregates' initial states and their
+# bound ``update`` methods are constants of the function's namespace.
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class _InsertEmitter:
+    """Writes the body of ``insert`` for one LAT."""
+
+    def __init__(self, lat: "LAT"):
+        self.lat = lat
+        self.lines: list[str] = []
+        self.depth = 1
+        self.constants: dict[str, Any] = {}
+        #: declared attribute -> the local that holds its value
+        self.slots: dict[str, str] = {}
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def constant(self, name: str, value: Any) -> str:
+        self.constants[name] = value
+        return name
+
+    def text(self, value: str) -> str:
+        if _IDENTIFIER.fullmatch(value):
+            return repr(value)
+        return self.constant(f"k{len(self.constants)}", value)
+
+    def read(self, attr: str) -> str:
+        name = self.slots.get(attr)
+        if name is None:
+            name = self.slots[attr] = f"a{len(self.slots)}"
+            lowered = self.text(attr.lower())
+            self.emit(f"{name} = probe({lowered}) if probe is not None "
+                      f"else _item(source, {self.text(attr)}, {lowered})")
+        return name
+
+    def initial_state(self, index: int) -> str:
+        spec = self.lat.definition.aggregations[index]
+        func = self.lat._functions[index]
+        name = func.name.lower()
+        if spec.aging is not None:
+            return (f"AgingState({self.constant(name, func)}, "
+                    f"{self.constant(f'aging{index}', spec.aging)})")
+        state = func.new_state()
+        if state is None or type(state) is int:
+            return repr(state)
+        return self.constant(f"{name}_new", state)
+
+    def updates(self, weighted: bool) -> None:
+        """Each aggregate in turn: read its attribute, fold the value in."""
+        for i, (spec, func) in enumerate(zip(
+                self.lat.definition.aggregations, self.lat._functions)):
+            value = self.read(spec.attr)
+            name = func.name.lower()
+            if spec.aging is not None:
+                extra = ", weight" if weighted else ""
+                self.emit(f"states[{i}].update({value}, now{extra})")
+            elif weighted and _has_weighted_form(func):
+                update = self.constant(f"{name}_update_weighted",
+                                       func.update_weighted)
+                self.emit(f"states[{i}] = {update}(states[{i}], {value}, "
+                          "weight)")
+            else:
+                update = self.constant(f"{name}_update", func.update)
+                self.emit(f"states[{i}] = {update}(states[{i}], {value})")
+
+    def function(self) -> str:
+        lat, emit = self.lat, self.emit
+        definition = lat.definition
+        n_groups = len(definition.grouping)
+        emit("if now is None:")
+        emit("    now = self._clock.now")
+        emit("probe = source._probe "
+             "if isinstance(source, MonitoredObject) else None")
+        key = [self.read(g.attr) for g in definition.grouping]
+        emit(f"key = ({', '.join(key)},)")
+        emit("rows = self._rows")
+        emit("row = rows.get(key)")
+        # latches: the hash entry, the row, and the structure as a whole
+        emit("self.latch_acquisitions += 3")
+        emit("if row is None:")
+        initial = [self.initial_state(i)
+                   for i in range(len(definition.aggregations))]
+        emit(f"    states = [{', '.join(initial)}]")
+        emit("    row = rows[key] = _Row(key, states, self._seq)")
+        emit("    self._seq += 1")
+        emit("else:")
+        emit("    states = row.states")
+        limits = []  # when to look for rows to evict
+        if definition.max_rows is not None:
+            self.constant("max_rows", definition.max_rows)
+            limits.append("n > max_rows")
+        if definition.max_bytes is not None and lat._aging_indexes:
+            limits.append("True")  # aging blocks count: leave it to the walk
+        elif definition.max_bytes is not None:
+            self.constant("row_bytes", lat._row_bytes)
+            self.constant("max_bytes", definition.max_bytes)
+            limits.append("n * row_bytes > max_bytes")
+        if limits and lat._ordering_cacheable:
+            # noted before the updates: one that raises must not leave a
+            # new row the heap never hears of
+            emit("if self._dirty is not None:")
+            emit("    self._dirty.add(row)")
+        if lat._aging_indexes or any(map(_has_weighted_form, lat._functions)):
+            emit("if weight != 1:")
+            self.depth += 1
+            read_before = dict(self.slots)
+            self.updates(weighted=True)
+            self.slots = read_before  # each branch reads for itself
+            self.depth -= 1
+            emit("else:")
+            self.depth += 1
+            self.updates(weighted=False)
+            self.depth -= 1
+        else:
+            self.updates(weighted=False)
+        if any(index >= n_groups for index, __ in lat._order_indexes):
+            emit("row.importance = None")  # an ordering aggregate moved
+        emit("self.insert_count += 1")
+        emit("n = len(rows)")
+        emit("if n > self.peak_rows:")
+        emit("    self.peak_rows = n")
+        if limits:
+            emit(f"evicted = self._enforce_limits(now) "
+                 f"if {' or '.join(limits)} else []")
+        else:
+            emit("evicted = []")
+        emit("if self.journal is not None:")
+        values = ", ".join(f"{self.text(attr)}: {name}"
+                           for attr, name in self.slots.items())
+        emit(f"    self.journal.append('lat_insert', "
+             f"{{'lat': {self.text(definition.name)}, "
+             f"'values': {{{values}}}, 'weight': weight, 'time': now}})")
+        emit("return evicted")
+        return "\n".join(["def insert(self, source, weight, now):"]
+                         + self.lines) + "\n"
+
+
+def _has_weighted_form(func: AggregateFunction) -> bool:
+    """COUNT/SUM/AVG scale by the weight; the rest apply the value once."""
+    return (type(func).update_weighted
+            is not AggregateFunction.update_weighted)
+
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """The code object of one generated source text: scratch copies, shard
+    clones, the shard fold and recovery all build LATs of definitions
+    already compiled."""
+    return compile(source, "<lat insert>", "exec")
+
+
+def _generate_insert(lat: "LAT") -> Callable:
+    """The ``insert`` function of one LAT; its text is ``__source__``."""
+    emitter = _InsertEmitter(lat)
+    source = emitter.function()
+    namespace = {"__builtins__": {"isinstance": isinstance, "len": len},
+                 "MonitoredObject": MonitoredObject, "AgingState": AgingState,
+                 "_Row": _Row, "_item": _item, **emitter.constants}
+    exec(_code(source), namespace)
+    insert = namespace["insert"]
+    insert.__source__ = source
+    return insert
+
+
 class LAT:
-    """The default LAT structure: hash on group key, importance-scan eviction."""
+    """The default LAT structure: hash on group key, heap on importance."""
 
     # durability journal (set by DurabilityManager.attach / create_lat);
     # mutations append redo records after they complete
@@ -195,7 +373,9 @@ class LAT:
                        "seed_count"),
         *schema.walked("definition", "_rows"),
         *schema.transient("_clock", "_functions", "_order_indexes",
-                          "_ordering_cacheable", "journal"),
+                          "_ordering_cacheable", "_row_bytes",
+                          "_aging_indexes", "_insert", "_heap", "_dirty",
+                          "journal"),
     )
 
     def __init__(self, definition: LATDefinition, clock):
@@ -215,6 +395,16 @@ class LAT:
             or definition.aggregations[index - n_groups].aging is None
             for index, __ in self._order_indexes
         )
+        self._row_bytes = (_ROW_OVERHEAD_BYTES
+                           + len(definition.column_names()) * _VALUE_BYTES)
+        self._aging_indexes = tuple(
+            i for i, spec in enumerate(definition.aggregations)
+            if spec.aging is not None)
+        self._insert = _generate_insert(self)
+        # eviction heap of ``(importance, row)`` and the rows touched since
+        # it was last brought up to date; see _least_important
+        self._heap: list | None = None
+        self._dirty: set | None = None
         # statistics (reported by benches; latches are counted, not real)
         self.insert_count = 0
         self.eviction_count = 0
@@ -243,10 +433,7 @@ class LAT:
     def _value(source: "MonitoredObject | dict", attr: str) -> Any:
         if isinstance(source, MonitoredObject):
             return source.get(attr)
-        for key in (attr, attr.lower()):
-            if key in source:
-                return source[key]
-        return None
+        return _item(source, attr, attr.lower())
 
     def insert(self, source: "MonitoredObject | dict",
                weight: int = 1, now: float | None = None) -> list[dict]:
@@ -261,47 +448,10 @@ class LAT:
 
         Returns the rows evicted to satisfy the size constraint (possibly
         including the row just inserted), as column dicts.
+
+        The body is the function generated for this LAT's definition.
         """
-        if now is None:
-            now = self._clock.now
-        key = self.key_of(source)
-        row = self._rows.get(key)
-        # latches: the hash entry, the row, and the structure as a whole
-        self.latch_acquisitions += 3
-        if row is None:
-            states = []
-            for spec, func in zip(self.definition.aggregations,
-                                  self._functions):
-                if spec.aging is not None:
-                    states.append(AgingState(func, spec.aging))
-                else:
-                    states.append(func.new_state())
-            row = _Row(key, states, self._seq)
-            self._seq += 1
-            self._rows[key] = row
-        for i, (spec, func) in enumerate(
-                zip(self.definition.aggregations, self._functions)):
-            value = self._value(source, spec.attr)
-            if isinstance(row.states[i], AgingState):
-                row.states[i].update(value, now, weight)
-            elif weight != 1:
-                row.states[i] = func.update_weighted(
-                    row.states[i], value, weight)
-            else:
-                row.states[i] = func.update(row.states[i], value)
-        row.importance = None  # aggregates changed; importance is stale
-        self.insert_count += 1
-        self.peak_rows = max(self.peak_rows, len(self._rows))
-        evicted = self._enforce_limits(now)
-        if self.journal is not None:
-            self.journal.append("lat_insert", {
-                "lat": self.definition.name,
-                "values": {attr: self._value(source, attr)
-                           for attr in self.definition.source_attributes()},
-                "weight": weight,
-                "time": now,
-            })
-        return evicted
+        return self._insert(self, source, weight, now)
 
     def _enforce_limits(self, now: float) -> list[dict]:
         evicted: list[dict] = []
@@ -320,17 +470,56 @@ class LAT:
         return evicted
 
     def _least_important(self, now: float) -> _Row | None:
-        worst: _Row | None = None
-        worst_key: tuple | None = None
-        for row in self._rows.values():
-            key = self._importance_key(row, now)
-            if worst is None or key < worst_key:
-                worst = row
-                worst_key = key
-        return worst
+        """The row evicted next: the minimum importance key.
+
+        Found on a binary heap of ``(importance, row)``.  An insert does
+        not touch the heap, it only notes the row in ``_dirty``; the rows
+        noted are pushed here, so a row updated many times between two
+        evictions is keyed once.  Superseded entries stay until they reach
+        the top: an entry is live iff its row is still the one stored under
+        its key and still carries that very importance tuple.  The heap is
+        built on the first eviction, rebuilt when stale entries outnumber
+        rows, and dropped wherever rows change other than through
+        ``insert`` (:meth:`_drop_heap`).
+
+        An ordering over an aging aggregate has no heap: its keys decay
+        with the clock, so every key would be stale at every eviction, and
+        keying all rows is what the scan below already does.
+        """
+        rows = self._rows
+        importance = self._importance_key
+        if not self._ordering_cacheable:
+            return min(rows.values(), default=None,
+                       key=lambda row: importance(row, now))
+        heap = self._heap
+        if heap is None or len(heap) > 2 * len(rows):
+            heap = self._heap = [(importance(row, now), row)
+                                 for row in rows.values()]
+            heapify(heap)
+            self._dirty = set()
+        elif self._dirty:
+            for row in self._dirty:
+                if rows.get(row.key) is row:
+                    heappush(heap, (importance(row, now), row))
+            self._dirty.clear()
+        while heap:
+            key, row = heap[0]
+            if rows.get(row.key) is row and row.importance is key:
+                return row
+            heappop(heap)
+        return None
+
+    def _drop_heap(self) -> None:
+        """Forget the eviction heap (the next eviction rebuilds it)."""
+        self._heap = self._dirty = None
 
     def _importance_key(self, row: _Row, now: float) -> tuple:
-        """Sortable importance; the minimum is evicted first."""
+        """Sortable importance; the minimum is evicted first.
+
+        One part per ordering column, then the row's sequence number
+        (FIFO tie-break: older rows evict first).  Parts compare natively
+        — see :func:`_importance_part` — so neither the heap nor a sort
+        calls back into Python for the usual numeric ordering."""
         if row.importance is not None and self._ordering_cacheable:
             return row.importance
         parts: list = []
@@ -344,13 +533,8 @@ class LAT:
                     value = state.result(now)
                 else:
                     value = self._functions[index - n_groups].result(state)
-            if value is None:
-                parts.append((0, 0))
-            elif descending:
-                parts.append((1, _Orderable(value, reverse=False)))
-            else:
-                parts.append((1, _Orderable(value, reverse=True)))
-        parts.append(row.seq)  # FIFO tie-break: older rows evict first
+            parts.append(_importance_part(value, descending))
+        parts.append(row.seq)
         key = tuple(parts)
         if self._ordering_cacheable:
             row.importance = key
@@ -396,6 +580,7 @@ class LAT:
     def reset(self) -> None:
         """Clear all content and free memory (the Reset action)."""
         self._rows.clear()
+        self._drop_heap()
         self.latch_acquisitions += 1
         if self.journal is not None:
             self.journal.append("lat_reset", {"lat": self.definition.name})
@@ -447,6 +632,7 @@ class LAT:
         row = _Row(key, states, self._seq)
         self._seq += 1
         self._rows[key] = row
+        self._drop_heap()
         self.seed_count += 1
         self._enforce_limits(now)
         if self.journal is not None:
@@ -496,6 +682,7 @@ class LAT:
     def adopt(self, scratch: "LAT") -> None:
         """Swap in a scratch copy's state (the commit of an atomic restore)."""
         self._rows = scratch._rows
+        self._drop_heap()
         # the scratch started from this LAT's counters and only grew them
         for name, value in schema.fold([scratch]).items():
             setattr(self, name, value)
@@ -519,7 +706,7 @@ class LAT:
             raise LATError(
                 f"cannot merge LAT {other.definition.name!r} into "
                 f"{self.definition.name!r}: column shapes differ")
-        specs = self.definition.aggregations
+        self._drop_heap()
         for key, row in other._rows.items():
             mine = self._rows.get(key)
             if mine is None:
@@ -570,48 +757,57 @@ class LAT:
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint (drives max_bytes limits)."""
-        n_columns = len(self.definition.column_names())
-        per_row = _ROW_OVERHEAD_BYTES + n_columns * _VALUE_BYTES
-        total = 0
-        for row in self._rows.values():
-            total += per_row
-            for state in row.states:
-                if isinstance(state, AgingState):
-                    total += state.block_count * _AGING_BLOCK_BYTES
+        total = len(self._rows) * self._row_bytes
+        if self._aging_indexes:  # only aging states vary in size
+            for row in self._rows.values():
+                for index in self._aging_indexes:
+                    total += (row.states[index].block_count
+                              * _AGING_BLOCK_BYTES)
         return total
 
 
-class _Orderable:
-    """Total order over heterogeneous LAT values, optionally reversed.
+def _item(source: dict, attr: str, lowered: str) -> Any:
+    """A dict source's value for an attribute: by the spelling the LAT
+    declares, else lower-cased, else NULL."""
+    if attr in source:
+        return source[attr]
+    return source.get(lowered)
 
-    The type rank is computed once at construction: importance keys are
-    memoized on rows and compared many times during eviction scans.
-    """
 
-    __slots__ = ("value", "reverse", "rank")
+def _importance_part(value: Any, descending: bool) -> tuple:
+    """One ordering column's share of an importance key.
 
-    def __init__(self, value: Any, reverse: bool):
+    NULL sorts below everything; other values sort by type rank (numbers,
+    text, bytes, anything else by its ``repr``) and then by value, the
+    value order flipped for an ASC column.  The tuples compare natively:
+    a DESC value stands as it is and an ASC number is negated, so only
+    ASC text goes through :class:`_Reversed`."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (int, float)):
+        return (1, 0, value if descending else -value)
+    if isinstance(value, str):
+        rank = 1
+    elif isinstance(value, bytes):
+        rank = 2
+    else:
+        rank, value = 3, repr(value)
+    return (1, rank, value if descending else _Reversed(value))
+
+
+class _Reversed:
+    """A str or bytes value that sorts in the opposite order."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
         self.value = value
-        self.reverse = reverse
-        if isinstance(value, bool):
-            self.rank = (0, int(value))
-        elif isinstance(value, (int, float)):
-            self.rank = (0, value)
-        elif isinstance(value, str):
-            self.rank = (1, value)
-        elif isinstance(value, bytes):
-            self.rank = (2, value)
-        else:
-            self.rank = (3, repr(value))
 
-    def __lt__(self, other: "_Orderable") -> bool:
-        a, b = self.rank, other.rank
-        if a[0] != b[0]:
-            return a[0] < b[0]
-        return (a[1] > b[1]) if self.reverse else (a[1] < b[1])
+    def __lt__(self, other: "_Reversed") -> bool:
+        return self.value > other.value
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Orderable) and self.rank == other.rank
+        return isinstance(other, _Reversed) and self.value == other.value
 
 
 class NaiveListLAT(LAT):

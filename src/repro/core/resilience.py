@@ -140,11 +140,18 @@ class RuleHealthRegistry:
     journal_hook = None
 
     STATE = (*state.walked("_health"),
-             *state.transient("policy", "journal_hook"))
+             *state.transient("policy", "journal_hook", "all_clear"))
 
     def __init__(self, policy: QuarantinePolicy | None = None):
         self.policy = policy or QuarantinePolicy()
         self._health: dict[str, RuleHealth] = {}
+        #: no record is off HEALTHY: ``allow`` would say yes to every rule
+        #: and ``record_success`` would do nothing, so dispatch skips both
+        self.all_clear = True
+
+    def _refresh_all_clear(self) -> None:
+        self.all_clear = all(h.state == HEALTHY
+                             for h in self._health.values())
 
     def _notify(self, health: RuleHealth) -> None:
         if self.journal_hook is not None:
@@ -165,6 +172,12 @@ class RuleHealthRegistry:
         """Forget a rule's record (called when the rule is removed): a new
         rule reusing the name starts with a clean history."""
         self._health.pop(name.lower(), None)
+        self._refresh_all_clear()
+
+    def restore(self, health: RuleHealth) -> None:
+        """Put back a record read from a checkpoint or the journal."""
+        self._health[health.name] = health
+        self._refresh_all_clear()
 
     def quarantined(self) -> list[RuleHealth]:
         return [h for h in self._health.values() if h.state == QUARANTINED]
@@ -226,6 +239,7 @@ class RuleHealthRegistry:
             health.quarantine_reason = None
             health.reactivate_at = None
             health.recent_failures.clear()
+            self._refresh_all_clear()
             self._notify(health)
 
     def quarantine(self, name: str, now: float, reason: str) -> None:
@@ -249,6 +263,7 @@ class RuleHealthRegistry:
         health.quarantine_reason = None
         health.reactivate_at = None
         health.recent_failures.clear()
+        self._refresh_all_clear()
         self._notify(health)
 
     def _quarantine(self, health: RuleHealth, now: float,
@@ -261,6 +276,7 @@ class RuleHealthRegistry:
                 policy.max_cooldown,
                 health.current_cooldown * policy.backoff)
         health.state = QUARANTINED
+        self.all_clear = False
         health.quarantine_count += 1
         health.quarantined_at = now
         health.reactivate_at = now + health.current_cooldown

@@ -180,6 +180,24 @@ class TestEviction:
         assert lat.memory_bytes() <= 300
         assert len(lat) < 10
 
+    def test_memory_bytes_counts_rows_and_aging_blocks(self, clock):
+        lat = LAT(LATDefinition(
+            name="Mixed",
+            grouping=["Query.ID AS Qid"],
+            aggregations=[
+                "MAX(Query.Duration) AS D",
+                AggSpec("SUM", "Duration", "Recent", AgingSpec(10.0, 2.0)),
+                AggSpec("COUNT", "ID", "N", AgingSpec(6.0, 3.0)),
+            ],
+        ), clock)
+        for step in range(12):
+            clock.advance_to(float(step))
+            lat.insert({"id": step % 4, "duration": 1.0})
+        blocks = sum(state.block_count for row in lat._rows.values()
+                     for state in row.states[1:])
+        assert blocks > 2 * len(lat)  # the walk has something to count
+        assert lat.memory_bytes() == len(lat) * (48 + 4 * 24) + blocks * 32
+
     def test_tie_break_evicts_oldest(self, clock):
         lat = self._topk_lat(clock, 2)
         lat.insert({"id": 1, "duration": 5.0})
@@ -232,3 +250,94 @@ class TestNaiveListLAT:
             naive.insert(record)
         assert default.rows() == naive.rows()
         assert naive.lookup(("app1",)) == default.lookup(("app1",))
+
+
+class TestCompiledInsert:
+    """``insert`` is one function generated from the definition."""
+
+    WEIRD = ["it's", 'tri"""ple', "back\\slash", "new\nline", "é"]
+
+    def test_user_text_is_bound_not_interpolated(self, clock):
+        group, summed, last, first, counted = self.WEIRD
+        lat = LAT(LATDefinition(
+            name="Weird",
+            grouping=[GroupSpec(group, 'g"1')],
+            aggregations=[AggSpec("SUM", summed, "s'1"),
+                          AggSpec("LAST", last, "l\\1"),
+                          AggSpec("FIRST", first, "f\n1"),
+                          AggSpec("COUNT", counted, "é1")],
+            ordering=[OrderSpec("s'1")], max_rows=3,
+        ), clock)
+        source = lat._insert.__source__
+        for text in self.WEIRD + ['g"1', "s'1", "l\\1", "f\n1", "é1"]:
+            assert text not in source
+            assert text.lower() not in source
+        for mark in ('"', '\\', "é"):
+            assert mark not in source
+        compile(source, "<test>", "exec")
+
+        records = []
+        lat.journal = type("J", (), {"append": staticmethod(
+            lambda kind, data, commit=False: records.append(data))})
+        lat.insert({group: 1, summed: 2.0, last: "x", first: "y",
+                    counted: 0})
+        lat.insert({group: 1, summed.lower(): 3.0, counted: None})
+        assert lat.rows() == [{'g"1': 1, "s'1": 5.0, "l\\1": None,
+                               "f\n1": "y", "é1": 1}]
+        assert list(records[0]["values"]) == self.WEIRD
+
+    def test_equal_definitions_share_one_code_object(self, clock):
+        first, second = make_lat(clock), make_lat(clock)
+        assert first._insert is not second._insert
+        assert first._insert.__code__ is second._insert.__code__
+        # and so does every LAT built from one: a scratch copy, a clone
+        assert first.scratch_copy()._insert.__code__ \
+            is first._insert.__code__
+        other = make_lat(clock, aggregations=["COUNT(Query.ID) AS N"])
+        assert other._insert.__code__ is not first._insert.__code__
+
+    def test_unreachable_branches_are_not_emitted(self, clock):
+        plain = LAT(LATDefinition(
+            name="Plain", grouping=["Query.ID AS Qid"],
+            aggregations=["MAX(Query.Duration) AS D",
+                          "LAST(Query.User) AS U"]), clock)
+        source = plain._insert.__source__
+        for absent in ("weight !=", "AgingState", "_dirty", "importance",
+                       "_enforce_limits"):
+            assert absent not in source
+        assert source.count("probe('duration')") == 1
+        topk = make_lat(clock, max_rows=5)
+        assert topk._insert.__source__.count("probe('duration')") == 2
+        for present in ("weight != 1", "_dirty", "row.importance = None",
+                        "n > max_rows"):
+            assert present in topk._insert.__source__
+
+    def test_class_level_wrapper_sees_every_insert(self, clock, monkeypatch):
+        """What the wall benchmark's tracer relies on: the generated
+        function sits behind ``LAT.insert``, not over it."""
+        seen = []
+        original = LAT.insert
+
+        def wrapper(self, *args, **kwargs):
+            seen.append(type(self).__name__)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LAT, "insert", wrapper)
+        record = {"application": "a", "id": 1, "duration": 1.0}
+        make_lat(clock).insert(record)
+        NaiveListLAT(make_lat(clock).definition, clock).insert(record)
+
+        from repro import DatabaseServer, InsertAction, Rule, SQLCM
+        server = DatabaseServer()
+        server.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY)")
+        sqlcm = SQLCM(server)
+        sqlcm.create_lat(LATDefinition(
+            name="Seen", grouping=["Query.ID AS Qid"],
+            aggregations=["MAX(Query.Duration) AS D"]))
+        sqlcm.add_rule(Rule(name="feed", event="Query.Commit",
+                            actions=[InsertAction("Seen")]))
+        session = server.create_session(user="u")
+        for i in range(3):
+            session.execute(f"INSERT INTO t VALUES ({i})")
+        assert seen == ["LAT", "NaiveListLAT"] + ["LAT"] * 3
+        assert sqlcm.lat("Seen").insert_count == 3

@@ -143,6 +143,52 @@ class TestQuarantine:
         assert health.state == "healthy"
         assert health.quarantine_count == 1
 
+    def test_all_clear_flag_follows_the_state_machine(self, server):
+        """Dispatch skips ``allow``/``record_success`` while the flag is
+        up: it must drop with the first record off HEALTHY and come back
+        only when the last one returns."""
+        sqlcm = SQLCM(server, quarantine=QuarantinePolicy(
+            failure_threshold=2, window=60.0, cooldown=0.5))
+        session = _items(server)
+        registry = sqlcm.health
+        broken = [True]
+        ran = []
+
+        def flaky(s, c):
+            if broken[0]:
+                raise RuntimeError("boom")
+
+        sqlcm.add_rule(Rule(name="good", event="Query.Commit",
+                            actions=[CallbackAction(
+                                lambda s, c: ran.append(1))]))
+        rule = sqlcm.add_rule(Rule(name="flaky", event="Query.Commit",
+                                   actions=[CallbackAction(flaky)]))
+        assert registry.all_clear
+        session.execute("SELECT price FROM items WHERE id = 1")
+        # a failure short of the threshold moves no record off HEALTHY
+        assert sqlcm.rule_health("flaky").error_count == 1
+        assert registry.all_clear
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert sqlcm.rule_health("flaky").quarantined
+        assert not registry.all_clear
+
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert rule.evaluation_count == 2 and len(ran) == 3  # held out
+        broken[0] = False
+        server.clock.advance_to(server.clock.now + 1.0)  # past the cooldown
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert sqlcm.rule_health("flaky").state == "healthy"  # probe passed
+        assert registry.all_clear
+        session.execute("SELECT price FROM items WHERE id = 1")
+        assert rule.evaluation_count == 4 and len(ran) == 5
+
+        registry.quarantine("good", server.clock.now, "DBA override")
+        registry.quarantine("flaky", server.clock.now, "DBA override")
+        sqlcm.release_quarantine("good")
+        assert not registry.all_clear  # one record is still off HEALTHY
+        sqlcm.remove_rule("flaky")  # its record goes with it
+        assert registry.all_clear
+
     def test_failed_probe_requarantines_with_backoff(self, server):
         sqlcm = SQLCM(server, quarantine=QuarantinePolicy(
             failure_threshold=2, window=60.0, cooldown=0.5, backoff=2.0))
