@@ -4,8 +4,8 @@ list-based LAT.
 The paper (Section 6.1) stores LATs as "a heap structure on the ordering
 columns and a hash array on the grouping columns for fast row lookup".
 This ablation compares insert and lookup wall time against
-:class:`~repro.core.lat.NaiveListLAT` (linear membership probe + full
-re-sort per insert) to show why the structure matters once LATs see every
+:class:`NaiveListLAT` (linear membership probe + full re-sort per insert,
+defined below beside the other straw man) to show why the structure matters once LATs see every
 query on a busy server, and the heap against a scan of every row — what
 eviction was before the heap — on a LAT that evicts on every insert.
 """
@@ -18,11 +18,36 @@ from time import perf_counter
 import pytest
 
 from benchmarks.conftest import quick
-from repro.core.lat import LAT, LATDefinition, NaiveListLAT
+from repro.core.lat import LAT, LATDefinition
 from repro.sim import SimClock
 
 GROUPS = 200
 INSERTS = 2000
+
+
+class NaiveListLAT(LAT):
+    """A LAT without the paper's hash-plus-heap design: linear group
+    lookup + full re-sort per insert."""
+
+    def insert(self, source, weight: int = 1,
+               now: float | None = None) -> list[dict]:
+        key = self.key_of(source)
+        for candidate in list(self._rows):  # linear membership probe
+            if candidate == key:
+                break
+        evicted = super().insert(source, weight, now)
+        # full re-sort after every insert (the naive ordered structure)
+        now = self._clock.now
+        sorted(self._rows.values(),
+               key=lambda row: self._importance_key(row, now))
+        return evicted
+
+    def lookup(self, key: tuple) -> dict | None:
+        key = tuple(key)
+        for candidate, row in self._rows.items():  # linear scan
+            if candidate == key:
+                return self._row_values(row, self._clock.now)
+        return None
 
 
 def _definition() -> LATDefinition:
@@ -88,6 +113,8 @@ def test_a1_structures_agree(report, benchmark):
 
     fast, naive = benchmark.pedantic(run, rounds=1, iterations=1)
     assert fast.rows() == naive.rows()
+    for key in range(GROUPS):
+        assert fast.lookup((key,)) == naive.lookup((key,))
     report("A1: both LAT structures agree on "
            f"{len(fast)} rows after {INSERTS} inserts")
 

@@ -90,7 +90,7 @@ def _run_workload(driver: SQLiteDriver) -> None:
 def _one_interval(tmp_path, interval: float) -> dict:
     driver = _build_database(str(tmp_path / f"d1_{interval}.db"))
     try:
-        sqlcm = SQLCM(driver=driver)
+        sqlcm = SQLCM(driver)
         tracker = TopKTracker(sqlcm, k=K)
         pull = PullMonitor(driver, interval)
         pull.start()

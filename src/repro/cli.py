@@ -70,25 +70,20 @@ from repro.errors import ReproError
 
 class Shell:
     """One interactive session against a fresh in-memory server, or —
-    given a probe driver — against an external backend (sqlite)."""
+    given a backend (a probe driver, say sqlite's) — against that."""
 
-    def __init__(self, out: IO[str] | None = None, driver=None):
+    def __init__(self, out: IO[str] | None = None, backend=None):
         self.out = out or sys.stdout
-        if driver is None:
-            self.server = DatabaseServer(
-                ServerConfig(track_completed_queries=True))
-            # the shell is a DBA cockpit: collect attribution/metrics/spans
-            # so .metrics and .trace always have data
-            self.server.enable_observability()
-            self.sqlcm = SQLCM(self.server)
-            self.session = self.server.create_session(user="cli",
-                                                      application="shell")
-        else:
-            self.server = driver.host
-            self.server.enable_observability()
-            self.sqlcm = SQLCM(driver=driver)
-            self.session = None  # SQL routes through the driver
+        self.sqlcm = SQLCM(backend if backend is not None else DatabaseServer(
+            ServerConfig(track_completed_queries=True)))
         self.driver = self.sqlcm.driver
+        self.server = self.driver.host
+        # the shell is a DBA cockpit: collect attribution/metrics/spans
+        # so .metrics and .trace always have data
+        self.server.enable_observability()
+        # a backend handed in takes its SQL through the driver
+        self.session = None if backend is not None else \
+            self.server.create_session(user="cli", application="shell")
         self._trackers: dict[str, object] = {}
         self._durability = None  # attached by .checkpoint DIR
 
@@ -486,7 +481,7 @@ def main() -> None:  # pragma: no cover
         # start the network service tier instead of the interactive shell
         from repro.service import serve_main
         raise SystemExit(serve_main(argv[1:]))
-    driver = None
+    backend = None
     if argv and argv[0] == "monitor":
         # `python -m repro monitor sqlite:PATH` — shell over an external
         # backend through a probe driver
@@ -497,11 +492,11 @@ def main() -> None:  # pragma: no cover
         from repro.drivers import from_url
         from repro.errors import ReproError
         try:
-            driver = from_url(argv[1])
+            backend = from_url(argv[1])
         except ReproError as err:
             print(f"error: {err}", file=sys.stderr)
             raise SystemExit(2)
-    shell = Shell(driver=driver)
+    shell = Shell(backend=backend)
     if sys.stdin.isatty():
         shell.repl()
     else:

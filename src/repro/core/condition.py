@@ -253,7 +253,7 @@ class CompiledCondition:
     def __init__(self, text: str, tree, classes: set[str], lats: set[str],
                  atomic_count: int, attributes: set[str] | None = None):
         self.text = text
-        self.source, self._fn = _generate(tree)
+        self.source, self._fn = _Emitter().function(tree)
         self.classes = classes
         self.lats = lats
         self.atomic_count = atomic_count
@@ -411,9 +411,8 @@ def _bind_refs(node, columns: dict[str, dict[str, str]]):
 #   matched row, one of its columns — is made at most once, into a local,
 #   and no earlier than short-circuit order reaches it; a LAT with no
 #   matched row makes the whole condition false where it is first read;
-# * nothing the user wrote is interpolated: names are schema- or
-#   LAT-validated identifiers, literals other than plain finite numbers
-#   are bound as constants of the function's namespace.
+# * nothing the user wrote is interpolated (see ``FunctionSource``): names
+#   are schema- or LAT-validated identifiers.
 
 #: a local first probed on a path that may not have run holds this until then
 _UNSET = object()
@@ -448,13 +447,60 @@ def _flag(var: str) -> _Sink:
     return _Sink(f"{var} = True", f"{var} = False", f"{var} = {{}}", var)
 
 
-class _Emitter:
-    """Writes the body of ``_condition`` for one bound tree."""
+class FunctionSource:
+    """The body lines of one generated function and the constants of its
+    namespace; the LAT insert compiler (``core/lat.py``) writes through
+    this too.  Nothing the user wrote is interpolated into the text: a
+    value is spelled out only when it is NULL, a bool or a plain finite
+    number, anything else is bound as a constant and the text names it."""
 
     def __init__(self):
         self.lines: list[str] = []
         self.depth = 1
         self.constants: dict[str, Any] = {}
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def constant(self, value: Any, name: str | None = None) -> str:
+        name = name or f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def literal(self, value: Any) -> str:
+        if value is None or isinstance(value, bool):
+            return repr(value)
+        if type(value) is int or \
+                (type(value) is float and math.isfinite(value)):
+            return f"({value!r})" if value < 0 else repr(value)
+        return self.constant(value)
+
+    def compile(self, name: str, parameters: str, filename: str,
+                namespace: dict) -> tuple[str, Callable]:
+        """Source text and function object of ``def name(parameters)`` over
+        the lines written, run in ``namespace`` plus the constants."""
+        source = "\n".join([f"def {name}({parameters}):"]
+                           + self.lines) + "\n"
+        namespace.update(self.constants)
+        exec(_code(source, filename), namespace)
+        return source, namespace[name]
+
+
+@lru_cache(maxsize=1024)
+def _code(source: str, filename: str):
+    """The code object of one generated source text.  Sharded monitors bind
+    every rule and build every LAT once per shard (scratch copies, the
+    shard fold and recovery build more) and ``compile()`` is most of that;
+    the text is the key because trees that differ only in ``1`` / ``1.0`` /
+    ``TRUE`` compare equal yet generate different code."""
+    return compile(source, filename, "exec")
+
+
+class _Emitter(FunctionSource):
+    """Writes the body of ``_condition`` for one bound tree."""
+
+    def __init__(self):
+        super().__init__()
         #: probe -> the local that holds it, in order of first use
         self.slots: dict[tuple, str] = {}
         #: what certainly holds wherever control now stands: the probes
@@ -464,18 +510,23 @@ class _Emitter:
         self.unset: list[str] = []
         self.temps = 0
 
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.depth + line)
-
     def temp(self) -> str:
         self.temps += 1
         return f"t{self.temps}"
 
-    def function(self, tree) -> str:
+    def function(self, tree) -> tuple[str, Callable[[dict, dict], bool]]:
+        """Source text and function object for one bound tree."""
         self.test(tree, _RETURN)
-        header = ["def _condition(context, lat_rows):"]
-        header += [f"    {name} = _UNSET" for name in self.unset]
-        return "\n".join(header + self.lines) + "\n"
+        self.lines[:0] = [f"    {name} = _UNSET" for name in self.unset]
+        try:
+            return self.compile(
+                "_condition", "context, lat_rows", "<condition>",
+                {"__builtins__": {"TypeError": TypeError},
+                 "SchemaError": SchemaError, "_UNSET": _UNSET,
+                 "_column": _column})
+        except SyntaxError:  # the tokenizer's limit of 100 indentation levels
+            raise ConditionSyntaxError(
+                "condition nests AND/OR too deeply to compile") from None
 
     # -- probes: each into one local, at most once per evaluation --------
 
@@ -529,16 +580,6 @@ class _Emitter:
         return self.slot(("column", node.lat_name, node.column), "c", probe)
 
     # -- values ---------------------------------------------------------
-
-    def literal(self, value: Any) -> str:
-        if value is None or isinstance(value, bool):
-            return repr(value)
-        if type(value) is int or \
-                (type(value) is float and math.isfinite(value)):
-            return f"({value!r})" if value < 0 else repr(value)
-        name = f"k{len(self.constants)}"
-        self.constants[name] = value
-        return name
 
     def value(self, node) -> tuple[str, bool]:
         """Statements computing ``node``; returns the expression that then
@@ -660,27 +701,3 @@ def _operands(node: CBinary) -> list:
         else:
             result.append(side)
     return result
-
-
-@lru_cache(maxsize=1024)
-def _code(source: str):
-    """The code object of one generated source text.  Sharded monitors bind
-    every rule once per shard and ``compile()`` is most of a bind; the text
-    is the key because trees that differ only in ``1`` / ``1.0`` / ``TRUE``
-    compare equal yet generate different code."""
-    try:
-        return compile(source, "<condition>", "exec")
-    except SyntaxError:  # the tokenizer's limit of 100 indentation levels
-        raise ConditionSyntaxError(
-            "condition nests AND/OR too deeply to compile") from None
-
-
-def _generate(tree) -> tuple[str, Callable[[dict, dict], bool]]:
-    """Source text and function object for one bound tree."""
-    emitter = _Emitter()
-    source = emitter.function(tree)
-    namespace = {"__builtins__": {"TypeError": TypeError},
-                 "SchemaError": SchemaError, "_UNSET": _UNSET,
-                 "_column": _column, **emitter.constants}
-    exec(_code(source), namespace)
-    return source, namespace["_condition"]

@@ -68,11 +68,10 @@ from repro.core.incidents import (INCIDENT_TABLE, SWEEP_TIMER,
                                   CancelBlockerAction, Incident,
                                   IncidentPolicy, OpenIncidentAction,
                                   QuarantineRuleAction, ResetLATAction)
-from repro.core.lat import LAT, LATDefinition, _Row
+from repro.core.lat import LATDefinition
 from repro.core.resilience import DeadLetter, RuleHealth
 from repro.core.rules import Rule
-from repro.core.state import (dec_plain, dec_state, enc_plain, enc_state,
-                              fold, literalize, load, load_into,
+from repro.core.state import (fold, literalize, load, load_into,
                               parse_literal)
 from repro.errors import DurabilityError, FaultInjected
 
@@ -153,7 +152,9 @@ class Journal:
     appended while the owning monitor is inside event dispatch default to
     ``False`` — the per-event ``counts`` record at the end of
     ``_process_event`` carries an explicit ``commit=True`` and commits the
-    whole group.  Records appended outside dispatch commit alone.
+    whole group.  Records appended outside dispatch commit alone.  The
+    owners are the monitors that share the journal, control shard first:
+    one serial monitor, or a sharded deployment's shard monitors.
     Recovery replays records only up to and including the last committed
     one; an uncommitted tail (crash mid-event) is discarded, exactly like
     a torn tail.
@@ -167,11 +168,9 @@ class Journal:
     ``sqlcm.durability.journal_failed`` metric.
     """
 
-    def __init__(self, sqlcm: SQLCM,
-                 dispatching: Callable[[], bool] | None = None):
-        self._sqlcm = sqlcm
-        self._dispatching = (dispatching if dispatching is not None
-                             else lambda: sqlcm._dispatching)
+    def __init__(self, monitors: Sequence[SQLCM]):
+        self._monitors = monitors
+        self._sqlcm = monitors[0]
         self._file = None
         self.path: str | None = None
         self.seq = 0
@@ -199,7 +198,7 @@ class Journal:
         if self.dead or self._file is None:
             return
         if commit is None:
-            commit = not self._dispatching()
+            commit = not any(m._dispatching for m in self._monitors)
         self.seq += 1
         line = frame(self.seq, kind, commit, self.clock.now, data)
         try:
@@ -229,6 +228,11 @@ class Journal:
 
     def lat_created(self, definition: LATDefinition) -> None:
         self.append("lat_create", {"definition": definition})
+
+    def lat_imaged(self, name: str) -> None:
+        """One LAT whole, folded across the owning monitors: a checkpoint's
+        state image, or what ``restore_lat`` made of the LAT."""
+        self.append("lat_image", fold_lat(self._monitors, name).image())
 
     def rule_added(self, *clones: Rule) -> None:
         self.append("rule_add", {"rule": rule_image(clones)})
@@ -304,8 +308,8 @@ class _Compactor(Journal):
     """The checkpoint walk's sink: a journal that frames every record into
     memory, uncommitted, so the walk shares the journal's record builders."""
 
-    def __init__(self, sqlcm: SQLCM):
-        super().__init__(sqlcm)
+    def __init__(self, monitors: Sequence[SQLCM]):
+        super().__init__(monitors)
         self.lines: list[str] = []
 
     def append(self, kind: str, data: Any, commit: bool = False) -> None:
@@ -313,23 +317,13 @@ class _Compactor(Journal):
                                 self.clock.now, data))
 
 
-def _lat_image(lat: LAT) -> dict:
-    return fold([lat]) | {
-        "lat": lat.definition.name,
-        "rows": [(row.key, [enc_state(s) for s in row.states], row.seq)
-                 for row in lat._rows.values()],
-    }
-
-
 def _query_image(copies: Sequence) -> dict:
     """One stream query across its per-shard ``copies``: anomaly history
     from the control shard's, counters summed, panes merged."""
     query = copies[0]
     image = fold(copies) | {"stream": query.name}
-    image["window"] = fold([q.window for q in copies]) | {
-        "groups": [(key, [(pane, [enc_plain(s) for s in states])
-                          for pane, states in panes])
-                   for key, panes in fold_window(copies).groups.items()]}
+    image["window"] = fold_window(copies).image() \
+        | fold([q.window for q in copies])
     if query.deviation is not None:
         image["deviation"] = fold([q.deviation for q in copies]) | {
             "history": [(key, list(values)) for key, values
@@ -359,7 +353,7 @@ def compact(monitors: Sequence[SQLCM]) -> str:
     record's CRC.
     """
     control = monitors[0]
-    out = _Compactor(control)
+    out = _Compactor(monitors)
     out.append("checkpoint", {"version": CHECKPOINT_VERSION})
     for lat in control.lats():
         out.lat_created(lat.definition)
@@ -379,7 +373,7 @@ def compact(monitors: Sequence[SQLCM]) -> str:
         for query in streams.queries():
             out.stream_registered(query)
     for name in control._lats:
-        out.append("lat_image", _lat_image(fold_lat(monitors, name)))
+        out.lat_imaged(name)
     if streams is not None:
         for name in streams._queries:
             out.append("stream_image",
@@ -442,8 +436,6 @@ class RecoveryReport:
 
     sqlcm: SQLCM
     generation: int
-    checkpoint_path: str
-    journal_path: str
     records_replayed: int = 0
     records_discarded: int = 0
     placeholder_rules: list[str] = field(default_factory=list)
@@ -532,31 +524,15 @@ class _Restorer:
         if streams is not None and data["name"].lower() in streams._queries:
             streams.remove(data["name"])
 
-    # -- state images (checkpoints only) ---------------------------------
+    # -- state images (a checkpoint's; ``lat_image`` also a restore's) ----
 
     def lat_image(self, data: dict) -> None:
-        lat = self.sqlcm.lat(data["lat"])
-        lat._rows.clear()
-        lat._drop_heap()
-        aggs = lat.definition.aggregations
-        for key, states, seq in data["rows"]:
-            key = tuple(key)
-            decoded = [dec_state(enc, func, spec.aging)
-                       for enc, spec, func in zip(states, aggs,
-                                                  lat._functions)]
-            lat._rows[key] = _Row(key, decoded, seq)
-        load_into(lat, data)
+        self.sqlcm.lat(data["lat"]).load_image(data)
 
     def stream_image(self, data: dict) -> None:
         query = load_into(self.sqlcm.stream_engine().query(data["stream"]),
                           data)
-        window = load_into(query.window, data["window"])
-        window.groups = {
-            tuple(key): deque(
-                (pane, [dec_plain(enc, func)
-                        for enc, func in zip(states, window.funcs)])
-                for pane, states in panes)
-            for key, panes in data["window"]["groups"]}
+        query.window.load_image(data["window"])
         if query.deviation is not None and "deviation" in data:
             operator = load_into(query.deviation, data["deviation"])
             operator._history = {
@@ -577,11 +553,6 @@ class _Restorer:
         if self.sqlcm.has_lat(data["lat"]):
             self.sqlcm.lat(data["lat"]).insert(
                 data["values"], data["weight"], now=data["time"])
-
-    def lat_seed(self, data: dict) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).seed_row(
-                data["values"], now=data["time"])
 
     def lat_reset(self, data: dict) -> None:
         if self.sqlcm.has_lat(data["lat"]):
@@ -687,7 +658,6 @@ HANDLERS: dict[str, Callable[[_Restorer, Any], None]] = {
     "stream_image": _Restorer.stream_image,
     "totals": _Restorer.totals,
     "lat_insert": _Restorer.lat_insert,
-    "lat_seed": _Restorer.lat_seed,
     "lat_reset": _Restorer.lat_reset,
     "lat_del": _Restorer.lat_del,
     "stream_obs": _Restorer.stream_obs,
@@ -751,13 +721,7 @@ class DurabilityManager:
         self.monitors: list[SQLCM] = (target.monitors if self.sharded
                                       else [target])
         self.control = self.monitors[0]
-        if self.sharded:
-            monitors = self.monitors
-            self.journal = Journal(
-                self.control,
-                dispatching=lambda: any(m._dispatching for m in monitors))
-        else:
-            self.journal = Journal(target)
+        self.journal = Journal(self.monitors)
         existing = _list_generations(directory)
         self.generation = existing[-1] if existing else 0
         self.last_checkpoint_at: float | None = None
@@ -801,8 +765,6 @@ class DurabilityManager:
             sqlcm.dead_letters.journal_hook = None
         self.journal.close()
         self.attached = False
-
-    close = detach
 
     # -- checkpointing ---------------------------------------------------
 
@@ -881,10 +843,13 @@ class DurabilityManager:
     # -- recovery --------------------------------------------------------
 
     @staticmethod
-    def recover(directory: str, *, server=None, driver=None,
-                setup: Callable[[SQLCM], None] | None = None,
-                sqlcm: SQLCM | None = None) -> RecoveryReport:
-        """Rebuild a serial monitor from the newest valid generation.
+    def recover(directory: str, server=None, *, driver=None,
+                setup: Callable[[SQLCM], None] | None = None
+                ) -> RecoveryReport:
+        """Rebuild a serial monitor from the newest valid generation, over
+        ``server`` — a DatabaseServer or a ProbeDriver, as for
+        :class:`SQLCM`; the ``driver`` keyword is the older spelling of
+        the second — or a fresh in-memory engine.
 
         Tries checkpoint generations newest-first; a generation whose
         checkpoint fails verification (torn write) is skipped in
@@ -901,24 +866,20 @@ class DurabilityManager:
         if not generations:
             raise DurabilityError(f"no checkpoint found in {directory!r}")
         for chosen in reversed(generations):
-            checkpoint_path = _checkpoint_path(directory, chosen)
             try:
-                image = read_checkpoint(checkpoint_path)
+                image = read_checkpoint(_checkpoint_path(directory, chosen))
             except (DurabilityError, OSError):
                 continue
             break
         else:
             raise DurabilityError(
                 f"no valid checkpoint generation in {directory!r}")
-        if sqlcm is None:
-            sqlcm = SQLCM(server, driver=driver)
+        sqlcm = SQLCM(driver if driver is not None else server)
         if setup is not None:
             setup(sqlcm)
-        journal_path = _journal_path(directory, chosen)
-        records, discarded = read_journal(journal_path)
+        records, discarded = read_journal(_journal_path(directory, chosen))
         report = RecoveryReport(
-            sqlcm=sqlcm, generation=chosen, checkpoint_path=checkpoint_path,
-            journal_path=journal_path, records_replayed=len(records),
+            sqlcm=sqlcm, generation=chosen, records_replayed=len(records),
             records_discarded=discarded)
         restorer = _Restorer(sqlcm, report)
         restorer.apply(image + records)
@@ -938,9 +899,8 @@ class DigestTap:
     digest must equal the digest at the last commit marker the disk saw.
     """
 
-    def __init__(self, manager: DurabilityManager,
-                 digest_fn: Callable[[], int] | None = None):
-        self._fn = digest_fn or manager.target.state_digest
+    def __init__(self, manager: DurabilityManager):
+        self._fn = manager.target.state_digest
         self._clock = manager.clock
         self.points: list[tuple[float, int]] = []
         self._capture()  # the post-attach checkpoint state is point zero
@@ -954,7 +914,7 @@ class DigestTap:
         return self.points[-1]
 
 
-def verify_recovery(directory: str, tap: DigestTap, *, server=None,
+def verify_recovery(directory: str, tap: DigestTap, *,
                     setup: Callable[[SQLCM], None] | None = None
                     ) -> RecoveryReport:
     """Recover from ``directory`` and assert digest equality with ``tap``.
@@ -964,7 +924,7 @@ def verify_recovery(directory: str, tap: DigestTap, *, server=None,
     time first (aging aggregates and integrity signatures read the
     clock).
     """
-    report = DurabilityManager.recover(directory, server=server, setup=setup)
+    report = DurabilityManager.recover(directory, setup=setup)
     target_time, expected = tap.last
     report.sqlcm.server.clock.advance_to(target_time)
     actual = report.sqlcm.state_digest()

@@ -44,6 +44,7 @@ from repro.core.signatures import (SignatureRegistry, linearize_logical,
                                    linearize_physical, digest,
                                    sequence_signature)
 from repro.core.timers import TimerService
+from repro.drivers.base import resolve
 from repro.engine.catalog import ColumnDef, TableSchema
 from repro.engine.planner.logical import walk_logical
 from repro.engine.planner.physical import walk_physical
@@ -171,13 +172,10 @@ class SQLCM:
                  governor: GovernorPolicy | None = None,
                  subscribe: bool = True,
                  driver=None):
-        if driver is None:
-            # default backend: the in-memory engine the monitor grew up
-            # embedded in (wrapping it is side-effect free)
-            from repro.drivers.inmemory import InMemoryDriver
-            driver = InMemoryDriver(server)
-        self.driver = driver
-        self.server = driver.host
+        # ``server`` is a DatabaseServer or a ProbeDriver; the ``driver``
+        # keyword is the older spelling of the second
+        self.driver = resolve(driver if driver is not None else server)
+        self.server = self.driver.host
         # False for shard-local instances: events arrive via explicit
         # delivery from the ShardedSQLCM router, not the server's bus
         self.bus_subscribed = subscribe
@@ -231,8 +229,7 @@ class SQLCM:
     # LAT management
     # ------------------------------------------------------------------
 
-    def create_lat(self, definition: LATDefinition,
-                   structure: type[LAT] = LAT) -> LAT:
+    def create_lat(self, definition: LATDefinition) -> LAT:
         """Create a LAT; validates grouping/aggregation attributes."""
         key = definition.name.lower()
         if key in self._lats:
@@ -241,7 +238,7 @@ class SQLCM:
         if cls.name.lower() != "evicted":
             for attr in definition.source_attributes():
                 cls.attribute(attr)  # raises SchemaError if unknown
-        lat = structure(definition, self.server.clock)
+        lat = LAT(definition, self.server.clock)
         self._lats[key] = lat
         self.invalidate_signature_cache()
         if self.journal is not None:
@@ -268,6 +265,9 @@ class SQLCM:
                         f"{query.spec.name!r}"
                     )
         del self._lats[key]
+        # a later LAT reusing the name must not be born suspended
+        if self.governor is not None:
+            self.governor.forget_lat(name)
         self.invalidate_signature_cache()
         if self.journal is not None:
             self.journal.append("lat_drop", {"name": name})
@@ -431,10 +431,7 @@ class SQLCM:
         old instance can no longer observe (or charge) the host.
         Idempotent."""
         if self.bus_subscribed:
-            bus = self.server.events
-            for event in self.SUBSCRIBED_EVENTS:
-                bus.unsubscribe(event, self._on_engine_event)
-            bus.unsubscribe("query.compile", self._on_compile)
+            self.driver.unwire(self)
             self.bus_subscribed = False
         if self._streams is not None:
             self._streams.detach()
@@ -578,20 +575,12 @@ class SQLCM:
             return 0
         return self._instance_counts.get(logical_signature, 0)
 
-    def signature_id(self, signature: bytes | None) -> int:
-        return self._sig_registry.id_of(signature)
-
     def transaction_signature(self, statements: Iterable,
                               physical: bool) -> bytes:
         """Logical/physical transaction signature: digest over the sequence
         of per-statement signature ids (Section 4.2, kinds 3 and 4)."""
-        ids = [
-            self._sig_registry.id_of(
-                q.physical_signature if physical else q.logical_signature
-            )
-            for q in statements
-        ]
-        return sequence_signature(ids)
+        return sequence_signature(
+            self.transaction_signature_ids(statements, physical))
 
     def transaction_signature_ids(self, statements: Iterable,
                                   physical: bool = False) -> tuple[int, ...]:
@@ -620,11 +609,17 @@ class SQLCM:
 
     def dispatch_event(self, event: str, payload: dict) -> None:
         """Queue-and-drain dispatch preserving the paper's ordering contract:
-        all rules for an event run before any event they raise."""
+        all rules for an event run before any event they raise.
+
+        Inside a dispatch the event queues behind the current event's
+        remaining rules (deferred side effects, Section 5).  Outside any
+        dispatch — restore paths, direct LAT inserts, stream ``flush()`` —
+        it drains immediately: parking it in the queue would hand it to the
+        *next unrelated* event's dispatch (wrong attribution) or lose it to
+        that dispatch's ``clear()`` backstop."""
         self._event_queue.append((event, payload))
-        if self._dispatching:
-            return
-        self._drain_queue()
+        if not self._dispatching:
+            self._drain_queue()
 
     def _drain_queue(self) -> None:
         self._dispatching = True
@@ -639,19 +634,6 @@ class SQLCM:
             # later unrelated event does not drain another event's queue
             self._event_queue.clear()
 
-    def _defer_event(self, event: str, payload: dict) -> None:
-        """Deliver a monitor-raised event under the dispatch contract.
-
-        Inside a dispatch the event queues behind the current event's
-        remaining rules (deferred side effects, Section 5).  Outside any
-        dispatch — restore paths, direct LAT inserts, stream ``flush()`` —
-        it drains immediately: parking it in the queue would hand it to the
-        *next unrelated* event's dispatch (wrong attribution) or lose it to
-        that dispatch's ``clear()`` backstop."""
-        self._event_queue.append((event, payload))
-        if not self._dispatching:
-            self._drain_queue()
-
     def enqueue_evict_event(self, lat_name: str, row: dict) -> None:
         """Called by InsertAction when a LAT row is evicted."""
         if self._rules_by_event.get("lat.evict"):
@@ -659,7 +641,7 @@ class SQLCM:
                 self.check_fault("lat.evict")
             except FaultInjected:
                 return  # this eviction notification is lost (counted)
-            self._defer_event("lat.evict", {"lat": lat_name, "row": row})
+            self.dispatch_event("lat.evict", {"lat": lat_name, "row": row})
 
     def _process_event(self, event: str, payload: dict) -> None:
         if self.governor is not None:
@@ -1001,7 +983,7 @@ class SQLCM:
         if self._rules_by_event.get("sqlcm.rule_error") and \
                 rule.event_def is not None and \
                 rule.event_def.engine_event != "sqlcm.rule_error":
-            self._defer_event("sqlcm.rule_error", {
+            self.dispatch_event("sqlcm.rule_error", {
                 "rule": rule.name,
                 "site": site,
                 "error": f"{type(error).__name__}: {error}",
@@ -1136,8 +1118,7 @@ class SQLCM:
             defs.append(ColumnDef(CHECKSUM_COLUMN, SQLType.INTEGER))
         self.server.create_table(TableSchema(table_name, defs))
 
-    def restore_lat(self, lat_name: str, table_name: str,
-                    validate: bool = True) -> int:
+    def restore_lat(self, lat_name: str, table_name: str) -> int:
         """Upload a persisted table back into a LAT at startup (Section 4.3).
 
         Aggregate states are re-seeded from the persisted values: COUNT and
@@ -1154,19 +1135,20 @@ class SQLCM:
         exactly as it was (no half-filled state), as does any row-decode
         failure mid-seed.  Tables without the checksum column (written by
         older code or by hand) restore unvalidated but still atomically.
+        The journal gets the restored LAT as one ``lat_image`` record, so
+        a crash leaves the pre- or the post-restore LAT on disk too.
         """
         lat = self.lat(lat_name)
         with self.server.obs.attrib("lat", lat_name), \
                 self.server.obs.span(f"restore:{lat_name}", "persist",
                                      table=table_name):
-            return self._restore_lat_rows(lat, table_name, validate)
+            return self._restore_lat_rows(lat, table_name)
 
-    def _restore_lat_rows(self, lat: LAT, table_name: str,
-                          validate: bool) -> int:
+    def _restore_lat_rows(self, lat: LAT, table_name: str) -> int:
         table = self.server.table(table_name)
         columns = [c.name.lower() for c in table.schema.columns]
         rows = [row for __, row in table.scan()]
-        if validate and CHECKSUM_COLUMN in columns:
+        if CHECKSUM_COLUMN in columns:
             crc_index = columns.index(CHECKSUM_COLUMN)
             for row in rows:
                 self.server.add_monitor_cost(
@@ -1179,24 +1161,14 @@ class SQLCM:
         # seed into a scratch copy; swap in only if every row decodes —
         # an error mid-seed must not leave the live LAT half-restored
         scratch = lat.scratch_copy()
-        restored = 0
-        seeded: list[dict] = []
         for row in rows:
             values = dict(zip(columns, row))
             values.pop(CHECKSUM_COLUMN, None)
             scratch.seed_row(values)
-            seeded.append(values)
-            restored += 1
         lat.adopt(scratch)
-        if lat.journal is not None:
-            now = self.server.clock.now
-            for values in seeded:
-                lat.journal.append("lat_seed", {
-                    "lat": lat.definition.name,
-                    "values": values,
-                    "time": now,
-                })
-        return restored
+        if self.journal is not None:
+            self.journal.lat_imaged(lat.definition.name)
+        return len(rows)
 
 
 # ----------------------------------------------------------------------

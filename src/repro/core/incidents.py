@@ -466,10 +466,6 @@ class IncidentManager:
         service tier to push incident events to subscribed clients."""
         self._listeners.append(listener)
 
-    def remove_listener(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def _dispatch_incident(self, incident: Incident, phase: str) -> None:
         """Surface one lifecycle transition: notify registered listeners,
         then dispatch the ``sqlcm.incident`` meta-event (only when some

@@ -9,8 +9,8 @@ engine so rules can react to them.
 The default structure is the paper's (Section 6.1): a hash map on the
 grouping columns for O(1) row lookup and a binary heap on the ordering
 columns for eviction.  ``insert`` is generated once per definition (see
-"compiled insert" below).  ``NaiveListLAT`` is a deliberately slower
-structure kept for the A1 ablation benchmark.
+"compiled insert" below).  The row layout is this module's alone:
+checkpoints and restores carry a LAT as :meth:`LAT.image`.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.core import state as schema  # ``state`` names aggregate states here
 from repro.core.aggregates import (AggregateFunction, AgingSpec, AgingState,
                                    aggregate_function)
+from repro.core.condition import FunctionSource
 from repro.core.governor import validate_criticality
 from repro.core.objects import MonitoredObject
 from repro.errors import LATError
@@ -190,35 +190,25 @@ _AGING_BLOCK_BYTES = 32
 # updates are unrolled, each source attribute is read into a local once, at
 # the point the interpreted loop first read it, and a branch the definition
 # cannot reach (aging, a weighted form, a size limit, an importance to
-# reset) is not emitted.  Nothing the user wrote is interpolated but plain
-# identifiers; any other text, the aggregates' initial states and their
+# reset) is not emitted.  Of what the user wrote only plain identifiers are
+# spelled out; any other text, the aggregates' initial states and their
 # bound ``update`` methods are constants of the function's namespace.
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-class _InsertEmitter:
+class _InsertEmitter(FunctionSource):
     """Writes the body of ``insert`` for one LAT."""
 
     def __init__(self, lat: "LAT"):
+        super().__init__()
         self.lat = lat
-        self.lines: list[str] = []
-        self.depth = 1
-        self.constants: dict[str, Any] = {}
         #: declared attribute -> the local that holds its value
         self.slots: dict[str, str] = {}
 
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.depth + line)
-
-    def constant(self, name: str, value: Any) -> str:
-        self.constants[name] = value
-        return name
-
     def text(self, value: str) -> str:
-        if _IDENTIFIER.fullmatch(value):
-            return repr(value)
-        return self.constant(f"k{len(self.constants)}", value)
+        return repr(value) if _IDENTIFIER.fullmatch(value) \
+            else self.literal(value)
 
     def read(self, attr: str) -> str:
         name = self.slots.get(attr)
@@ -234,12 +224,12 @@ class _InsertEmitter:
         func = self.lat._functions[index]
         name = func.name.lower()
         if spec.aging is not None:
-            return (f"AgingState({self.constant(name, func)}, "
-                    f"{self.constant(f'aging{index}', spec.aging)})")
+            return (f"AgingState({self.constant(func, name)}, "
+                    f"{self.constant(spec.aging, f'aging{index}')})")
         state = func.new_state()
         if state is None or type(state) is int:
             return repr(state)
-        return self.constant(f"{name}_new", state)
+        return self.constant(state, f"{name}_new")
 
     def updates(self, weighted: bool) -> None:
         """Each aggregate in turn: read its attribute, fold the value in."""
@@ -251,15 +241,16 @@ class _InsertEmitter:
                 extra = ", weight" if weighted else ""
                 self.emit(f"states[{i}].update({value}, now{extra})")
             elif weighted and _has_weighted_form(func):
-                update = self.constant(f"{name}_update_weighted",
-                                       func.update_weighted)
+                update = self.constant(func.update_weighted,
+                                       f"{name}_update_weighted")
                 self.emit(f"states[{i}] = {update}(states[{i}], {value}, "
                           "weight)")
             else:
-                update = self.constant(f"{name}_update", func.update)
+                update = self.constant(func.update, f"{name}_update")
                 self.emit(f"states[{i}] = {update}(states[{i}], {value})")
 
-    def function(self) -> str:
+    def function(self) -> Callable:
+        """The ``insert`` function of the LAT; its text is ``__source__``."""
         lat, emit = self.lat, self.emit
         definition = lat.definition
         n_groups = len(definition.grouping)
@@ -283,13 +274,13 @@ class _InsertEmitter:
         emit("    states = row.states")
         limits = []  # when to look for rows to evict
         if definition.max_rows is not None:
-            self.constant("max_rows", definition.max_rows)
+            self.constant(definition.max_rows, "max_rows")
             limits.append("n > max_rows")
         if definition.max_bytes is not None and lat._aging_indexes:
             limits.append("True")  # aging blocks count: leave it to the walk
         elif definition.max_bytes is not None:
-            self.constant("row_bytes", lat._row_bytes)
-            self.constant("max_bytes", definition.max_bytes)
+            self.constant(lat._row_bytes, "row_bytes")
+            self.constant(definition.max_bytes, "max_bytes")
             limits.append("n * row_bytes > max_bytes")
         if limits and lat._ordering_cacheable:
             # noted before the updates: one that raises must not leave a
@@ -327,35 +318,19 @@ class _InsertEmitter:
              f"{{'lat': {self.text(definition.name)}, "
              f"'values': {{{values}}}, 'weight': weight, 'time': now}})")
         emit("return evicted")
-        return "\n".join(["def insert(self, source, weight, now):"]
-                         + self.lines) + "\n"
+        source, insert = self.compile(
+            "insert", "self, source, weight, now", "<lat insert>",
+            {"__builtins__": {"isinstance": isinstance, "len": len},
+             "MonitoredObject": MonitoredObject, "AgingState": AgingState,
+             "_Row": _Row, "_item": _item})
+        insert.__source__ = source
+        return insert
 
 
 def _has_weighted_form(func: AggregateFunction) -> bool:
     """COUNT/SUM/AVG scale by the weight; the rest apply the value once."""
     return (type(func).update_weighted
             is not AggregateFunction.update_weighted)
-
-
-@lru_cache(maxsize=256)
-def _code(source: str):
-    """The code object of one generated source text: scratch copies, shard
-    clones, the shard fold and recovery all build LATs of definitions
-    already compiled."""
-    return compile(source, "<lat insert>", "exec")
-
-
-def _generate_insert(lat: "LAT") -> Callable:
-    """The ``insert`` function of one LAT; its text is ``__source__``."""
-    emitter = _InsertEmitter(lat)
-    source = emitter.function()
-    namespace = {"__builtins__": {"isinstance": isinstance, "len": len},
-                 "MonitoredObject": MonitoredObject, "AgingState": AgingState,
-                 "_Row": _Row, "_item": _item, **emitter.constants}
-    exec(_code(source), namespace)
-    insert = namespace["insert"]
-    insert.__source__ = source
-    return insert
 
 
 class LAT:
@@ -400,7 +375,7 @@ class LAT:
         self._aging_indexes = tuple(
             i for i, spec in enumerate(definition.aggregations)
             if spec.aging is not None)
-        self._insert = _generate_insert(self)
+        self._insert = _InsertEmitter(self).function()
         # eviction heap of ``(importance, row)`` and the rows touched since
         # it was last brought up to date; see _least_important
         self._heap: list | None = None
@@ -594,8 +569,7 @@ class LAT:
                                             "key": tuple(key)})
         return removed
 
-    def seed_row(self, persisted: dict[str, Any],
-                 now: float | None = None) -> None:
+    def seed_row(self, persisted: dict[str, Any]) -> None:
         """Reconstruct one row from persisted column values (LAT restore).
 
         COUNT/SUM/MIN/MAX/FIRST/LAST restore exactly; AVG restores exactly
@@ -615,8 +589,7 @@ class LAT:
                     count_hint = int(value)
                 break
         states: list = []
-        if now is None:
-            now = self._clock.now
+        now = self._clock.now
         for spec, func in zip(self.definition.aggregations, self._functions):
             value = lowered.get(spec.column.lower())
             state = self._seed_state(spec.func, func, value, count_hint)
@@ -635,12 +608,6 @@ class LAT:
         self._drop_heap()
         self.seed_count += 1
         self._enforce_limits(now)
-        if self.journal is not None:
-            self.journal.append("lat_seed", {
-                "lat": self.definition.name,
-                "values": dict(persisted),
-                "time": now,
-            })
 
     @staticmethod
     def _seed_state(func_name: str, func: AggregateFunction, value: Any,
@@ -687,6 +654,28 @@ class LAT:
         for name, value in schema.fold([scratch]).items():
             setattr(self, name, value)
         self.latch_acquisitions += 1
+
+    def image(self) -> dict:
+        """This LAT as one literal-codec payload — counters, then every
+        row's key, encoded aggregate states and sequence number: the
+        ``lat_image`` record of a checkpoint or a restore."""
+        return schema.fold([self]) | {
+            "lat": self.definition.name,
+            "rows": [(row.key, [schema.enc_state(s) for s in row.states],
+                      row.seq) for row in self._rows.values()]}
+
+    def load_image(self, image: dict) -> None:
+        """Replace counters and rows with those of an :meth:`image`."""
+        aggs = self.definition.aggregations
+        self._rows = {}
+        self._drop_heap()
+        for key, states, seq in image["rows"]:
+            key = tuple(key)
+            self._rows[key] = _Row(key, [
+                schema.dec_state(enc, func, spec.aging)
+                for enc, spec, func in zip(states, aggs, self._functions)
+            ], seq)
+        schema.load_into(self, image)
 
     def merge_from(self, other: "LAT") -> list[dict]:
         """Merge another partition of the same LAT definition into this one.
@@ -808,31 +797,3 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and self.value == other.value
-
-
-class NaiveListLAT(LAT):
-    """Ablation-only LAT: linear group lookup + full re-sort per insert.
-
-    Models a LAT without the paper's hash-plus-heap design; used by the A1
-    benchmark to show why the structure matters.
-    """
-
-    def insert(self, source, weight: int = 1,
-               now: float | None = None) -> list[dict]:
-        key = self.key_of(source)
-        for candidate in list(self._rows):  # linear membership probe
-            if candidate == key:
-                break
-        evicted = super().insert(source, weight, now)
-        # full re-sort after every insert (the naive ordered structure)
-        now = self._clock.now
-        sorted(self._rows.values(),
-               key=lambda row: self._importance_key(row, now))
-        return evicted
-
-    def lookup(self, key: tuple) -> dict | None:
-        key = tuple(key)
-        for candidate, row in self._rows.items():  # linear scan
-            if candidate == key:
-                return self._row_values(row, self._clock.now)
-        return None

@@ -113,6 +113,14 @@ class ProbeDriver(abc.ABC):
             self.host.events.subscribe(event, sqlcm._on_engine_event)
         self.host.events.subscribe("query.compile", sqlcm._on_compile)
 
+    def unwire(self, sqlcm) -> None:
+        """The inverse of :meth:`wire`: ``sqlcm`` hears no further event."""
+        for event in sqlcm.SUBSCRIBED_EVENTS:
+            self.host.events.unsubscribe(event, sqlcm._on_engine_event)
+        self.host.events.unsubscribe("query.compile", sqlcm._on_compile)
+        if self.sqlcm is sqlcm:
+            self.sqlcm = None
+
     # -- probe surfaces ----------------------------------------------------
 
     @abc.abstractmethod
@@ -210,6 +218,18 @@ class ProbeDriver(abc.ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def resolve(backend=None) -> ProbeDriver:
+    """The driver of ``backend``: a :class:`ProbeDriver` as it is, a
+    :class:`~repro.engine.server.DatabaseServer` (or None, for a fresh one)
+    behind an :class:`~repro.drivers.inmemory.InMemoryDriver` — wrapping is
+    side-effect free.  Every constructor that takes "a server or a driver"
+    calls this and reads ``driver.host`` for the server."""
+    if isinstance(backend, ProbeDriver):
+        return backend
+    from repro.drivers.inmemory import InMemoryDriver
+    return InMemoryDriver(backend)
 
 
 def from_url(url: str, **kwargs) -> ProbeDriver:

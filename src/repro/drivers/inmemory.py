@@ -5,7 +5,7 @@ This driver wraps the existing :class:`~repro.engine.server.DatabaseServer`
 the structures SQLCM always consumed.  Construction is side-effect free:
 nothing subscribes until :meth:`ProbeDriver.wire` runs, and the probe
 reads replicate the monitor's historical access paths exactly so that a
-``SQLCM(driver=InMemoryDriver(server))`` produces the same state digest
+``SQLCM(InMemoryDriver(server))`` produces the same state digest
 as the pre-driver ``SQLCM(server)``.
 """
 

@@ -11,24 +11,20 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.drivers.base import resolve
+
 
 def top_k_ground_truth(source, k: int,
                        exclude_apps: Iterable[str] = ("query_logging",
                                                       "monitor")
                        ) -> list[tuple[int, str, float]]:
-    """True top-k completed queries by duration.
-
-    ``source`` is a ProbeDriver (``completed_queries()`` method + ``now()``)
-    or a DatabaseServer (``completed_queries`` list + ``clock.now``).
-    """
-    completed = source.completed_queries
-    if callable(completed):
-        completed = completed()
-        now = source.now()
-    else:
-        now = source.clock.now
+    """True top-k completed queries by duration (``source``: a ProbeDriver
+    or a DatabaseServer)."""
+    driver = resolve(source)
+    now = driver.now()
     excluded = set(exclude_apps)
-    survivors = [q for q in completed if q.application not in excluded]
+    survivors = [q for q in driver.completed_queries()
+                 if q.application not in excluded]
     ranked = sorted(
         survivors,
         key=lambda q: q.duration_at(now),

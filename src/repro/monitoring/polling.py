@@ -28,15 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.drivers.base import resolve
 from repro.sim.scheduler import Delay
-
-
-def _resolve(source):
-    """Accept a ProbeDriver or a DatabaseServer; return (driver, host)."""
-    if hasattr(source, "capabilities") and hasattr(source, "host"):
-        return source, source.host
-    from repro.drivers.inmemory import InMemoryDriver
-    return InMemoryDriver(source), source
 
 
 @dataclass
@@ -55,7 +48,8 @@ class PullMonitor:
     def __init__(self, server, interval: float, name: str = "pull"):
         if interval <= 0:
             raise ValueError("polling interval must be positive")
-        self.driver, self.server = _resolve(server)
+        self.driver = resolve(server)
+        self.server = self.driver.host
         self.interval = interval
         self.name = name
         self.observed: dict[int, ObservedQuery] = {}
@@ -141,7 +135,8 @@ class PullHistoryMonitor:
     def __init__(self, server, interval: float, name: str = "pull_history"):
         if interval <= 0:
             raise ValueError("polling interval must be positive")
-        self.driver, self.server = _resolve(server)
+        self.driver = resolve(server)
+        self.server = self.driver.host
         self.interval = interval
         self.name = name
         self._history: list[tuple[int, str, float]] = []

@@ -328,9 +328,7 @@ def full_report(server, sqlcm) -> str:
         monitoring_configuration(sqlcm),
         rule_health(sqlcm),
     ]
-    driver = getattr(sqlcm, "driver", None)
-    if driver is not None:
-        sections.append(driver_status(driver))
+    sections.append(driver_status(sqlcm.driver))
     if sqlcm.has_streams:
         sections.append(stream_activity(sqlcm))
     if sqlcm.has_incidents:

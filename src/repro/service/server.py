@@ -30,6 +30,7 @@ queue growth, so the paper's < 4% envelope holds under live client load.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -41,6 +42,7 @@ from repro.core.governor import NORMAL, validate_criticality
 from repro.core.incidents import OpenIncidentAction
 from repro.core.lat import LATDefinition
 from repro.core.rules import Rule
+from repro.drivers.base import from_url, resolve
 from repro.engine.server import DatabaseServer, ServerConfig
 from repro.errors import (ActionError, EngineError, IncidentError, LATError,
                           ProtocolError, ReproError, RuleError, SchemaError,
@@ -132,23 +134,18 @@ class ClientConnection:
 class MonitorService:
     """The long-running monitoring server (one engine, many clients)."""
 
-    def __init__(self, db: DatabaseServer | None = None,
-                 sqlcm: SQLCM | None = None,
+    def __init__(self, db=None, sqlcm: SQLCM | None = None,
                  config: ServiceConfig | None = None,
-                 driver=None, durable_dir: str | None = None):
+                 durable_dir: str | None = None):
         self.config = config or ServiceConfig()
-        if driver is not None:
-            db = driver.host
-        elif db is None:
-            db = DatabaseServer(ServerConfig(track_completed_queries=True))
-        self.db = db
-        if sqlcm is not None:
-            self.sqlcm = sqlcm
-        elif driver is not None:
-            self.sqlcm = SQLCM(driver=driver)
-        else:
-            self.sqlcm = SQLCM(db)
-        self.driver = driver if driver is not None else self.sqlcm.driver
+        # ``db`` (a DatabaseServer or a ProbeDriver) is what a monitor is
+        # built over when none is handed in; a monitor brings its own
+        if sqlcm is None:
+            sqlcm = SQLCM(db if db is not None else DatabaseServer(
+                ServerConfig(track_completed_queries=True)))
+        self.sqlcm = sqlcm
+        self.driver = sqlcm.driver
+        self.db = self.driver.host
         # an external backend (sqlite) has no scheduler to pump and runs
         # statements synchronously instead of as engine processes
         self._external = not self.driver.capabilities().virtual_clock
@@ -296,8 +293,7 @@ class MonitorService:
         # durability (which starts a fresh generation), and resume.
         from repro.core.durability import DurabilityManager
         report = DurabilityManager.recover(
-            self.durable_dir, driver=self.driver,
-            setup=self.recovery_setup)
+            self.durable_dir, self.driver, setup=self.recovery_setup)
         self.last_recovery = report
         self.sqlcm = report.sqlcm
         self.durability = DurabilityManager(
@@ -903,37 +899,27 @@ def serve_main(argv: list[str] | None = None) -> int:
              "'restart' requests")
     args = parser.parse_args(argv)
 
-    if args.driver:
-        from repro.drivers import from_url
-        driver = from_url(args.driver)
-    else:
-        from repro.drivers.inmemory import InMemoryDriver
-        driver = InMemoryDriver(DatabaseServer(
-            ServerConfig(track_completed_queries=True)))
+    driver = resolve(from_url(args.driver) if args.driver else DatabaseServer(
+        ServerConfig(track_completed_queries=True)))
     driver.host.enable_observability()
-    if args.durable:
-        # a previous incarnation's checkpoint + journal (if any) becomes
-        # the starting state; an empty directory starts fresh
-        import os
-
+    # a previous incarnation's checkpoint + journal (if any) becomes the
+    # starting state; no directory or an empty one starts fresh
+    if args.durable and os.path.isdir(args.durable) \
+            and os.listdir(args.durable):
         from repro.core.durability import DurabilityManager
-        if os.path.isdir(args.durable) and os.listdir(args.durable):
-            report = DurabilityManager.recover(args.durable, driver=driver)
-            sqlcm = report.sqlcm
-            print(f"recovered monitor state from {args.durable} "
-                  f"(generation {report.generation}, "
-                  f"{report.records_replayed} journal records)")
-        else:
-            sqlcm = SQLCM(driver=driver)
+        report = DurabilityManager.recover(args.durable, driver)
+        sqlcm = report.sqlcm
+        print(f"recovered monitor state from {args.durable} "
+              f"(generation {report.generation}, "
+              f"{report.records_replayed} journal records)")
     else:
-        sqlcm = SQLCM(driver=driver)
+        sqlcm = SQLCM(driver)
     if driver.capabilities().in_engine_cost:
         # the governor's feedback loop needs monitoring cost to land in
         # the workload's own timeline; external backends can't offer that
         sqlcm.enable_governor()
     sqlcm.incident_manager()
-    service = MonitorService(sqlcm=sqlcm, driver=driver,
-                             durable_dir=args.durable,
+    service = MonitorService(sqlcm=sqlcm, durable_dir=args.durable,
                              config=ServiceConfig(
                                  host=args.host, port=args.port))
 

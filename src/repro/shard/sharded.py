@@ -39,7 +39,7 @@ partition key.  See DESIGN.md section 12.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.core.engine import (SQLCM, fold_lat, fold_rule, fold_window,
                                state_digest)
@@ -47,9 +47,11 @@ from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
 from repro.core.rules import Rule
 from repro.core.schema import SCHEMA, SQLCMSchema
+from repro.drivers.base import resolve
 from repro.engine.events import EventBus
 from repro.errors import RuleError, StreamError
 from repro.obs.attribution import CostAttribution
+from repro.obs.observability import _AttribContext, _NullObservability
 from repro.shard.partition import EventTrace, Partitioner
 from repro.stream.windows import WindowState
 
@@ -76,48 +78,21 @@ class ShardClock:
     def pin(self, t: float) -> None:
         self._override = t
 
-    def unpin(self) -> None:
-        self._override = None
 
-
-class ShardObs:
+class ShardObs(_NullObservability):
     """Replay-mode observability facade: shard-local attribution only.
 
-    ``enabled`` stays False so the dispatch hot path skips span/metric
-    branches, but attribution frames still open — every charge the shard
+    Spans and metrics stay the null object's no-ops (``enabled`` reads
+    False), but attribution frames still open — every charge the shard
     makes is tallied against the innermost frame of the *shard's own*
-    :class:`CostAttribution`, which therefore satisfies the conservation
-    invariant locally (and after merging, globally).
+    :class:`CostAttribution`.  That is what a replay can say about where
+    the monitoring cost of each partition went: each shard's tally
+    satisfies the conservation invariant on its own, and
+    :meth:`ShardedSQLCM.merged_attribution` folds them into the per-rule,
+    per-LAT, per-stream breakdown of the whole trace.
     """
 
-    enabled = False
-    tracing_enabled = False
-
     __slots__ = ("attribution",)
-
-    class _Frame:
-        __slots__ = ("_attribution",)
-
-        def __init__(self, attribution, kind, name):
-            self._attribution = attribution
-            attribution.push(kind, name)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self._attribution.pop()
-
-    class _Null:
-        __slots__ = ()
-
-        def __enter__(self):
-            return None
-
-        def __exit__(self, *exc):
-            return None
-
-    _NULL = _Null()
 
     def __init__(self):
         self.attribution = CostAttribution()
@@ -125,20 +100,8 @@ class ShardObs:
     def account(self, seconds: float) -> None:
         self.attribution.account(seconds)
 
-    def attrib(self, kind: str, name: str) -> "_Frame":
-        return self._Frame(self.attribution, kind, name)
-
-    def span(self, name: str, category: str = "sqlcm", **args: Any):
-        return self._NULL
-
-    def count(self, name: str, n: int = 1) -> None:
-        return None
-
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
+    def attrib(self, kind: str, name: str) -> _AttribContext:
+        return _AttribContext(self.attribution, kind, name)
 
 
 class ShardServer:
@@ -166,8 +129,9 @@ class ShardServer:
     @property
     def obs(self):
         # live shards share the real facade (global attribution, spans,
-        # metrics all behave exactly as in a serial deployment); replay
-        # shards tally attribution locally so threads never share state
+        # metrics all behave exactly as in a serial deployment); a replay
+        # has no live facade to charge, so each shard tallies its own
+        # partition's attribution
         return self._real.obs if self.live else self._shard_obs
 
     @property
@@ -247,21 +211,19 @@ class ShardedSQLCM:
     merge shard state on demand — nothing is merged on the hot path.
     """
 
+    SUBSCRIBED_EVENTS = SQLCM.SUBSCRIBED_EVENTS
+
     def __init__(self, server, n_shards: int = 4,
                  schema: SQLCMSchema | None = None,
-                 partitioner: Partitioner | None = None,
                  query_key: str = "query",
                  subscribe: bool = True,
                  governor: GovernorPolicy | None = None):
-        if partitioner is not None and partitioner.n_shards != n_shards:
-            raise ValueError(
-                f"partitioner covers {partitioner.n_shards} shards, "
-                f"facade was asked for {n_shards}")
-        self.server = server
+        self.driver = resolve(server)
+        self.server = server = self.driver.host
         self.schema = schema or SCHEMA
         self.n_shards = n_shards
-        self.partitioner = partitioner or Partitioner(n_shards, query_key)
-        self.live = subscribe
+        self.partitioner = Partitioner(n_shards, query_key)
+        self.live = self.bus_subscribed = subscribe
         self.shards = [
             ShardState(i, server, self.schema, live=subscribe)
             for i in range(n_shards)
@@ -270,21 +232,28 @@ class ShardedSQLCM:
         self.governor: OverloadGovernor | None = None
         self.events_routed = 0
         if subscribe:
-            for event in SQLCM.SUBSCRIBED_EVENTS:
-                server.events.subscribe(event, self._on_engine_event)
-            server.events.subscribe("query.compile", self._on_compile)
+            self.driver.wire(self)
         if governor is not None:
             self.enable_governor(governor)
+
+    def detach(self) -> None:
+        """Unhook the facade and every shard monitor from the server, as
+        :meth:`SQLCM.detach` does a serial monitor: events published from
+        here on route to no shard.  Idempotent."""
+        if self.bus_subscribed:
+            self.driver.unwire(self)
+            self.bus_subscribed = False
+        self.disable_governor()
+        for shard in self.shards:
+            shard.sqlcm.detach()
 
     # ------------------------------------------------------------------
     # control plane: fan registrations out to every shard
     # ------------------------------------------------------------------
 
-    def create_lat(self, definition: LATDefinition,
-                   structure: type[LAT] = LAT) -> list[LAT]:
+    def create_lat(self, definition: LATDefinition) -> list[LAT]:
         """Create one LAT partition per shard; returns the partitions."""
-        return [shard.sqlcm.create_lat(definition, structure)
-                for shard in self.shards]
+        return [shard.sqlcm.create_lat(definition) for shard in self.shards]
 
     def drop_lat(self, name: str) -> None:
         for shard in self.shards:
@@ -376,16 +345,13 @@ class ShardedSQLCM:
     # data plane: route each event to its shard
     # ------------------------------------------------------------------
 
-    def _on_engine_event(self, event: str, payload: dict) -> None:
-        self._route(event, payload)
-
     def _on_compile(self, event: str, payload: dict) -> None:
         # signature fill happens exactly once, on the control shard,
         # before routing: the plan-cache entry is shared server state
         self.shards[0].sqlcm._fill_signatures(payload)
-        self._route(event, payload)
+        self._on_engine_event(event, payload)
 
-    def _route(self, event: str, payload: dict) -> None:
+    def _on_engine_event(self, event: str, payload: dict) -> None:
         self.events_routed += 1
         shard = self.shards[self.partitioner.shard_of(event, payload)]
         shard.deliver(event, payload)
@@ -428,15 +394,6 @@ class ShardedSQLCM:
             "shard_events": [len(p) for p in partitions],
             "end_time": end_time,
         }
-
-    def flush_streams(self, now: float | None = None) -> None:
-        """Emit every due window boundary on every shard (report prep)."""
-        for shard in self.shards:
-            streams = shard.sqlcm._streams
-            if streams is not None:
-                if now is not None and not self.live:
-                    shard.proxy.clock.pin(now)
-                streams.flush(now)
 
     # ------------------------------------------------------------------
     # merge boundary: report-time reads over merged shard state

@@ -183,6 +183,9 @@ class StreamEngine:
         if query is None:
             raise StreamError(f"unknown stream query {name!r}")
         self._by_event[query.spec.engine_event].remove(query)
+        # the health record goes with the query: a later query reusing the
+        # name must not inherit error counts or quarantine state
+        self.health.drop(query.spec.name)
         if self._sqlcm.governor is not None:
             self._sqlcm.governor.forget_stream(query.spec.name)
         self._sqlcm.invalidate_signature_cache()

@@ -173,13 +173,27 @@ class WindowState:
         self.combine_ops += ops
         return ops
 
+    def image(self) -> dict:
+        """The counters and every group's panes with their aggregate
+        states encoded: the window part of a ``stream_image`` record."""
+        return state.fold([self]) | {
+            "groups": [(key, [(pane, [state.enc_plain(s) for s in states])
+                              for pane, states in panes])
+                       for key, panes in self.groups.items()]}
+
+    def load_image(self, image: dict) -> None:
+        """Replace counters and panes with those of an :meth:`image`."""
+        state.load_into(self, image)
+        self.groups = {
+            tuple(key): deque(
+                (pane, [state.dec_plain(enc, func)
+                        for enc, func in zip(states, self.funcs)])
+                for pane, states in panes)
+            for key, panes in image["groups"]}
+
     @property
     def group_count(self) -> int:
         return len(self.groups)
-
-    @property
-    def pane_count(self) -> int:
-        return sum(len(b) for b in self.groups.values())
 
     def earliest_pane(self) -> int | None:
         """Smallest live pane index across groups (None when empty)."""

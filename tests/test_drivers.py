@@ -10,6 +10,7 @@ import pytest
 
 from repro import SQLCM, DatabaseServer, LATDefinition, Rule, ServerConfig
 from repro.core import InsertAction
+from repro.core.durability import DurabilityManager, compact
 from repro.drivers import (SNAPSHOT_CATALOG, DriverCapabilities,
                            InMemoryDriver, ProbeDriver, SQLiteDriver,
                            from_url)
@@ -48,7 +49,7 @@ class Rig:
     def __init__(self, kind, driver):
         self.kind = kind
         self.driver = driver
-        self.sqlcm = SQLCM(driver=driver)
+        self.sqlcm = SQLCM(driver)
         self.sqlcm.enable_signatures(True)
         self.recorder = Recorder(driver.host.events)
 
@@ -365,15 +366,37 @@ class TestFromUrl:
             from_url("oracle:tns")
 
 
+def _recovered(directory, **backend):
+    """A monitor rebuilt from the checkpoint of one that had seen nothing."""
+    manager = DurabilityManager(SQLCM(DatabaseServer()), str(directory))
+    manager.attach().detach()
+    return DurabilityManager.recover(str(directory), **backend).sqlcm
+
+
+#: every way to say which backend a monitor watches (the keyword forms are
+#: what ``benchmarks/wall`` spells; nothing else in the repository does)
+SPELLINGS = {
+    "SQLCM(server)": lambda server, tmp: SQLCM(server),
+    "SQLCM(driver)": lambda server, tmp: SQLCM(InMemoryDriver(server)),
+    "SQLCM(driver=driver)":
+        lambda server, tmp: SQLCM(driver=InMemoryDriver(server)),
+    "recover(dir, server=)":
+        lambda server, tmp: _recovered(tmp / "s", server=server),
+    "recover(dir, driver=)":
+        lambda server, tmp: _recovered(tmp / "d",
+                                       driver=InMemoryDriver(server)),
+}
+
+
 class TestInMemoryEquivalence:
     """The driver seam must not change the embedded monitor's behavior."""
 
-    def run_monitored(self, wrap):
+    def run_monitored(self, spelling, tmp_path):
         server = DatabaseServer(ServerConfig(track_completed_queries=True))
         server.execute_ddl(
             "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, v FLOAT)")
-        sqlcm = (SQLCM(driver=InMemoryDriver(server)) if wrap
-                 else SQLCM(server))
+        sqlcm = SPELLINGS[spelling](server, tmp_path)
+        assert sqlcm.server is server and sqlcm.driver.host is server
         sqlcm.create_lat(LATDefinition(
             name="Duration_LAT",
             monitored_class="Query",
@@ -392,11 +415,15 @@ class TestInMemoryEquivalence:
         for i in range(12):
             session.execute(f"SELECT v FROM t WHERE id = {i % 50 + 1}")
         session.execute("SELECT AVG(v) FROM t")
-        return server.clock.now, sqlcm.state_digest()
+        return server.clock.now, sqlcm.state_digest(), compact([sqlcm])
 
-    def test_digest_identical_with_and_without_driver_seam(self):
-        assert self.run_monitored(wrap=False) == \
-            self.run_monitored(wrap=True)
+    def test_digest_identical_with_and_without_driver_seam(self, tmp_path):
+        """... and however the backend was spelled: same clock, same
+        digest, the same checkpoint text record for record."""
+        runs = {spelling: self.run_monitored(spelling, tmp_path)
+                for spelling in SPELLINGS}
+        for spelling, run in runs.items():
+            assert run == runs["SQLCM(server)"], spelling
 
 
 class TestPollingOverSqlite:

@@ -99,6 +99,45 @@ def tear_tail(manager):
         handle.write("c0ffee00 (999, 'counts', Tru")
 
 
+class DiesAtAppend(FaultInjector):
+    """The journal dies at its ``n``-th append from now: ``n - 1`` records
+    of whatever comes next reach the disk, nothing after them does."""
+
+    def __init__(self, n):
+        super().__init__(seed=7)
+        self.appends_left = n
+
+    def check(self, site):
+        if site == "durability.append":
+            self.appends_left -= 1
+            if self.appends_left == 0:
+                raise FaultInjected(site, "exception")
+        return super().check(site)
+
+
+def crashed_restore(monitor, state_digest, manager, tmp_path, n):
+    """``restore_lat`` on ``monitor`` with the journal dying at its
+    ``n``-th append: the recovered LAT is the one before the restore or
+    the one after it, never part of one."""
+    lat = monitor.lat("Q_LAT")
+    assert monitor.persist_lat("Q_LAT", "snap") >= 4
+    # every row moves past its persisted values, each by its own amount
+    # (the digest XORs row CRCs: like changes to an even number of rows
+    # cancel)
+    for i, row in enumerate(lat.rows()):
+        lat.insert({"ID": 0, "User": "", "Duration": 9.0 + 2 ** i}
+                   | {g.attr: row[g.column] for g in lat.definition.grouping})
+    before = state_digest()
+    manager.control.set_fault_injector(DiesAtAppend(n))
+    monitor.restore_lat("Q_LAT", "snap")
+    after = state_digest()
+    assert after != before
+    manager.journal.close()  # the crash
+    recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+    recovered.server.clock.advance_to(manager.clock.now)
+    assert recovered.state_digest() == (before if n == 1 else after)
+
+
 def crash(manager, sqlcm, server, site, mode):
     """Kill the monitor at ``site``; nothing after this reaches the disk."""
     sqlcm.faults.fail_next(site, mode=mode)
@@ -283,6 +322,17 @@ class TestCrashMatrix:
             assert report.records_discarded >= 1
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_serial_restore_reaches_the_disk_whole_or_not_at_all(
+            self, tmp_path, n):
+        server, sqlcm = build_monitor()
+        manager, __ = attach(sqlcm, tmp_path)
+        for user in range(4):
+            sqlcm.lat("Q_LAT").insert(
+                {"User": f"r{user}", "ID": user, "Duration": 1.0})
+        crashed_restore(sqlcm, sqlcm.state_digest, manager, tmp_path, n)
+
+
 class TestShardedCrashMatrix:
     def _facade(self, n_shards=3):
         server = DatabaseServer(ServerConfig(track_completed_queries=True))
@@ -335,6 +385,16 @@ class TestShardedCrashMatrix:
         report = verify_recovery(str(tmp_path), tap)
         if state != "empty":
             assert report.records_replayed > 0
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sharded_restore_reaches_the_disk_whole_or_not_at_all(
+            self, tmp_path, n):
+        server, facade = self._facade()
+        manager, __ = attach(facade, tmp_path)
+        self._drive(server, 15)
+        fullest = max(facade.monitors, key=lambda m: len(m.lat("Q_LAT")))
+        crashed_restore(fullest, facade.state_digest, manager, tmp_path, n)
 
 
 # ---------------------------------------------------------------------------

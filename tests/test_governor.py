@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro import (GovernorPolicy, InsertAction, LATDefinition, Rule,
                    SQLCM)
 from repro.core.actions import CallbackAction
+from repro.core.durability import DurabilityManager
 from repro.core.governor import (BEST_EFFORT, CRITICAL, EXEMPT_EVENTS,
                                  GOV_ESSENTIAL, GOV_NORMAL, GOV_SAMPLED,
                                  GOV_SHEDDING, LADDER, GovernorError,
@@ -336,6 +337,26 @@ class TestShedSelection:
         gov.suspended = {("rule", "casual")}
         sqlcm.remove_rule("casual")
         assert ("rule", "casual") not in gov.suspended
+
+    def test_dropped_lat_leaves_the_suspension_set(self, server, tmp_path):
+        """A LAT created under a dropped LAT's name is not born suspended —
+        on the live monitor and on one rebuilt from the journal."""
+        sqlcm = SQLCM(server)
+        gov = sqlcm.enable_governor(_policy())
+        definition = LATDefinition(
+            name="Shed", grouping=["Query.User AS U"],
+            aggregations=["COUNT(Query.ID) AS N"])
+        sqlcm.create_lat(definition)
+        manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
+        gov.suspended = {("lat", "shed")}
+        sqlcm.journal.governor_changed(gov)  # as a transition does
+        sqlcm.drop_lat("Shed")
+        sqlcm.create_lat(definition)
+        manager.detach()
+        recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+        for monitor in (sqlcm, recovered):
+            assert monitor.has_lat("Shed")
+            assert not monitor.governor.suspended
 
 
 class TestMetaEvent:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.aggregates import AgingSpec
 from repro.core.lat import (AggSpec, GroupSpec, LAT, LATDefinition,
-                            NaiveListLAT, OrderSpec)
+                            OrderSpec)
 from repro.errors import LATError
 from repro.sim import SimClock
 
@@ -239,19 +239,6 @@ class TestSeedRestore:
         assert lat.lookup(("a",))["Avg_D"] == pytest.approx(3.0)
 
 
-class TestNaiveListLAT:
-    def test_same_results_as_default(self, clock):
-        default = make_lat(clock)
-        naive = NaiveListLAT(default.definition, clock)
-        for i in range(20):
-            record = {"application": f"app{i % 3}", "id": i,
-                      "duration": float(i)}
-            default.insert(record)
-            naive.insert(record)
-        assert default.rows() == naive.rows()
-        assert naive.lookup(("app1",)) == default.lookup(("app1",))
-
-
 class TestCompiledInsert:
     """``insert`` is one function generated from the definition."""
 
@@ -322,10 +309,14 @@ class TestCompiledInsert:
             seen.append(type(self).__name__)
             return original(self, *args, **kwargs)
 
+        class SubLAT(LAT):
+            def insert(self, source, weight=1, now=None):
+                return super().insert(source, weight, now)
+
         monkeypatch.setattr(LAT, "insert", wrapper)
         record = {"application": "a", "id": 1, "duration": 1.0}
         make_lat(clock).insert(record)
-        NaiveListLAT(make_lat(clock).definition, clock).insert(record)
+        SubLAT(make_lat(clock).definition, clock).insert(record)
 
         from repro import DatabaseServer, InsertAction, Rule, SQLCM
         server = DatabaseServer()
@@ -339,5 +330,5 @@ class TestCompiledInsert:
         session = server.create_session(user="u")
         for i in range(3):
             session.execute(f"INSERT INTO t VALUES ({i})")
-        assert seen == ["LAT", "NaiveListLAT"] + ["LAT"] * 3
+        assert seen == ["LAT", "SubLAT"] + ["LAT"] * 3
         assert sqlcm.lat("Seen").insert_count == 3

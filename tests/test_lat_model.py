@@ -10,7 +10,6 @@ every step, the same evicted rows, the same error if one was raised, and
 the same rows, counters, journal records, image and signature.
 """
 
-import types
 from typing import Any
 
 import pytest
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from repro.core import durability
 from repro.core import state as schema
 from repro.core.aggregates import AgingSpec, AgingState, aggregate_names
 from repro.core.lat import (_AGING_BLOCK_BYTES, _ROW_OVERHEAD_BYTES,
@@ -223,7 +221,7 @@ def sources(draw):
     """One insert's source: a monitored object or a dict, keyed as the LAT
     declares, lower-cased, or with an attribute missing."""
     record = {attr: draw(values if attr in GROUP_ATTRS else mostly_numbers)
-              for attr in set(GROUP_ATTRS + VALUE_ATTRS)}
+              for attr in sorted(set(GROUP_ATTRS + VALUE_ATTRS))}
     kind = draw(st.sampled_from(["object", "declared", "lower", "missing"]))
     if kind in ("missing", "object") and draw(st.booleans()):
         del record[draw(st.sampled_from(sorted(record)))]
@@ -251,13 +249,6 @@ def outcome(call):
         return call()
     except Exception as err:
         return type(err)
-
-
-def restore(lat, image):
-    """Apply a ``lat_image`` record the way recovery does."""
-    restorer = types.SimpleNamespace(
-        sqlcm=types.SimpleNamespace(lat=lambda name: lat))
-    durability.HANDLERS["lat_image"](restorer, image)
 
 
 class LATMachine(RuleBasedStateMachine):
@@ -321,7 +312,7 @@ class LATMachine(RuleBasedStateMachine):
     @rule()
     def dump_image(self):
         images = [schema.parse_literal(repr(schema.literalize(
-            durability._lat_image(lat)))) for lat in self.pair]
+            lat.image()))) for lat in self.pair]
         assert images[0] == images[1]
         self.image = images[0]
 
@@ -329,7 +320,7 @@ class LATMachine(RuleBasedStateMachine):
     @rule()
     def restore_image(self):
         for lat in self.pair:
-            restore(lat, self.image)
+            lat.load_image(self.image)
 
     @invariant()
     def same_state(self):

@@ -154,18 +154,23 @@ class TestPersistLAT:
             session = server.create_session(application=app)
             session.execute("SELECT id FROM items WHERE id = 1")
             server.close_session(session)
-        sqlcm.persist_lat("App_LAT", "snap")
+        # a hand-made table (no checksum column, so nothing validates it)
+        # whose second row cannot decode: the first row seeds cleanly, the
+        # second must abort the whole swap
+        server.execute_ddl(
+            "CREATE TABLE snap (App VARCHAR(30), N VARCHAR(10), Avg_D FLOAT)")
         table = server.table("snap")
-        rows = list(table.scan())
-        assert len(rows) == 2
-        # poison the second row in place (a torn write the checksum cannot
-        # see, restored with validate=False): the first row seeds cleanly,
-        # the second must abort the whole swap
-        table._rows[rows[1][0]][1] = "bogus"
+        table.insert(["gamma", "3", 1.0])
+        table.insert(["delta", "bogus", 1.0])
         before = sqlcm.lat("App_LAT").rows()
-        with pytest.raises((TypeError, ValueError)):
-            sqlcm.restore_lat("App_LAT", "snap", validate=False)
+        assert len(before) == 2
+        with pytest.raises(ValueError):
+            sqlcm.restore_lat("App_LAT", "snap")
         assert sqlcm.lat("App_LAT").rows() == before
+        table.delete(next(rowid for rowid, row in table.scan()
+                          if row[0] == "delta"))
+        assert sqlcm.restore_lat("App_LAT", "snap") == 1
+        assert len(sqlcm.lat("App_LAT")) == 3
 
     def test_persist_via_rule_action(self, monitored):
         server, sqlcm = monitored

@@ -306,11 +306,6 @@ class TestFacadeControlPlane:
             assert "track" not in shard.sqlcm.rules
             assert not shard.sqlcm._rules_by_event
 
-    def test_shard_count_must_match_partitioner(self):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedSQLCM(build_server(), n_shards=4,
-                         partitioner=Partitioner(2), subscribe=False)
-
     def test_live_governor_is_one_shared_ladder(self):
         server = build_server()
         facade = ShardedSQLCM(server, n_shards=4)
@@ -322,6 +317,31 @@ class TestFacadeControlPlane:
         facade.disable_governor()
         assert server.governor is None
         assert all(shard.sqlcm.governor is None for shard in facade.shards)
+
+    def test_detach_takes_the_monitor_off_the_bus(self):
+        """``wire`` has an inverse: after ``detach()`` no shard hears a
+        published event, and a serial monitor's driver forgets it."""
+        server = build_server()
+        facade = ShardedSQLCM(server, n_shards=3)
+        facade.create_lat(qid_lat())
+        facade.add_rule(track_rule())
+        assert facade.driver.sqlcm is facade
+        commit(server, 1.0, 0.5)
+        assert facade.events_routed == 1
+        facade.detach()
+        facade.detach()  # idempotent
+        assert facade.driver.sqlcm is None
+        commit(server, 2.0, 0.5)
+        drive(server, statements=3)
+        assert facade.events_routed == 1
+        assert [s.events_routed for s in facade.shards].count(0) == 2
+        assert facade.rule_stats("track") == (1, 1)
+
+        monitor = SQLCM(server)
+        driver = monitor.driver
+        assert driver.sqlcm is monitor
+        monitor.detach()
+        assert driver.sqlcm is None
 
     def test_run_trace_requires_replay_mode(self):
         facade = ShardedSQLCM(build_server(), n_shards=2)

@@ -279,6 +279,22 @@ class TestRecordKinds:
             DurabilityManager.recover(str(tmp_path))
 
 
+    def test_a_journal_from_before_restore_was_one_record_is_refused(
+            self, tmp_path):
+        """``lat_seed`` (one self-committing record per restored row) is
+        no longer a kind: such a journal is refused by name, not replayed
+        as something else."""
+        server, sqlcm = populated_monitor()
+        manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
+        manager.detach()
+        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 25
+        with open(manager.journal.path, "a", encoding="utf-8") as handle:
+            handle.write(frame(1, "lat_seed", True, 0.0, {
+                "lat": "Aged", "values": {"U": "x", "N": 1}, "time": 0.0}))
+        with pytest.raises(DurabilityError, match="'lat_seed'"):
+            DurabilityManager.recover(str(tmp_path))
+
+
 class TestOneShardFoldIsTheSerialMonitor:
     def test_fold_reads_live_objects_in_place(self):
         server, sqlcm = populated_monitor()

@@ -17,6 +17,7 @@ import pytest
 from repro import (FaultInjector, LATDefinition, QuarantinePolicy, Rule,
                    SendMailAction, SQLCM)
 from repro.core.actions import CallbackAction
+from repro.core.durability import DurabilityManager
 from repro.core.resilience import RuleHealthRegistry
 from repro.engine.query import QueryContext
 from repro.errors import StreamError, StreamSyntaxError
@@ -509,6 +510,33 @@ class TestFaults:
         assert query.errors == 2
         streams.release_quarantine("s")
         commit(server, 2.5, 0.01)
+        assert query.events_ingested == 1
+
+    def test_removed_query_takes_its_health_record_along(
+            self, server, sqlcm, tmp_path):
+        """A query registered under a removed query's name starts clean —
+        on the live monitor and on one rebuilt from the journal."""
+        text = ("STREAM s1 FROM Query.Commit WINDOW TUMBLING(5) "
+                "AGG COUNT(*) AS N")
+        streams = sqlcm.stream_engine()
+        streams.health = RuleHealthRegistry(QuarantinePolicy(
+            failure_threshold=2, window=60.0, cooldown=1000.0))
+        manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
+        streams.register(text)
+        injector = FaultInjector()
+        injector.fail_next("stream.eval", count=2)
+        sqlcm.set_fault_injector(injector)
+        commit(server, 1.0, 0.01)
+        commit(server, 1.5, 0.01)
+        assert streams.quarantined_queries() == ["s1"]
+        streams.remove("s1")
+        query = streams.register(text)
+        commit(server, 2.0, 0.01)
+        manager.detach()
+        recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+        for engine in (streams, recovered.stream_engine()):
+            assert engine.quarantined_queries() == []
+            assert engine.health.health_of("s1").error_count == 0
         assert query.events_ingested == 1
 
     def test_describe_exposes_health(self, server, sqlcm):

@@ -172,3 +172,33 @@ def test_expired_groups_are_dropped():
     rows, __ = state.emit(21)
     assert {key for key, __ in rows} == {("new",)}
     assert state.group_count == 1
+
+
+class TestImage:
+    """``WindowState.image()`` -> the literal codec -> ``load_image()``:
+    the pane layout is ``windows.py``'s alone, so the round trip is too."""
+
+    FUNCS = ["COUNT", "SUM", "AVG", "STDEV", "MIN", "MAX", "FIRST", "LAST"]
+
+    def _window(self):
+        return WindowState(WindowSpec("sliding", 6.0, 2.0),
+                           [aggregate_function(f) for f in self.FUNCS])
+
+    def test_image_round_trips_through_the_literal_codec(self):
+        from repro.core import state as schema
+        rng = random.Random(11)
+        window = self._window()
+        for step in range(60):
+            key = (f"g{rng.randrange(4)}", rng.randrange(2))
+            value = rng.choice([None, rng.uniform(-9.0, 9.0)])
+            window.observe(key, [value] * len(self.FUNCS), step * 0.4)
+        window.observe(("never", 0), [None] * len(self.FUNCS), 24.0)
+        window.emit(5)
+        image = schema.parse_literal(repr(schema.literalize(window.image())))
+        copy = self._window()
+        copy.load_image(image)
+        assert copy.groups == window.groups
+        assert list(copy.groups) == list(window.groups)
+        assert schema.fold([copy]) == schema.fold([window])
+        assert copy.image() == window.image()
+        assert copy.emit(13) == window.emit(13)
