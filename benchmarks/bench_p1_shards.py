@@ -1,8 +1,8 @@
-"""P1: sharded dispatch scales event throughput; sharding is lossless.
+"""P1: what sharding buys — a lossless state partition and a virtual makespan.
 
 The paper's SQLCM instruments a single server process; its dispatch path
-is serial.  This experiment measures the sharded tier (``repro.shard``)
-on the TPC-H stress workload:
+is serial.  This experiment measures the sharded replay model
+(``repro.shard``) on the TPC-H stress workload:
 
 * a serial live monitor records the engine event trace and the reference
   state digest;
@@ -12,10 +12,11 @@ on the TPC-H stress workload:
   technique (CRC32 over canonical state) — while the **virtual
   makespan** (max per-shard accumulated monitoring cost) shrinks with
   the shard count;
-* event throughput = events / makespan must scale >= 3x at 8 shards
-  vs 1 shard; wall-clock times are reported, not asserted (shards
-  replay one after another: a thread pool measured 1.044 s against
-  1.030 s at 8 shards under the GIL and was removed).
+* virtual throughput = events / makespan must reach >= 3x at 8 shards
+  vs 1 shard.  Shards replay one after another in one process, so the
+  wall-clock ratio is reported beside the virtual one, not asserted:
+  the model divides virtual monitoring cost, not the time a replay
+  takes.
 
 The monitored configuration is partition-aligned: every LAT and rule
 groups by ``Query.ID``, the default partition key, so each monitored
@@ -99,7 +100,7 @@ def _serial_reference():
 def _replay(trace, n_shards: int):
     """Replay on a fresh sharded monitor; returns (digest, result, wall)."""
     server, __ = build_server(track_completed=False)
-    facade = ShardedSQLCM(server, n_shards=n_shards, subscribe=False)
+    facade = ShardedSQLCM(server, n_shards=n_shards)
     _install_monitoring(facade)
     wall_start = time.perf_counter()
     result = facade.run_trace(trace)
@@ -150,9 +151,10 @@ def test_p1_shard_scaling(report, benchmark):
     speedup = eight / single
     assert speedup >= SCALE_TARGET, \
         f"8-shard speedup {speedup:.2f}x below the {SCALE_TARGET}x target"
+    wall_speedup = by_shards[1]["wall_s"] / by_shards[8]["wall_s"]
 
     lines = [
-        "P1: sharded dispatch on the TPC-H stress workload",
+        "P1: sharded replay on the TPC-H stress workload",
         f"trace: {len(state['trace'])} events "
         f"({SHORT_QUERIES} short + {JOIN_QUERIES} join statements), "
         f"{N_RULES + 1} rules, {N_RULES + 1} Query.ID-keyed LATs",
@@ -165,6 +167,8 @@ def test_p1_shard_scaling(report, benchmark):
             f"{row['throughput_events_per_vs']:>14.0f}  "
             f"{row['throughput_events_per_vs'] / single:>6.2f}x  "
             f"{row['wall_s']:>7.3f}")
+    lines.append(f"8 vs 1 shard: virtual speedup {speedup:.2f}x, "
+                 f"wall speedup {wall_speedup:.2f}x")
     report(*lines)
 
     artifact = {
@@ -184,7 +188,8 @@ def test_p1_shard_scaling(report, benchmark):
             {key: value for key, value in row.items()}
             for row in rows
         ],
-        "speedup_8_vs_1": speedup,
+        "virtual_speedup_8_vs_1": speedup,
+        "wall_speedup_8_vs_1": wall_speedup,
         "deterministic": True,
     }
     _ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n",

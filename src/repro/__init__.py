@@ -14,7 +14,7 @@ four layers:
 * :mod:`repro.service` — the network service tier: an asyncio TCP
   JSON-lines server multiplexing many client connections onto one
   monitored engine, with governed admission and pushed alerts.
-* :mod:`repro.shard` — the sharded parallel dispatch tier: events
+* :mod:`repro.shard` — the sharded replay model: a recorded event trace
   partitioned by replay-stable keys across shard-local monitors, merged
   at the report boundary, with a serial-equivalence determinism proof.
 * :mod:`repro.drivers` — probe drivers: the narrow hook surface SQLCM

@@ -81,10 +81,6 @@ class StatsCorrector:
         # condition re-arms only after fresh evidence accumulates
         self.lat.delete_row(self.lat.key_of(context["query"]))
 
-    def drift_report(self) -> list[dict]:
-        """Current per-template estimate-vs-actual averages."""
-        return self.lat.rows()
-
     def remove(self) -> None:
         self.sqlcm.remove_rule(self.track_rule.name)
         self.sqlcm.remove_rule(self.alert_rule.name)

@@ -37,9 +37,9 @@ What "the monitor's state" is, is not decided here: every stateful class
 declares its durable fields once (:mod:`repro.core.state`), record
 payloads are ``fold`` images of those declarations (made literal once,
 when the record is framed), and :func:`compact` is one walk over a
-*sequence* of monitors — a serial monitor alone, or a sharded
-deployment's shard monitors folded field by field with each field's
-declared merge-op.
+*sequence* of monitors — a serial monitor alone, or the shard monitors
+of a sharded replay folded field by field with each field's declared
+merge-op.
 
 Deliberately **not** persisted (see DESIGN.md section 14): the pending
 event queue and in-flight dispatch (the journal only commits completed
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -153,8 +152,9 @@ class Journal:
     ``False`` — the per-event ``counts`` record at the end of
     ``_process_event`` carries an explicit ``commit=True`` and commits the
     whole group.  Records appended outside dispatch commit alone.  The
-    owners are the monitors that share the journal, control shard first:
-    one serial monitor, or a sharded deployment's shard monitors.
+    owners are the monitors whose state the records fold, control first:
+    the one monitor a :class:`DurabilityManager` journals, or the shard
+    monitors of a sharded replay that the checkpoint walk compacts.
     Recovery replays records only up to and including the last committed
     one; an uncommitted tail (crash mid-event) is discarded, exactly like
     a torn tail.
@@ -325,9 +325,8 @@ def _query_image(copies: Sequence) -> dict:
     image["window"] = fold_window(copies).image() \
         | fold([q.window for q in copies])
     if query.deviation is not None:
-        image["deviation"] = fold([q.deviation for q in copies]) | {
-            "history": [(key, list(values)) for key, values
-                        in query.deviation._history.items()]}
+        image["deviation"] = query.deviation.image() \
+            | fold([q.deviation for q in copies])
     if query.topk is not None:
         image["topk"] = fold([q.topk for q in copies])
     return image
@@ -339,7 +338,7 @@ def compact(monitors: Sequence[SQLCM]) -> str:
     merge-op, in registration order.
 
     A serial monitor is the one-element sequence: its live LATs and
-    windows are read in place.  A sharded deployment passes its shard
+    windows are read in place.  A sharded replay passes its shard
     monitors, control shard first: totals and counters sum, LAT
     partitions and window panes merge, and registrations and supervisory
     state (health, incidents, governor ladder, dead letters, timers) are
@@ -534,10 +533,7 @@ class _Restorer:
                           data)
         query.window.load_image(data["window"])
         if query.deviation is not None and "deviation" in data:
-            operator = load_into(query.deviation, data["deviation"])
-            operator._history = {
-                tuple(key): deque(values, maxlen=operator.spec.history)
-                for key, values in data["deviation"]["history"]}
+            query.deviation.load_image(data["deviation"])
         if query.topk is not None and "topk" in data:
             load_into(query.topk, data["topk"])
 
@@ -704,24 +700,14 @@ class DurabilityManager:
     the initial checkpoint; ``checkpoint()`` publishes a new generation
     atomically and rotates the journal; :func:`recover` (also exposed as
     a static method) rebuilds a monitor from the newest valid generation.
-
-    ``target`` may be a serial :class:`SQLCM` or a
-    :class:`~repro.shard.sharded.ShardedSQLCM` — sharded journals merge
-    into the shared segment and recovery always rebuilds a serial
-    monitor (the digest proof in :mod:`repro.shard` guarantees equality).
     """
 
-    def __init__(self, target, directory: str,
+    def __init__(self, sqlcm: SQLCM, directory: str,
                  checkpoint_interval: float | None = None):
-        self.target = target
+        self.sqlcm = sqlcm
         self.directory = directory
         self.checkpoint_interval = checkpoint_interval
-        self.sharded = hasattr(target, "shards")
-        #: the monitors the checkpoint walk folds, control shard first
-        self.monitors: list[SQLCM] = (target.monitors if self.sharded
-                                      else [target])
-        self.control = self.monitors[0]
-        self.journal = Journal(self.monitors)
+        self.journal = Journal([sqlcm])
         existing = _list_generations(directory)
         self.generation = existing[-1] if existing else 0
         self.last_checkpoint_at: float | None = None
@@ -730,7 +716,7 @@ class DurabilityManager:
 
     @property
     def clock(self):
-        return self.control.server.clock
+        return self.sqlcm.server.clock
 
     # -- wiring ----------------------------------------------------------
 
@@ -738,31 +724,29 @@ class DurabilityManager:
         """Install journal hooks on every subsystem, then checkpoint."""
         os.makedirs(self.directory, exist_ok=True)
         journal = self.journal
-        for sqlcm in self.monitors:
-            sqlcm.journal = journal
-            for lat in sqlcm.lats():
-                lat.journal = journal
-        if not self.sharded:
-            sqlcm = self.target
-            sqlcm.health.journal_hook = (
-                lambda health: journal.health_changed("engine", health))
-            if sqlcm._streams is not None:
-                journal.attach_stream_health(sqlcm._streams)
-            sqlcm.dead_letters.journal_hook = journal.dead_lettered
+        sqlcm = self.sqlcm
+        sqlcm.journal = journal
+        for lat in sqlcm.lats():
+            lat.journal = journal
+        sqlcm.health.journal_hook = (
+            lambda health: journal.health_changed("engine", health))
+        if sqlcm._streams is not None:
+            journal.attach_stream_health(sqlcm._streams)
+        sqlcm.dead_letters.journal_hook = journal.dead_lettered
         self.attached = True
         self.checkpoint()
         return self
 
     def detach(self) -> None:
         """Remove every journal hook and close the journal file."""
-        for sqlcm in self.monitors:
-            sqlcm.journal = None
-            for lat in sqlcm.lats():
-                lat.journal = None
-            sqlcm.health.journal_hook = None
-            if sqlcm._streams is not None:
-                sqlcm._streams.health.journal_hook = None
-            sqlcm.dead_letters.journal_hook = None
+        sqlcm = self.sqlcm
+        sqlcm.journal = None
+        for lat in sqlcm.lats():
+            lat.journal = None
+        sqlcm.health.journal_hook = None
+        if sqlcm._streams is not None:
+            sqlcm._streams.health.journal_hook = None
+        sqlcm.dead_letters.journal_hook = None
         self.journal.close()
         self.attached = False
 
@@ -779,13 +763,13 @@ class DurabilityManager:
         via ``os.replace``, and only then start the new journal segment
         and prune generations older than the previous one.
         """
-        if self.control._dispatching:
+        if self.sqlcm._dispatching:
             raise DurabilityError("cannot checkpoint mid-dispatch")
         generation = self.generation + 1
-        content = compact(self.monitors)
+        content = compact([self.sqlcm])
         partial: FaultInjected | None = None
         try:
-            self.control.check_fault("durability.checkpoint")
+            self.sqlcm.check_fault("durability.checkpoint")
         except FaultInjected as err:
             if err.mode != "partial":
                 raise  # crash mid-checkpoint: nothing became visible
@@ -811,7 +795,7 @@ class DurabilityManager:
         """Checkpoint when the configured interval has elapsed."""
         if self.checkpoint_interval is None or not self.attached:
             return None
-        if self.control._dispatching:
+        if self.sqlcm._dispatching:
             return None
         now = self.clock.now if now is None else now
         last = self.last_checkpoint_at
@@ -837,7 +821,6 @@ class DurabilityManager:
             "checkpoint_interval": self.checkpoint_interval,
             "journal_records": self.journal.records_written,
             "journal_dead": self.journal.dead,
-            "sharded": self.sharded,
         }
 
     # -- recovery --------------------------------------------------------
@@ -900,7 +883,7 @@ class DigestTap:
     """
 
     def __init__(self, manager: DurabilityManager):
-        self._fn = manager.target.state_digest
+        self._fn = manager.sqlcm.state_digest
         self._clock = manager.clock
         self.points: list[tuple[float, int]] = []
         self._capture()  # the post-attach checkpoint state is point zero

@@ -176,8 +176,8 @@ class SQLCM:
         # keyword is the older spelling of the second
         self.driver = resolve(driver if driver is not None else server)
         self.server = self.driver.host
-        # False for shard-local instances: events arrive via explicit
-        # delivery from the ShardedSQLCM router, not the server's bus
+        # False for a monitor fed explicitly (a replay shard): events
+        # arrive through its owner's delivery calls, not the server's bus
         self.bus_subscribed = subscribe
         self.schema = schema or SCHEMA
         # overload governor (closed-loop degradation); off unless enabled
@@ -548,9 +548,9 @@ class SQLCM:
     def _fill_signatures(self, payload: dict) -> None:
         """Compute (or copy from the plan cache) the statement signatures.
 
-        Separated from :meth:`_on_compile` so a sharded deployment can run
-        the fill exactly once on the control plane before routing the
-        compile event to a shard."""
+        Separated from :meth:`_on_compile` so a sharded replay can fill
+        the signatures of a recorded trace on its control shard before
+        partitioning it: signature-mode partitioning reads them."""
         entry = payload["entry"]
         qctx = payload["query"]
         if self.signatures_needed and entry.logical_signature is None:

@@ -180,7 +180,7 @@ class OverloadGovernor:
     consult :meth:`lat_allowed`.
     """
 
-    # one ladder serves every shard, so each field folds as the control's
+    # the ladder is supervisory state: a fold keeps the control's fields
     STATE = (
         ("policy", state.first, GovernorPolicy),
         ("transitions", state.first, GovernorTransition),

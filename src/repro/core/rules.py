@@ -63,7 +63,7 @@ class Rule:
     def clone(self) -> "Rule":
         """An unbound copy with fresh statistics.
 
-        Used by the sharded dispatch tier to register the same rule text on
+        Used by the sharded replay tier to register the same rule text on
         every shard: each clone is bound (and its condition compiled)
         independently by that shard's ``add_rule``, and carries its own
         fire/evaluation counters, which merge by summation at report time.

@@ -17,7 +17,7 @@ reads that one declaration through this module:
   walk in :mod:`repro.core.durability`: rows, panes, child holders).
 
 A merge-op folds one field across a sequence of holders — the monitors
-of a sharded deployment.  A serial monitor is the one-element sequence,
+of a sharded replay.  A serial monitor is the one-element sequence,
 for which :func:`fold` returns the live values themselves (no copy).
 Field lists are resolved once per class (:func:`schema`); per-row and
 per-pane aggregate states keep the direct tagged encodings below.

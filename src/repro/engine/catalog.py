@@ -80,9 +80,6 @@ class TableSchema:
                 f"unknown column {name!r} in table {self.name!r}"
             ) from None
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self._by_name
-
     def column(self, name: str) -> ColumnDef:
         return self.columns[self.column_index(name)]
 

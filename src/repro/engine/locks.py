@@ -143,10 +143,6 @@ class LockManager:
     def locks_held(self, txn_id: int) -> set[Resource]:
         return set(self._held_by_txn.get(txn_id, ()))
 
-    def waiting_tickets(self) -> list[Ticket]:
-        """All requests currently blocked, in no particular order."""
-        return list(self._waiting_ticket.values())
-
     def waits_for_edges(self) -> list[tuple[int, int, Resource]]:
         """Edges (waiter_txn, holder_txn, resource) of the waits-for graph."""
         edges: list[tuple[int, int, Resource]] = []

@@ -1,4 +1,4 @@
-"""Replay-stable event partitioning for the sharded dispatch tier.
+"""Replay-stable event partitioning for the sharded replay tier.
 
 Every engine event is mapped to one of ``n_shards`` worker shards by a
 CRC32 hash of a *partition key* derived from the event payload.  The key

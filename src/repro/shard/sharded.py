@@ -1,33 +1,26 @@
-"""The sharded dispatch tier: N shard-local monitors behind one facade.
+"""The sharded replay tier: N shard-local monitors behind one facade.
 
-:class:`ShardedSQLCM` partitions the event stream across ``n_shards``
-worker shards (see :mod:`repro.shard.partition`).  Each shard owns a full
-shard-local :class:`~repro.core.engine.SQLCM` — its own LAT partitions,
-stream panes, rule clones, timers, and fault-isolation state — built
-against a :class:`ShardServer` proxy so the per-event dispatch path is a
-pure function of (shard-local state, event): no shard ever writes another
-shard's state, so the order shards run in is irrelevant to the result.
+:class:`ShardedSQLCM` partitions a recorded event trace across
+``n_shards`` worker shards (see :mod:`repro.shard.partition`).  Each
+shard owns a full shard-local :class:`~repro.core.engine.SQLCM` — its own
+LAT partitions, stream panes, rule clones, timers, and fault-isolation
+state — built against a :class:`ShardServer` proxy so the per-event
+dispatch path is a pure function of (shard-local state, event): no shard
+ever writes another shard's state, so the order shards run in is
+irrelevant to the result.
 Shard state merges at the report boundary exactly the way window
 panes merge — via the aggregate functions' mergeable ``combine`` states
 (``LAT.merge_from`` / ``WindowState.merge_from``).
 
-Two modes:
-
-* **live** (``subscribe=True``): the facade subscribes to the server's
-  bus once and routes each event synchronously to its shard.  Monitoring
-  costs forward to the real server pool (sessions drain them into
-  virtual time as usual) with per-shard totals tallied alongside; one
-  overload-governor ladder observes the pooled cost and its admission
-  decisions apply inside every shard.
-* **replay** (``subscribe=False``): a harness over a recorded
-  :class:`~repro.shard.partition.EventTrace`.  Each shard processes its
-  partition of the trace with a shard-local clock view pinned to each
-  event's recorded time, accumulating costs and attribution entirely
-  shard-locally; partitions run one after another (sharding is a
-  state-partitioning model: a thread pool measured no wall-clock gain,
-  see DESIGN.md section 12).  The virtual makespan (max per-shard cost)
-  is the sharded tier's cost model: events/makespan is the throughput
-  the P1 bench reports.
+The facade is a harness over a recorded
+:class:`~repro.shard.partition.EventTrace`, never a monitor on the live
+bus (that is :class:`~repro.core.engine.SQLCM`).  Each shard processes
+its partition of the trace with a shard-local clock view pinned to each
+event's recorded time, accumulating costs and attribution entirely
+shard-locally; partitions run one after another (sharding is a
+state-partitioning model, see DESIGN.md section 12).  The virtual
+makespan (max per-shard cost) is the tier's cost model: events/makespan
+is the virtual throughput the P1 bench reports.
 
 Determinism proof: :meth:`state_digest` is the serial monitor's digest
 function (:func:`repro.core.engine.state_digest`) applied to the shard
@@ -43,7 +36,6 @@ from typing import Iterable
 
 from repro.core.engine import (SQLCM, fold_lat, fold_rule, fold_window,
                                state_digest)
-from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
 from repro.core.rules import Rule
 from repro.core.schema import SCHEMA, SQLCMSchema
@@ -59,9 +51,10 @@ from repro.stream.windows import WindowState
 class ShardClock:
     """A shard's view of the virtual clock.
 
-    Live mode reads through to the real clock; replay pins ``now`` to the
-    recorded time of the event being processed, so per-shard progress is
-    independent of every other shard's position in its own partition.
+    Registrations read through to the real clock; a replay pins ``now``
+    to the recorded time of the event being processed, so per-shard
+    progress is independent of every other shard's position in its own
+    partition.
     """
 
     __slots__ = ("_base", "_override")
@@ -80,7 +73,7 @@ class ShardClock:
 
 
 class ShardObs(_NullObservability):
-    """Replay-mode observability facade: shard-local attribution only.
+    """A shard's observability facade: shard-local attribution only.
 
     Spans and metrics stay the null object's no-ops (``enabled`` reads
     False), but attribution frames still open — every charge the shard
@@ -109,50 +102,30 @@ class ShardServer:
 
     Reads of engine state (tables, catalog, locks, sessions) forward to
     the real server; everything a shard *writes* during dispatch is
-    shard-local or — in live mode — an explicitly forwarded cost charge.
-    The shard-local event bus keeps monitor-raised events (stream alerts)
-    inside the raising shard, preserving the in-shard cascade ordering
-    that makes per-shard work independent of every other shard's.
+    shard-local.  The shard-local event bus keeps monitor-raised events
+    (stream alerts) inside the raising shard, preserving the in-shard
+    cascade ordering that makes per-shard work independent of every
+    other shard's.
     """
 
-    def __init__(self, server, shard_id: int, live: bool):
+    def __init__(self, server, shard_id: int):
         self._real = server
         self.shard_id = shard_id
-        self.live = live
         self.clock = ShardClock(server.clock)
         self.costs = server.costs
         self.events = EventBus()
-        self.cost_total = 0.0
+        # a replay has no live facade to charge: each shard tallies its
+        # own partition's attribution
+        self.obs = ShardObs()
+        self.monitor_cost_total = 0.0
         self._pending = 0.0
-        self._shard_obs = ShardObs()
-
-    @property
-    def obs(self):
-        # live shards share the real facade (global attribution, spans,
-        # metrics all behave exactly as in a serial deployment); a replay
-        # has no live facade to charge, so each shard tallies its own
-        # partition's attribution
-        return self._real.obs if self.live else self._shard_obs
-
-    @property
-    def shard_attribution(self) -> CostAttribution:
-        return self._shard_obs.attribution
 
     def add_monitor_cost(self, seconds: float) -> None:
-        self.cost_total += seconds
-        if self.live:
-            self._real.add_monitor_cost(seconds)
-        else:
-            self._pending += seconds
-            self._shard_obs.account(seconds)
-
-    @property
-    def monitor_cost_total(self) -> float:
-        return self._real.monitor_cost_total if self.live else self.cost_total
+        self.monitor_cost_total += seconds
+        self._pending += seconds
+        self.obs.account(seconds)
 
     def take_monitor_cost(self) -> float:
-        if self.live:
-            return self._real.take_monitor_cost()
         cost = self._pending
         self._pending = 0.0
         return cost
@@ -164,20 +137,17 @@ class ShardServer:
 class ShardState:
     """One worker shard: proxy + shard-local SQLCM + its trace partition."""
 
-    def __init__(self, shard_id: int, server, schema: SQLCMSchema,
-                 live: bool):
+    def __init__(self, shard_id: int, server, schema: SQLCMSchema):
         self.shard_id = shard_id
-        self.proxy = ShardServer(server, shard_id, live)
+        self.proxy = ShardServer(server, shard_id)
         self.sqlcm = SQLCM(self.proxy, schema=schema, subscribe=False)
         # monitor-raised meta-events stay in-shard: the stream engine
         # publishes alerts on the shard-local bus, and the shard's own
         # rule engine consumes them there
         self.proxy.events.subscribe("sqlcm.stream_alert", self.deliver)
-        self.events_routed = 0
 
     def deliver(self, event: str, payload: dict) -> None:
         """Process one event entirely within this shard."""
-        self.events_routed += 1
         if event == "query.compile":
             self.sqlcm._on_compile(event, payload)
         else:
@@ -199,53 +169,38 @@ class ShardState:
         streams = self.sqlcm._streams
         if streams is not None:
             streams.flush(end_time)
-        return self.proxy.cost_total
+        return self.proxy.monitor_cost_total
 
 
 class ShardedSQLCM:
     """Facade over N shard-local monitors with merge-at-report semantics.
 
     Control-plane operations (``create_lat`` / ``add_rule`` /
-    ``register_stream`` / ``remove_rule``) fan out to every shard; the
-    data plane routes each event to exactly one shard.  Reporting reads
-    merge shard state on demand — nothing is merged on the hot path.
-    """
+    ``register_stream`` / ``remove_rule``) fan out to every shard;
+    :meth:`run_trace` routes each recorded event to exactly one shard.
+    Reporting reads merge shard state on demand — nothing is merged on
+    the hot path.
 
-    SUBSCRIBED_EVENTS = SQLCM.SUBSCRIBED_EVENTS
+    ``subscribe`` is accepted only as ``False``: the facade replays a
+    recorded trace and never subscribes to a server's bus.
+    """
 
     def __init__(self, server, n_shards: int = 4,
                  schema: SQLCMSchema | None = None,
                  query_key: str = "query",
-                 subscribe: bool = True,
-                 governor: GovernorPolicy | None = None):
-        self.driver = resolve(server)
-        self.server = server = self.driver.host
+                 subscribe: bool = False):
+        if subscribe:
+            raise ValueError(
+                "ShardedSQLCM replays a recorded EventTrace and cannot "
+                "subscribe to a server's bus; monitor a live server with "
+                "SQLCM")
+        self.server = server = resolve(server).host
         self.schema = schema or SCHEMA
         self.n_shards = n_shards
         self.partitioner = Partitioner(n_shards, query_key)
-        self.live = self.bus_subscribed = subscribe
-        self.shards = [
-            ShardState(i, server, self.schema, live=subscribe)
-            for i in range(n_shards)
-        ]
+        self.shards = [ShardState(i, server, self.schema)
+                       for i in range(n_shards)]
         self.rules: dict[str, Rule] = {}  # templates, unbound
-        self.governor: OverloadGovernor | None = None
-        self.events_routed = 0
-        if subscribe:
-            self.driver.wire(self)
-        if governor is not None:
-            self.enable_governor(governor)
-
-    def detach(self) -> None:
-        """Unhook the facade and every shard monitor from the server, as
-        :meth:`SQLCM.detach` does a serial monitor: events published from
-        here on route to no shard.  Idempotent."""
-        if self.bus_subscribed:
-            self.driver.unwire(self)
-            self.bus_subscribed = False
-        self.disable_governor()
-        for shard in self.shards:
-            shard.sqlcm.detach()
 
     # ------------------------------------------------------------------
     # control plane: fan registrations out to every shard
@@ -286,76 +241,6 @@ class ShardedSQLCM:
         return [shard.sqlcm.stream_engine().register(text, **kwargs)
                 for shard in self.shards]
 
-    def remove_stream(self, name: str) -> None:
-        for shard in self.shards:
-            if shard.sqlcm._streams is not None:
-                shard.sqlcm._streams.remove(name)
-
-    # governor delegation surface: one ladder reads control-shard
-    # component registries but the *real* server's pooled cost signal
-    @property
-    def _rule_order(self):
-        return self.shards[0].sqlcm._rule_order
-
-    @property
-    def _streams(self):
-        return self.shards[0].sqlcm._streams
-
-    def has_lat(self, name: str) -> bool:
-        return self.shards[0].sqlcm.has_lat(name)
-
-    def lat(self, name: str) -> LAT:
-        return self.shards[0].sqlcm.lat(name)
-
-    def lats(self) -> list[LAT]:
-        return self.shards[0].sqlcm.lats()
-
-    @property
-    def signatures_needed(self) -> bool:
-        return self.shards[0].sqlcm.signatures_needed
-
-    def enable_governor(self, policy: GovernorPolicy | None = None
-                        ) -> OverloadGovernor:
-        """One ladder for all shards, fed by per-shard cost observation.
-
-        Every shard's charges forward into the real server's pool (live
-        mode), the governor observes that pooled signal on each drain,
-        and its admission decisions apply inside every shard's dispatch —
-        per-shard load feeds one closed loop, not N independent ones.
-        """
-        if self.governor is None:
-            self.server.enable_observability()
-            self.governor = OverloadGovernor(self, policy)
-            self.server.attach_governor(self.governor)
-            for shard in self.shards:
-                shard.sqlcm.governor = self.governor
-        return self.governor
-
-    def disable_governor(self) -> None:
-        governor = self.governor
-        if governor is not None:
-            governor.reset()
-            self.server.detach_governor()
-            self.governor = None
-            for shard in self.shards:
-                shard.sqlcm.governor = None
-                shard.sqlcm.sample_weight = 1
-
-    # ------------------------------------------------------------------
-    # data plane: route each event to its shard
-    # ------------------------------------------------------------------
-
-    def _on_compile(self, event: str, payload: dict) -> None:
-        # signature fill happens exactly once, on the control shard,
-        # before routing: the plan-cache entry is shared server state
-        self.shards[0].sqlcm._fill_signatures(payload)
-        self._on_engine_event(event, payload)
-
-    def _on_engine_event(self, event: str, payload: dict) -> None:
-        self.events_routed += 1
-        shard = self.shards[self.partitioner.shard_of(event, payload)]
-        shard.deliver(event, payload)
-
     # ------------------------------------------------------------------
     # replay: partition a recorded trace, run shards independently
     # ------------------------------------------------------------------
@@ -367,26 +252,22 @@ class ShardedSQLCM:
         where ``makespan`` is the max per-shard accumulated virtual
         monitoring cost — the sharded tier's virtual completion time.
         """
-        if self.live:
-            raise RuntimeError(
-                "run_trace needs a replay harness; construct "
-                "ShardedSQLCM with subscribe=False")
         events = list(trace.events if isinstance(trace, EventTrace)
                       else trace)
         end_time = events[-1][2] if events else 0.0
-        # signature prefill (control plane, serial): plan-cache entries
-        # are shared across shards and must not be filled concurrently
-        if self.signatures_needed:
+        # signature prefill on the control shard: signature-mode
+        # partitioning reads the signatures before any shard replays
+        control = self.shards[0].sqlcm
+        if control.signatures_needed:
             for event, payload, __ in events:
                 if event == "query.compile":
-                    self.shards[0].sqlcm._fill_signatures(payload)
+                    control._fill_signatures(payload)
         partitions: list[list] = [[] for __ in self.shards]
         for record in events:
             partitions[self.partitioner.shard_of(record[0],
                                                  record[1])].append(record)
         costs = [shard.replay(partition, end_time)
                  for shard, partition in zip(self.shards, partitions)]
-        self.events_routed += len(events)
         return {
             "events": len(events),
             "makespan": max(costs) if costs else 0.0,
@@ -423,18 +304,15 @@ class ShardedSQLCM:
         return fold_window(queries)
 
     def merged_attribution(self) -> CostAttribution:
-        """Per-shard attributions folded together (replay mode).
+        """Per-shard attributions folded together.
 
         Each shard's attribution satisfies the conservation invariant
         locally; the fold preserves it, so the merged per-component sums
         equal the merged pool total up to float associativity."""
         merged = CostAttribution()
         for shard in self.shards:
-            merged.merge_from(shard.proxy.shard_attribution)
+            merged.merge_from(shard.proxy.obs.attribution)
         return merged
-
-    def shard_costs(self) -> list[float]:
-        return [shard.proxy.cost_total for shard in self.shards]
 
     def rule_stats(self, name: str) -> tuple[int, int]:
         """Merged ``(fire_count, evaluation_count)`` across shards."""
@@ -451,21 +329,3 @@ class ShardedSQLCM:
         Equality with the serial digest on the same trace is the
         sharding determinism proof."""
         return state_digest(self.monitors)
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def describe(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "mode": "live" if self.live else "replay",
-            "query_key": self.partitioner.query_key,
-            "events_routed": self.events_routed,
-            "shard_events": [s.events_routed for s in self.shards],
-            "shard_costs": self.shard_costs(),
-            "rules": sorted(self.rules),
-            "lats": sorted(self.shards[0].sqlcm._lats),
-            "governor": (None if self.governor is None
-                         else self.governor.state),
-        }

@@ -115,6 +115,20 @@ class DeviationOperator:
     def forget(self, key: tuple) -> None:
         self._history.pop(key, None)
 
+    def image(self) -> dict:
+        """The counters and every group's baseline history: the deviation
+        part of a ``stream_image`` record."""
+        return state.fold([self]) | {
+            "history": [(key, list(values))
+                        for key, values in self._history.items()]}
+
+    def load_image(self, image: dict) -> None:
+        """Replace counters and histories with those of an :meth:`image`."""
+        state.load_into(self, image)
+        self._history = {
+            tuple(key): deque(values, maxlen=self.spec.history)
+            for key, values in image["history"]}
+
     @property
     def group_count(self) -> int:
         return len(self._history)

@@ -31,6 +31,7 @@ from collections import deque
 from typing import Any
 
 from repro.core import state
+from repro.core.actions import InsertAction
 from repro.core.aggregates import aggregate_function
 from repro.core.governor import validate_criticality
 from repro.core.resilience import (QuarantinePolicy, RuleHealthRegistry,
@@ -163,8 +164,8 @@ class StreamEngine:
                             criticality=criticality)
         self._queries[key] = query
         self._by_event.setdefault(spec.engine_event, []).append(query)
-        # shard-local monitors never touch the bus: the ShardedSQLCM
-        # router hands them events explicitly via deliver()
+        # a monitor fed explicitly (a replay shard) never touches the
+        # bus: its owner hands it events via deliver()
         if spec.engine_event not in self._subscribed and \
                 getattr(self._sqlcm, "bus_subscribed", True):
             self.server.events.subscribe(spec.engine_event, self._on_event)
@@ -455,18 +456,13 @@ class StreamEngine:
             # incident cascade were journaled separately (lat_insert /
             # incident records), so re-driving them here would double-apply
             return
-        governor = self._sqlcm.governor
         if query.sink_lat is not None \
-                and self._sqlcm.has_lat(query.sink_lat) \
-                and (governor is None
-                     or governor.lat_allowed(query.sink_lat)):
-            lat = self._sqlcm.lat(query.sink_lat)
-            self.server.add_monitor_cost(
-                costs.lat_insert + 3 * costs.lat_latch)
-            self._sqlcm.check_fault("lat.insert")
-            obj = self._sqlcm.factory.stream_alert(alert)
-            for evicted in lat.insert(obj):
-                self._sqlcm.enqueue_evict_event(query.sink_lat, evicted)
+                and self._sqlcm.has_lat(query.sink_lat):
+            # the one LAT-maintenance path: governor gate, charges,
+            # eviction events and the ("lat", name) attribution frame
+            InsertAction(query.sink_lat).execute(
+                self._sqlcm, None,
+                {"streamalert": self._sqlcm.factory.stream_alert(alert)}, {})
         self.server.add_monitor_cost(costs.stream_alert_publish)
         # the meta-event: ECA rules consume it as StreamAlert.Alert, and
         # stream queries over StreamAlert.Alert ingest it (flush deferred

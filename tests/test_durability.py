@@ -17,11 +17,11 @@ import zlib
 
 import pytest
 
-from repro import (DatabaseServer, InsertAction, LATDefinition, Rule,
-                   ServerConfig, ShardedSQLCM, SQLCM)
+from repro import (DatabaseServer, EventTrace, InsertAction, LATDefinition,
+                   Rule, ServerConfig, ShardedSQLCM, SQLCM)
 from repro.core.actions import CallbackAction
-from repro.core.durability import (DigestTap, DurabilityManager, frame,
-                                   read_checkpoint, read_journal,
+from repro.core.durability import (DigestTap, DurabilityManager, compact,
+                                   frame, read_checkpoint, read_journal,
                                    verify_recovery)
 from repro.core.resilience import FaultInjected, FaultInjector
 from repro.errors import DurabilityError
@@ -115,7 +115,7 @@ class DiesAtAppend(FaultInjector):
         return super().check(site)
 
 
-def crashed_restore(monitor, state_digest, manager, tmp_path, n):
+def crashed_restore(monitor, manager, tmp_path, n):
     """``restore_lat`` on ``monitor`` with the journal dying at its
     ``n``-th append: the recovered LAT is the one before the restore or
     the one after it, never part of one."""
@@ -127,10 +127,10 @@ def crashed_restore(monitor, state_digest, manager, tmp_path, n):
     for i, row in enumerate(lat.rows()):
         lat.insert({"ID": 0, "User": "", "Duration": 9.0 + 2 ** i}
                    | {g.attr: row[g.column] for g in lat.definition.grouping})
-    before = state_digest()
-    manager.control.set_fault_injector(DiesAtAppend(n))
+    before = monitor.state_digest()
+    monitor.set_fault_injector(DiesAtAppend(n))
     monitor.restore_lat("Q_LAT", "snap")
-    after = state_digest()
+    after = monitor.state_digest()
     assert after != before
     manager.journal.close()  # the crash
     recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
@@ -330,71 +330,40 @@ class TestCrashMatrix:
         for user in range(4):
             sqlcm.lat("Q_LAT").insert(
                 {"User": f"r{user}", "ID": user, "Duration": 1.0})
-        crashed_restore(sqlcm, sqlcm.state_digest, manager, tmp_path, n)
+        crashed_restore(sqlcm, manager, tmp_path, n)
 
 
-class TestShardedCrashMatrix:
-    def _facade(self, n_shards=3):
-        server = DatabaseServer(ServerConfig(track_completed_queries=True))
-        server.execute_ddl("CREATE TABLE items (id INT PRIMARY KEY, v INT)")
-        facade = ShardedSQLCM(server, n_shards=n_shards)
-        facade.create_lat(LATDefinition(
-            name="Q_LAT", monitored_class="Query",
-            grouping=["Query.ID AS Qid"],
-            aggregations=["AVG(Query.Duration) AS D",
-                          "COUNT(Query.ID) AS N"]))
-        facade.add_rule(Rule(name="track", event="Query.Commit",
-                             actions=[InsertAction("Q_LAT")]))
-        facade.shards[0].sqlcm.set_fault_injector(FaultInjector(seed=7))
-        return server, facade
+# ---------------------------------------------------------------------------
+# a sharded replay checkpoints through the same fold, recovers serial
+# ---------------------------------------------------------------------------
 
-    def _drive(self, server, statements, base=0):
-        session = server.create_session(user="u1")
-        script = []
-        for i in range(base, base + statements):
-            script.append(f"INSERT INTO items VALUES ({i}, {i * 2})")
-            script.append(f"SELECT v FROM items WHERE id = {i}")
-        proc = session.submit_script(script)
-        server.scheduler.run_until_done(proc)
-
-    def test_clean_sharded_recovery(self, tmp_path):
-        server, facade = self._facade()
-        manager, tap = attach(facade, tmp_path)
-        self._drive(server, 25)
-        report = verify_recovery(str(tmp_path), tap)
-        assert report.records_replayed > 0
-        assert report.records_discarded == 0
-
-    @pytest.mark.parametrize("state", JOURNAL_STATES)
-    @pytest.mark.parametrize("site,mode", CRASH_SITES)
-    def test_sharded_recovery_digest(self, tmp_path, site, mode, state):
-        server, facade = self._facade()
-        manager, tap = attach(facade, tmp_path)
-        control = facade.shards[0].sqlcm
-        if state != "empty":
-            self._drive(server, 15)
-        control.faults.fail_next(site, mode=mode)
-        if site == "durability.checkpoint":
-            with pytest.raises(FaultInjected):
-                manager.checkpoint()
-        else:
-            self._drive(server, 5, base=100)
-            assert manager.journal.dead
-        if state == "torn":
-            tear_tail(manager)
-        report = verify_recovery(str(tmp_path), tap)
-        if state != "empty":
-            assert report.records_replayed > 0
-
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sharded_restore_reaches_the_disk_whole_or_not_at_all(
-            self, tmp_path, n):
-        server, facade = self._facade()
-        manager, __ = attach(facade, tmp_path)
-        self._drive(server, 15)
-        fullest = max(facade.monitors, key=lambda m: len(m.lat("Q_LAT")))
-        crashed_restore(fullest, facade.state_digest, manager, tmp_path, n)
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_replayed_facade_checkpoint_recovers_serial(tmp_path, n_shards):
+    """``compact`` folds a replayed facade's shard monitors into one
+    checkpoint; recovery rebuilds the serial monitor with their digest."""
+    server = DatabaseServer(ServerConfig(track_completed_queries=True))
+    server.execute_ddl("CREATE TABLE items (id INT PRIMARY KEY, v INT)")
+    trace = EventTrace().attach(server)
+    session = server.create_session(user="u1")
+    proc = session.submit_script(
+        [f"INSERT INTO items VALUES ({i}, {i * 2})" for i in range(15)]
+        + [f"SELECT v FROM items WHERE id = {i}" for i in range(15)])
+    server.scheduler.run_until_done(proc)
+    trace.detach()
+    facade = ShardedSQLCM(DatabaseServer(), n_shards=n_shards)
+    facade.create_lat(LATDefinition(
+        name="Q_LAT", monitored_class="Query",
+        grouping=["Query.ID AS Qid"],
+        aggregations=["AVG(Query.Duration) AS D", "COUNT(Query.ID) AS N"]))
+    facade.add_rule(Rule(name="track", event="Query.Commit",
+                         actions=[InsertAction("Q_LAT")]))
+    facade.run_trace(trace)
+    (tmp_path / "checkpoint-0001.ckpt").write_text(
+        compact(facade.monitors), encoding="utf-8")
+    recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+    assert len(recovered.lat("Q_LAT")) == 30
+    assert recovered.rules["track"].fire_count == 30
+    assert recovered.state_digest() == facade.state_digest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Tests for the sharded parallel dispatch tier (repro.shard).
+"""Tests for the sharded replay tier (repro.shard).
 
 Covers the replay-stable partitioner, event-trace recording, the LAT /
 window / attribution merge boundary, and the determinism proof: a
-sharded run — live or replayed, on any shard count — digest-equals the
-serial run on the same trace whenever the monitored group keys align
-with the partition key.  The proof tests are marked ``shard_determinism``
+replayed sharded run, on any shard count, digest-equals the serial run
+on the same trace whenever the monitored group keys align with the
+partition key.  The proof tests are marked ``shard_determinism``
 so CI can run them as a named tier-1 step.
 """
 
@@ -289,7 +289,7 @@ class TestLATMerge:
 
 
 # ---------------------------------------------------------------------------
-# facade: control plane + governor wiring
+# facade: control plane
 # ---------------------------------------------------------------------------
 
 class TestFacadeControlPlane:
@@ -306,47 +306,27 @@ class TestFacadeControlPlane:
             assert "track" not in shard.sqlcm.rules
             assert not shard.sqlcm._rules_by_event
 
-    def test_live_governor_is_one_shared_ladder(self):
-        server = build_server()
-        facade = ShardedSQLCM(server, n_shards=4)
-        governor = facade.enable_governor()
-        assert server.governor is governor
-        assert all(shard.sqlcm.governor is governor
-                   for shard in facade.shards)
-        assert governor.server is server
-        facade.disable_governor()
-        assert server.governor is None
-        assert all(shard.sqlcm.governor is None for shard in facade.shards)
-
     def test_detach_takes_the_monitor_off_the_bus(self):
-        """``wire`` has an inverse: after ``detach()`` no shard hears a
-        published event, and a serial monitor's driver forgets it."""
+        """The bus is a serial monitor's: ``wire`` has an inverse, and
+        after ``detach()`` the driver forgets the monitor and a published
+        event reaches no rule."""
         server = build_server()
-        facade = ShardedSQLCM(server, n_shards=3)
-        facade.create_lat(qid_lat())
-        facade.add_rule(track_rule())
-        assert facade.driver.sqlcm is facade
-        commit(server, 1.0, 0.5)
-        assert facade.events_routed == 1
-        facade.detach()
-        facade.detach()  # idempotent
-        assert facade.driver.sqlcm is None
-        commit(server, 2.0, 0.5)
-        drive(server, statements=3)
-        assert facade.events_routed == 1
-        assert [s.events_routed for s in facade.shards].count(0) == 2
-        assert facade.rule_stats("track") == (1, 1)
-
         monitor = SQLCM(server)
+        monitor.create_lat(qid_lat())
+        monitor.add_rule(track_rule())
         driver = monitor.driver
         assert driver.sqlcm is monitor
+        commit(server, 1.0, 0.5)
         monitor.detach()
+        monitor.detach()  # idempotent
         assert driver.sqlcm is None
+        commit(server, 2.0, 0.5)
+        assert monitor.rules["track"].fire_count == 1
 
-    def test_run_trace_requires_replay_mode(self):
-        facade = ShardedSQLCM(build_server(), n_shards=2)
-        with pytest.raises(RuntimeError, match="subscribe=False"):
-            facade.run_trace([])
+    def test_facade_never_subscribes(self):
+        """A facade replays a recorded trace; live monitoring is SQLCM's."""
+        with pytest.raises(ValueError, match="SQLCM"):
+            ShardedSQLCM(build_server(), n_shards=2, subscribe=True)
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +335,6 @@ class TestFacadeControlPlane:
 
 @pytest.mark.shard_determinism
 class TestDeterminismProof:
-    def test_live_sharded_run_matches_serial_digest(self):
-        serial_digest, __ = serial_reference()
-        server = build_server()
-        facade = ShardedSQLCM(server, n_shards=4)
-        facade.create_lat(qid_lat())
-        facade.add_rule(track_rule())
-        drive(server)
-        assert facade.state_digest() == serial_digest
-        assert sum(s.events_routed for s in facade.shards) == \
-            facade.events_routed
-        # work actually spread: no shard saw everything
-        assert max(s.events_routed for s in facade.shards) < \
-            facade.events_routed
-
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_replay_matches_serial_digest(self, n_shards):
         serial_digest, trace = serial_reference()

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import (DatabaseServer, InsertAction, LATDefinition, Rule,
-                   SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
+from repro import (DatabaseServer, EventTrace, InsertAction, LATDefinition,
+                   Rule, SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
 from repro.core import state
 from repro.core.aggregates import AgingSpec
 from repro.core import durability
@@ -308,12 +308,20 @@ class TestOneShardFoldIsTheSerialMonitor:
 
     def test_one_shard_facade_merges_nothing(self):
         server = DatabaseServer(ServerConfig(track_completed_queries=True))
-        facade = ShardedSQLCM(server, n_shards=1)
+        trace = EventTrace().attach(server)
+        for i in range(4):
+            session = server.create_session(user=f"u{i % 2}")
+            session.execute("SELECT 1")
+            server.close_session(session)
+        trace.detach()
+        facade = ShardedSQLCM(DatabaseServer(), n_shards=1)
         facade.create_lat(LATDefinition(
             name="L", grouping=["Query.User AS U"],
             aggregations=["COUNT(Query.ID) AS N"]))
         facade.add_rule(Rule(name="r", event="Query.Commit",
                              actions=[InsertAction("L")]))
+        facade.run_trace(trace)
         control = facade.shards[0].sqlcm
+        assert len(control.lat("L")) == 2
         assert facade.merged_lat("L") is control.lat("L")
         assert facade.state_digest() == control.state_digest()

@@ -10,17 +10,20 @@ not-retried, per-query quarantine).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
-from repro import (FaultInjector, LATDefinition, QuarantinePolicy, Rule,
-                   SendMailAction, SQLCM)
+from repro import (DatabaseServer, FaultInjector, LATDefinition,
+                   QuarantinePolicy, Rule, SendMailAction, ServerConfig,
+                   SQLCM)
 from repro.core.actions import CallbackAction
 from repro.core.durability import DurabilityManager
 from repro.core.resilience import RuleHealthRegistry
 from repro.engine.query import QueryContext
 from repro.errors import StreamError, StreamSyntaxError
+from repro.sim.costs import CostModel
 from repro.stream import (DeviationSpec, STREAM_FAULT_SITES, TopKSpec,
                           parse_stream_query)
 
@@ -386,6 +389,35 @@ class TestSinks:
         assert row["Stream"] == "s"
         assert row["N"] == 1
         assert row["Last_Value"] == 2  # COUNT of the window
+
+    def test_sink_lat_is_maintained_like_a_rule_insert(self):
+        """The sink insert is ``InsertAction``'s: a bounded sink LAT's
+        evictions are charged, and its cost is the LAT's, not the
+        stream's."""
+        def run(costs):
+            server = DatabaseServer(ServerConfig(costs=costs))
+            server.enable_observability()
+            sqlcm = SQLCM(server)
+            sqlcm.create_lat(LATDefinition(
+                name="Sink", monitored_class="StreamAlert",
+                grouping=["StreamAlert.Group_Key AS G"],
+                aggregations=["COUNT(StreamAlert.Kind) AS N"],
+                ordering=["N DESC"], max_rows=1))
+            streams = sqlcm.stream_engine()
+            streams.register(
+                "STREAM s FROM Query.Commit GROUP BY Query.User AS U "
+                "WINDOW TUMBLING(5) AGG COUNT(*) AS N", sink_lat="Sink")
+            for i, user in enumerate(("a", "b", "c")):
+                commit(server, 1.0 + i, 0.01, user=user)
+            server.clock.advance_to(6.0)
+            streams.flush()
+            return server, sqlcm.lat("Sink")
+        priced, sink = run(CostModel())
+        free, __ = run(dataclasses.replace(CostModel(), lat_evict=0.0))
+        assert sink.eviction_count == 2  # three alert groups, one row
+        assert priced.monitor_cost_total - free.monitor_cost_total == \
+            pytest.approx(CostModel().lat_evict * sink.eviction_count)
+        assert priced.obs.attribution.totals[("lat", "sink")] > 0
 
     def test_drop_lat_refuses_active_sink(self, server, sqlcm):
         """Regression: ``drop_lat`` guarded rule-referenced LATs but let a
