@@ -20,6 +20,12 @@ Besides SQL, the shell understands monitoring meta-commands:
 ``.lats``              list LATs and their row counts
 ``.lat NAME``          print a LAT's rows
 ``.rules``             list rules with fire/error/quarantine statistics
+``.rules NAME --source``
+                       the generated code a rule runs: its condition, the
+                       insert of each LAT it feeds, and the dispatch
+                       program of its event (built on request: with
+                       observability on, as in this shell, rules run
+                       through the interpreted loop instead)
 ``.monitor topk K``    install a top-K-expensive-queries tracker
 ``.monitor outliers``  install the Example 1 outlier detector
 ``.monitor deviation`` install the stream-query outlier detector
@@ -63,7 +69,7 @@ from __future__ import annotations
 import sys
 from typing import IO
 
-from repro import DatabaseServer, ServerConfig, SQLCM
+from repro import DatabaseServer, InsertAction, ServerConfig, SQLCM
 from repro.apps import OutlierDetector, StreamOutlierDetector, TopKTracker
 from repro.errors import ReproError
 
@@ -143,6 +149,9 @@ class Shell:
             for row in lat.rows():
                 self._print("  " + " | ".join(
                     f"{k}={_fmt(v)}" for k, v in row.items()))
+        elif command == ".rules" and len(parts) == 3 and \
+                parts[2].lower() == "--source":
+            self._show_rule_source(parts[1])
         elif command == ".rules":
             for rule in self.sqlcm.rules.values():
                 health = self.sqlcm.health.health_of(rule.name)
@@ -294,6 +303,29 @@ class Shell:
                         f"now journal there)")
         except (ReproError, OSError) as err:
             self._print(f"error: {err}")
+
+    def _show_rule_source(self, name: str) -> None:
+        """Print the generated functions one rule runs."""
+        rule = self.sqlcm.rules.get(name.lower())
+        if rule is None:
+            self._print(f"error: unknown rule {name!r}")
+            return
+        if rule.compiled_condition is not None:
+            self._print(f"-- condition of {rule.name}")
+            self._print(rule.compiled_condition.source)
+        for action in rule.actions:
+            if isinstance(action, InsertAction) and \
+                    self.sqlcm.has_lat(action.lat_name):
+                lat = self.sqlcm.lat(action.lat_name)
+                self._print(f"-- insert of LAT {lat.definition.name}")
+                self._print(lat._insert.__source__)
+        event = rule.event_def.engine_event
+        key = rule.event_class.name.lower()
+        index = [r.name for r in self.sqlcm.rules.values()
+                 if r.event_def.engine_event == event].index(rule.name)
+        self._print(f"-- dispatch program of {event} over a {key} object "
+                    f"({rule.name} is rule {index})")
+        self._print(self.sqlcm.dispatch_source(event, {key}))
 
     def _show_incidents(self, args: list[str]) -> None:
         if not self.sqlcm.has_incidents:

@@ -66,6 +66,13 @@ class Action:
     #: because retrying them is not idempotent-safe
     side_effect = False
 
+    #: execute() changes nothing a probe of the context's objects reads.
+    #: After any other action the objects forget the probe values kept so
+    #: far in the dispatch (Set re-arms the very timer that alerted; a
+    #: callback or an external handler can touch anything), so the rules
+    #: after it probe again
+    reads_context_only = False
+
     def required_classes(self, sqlcm) -> set[str]:
         """Monitored classes that must be in context for this action."""
         return set()
@@ -88,6 +95,8 @@ class InsertAction(Action):
     """``Insert(LATName)`` — insert/update the in-context object's row."""
 
     lat_name: str
+
+    reads_context_only = True
 
     def required_classes(self, sqlcm) -> set[str]:
         lat = sqlcm.lat(self.lat_name)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core import state
 from repro.core.actions import InsertAction
-from repro.core.condition import bind_condition
+from repro.core.condition import FunctionSource, bind_condition
 from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
 from repro.core.objects import MonitoredObject, ObjectFactory
@@ -135,6 +135,164 @@ _CONTEXT_BUILDERS: dict[str, Callable] = {
 }
 
 
+# -- compiled dispatch -------------------------------------------------------
+#
+# With no governor and observability off, an event's rules run as the
+# program generated for the event's rule tuple and the key set of its
+# context: the rule loop of ``SQLCM._run_framed`` and the body of
+# ``SQLCM._evaluate_rule`` unrolled rule by rule, in the manner of
+# ``core/condition.py``.  A block keeps every step of the loop, in its
+# order: the enabled test, the quarantine charge and check, the evaluation
+# count and charge, the fault check, each LAT probe with its charge, the
+# condition called through ``CompiledCondition.evaluate``, the fire counts,
+# each action with its charge through ``SQLCM._run_action``, and the end of
+# a probation.  Every charge keeps its operand and its place, so the
+# virtual cost is the same float.  The plan is decided when the text is
+# written; a rule whose plan cannot be built, or that needs a class the
+# context lacks, gets a block that calls ``_evaluate_rule``, so plan
+# failures and iteration scope stay in one place.  An action that changes
+# the rules or LATs drops the program it runs in: the rules after it run
+# through ``_run_framed``, which works their plans out again.
+
+#: rules per generated function.  ``compile()`` needs about 100 kB per rule
+#: of one function's text while it runs (a 1000-rule tuple in one function
+#: took 105 MB more peak memory), so a program is a run of functions
+_RULES_PER_FUNCTION = 32
+
+
+class _DispatchEmitter(FunctionSource):
+    """Writes ``dispatch(sqlcm, context, now, counts)`` for the rules
+    ``rules[start:stop]`` over one context key set.  ``counts`` is None or
+    the list that gets ``(rule name, Δevaluations, Δfires)`` of each rule
+    that ran; the function returns True when it handed the rest of the
+    tuple to the interpreted loop."""
+
+    def __init__(self, sqlcm: "SQLCM", event: str, rules: tuple,
+                 keys: frozenset, start: int, stop: int):
+        super().__init__()
+        self.sqlcm = sqlcm
+        self.rules = rules
+        self.keys = keys
+        self.indexes = range(start, min(stop, len(rules)))
+        costs = sqlcm.server.costs
+        self.quarantine_check = self.literal(costs.quarantine_check)
+        self.lat_probe = self.literal(costs.lat_lookup + costs.lat_latch)
+        self.action_dispatch = self.literal(costs.action_dispatch)
+        self.constant(event, "event")
+        self.constant(rules, "rules")
+        self.constant(sqlcm._dispatch_programs, "programs")
+
+    def function(self) -> Callable:
+        """The ``dispatch`` function; its text is ``__source__``."""
+        self.emit("add_cost = sqlcm.server.add_monitor_cost")
+        self.emit("health = sqlcm.health")
+        self.emit("stale = False")
+        for index in self.indexes:
+            self.rule(index, self.rules[index])
+        self.emit("return False")
+        source, dispatch = self.compile(
+            "dispatch", "sqlcm, context, now, counts", "<dispatch>",
+            {"__builtins__": {"Exception": Exception}, "NULL_OBS": NULL_OBS})
+        dispatch.__source__ = source
+        return dispatch
+
+    def plan(self, rule: Rule) -> _RulePlan | None:
+        """The rule's plan if its block can be unrolled over the keys."""
+        try:
+            plan = rule.plan or self.sqlcm._plan(rule)
+        except Exception:
+            return None  # fails again, in the boundary, at each evaluation
+        return plan if plan.needed <= self.keys else None
+
+    def rule(self, index: int, rule: Rule) -> None:
+        emit = self.emit
+        obj = self.constant(rule, f"rule{index}")
+        name = self.constant(rule.name, f"name{index}")
+        emit(f"# rule {index}")
+        emit(f"if {obj}.enabled:")
+        self.depth += 1
+        emit(f"add_cost({self.quarantine_check})")
+        emit(f"if health.all_clear or health.allow({name}, now):")
+        self.depth += 1
+        plan = self.plan(rule)
+        if plan is None:
+            self.interpreted(obj, name)
+        else:
+            self.unrolled(index, rule, plan, obj, name)
+        if index + 1 < len(self.rules):
+            emit("if stale:")
+            emit(f"    sqlcm._run_framed(event, rules[{index + 1}:], context, "
+                 "now, NULL_OBS, None, counts)")
+            emit("    return True")
+        self.depth -= 2
+
+    def interpreted(self, obj: str, name: str) -> None:
+        emit = self.emit
+        emit(f"evals_before = {obj}.evaluation_count")
+        emit(f"fires_before = {obj}.fire_count")
+        emit("try:")
+        emit(f"    sqlcm._evaluate_rule({obj}, context)")
+        emit("except Exception as err:")
+        emit(f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
+        emit(f"if counts is not None and ({obj}.evaluation_count != "
+             f"evals_before or {obj}.fire_count != fires_before):")
+        emit(f"    counts.append(({name}, {obj}.evaluation_count - "
+             f"evals_before, {obj}.fire_count - fires_before))")
+        emit("stale = sqlcm._dispatch_programs is not programs")
+
+    def unrolled(self, index: int, rule: Rule, plan: _RulePlan, obj: str,
+                 name: str) -> None:
+        emit = self.emit
+        cond = rule.compiled_condition
+        emit("fires = 0")
+        emit("try:")
+        self.depth += 1
+        emit(f"{obj}.evaluation_count += 1")
+        emit(f"add_cost({self.literal(plan.charge)})")
+        emit("failed = False")
+        emit("lat_rows = {}")
+        emit("try:")
+        emit("    if sqlcm.faults is not None:")
+        emit("        sqlcm.check_fault('condition')")
+        if cond is not None:
+            self.depth += 1
+            for probe, (lat_name, lat, owner) in enumerate(plan.lat_probes):
+                table = self.constant(lat, f"lat{index}_{probe}")
+                emit(f"probed = context.get({owner!r})")
+                emit(f"add_cost({self.lat_probe})")
+                emit(f"lat_rows[{lat_name!r}] = {table}.lookup_object("
+                     "probed) if probed is not None else None")
+            condition = self.constant(cond, f"condition{index}")
+            emit(f"fired = {condition}.evaluate(context, lat_rows)")
+            self.depth -= 1
+        emit("except Exception as err:")
+        emit(f"    sqlcm._record_rule_failure({obj}, 'condition', err)")
+        emit("    failed = True")
+        emit("else:")
+        self.depth += 1
+        if cond is not None:
+            emit("if fired:")
+            self.depth += 1
+        emit(f"{obj}.fire_count += 1")
+        emit("sqlcm.rule_firings += 1")
+        emit("fires = 1")
+        for number, action in enumerate(rule.actions):
+            bound = self.constant(action, f"action{index}_{number}")
+            emit(f"add_cost({self.action_dispatch})")
+            emit(f"if not sqlcm._run_action({obj}, {bound}, context, "
+                 "lat_rows):")
+            emit("    failed = True")
+        emit("stale = sqlcm._dispatch_programs is not programs")
+        self.depth -= 2 if cond is not None else 1
+        emit("if not failed and not health.all_clear:")
+        emit(f"    health.record_success({name})")
+        self.depth -= 1
+        emit("except Exception as err:")
+        emit(f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
+        emit("if counts is not None:")
+        emit(f"    counts.append(({name}, 1, fires))")
+
+
 class SQLCM:
     """SQL Continuous Monitoring engine, embedded in a database server."""
 
@@ -159,7 +317,8 @@ class SQLCM:
         # wiring, caches, in-flight dispatch, already-delivered side effects
         *state.transient(
             "driver", "server", "bus_subscribed", "schema", "sample_weight",
-            "factory", "_rules_by_event", "outbox", "command_journal",
+            "factory", "_rules_by_event", "_dispatch_programs", "outbox",
+            "command_journal",
             "external_handler", "_sig_registry", "_signatures_forced",
             "_signatures_needed_cache", "_event_queue", "_dispatching",
             "retry_policy", "faults", "journal"),
@@ -191,6 +350,10 @@ class SQLCM:
         self._rule_order: list[Rule] = []
         # copy-on-write tuples: a dispatch iterates the one it started on
         self._rules_by_event: dict[str, tuple[Rule, ...]] = {}
+        # (event, context keys) -> (the rule tuple, its dispatch program);
+        # replaced, not cleared, by invalidate_signature_cache, so a program
+        # still running can tell (see _DispatchEmitter)
+        self._dispatch_programs: dict[tuple, tuple] = {}
         self._lats: dict[str, LAT] = {}
         self.outbox: list = []
         self.command_journal: list = []
@@ -500,11 +663,13 @@ class SQLCM:
 
         Called whenever the set of rules, LATs, or stream queries changes
         (the only inputs the flag depends on besides the forced switch).
-        The rules' evaluation plans and the governor's cached criticality
-        map depend on the same inputs and are invalidated alongside."""
+        The rules' evaluation plans, the dispatch programs built from them
+        and the governor's cached criticality map depend on the same inputs
+        and are invalidated alongside."""
         self._signatures_needed_cache = None
         for rule in self._rule_order:
             rule.plan = None
+        self._dispatch_programs = {}
         if self.governor is not None:
             self.governor.invalidate_components()
 
@@ -652,8 +817,6 @@ class SQLCM:
         self.events_handled += 1
         journal = self.journal
         if journal is not None:
-            snapshot = [(r, r.evaluation_count, r.fire_count)
-                        for r in rules]
             firings_before = self.rule_firings
             errors_before = self.rule_errors
         obs = self.server.obs
@@ -661,62 +824,87 @@ class SQLCM:
             cost_before = self.server.monitor_cost_total
             with obs.span(f"dispatch:{event}", "dispatch"), \
                     obs.attrib("engine", event):
-                self._dispatch_rules(event, payload, rules, obs)
+                counts = self._dispatch_rules(event, payload, rules, obs,
+                                              journal is not None)
                 obs.count("sqlcm.events.dispatched")
                 obs.observe("sqlcm.dispatch.cost",
                             self.server.monitor_cost_total - cost_before)
         else:
-            self._dispatch_rules(event, payload, rules, obs)
+            counts = self._dispatch_rules(event, payload, rules, obs,
+                                          journal is not None)
         if journal is not None:
             # the per-event counter record doubles as this event group's
             # commit marker: everything journaled during the dispatch is
             # uncommitted until this lands (a crash mid-event loses the
             # whole group, never half of one)
             journal.append("counts", {
-                "rules": [(r.name, r.evaluation_count - evals,
-                           r.fire_count - fires)
-                          for r, evals, fires in snapshot
-                          if r.evaluation_count != evals
-                          or r.fire_count != fires],
+                "rules": counts,
                 "firings": self.rule_firings - firings_before,
                 "errors": self.rule_errors - errors_before,
             }, commit=True)
 
     def _dispatch_rules(self, event: str, payload: dict, rules: tuple,
-                        obs) -> None:
+                        obs, journaled: bool) -> list | None:
         """The dispatch body: context assembly, then rules in order.
+        Returns, when ``journaled``, ``(rule name, Δevaluations, Δfires)``
+        of each rule that ran, in rule order (the ``counts`` record).
 
-        ``obs`` is the server's observability facade (possibly the null
-        object); each rule runs under its own attribution frame so every
-        charge it makes is tallied against that rule."""
+        With no governor and the null observability object the rules run
+        as the generated program of their tuple (see
+        ``_DispatchEmitter``).  The test is identity with the null object,
+        not ``obs.enabled``: a replay shard's ShardObs reads disabled
+        while its attribution frames are live."""
         server = self.server
-        costs = server.costs
-        server.add_monitor_cost(costs.event_dispatch)
+        server.add_monitor_cost(server.costs.event_dispatch)
+        counts = [] if journaled else None
         context = self._build_context(event, payload)
         if context is None:
-            return
+            return counts
         now = server.clock.now
         governor = self.governor
         if governor is None and obs is NULL_OBS:
-            # nobody admits, attributes or traces: the same steps with no
-            # frames to enter.  The test is identity with the null object,
-            # not ``obs.enabled``: a replay shard's ShardObs reads disabled
-            # while its attribution frames are live
-            add_cost = server.add_monitor_cost
-            health = self.health
-            for rule in rules:
-                if not rule.enabled:
-                    continue
-                add_cost(costs.quarantine_check)
-                # while every record is healthy the answer is yes
-                if not health.all_clear and \
-                        not health.allow(rule.name, now):
-                    continue
-                try:
-                    self._evaluate_rule(rule, context)
-                except Exception as err:
-                    self._record_rule_failure(rule, "evaluate", err)
-            return
+            for part in self._program(event, rules, frozenset(context)):
+                if part(self, context, now, counts):
+                    break  # the interpreted loop ran the rest
+        else:
+            self._run_framed(event, rules, context, now, obs, governor,
+                             counts)
+        return counts
+
+    def _program(self, event: str, rules: tuple,
+                 keys: frozenset) -> tuple[Callable, ...]:
+        """The dispatch program of ``rules`` over a context holding
+        ``keys``, as its run of functions: built on first use, kept while
+        ``rules`` is still the event's tuple and no registration change
+        has dropped the cache."""
+        programs = self._dispatch_programs
+        entry = programs.get((event, keys))
+        if entry is None or entry[0] is not rules:
+            entry = programs[event, keys] = (rules, tuple(
+                _DispatchEmitter(self, event, rules, keys, start,
+                                 start + _RULES_PER_FUNCTION).function()
+                for start in range(0, len(rules), _RULES_PER_FUNCTION)))
+        return entry[1]
+
+    def dispatch_source(self, event: str, keys: Iterable[str]) -> str:
+        """The text of the dispatch program of ``event``'s rules over a
+        context holding the objects of ``keys`` (lowercase class names),
+        built now if no dispatch has needed it."""
+        return "\n".join(part.__source__ for part in self._program(
+            event, self._rules_by_event.get(event, ()), frozenset(keys)))
+
+    def _run_framed(self, event: str, rules: tuple,
+                    context: dict[str, MonitoredObject], now: float, obs,
+                    governor: OverloadGovernor | None,
+                    counts: list | None) -> None:
+        """The interpreted rule loop, the reference the dispatch program
+        unrolls: each rule runs under its own attribution frame so every
+        charge it makes is tallied against that rule, and the governor
+        admits it first."""
+        server = self.server
+        costs = server.costs
+        if counts is not None:
+            snapshot = [(r, r.evaluation_count, r.fire_count) for r in rules]
         for rule in rules:
             if not rule.enabled:
                 continue
@@ -746,6 +934,12 @@ class SQLCM:
                         # isolation backstop: scope iteration / context
                         # assembly failures
                         self._record_rule_failure(rule, "evaluate", err)
+        if counts is not None:
+            counts.extend((r.name, r.evaluation_count - evals,
+                           r.fire_count - fires)
+                          for r, evals, fires in snapshot
+                          if r.evaluation_count != evals
+                          or r.fire_count != fires)
 
     # ------------------------------------------------------------------
     # context assembly
@@ -900,21 +1094,25 @@ class SQLCM:
         fast (retrying LAT maintenance or Cancel is not idempotent-safe).
         Returns True on success.
         """
+        ok = True
         if action.side_effect:
             try:
                 self._deliver_with_retry(rule, action, combo, lat_rows)
-                return True
             except ActionDeliveryError as err:
                 self._dead_letter(rule, action, combo, lat_rows, err)
                 self._record_rule_failure(rule, "action", err)
-                return False
-        try:
-            self.check_fault("action")
-            action.execute(self, rule, combo, lat_rows)
-            return True
-        except Exception as err:
-            self._record_rule_failure(rule, "action", err)
-            return False
+                ok = False
+        else:
+            try:
+                self.check_fault("action")
+                action.execute(self, rule, combo, lat_rows)
+            except Exception as err:
+                self._record_rule_failure(rule, "action", err)
+                ok = False
+        if not action.reads_context_only:
+            for obj in combo.values():
+                obj.forget()
+        return ok
 
     def _deliver_with_retry(self, rule: Rule, action,
                             combo: dict[str, MonitoredObject],
@@ -959,7 +1157,8 @@ class SQLCM:
             error=f"{type(cause).__name__}: {cause}",
             attempts=err.attempts,
             action_obj=action,
-            context=dict(combo),
+            # replay and redeliver probe the source as it is then
+            context={key: obj.detached() for key, obj in combo.items()},
             lat_rows=dict(lat_rows),
         ))
         # ring displacement is data loss; surface it as a metric so a

@@ -19,14 +19,37 @@ from repro.errors import SchemaError
 _Extractor = Callable[[Any, Any], Any]
 
 
+class _NoMemo(dict):
+    """The memo of an object kept past its dispatch: it remembers nothing,
+    so every read probes the source again."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        pass
+
+
+_NO_MEMO = _NoMemo()
+
+
 class MonitoredObject:
     """One instance of a monitored class with lazy probe extraction.
 
     ``extractors`` is the class's probe table — ``{lowercase attribute:
     fn(source, factory)}``, shared by every object of the class — and
-    ``extra`` holds values this one object overrides or adds."""
+    ``extra`` holds values this one object overrides or adds.
 
-    __slots__ = ("class_def", "_extractors", "_extra", "source", "_factory")
+    Each probe runs at most once per object: its value is kept in the
+    object's memo.  An object lives for one event's dispatch (or one
+    iteration-scope expansion inside it), and virtual time does not move
+    inside a dispatch, so the 64 rules that read ``Query.Duration`` of one
+    commit all read the same value.  What changes a source inside a
+    dispatch is an action; the engine calls :meth:`forget` after one that
+    may (see ``Action.reads_context_only``).  An object kept beyond its
+    dispatch is a :meth:`detached` copy."""
+
+    __slots__ = ("class_def", "_extractors", "_extra", "source", "_factory",
+                 "_memo")
 
     def __init__(self, class_def: MonitoredClassDef,
                  extractors: dict[str, _Extractor],
@@ -37,6 +60,7 @@ class MonitoredObject:
         self._extra = extra or {}
         self.source = source
         self._factory = factory
+        self._memo: dict[str, Any] = {}
 
     @property
     def class_name(self) -> str:
@@ -49,6 +73,9 @@ class MonitoredObject:
     def _probe(self, key: str) -> Any:
         """Probe one attribute by its lowercase name: what generated
         condition code calls, the name lowered once when it was bound."""
+        memo = self._memo
+        if key in memo:
+            return memo[key]
         if key in self._extra:
             return self._extra[key]
         extractor = self._extractors.get(key)
@@ -56,7 +83,21 @@ class MonitoredObject:
             raise SchemaError(
                 f"class {self.class_name} exposes no probe {key!r}"
             )
-        return extractor(self.source, self._factory)
+        value = memo[key] = extractor(self.source, self._factory)
+        return value
+
+    def forget(self) -> None:
+        """Drop the memo: the next read of each attribute probes again."""
+        self._memo.clear()
+
+    def detached(self) -> "MonitoredObject":
+        """A copy that probes its source on every read, for keeping after
+        the dispatch (a dead letter's context): replayed later, it reads
+        the source as it is then, not as it was during the dispatch."""
+        copy = MonitoredObject(self.class_def, self._extractors, self._extra,
+                               self.source, self._factory)
+        copy._memo = _NO_MEMO
+        return copy
 
     def snapshot(self, attributes: list[str] | None = None) -> dict[str, Any]:
         """Materialize attribute values into a plain dict."""

@@ -87,6 +87,20 @@ class TestMetaCommands:
         text = output_of(shell)
         assert "ON Query.Commit" in text
 
+    def test_rule_source_shows_the_generated_code(self, shell):
+        sh, __ = shell
+        sh.execute_line(".monitor outliers")
+        sh.execute_line(".rules Duration_LAT_track --source")
+        text = output_of(shell)
+        assert "def insert(self, source, weight, now):" in text
+        assert "-- dispatch program of query.commit over a query object " \
+               "(Duration_LAT_track is rule 1)" in text
+        assert "def dispatch(sqlcm, context, now, counts):" in text
+        sh.execute_line(".rules Duration_LAT_outliers --source")
+        assert "def _condition(context, lat_rows):" in output_of(shell)
+        sh.execute_line(".rules nope --source")
+        assert "error: unknown rule 'nope'" in output_of(shell)
+
     def test_queries_history(self, shell):
         sh, __ = shell
         sh.run_script(

@@ -1,0 +1,281 @@
+"""The generated dispatch program against the interpreted rule loop.
+
+With no governor and observability off, an event's rules run as the
+program generated for the event's rule tuple (``SQLCM._program``).  The
+interpreted loop (``SQLCM._run_framed``) stays as the path for the
+governor, attribution and tracing; driven here by a do-nothing
+observability object that is not the shared null one, it is the
+reference.  For random rule sets replayed over one recorded trace, the
+two must leave every counter, the virtual cost (compared with ``==``),
+the journal, the failure records, the outbox and the dead letters equal.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import (DatabaseServer, EventTrace, FaultInjector, InsertAction,
+                   LATDefinition, QuarantinePolicy, Rule, SendMailAction,
+                   SQLCM)
+from repro.core.actions import (CallbackAction, RunExternalAction,
+                                SetTimerAction)
+from repro.core.durability import DurabilityManager
+from repro.obs.observability import NULL_OBS
+
+
+@functools.lru_cache(maxsize=None)
+def _trace() -> tuple:
+    """Engine events of a short run: selects, and explicit transactions
+    that update, so Query.*, Transaction.* and LAT evictions all occur."""
+    server = DatabaseServer()
+    server.execute_ddl("CREATE TABLE items (id INT NOT NULL PRIMARY KEY, "
+                       "price FLOAT, qty INT)")
+    server.create_session().execute(
+        "INSERT INTO items (id, price, qty) VALUES "
+        "(1, 1.5, 10), (2, 2.0, 5), (3, 0.5, 40), (4, 9.5, 3)")
+    trace = EventTrace().attach(server)
+    session = server.create_session(user="app", application="tests")
+    for i in range(10):
+        session.execute(f"SELECT price FROM items WHERE id = {i % 4 + 1}")
+        if i % 3 == 0:
+            session.execute("BEGIN")
+            session.execute(f"UPDATE items SET qty = qty + 1 "
+                            f"WHERE id = {i % 4 + 1}")
+            session.execute("SELECT qty FROM items WHERE qty > 4")
+            session.execute("COMMIT")
+    trace.detach()
+    return tuple(trace.events)
+
+
+# ---------------------------------------------------------------------------
+# the rule sets: conditions and actions by event, built afresh per side
+# ---------------------------------------------------------------------------
+
+CONDITIONS = {
+    "Query.Commit": [
+        None, "Query.Duration >= 0", "Query.Estimated_Cost > 2",
+        "Query.Query_Type = 'SELECT' AND Query.Duration >= 0",
+        "Hot.N >= 2",                      # a LAT probe
+        "Query.Duration >= 0 AND Top.D > 0",
+        "Hot.N >= 1 OR Top.D >= 0",        # two probes, two charges
+        "Timer.Interval > 5",              # iterates the armed timers
+        "Transaction.Statement_Count >= 1",  # none active: no combination
+    ],
+    "Query.Start": [None, "Query.Duration >= 0", "Hot.N > 1"],
+    "Transaction.Commit": [None, "Transaction.Statement_Count >= 2",
+                           "Transaction.Duration >= 0"],
+    "Evicted.Evict": [None],
+    "RuleFailure.Error": [None, "RuleFailure.Error_Count > 1"],
+}
+
+ACTIONS = ("insert_top", "insert_hot", "mail", "external", "raise", "log",
+           "set_timer", "add_rule", "remove_rule", "swap_top")
+
+
+def _top(owner: str) -> LATDefinition:
+    """A two-row LAT, so inserts evict (and queue ``lat.evict``)."""
+    return LATDefinition(
+        name="Top", monitored_class=owner,
+        grouping=[f"{owner}.ID AS Qid"],
+        aggregations=[f"MAX({owner}.Duration) AS D"],
+        ordering=["D DESC"], max_rows=2)
+
+
+_rules = st.lists(
+    st.tuples(st.sampled_from(sorted(CONDITIONS)),
+              st.integers(0, 8),
+              st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=3),
+              st.booleans() | st.just(True)),
+    min_size=1, max_size=7)
+
+_faults = st.fixed_dictionaries({
+    site: st.sampled_from([0.0, 0.0, 0.3])
+    for site in ("condition", "action", "lat.insert")})
+
+
+class _Side:
+    """One monitor over a fresh server, set up from the drawn spec."""
+
+    def __init__(self, framed: bool, rules, faults, seed, journaled,
+                 directory):
+        self.server = server = DatabaseServer()
+        if framed:
+            # disabled like the null object, but not it: the interpreted
+            # loop runs, and nothing is charged for its frames
+            server._obs = type(NULL_OBS)()
+        injector = FaultInjector(seed=seed)
+        for site, rate in faults.items():
+            if rate:
+                injector.arm(site, rate=rate)
+        self.injector = injector
+        self.sqlcm = sqlcm = SQLCM(server, faults=injector,
+                                   quarantine=QuarantinePolicy(
+                                       failure_threshold=2, cooldown=0.02))
+        self.log: list = []
+        self.calls: list = []
+        sqlcm.external_handler = self._handler
+        sqlcm.create_lat(_top("Query"))
+        sqlcm.create_lat(LATDefinition(
+            name="Hot", monitored_class="Query",
+            grouping=["Query.Query_Type AS T"],
+            aggregations=["COUNT(Query.ID) AS N"]))
+        sqlcm.set_timer("a", 10.0)
+        sqlcm.set_timer("b", 3.0)
+        for index, (event, condition, actions, enabled) in enumerate(rules):
+            conditions = CONDITIONS[event]
+            sqlcm.add_rule(Rule(
+                name=f"r{index}", event=event,
+                condition=conditions[condition % len(conditions)],
+                actions=[self._action(kind) for kind in actions],
+                enabled=enabled))
+        self.manager = None
+        if journaled:
+            self.manager = DurabilityManager(sqlcm, directory).attach()
+
+    def _handler(self, command: str) -> None:
+        # three calls in four fail: some deliveries exhaust their retries
+        self.calls.append(command)
+        if len(self.calls) % 4:
+            raise ConnectionError("sink down")
+
+    def _log(self, sqlcm, context) -> None:
+        self.log.append(tuple(
+            (key, obj.get("ID") if key == "query" else None)
+            for key, obj in sorted(context.items())))
+
+    @staticmethod
+    def _raise(sqlcm, context) -> None:
+        raise RuntimeError("action broke")
+
+    @staticmethod
+    def _add_rule(sqlcm, context) -> None:
+        if "late" not in sqlcm.rules:
+            sqlcm.add_rule(Rule(name="late", event="Query.Commit",
+                                condition="Query.Duration >= 0",
+                                actions=[InsertAction("Hot")]))
+
+    @staticmethod
+    def _remove_rule(sqlcm, context) -> None:
+        if "late" in sqlcm.rules:
+            sqlcm.remove_rule("late")
+
+    @staticmethod
+    def _swap_top(sqlcm, context) -> None:
+        """Re-create Top over the other class (raises while a condition
+        reads it): the rules after this one need other objects now."""
+        owner = "Query" if sqlcm.lat("Top").definition.monitored_class \
+            == "Transaction" else "Transaction"
+        sqlcm.drop_lat("Top")
+        sqlcm.create_lat(_top(owner))
+
+    def _action(self, kind: str):
+        return {
+            "insert_top": lambda: InsertAction("Top"),
+            "insert_hot": lambda: InsertAction("Hot"),
+            "mail": lambda: SendMailAction("d={Query.Duration}", "dba"),
+            "external": lambda: RunExternalAction("x {Query.ID}"),
+            "raise": lambda: CallbackAction(self._raise),
+            "log": lambda: CallbackAction(self._log),
+            "set_timer": lambda: SetTimerAction("a", 7.0),
+            "add_rule": lambda: CallbackAction(self._add_rule),
+            "remove_rule": lambda: CallbackAction(self._remove_rule),
+            "swap_top": lambda: CallbackAction(self._swap_top),
+        }[kind]()
+
+    def replay(self) -> None:
+        server = self.server
+        for event, payload, time in _trace():
+            server.clock.advance_to(time)
+            server.events.publish(event, payload)
+
+    def observed(self) -> dict:
+        sqlcm = self.sqlcm
+        journal = None
+        if self.manager is not None:
+            path = self.manager.journal.path
+            self.manager.detach()
+            with open(path, encoding="utf-8") as handle:
+                journal = handle.read()
+        return {
+            "rules": [(r.name, r.evaluation_count, r.fire_count)
+                      for r in sqlcm._rule_order],
+            "totals": (sqlcm.events_handled, sqlcm.rule_firings,
+                       sqlcm.rule_errors),
+            "cost": self.server.monitor_cost_total,
+            "digest": sqlcm.state_digest(),
+            "health": sqlcm.health.snapshot(),
+            "dead_letters": sqlcm.dead_letters.snapshot(),
+            "outbox": list(sqlcm.outbox),
+            "commands": list(sqlcm.command_journal),
+            "faults": self.injector.snapshot(),
+            "log": self.log,
+            "calls": self.calls,
+            "journal": journal,
+        }
+
+
+@settings(deadline=None, max_examples=200)
+@given(_rules, _faults, st.integers(0, 3), st.booleans())
+# an action changes the LATs mid-dispatch: the rules after it need other
+# objects, and the program hands them to the interpreted loop
+@example([("Query.Commit", 0, ["swap_top"], True),
+          ("Query.Commit", 0, ["insert_top"], True)], {}, 0, True)
+# an action adds, another removes a rule mid-dispatch (copy-on-write tuple)
+@example([("Query.Commit", 0, ["add_rule", "log"], True),
+          ("Query.Commit", 1, ["remove_rule", "insert_hot"], True),
+          ("Query.Commit", 4, ["mail"], True)], {}, 0, True)
+def test_program_matches_the_interpreted_loop(rules, faults, seed,
+                                              journaled):
+    with tempfile.TemporaryDirectory() as directory:
+        program = _Side(False, rules, faults, seed, journaled,
+                        os.path.join(directory, "program"))
+        framed = _Side(True, rules, faults, seed, journaled,
+                       os.path.join(directory, "framed"))
+        program.replay()
+        framed.replay()
+        assert not framed.sqlcm._dispatch_programs  # it never ran one
+        assert program.observed() == framed.observed()
+
+
+def test_program_is_kept_per_rule_tuple_and_dropped_on_change():
+    side = _Side(False, [("Query.Commit", 1, ["insert_hot"], True)],
+                 {}, 0, False, None)
+    side.replay()
+    sqlcm = side.sqlcm
+    (key, (rules, program)), = [
+        item for item in sqlcm._dispatch_programs.items()
+        if item[0][0] == "query.commit"]
+    assert key == ("query.commit", frozenset({"query"}))
+    assert rules is sqlcm._rules_by_event["query.commit"]
+    source = sqlcm.dispatch_source("query.commit", {"query"})
+    assert "condition0.evaluate(context, lat_rows)" in source
+    assert sqlcm._dispatch_programs[key][1] is program  # not rebuilt
+    sqlcm.add_rule(Rule(name="more", event="Query.Commit",
+                        actions=[InsertAction("Hot")]))
+    assert not sqlcm._dispatch_programs
+    assert "rule1.enabled" in sqlcm.dispatch_source("query.commit",
+                                                    {"query"})
+
+
+def test_a_long_rule_tuple_is_a_run_of_functions():
+    """70 rules: functions over rules 0-31, 32-63 and 64-69; an action in
+    the second that adds a rule hands the rest to the interpreted loop,
+    and the third function does not run."""
+    side = _Side(False, [("Query.Commit", 1, ["insert_hot"], True)] * 40
+                 + [("Query.Commit", 0, ["add_rule"], True)]
+                 + [("Query.Commit", 1, ["insert_hot"], True)] * 29,
+                 {}, 0, False, None)
+    sqlcm = side.sqlcm
+    source = sqlcm.dispatch_source("query.commit", {"query"})
+    assert source.count("def dispatch(") == 3
+    assert "rule31.enabled" in source and "rule69.enabled" in source
+    side.replay()
+    commits = sum(event == "query.commit" for event, __, __ in _trace())
+    assert [r.evaluation_count for r in sqlcm._rule_order[:70]] \
+        == [commits] * 70
+    assert sqlcm.rules["late"].evaluation_count == commits - 1

@@ -348,6 +348,47 @@ class TestRetryAndDeadLetter:
         assert sqlcm.dead_letters.depth == 0
         assert len(delivered) == 1 and delivered[0].startswith("ping ")
 
+    def test_replay_probes_the_source_as_it_is_then(self, server, sqlcm):
+        """A dead letter keeps the objects of its dispatch, not the values
+        probed during it: replayed after the statement committed, the
+        command carries the commit-time duration, not the 0.0 the rules
+        read at query start (a later rule of the same dispatch probes the
+        live object again)."""
+        session = _items(server)
+        sqlcm.external_handler = lambda cmd: (_ for _ in ()).throw(
+            ConnectionError("down"))
+        sqlcm.add_rule(Rule(name="started", event="Query.Start",
+                            condition="Query.Duration >= 0",
+                            actions=[RunExternalAction("d={Query.Duration}")]))
+        sqlcm.add_rule(Rule(name="never", event="Query.Start",
+                            condition="Query.Duration < 0",
+                            actions=[SendMailAction("x", "dba")]))
+        query = session.execute("SELECT price FROM items WHERE id = 1").query
+        entry, = sqlcm.dead_letters.entries()
+        assert entry.payload == "RunExternal: d=0.0"
+        delivered = []
+        sqlcm.external_handler = delivered.append
+        assert sqlcm.dead_letters.replay(sqlcm) == 1
+        duration = query.duration_at(server.clock.now)
+        assert duration > 0.0
+        assert delivered == [f"d={duration}"]
+
+    def test_every_replay_probes_again(self, server, sqlcm):
+        """A replay that fails keeps its letter; the next one reads the
+        source as it is by then, not what the failed replay read."""
+        sqlcm.external_handler = lambda cmd: (_ for _ in ()).throw(
+            ConnectionError("down"))
+        sqlcm.add_rule(Rule(name="tick", event="Timer.Alert",
+                            actions=[RunExternalAction("i={Timer.Interval}")]))
+        timer = sqlcm.set_timer("t", 10.0)
+        sqlcm.dispatch_event("timer.alert", {"timer": timer})
+        assert sqlcm.dead_letters.replay(sqlcm) == 0
+        sqlcm.set_timer("t", 5.0)
+        delivered = []
+        sqlcm.external_handler = delivered.append
+        assert sqlcm.dead_letters.replay(sqlcm) == 1
+        assert delivered == ["i=5.0"]
+
     def test_failed_replay_keeps_entry_with_bumped_attempts(
             self, server, sqlcm):
         session = _items(server)

@@ -257,6 +257,89 @@ class TestEventScope:
             SCHEMA._classes.pop("audit")
 
 
+class TestProbeMemo:
+    """A monitored object probes each attribute at most once."""
+
+    @pytest.fixture
+    def duration_calls(self, monkeypatch):
+        from repro.core import objects
+        calls = []
+        probe = objects._QUERY_PROBES["duration"]
+
+        def counting(qctx, factory):
+            calls.append(qctx.query_id)
+            return probe(qctx, factory)
+
+        monkeypatch.setitem(objects._QUERY_PROBES, "duration", counting)
+        return calls
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["program", "framed"])
+    def test_sixty_four_rules_probe_the_duration_once(
+            self, monitored, duration_calls, observed):
+        server, sqlcm = monitored
+        if observed:
+            server.enable_observability()  # the interpreted loop
+        sqlcm.create_lat(LATDefinition(
+            name="Last", monitored_class="Query",
+            grouping=["Query.ID AS Qid"],
+            aggregations=["LAST(Query.Duration) AS D"]))
+        for i in range(64):
+            sqlcm.add_rule(Rule(name=f"r{i}", event="Query.Commit",
+                                condition="Query.Duration >= 0",
+                                actions=[InsertAction("Last")]))
+        query = _run(server, "SELECT id FROM items WHERE id = 1").query
+        assert sqlcm.rule_firings == 64
+        assert duration_calls == [query.query_id]  # not 64 (or 128)
+
+    def test_iteration_scope_builds_fresh_objects_per_call(
+            self, monitored, monkeypatch):
+        server, sqlcm = monitored
+        sqlcm.set_timer("t", 10.0)
+        blocker = _run(server, "SELECT id FROM items WHERE id = 1").query
+        blocked = _run(server, "SELECT id FROM items WHERE id = 2").query
+        monkeypatch.setattr(sqlcm.driver, "blocking_pairs",
+                            lambda: ([(blocker, blocked, "r", 0.5)], 1))
+        first, second = (sqlcm._combos({"timer", "blocker", "blocked"}, {})
+                         for __ in range(2))
+        (one,), (two,) = first, second
+        for key in ("timer", "blocker", "blocked"):
+            assert one[key] is not two[key]
+        one["timer"].get("Interval")
+        sqlcm.set_timer("t", 5.0)
+        assert two["timer"].get("Interval") == 5.0
+
+    def test_snapshot_is_unchanged(self, monitored):
+        from repro.core.objects import _QUERY_PROBES
+        server, sqlcm = monitored
+        query = _run(server, "SELECT id FROM items WHERE id = 1").query
+        obj = sqlcm.factory.query(query)
+        expected = {name: _QUERY_PROBES[name](query, sqlcm.factory)
+                    for name in obj.class_def.attributes}
+        assert obj.snapshot() == expected
+        assert list(obj.snapshot()) == list(obj.class_def.attributes)
+        assert obj.snapshot(["Duration", "ID"]) == {
+            "Duration": expected["duration"], "ID": expected["id"]}
+
+    def test_an_action_that_changes_a_source_makes_the_objects_forget(
+            self, monitored):
+        """Set re-arms the very timer that alerted: the rule after it reads
+        the new interval, as it would without the memo."""
+        __, sqlcm = monitored
+        seen = []
+        sqlcm.add_rule(Rule(name="rearm", event="Timer.Alert",
+                            condition="Timer.Interval = 10",
+                            actions=[SetTimerAction("t", 5.0)]))
+        sqlcm.add_rule(Rule(name="after", event="Timer.Alert",
+                            condition="Timer.Interval = 5",
+                            actions=[CallbackAction(
+                                lambda s, c: seen.append(
+                                    c["timer"].get("Interval")))]))
+        timer = sqlcm.set_timer("t", 10.0)
+        sqlcm.dispatch_event("timer.alert", {"timer": timer})
+        assert seen == [5.0]
+
+
 class TestLATIntegration:
     def test_insert_then_condition_on_lat(self, monitored):
         server, sqlcm = monitored
