@@ -10,12 +10,16 @@ hooks); clients submit SQL and monitoring commands as JSON-line frames
 ``stream_alert``/``incident`` events.
 
 **The virtual clock stays authoritative.**  The engine never blocks the
-event loop: a *pump* task advances the scheduler by ``config.tick``
-virtual seconds every ``config.pump_interval`` wall seconds, then settles
-the service state — finished statement processes become responses, the
-backpressure queue is re-examined, per-connection push outboxes are
-flushed.  Because asyncio is single-threaded, connection handlers and the
-pump never race; tests stay deterministic in virtual time.
+event loop: a *pump* task steps it — advances the scheduler by exactly
+``config.tick`` virtual seconds, then settles the service state (finished
+statement processes become responses, the backpressure queue is
+re-examined, per-connection push outboxes are flushed).  The pump steps
+as soon as a statement starts and otherwise every
+``config.pump_interval`` wall seconds, so a request never waits out an
+idle tick.  Wall time only paces the steps: what a statement sees is set
+by the ticks it spans, never by how long the pump slept between them.
+Because asyncio is single-threaded, connection handlers and the pump
+never race; tests stay deterministic in virtual time.
 
 **Admission control closes the loop with the overload governor.**  Every
 ``sql`` request is classed (CRITICAL / NORMAL / BEST_EFFORT, defaulting
@@ -70,7 +74,9 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0                     # 0 = ephemeral, read .port after start
     tick: float = 0.02                # virtual seconds advanced per pump
-    pump_interval: float = 0.001      # wall seconds between pumps
+    # idle cadence: wall seconds between pump steps while no statement
+    # starts (a started statement wakes the pump at once)
+    pump_interval: float = 0.001
     queue_limit: int = 16             # max queued (shed) requests
     queue_timeout: float = 1.0        # virtual seconds a queued request waits
     admin_users: tuple = ("admin",)   # users allowed to cancel other queries
@@ -153,6 +159,10 @@ class MonitorService:
         self._queue: list[_Queued] = []
         self._server: asyncio.base_events.Server | None = None
         self._pump_task: asyncio.Task | None = None
+        # the idle pump awaits _wake; _start_statement resolves it and
+        # sets _work, which also covers a start inside the pump's step
+        self._wake: asyncio.Future | None = None
+        self._work = False
         self._running = False
         self._incident_listener_attached = False
         self.port: int | None = None
@@ -250,12 +260,36 @@ class MonitorService:
     # -- the pump: virtual time + settlement ------------------------------
 
     async def _pump(self) -> None:
-        while self._running:
-            if self._restart_stage:
-                self._restart_step()
-            self._advance()
-            self._settle()
-            await asyncio.sleep(self.config.pump_interval)
+        loop = asyncio.get_running_loop()
+        timer = None
+        try:
+            while self._running:
+                self._work = False
+                if self._restart_stage:
+                    self._restart_step()
+                self._advance()
+                self._settle()
+                if self._work:
+                    # a statement was re-admitted inside this step: run it
+                    # on the next one, after the connection readers' turn
+                    await asyncio.sleep(0)
+                    continue
+                self._wake = loop.create_future()
+                timer = loop.call_later(self.config.pump_interval,
+                                        self._wake_pump)
+                await self._wake
+                timer.cancel()
+        finally:
+            # a done future left behind would make the next pump (after
+            # stop()/start() or a cancellation mid-wait) spin
+            if timer is not None:
+                timer.cancel()
+            self._wake = None
+
+    def _wake_pump(self) -> None:
+        wake = self._wake
+        if wake is not None and not wake.done():
+            wake.set_result(None)
 
     # -- supervised restart ------------------------------------------------
 
@@ -486,15 +520,12 @@ class MonitorService:
         line = line.strip()
         if not line:
             return
+        frame = None
         try:
             frame = decode_frame(line)
             request = parse_request(frame)
         except ProtocolError as err:
-            raw_id = None
-            try:
-                raw_id = frame.get("id")  # noqa: F821 (set if decode passed)
-            except Exception:
-                pass
+            raw_id = frame.get("id") if isinstance(frame, dict) else None
             request_id = raw_id if isinstance(raw_id, int) else -1
             conn.send_response(Response(request_id, ok=False, code=E_PARSE,
                                         message=str(err)))
@@ -675,6 +706,10 @@ class MonitorService:
         # would never wake
         session.process = proc
         conn.pending = _Pending(request.id, proc=proc)
+        # the one place that wakes the pump: a fresh request, or one the
+        # pump's own step re-admitted from the queue
+        self._work = True
+        self._wake_pump()
 
     def _op_install_lat(self, conn: ClientConnection,
                         request: Request) -> dict:

@@ -171,6 +171,20 @@ class TestHandshake:
             assert isinstance(frame, Response)
             assert frame.code == E_PARSE
 
+    def test_parse_error_id(self, service):
+        with connect(service) as client:
+            # not JSON, and JSON that is not an object: no id to echo
+            for line in (b"not json at all\n", b"[1, 2, 3]\n"):
+                client._sock.sendall(line)
+                frame = client._read_frame()
+                assert frame.code == E_PARSE
+                assert frame.request_id == -1
+            # an object without an op still has its id echoed
+            client._sock.sendall(b'{"id": 5}\n')
+            frame = client._read_frame()
+            assert frame.code == E_PARSE
+            assert frame.request_id == 5
+
 
 # ---------------------------------------------------------------------------
 # SQL over the wire
@@ -214,6 +228,100 @@ class TestSQL:
             holder.sql("COMMIT")
             first = client._read_frame()
             assert first.request_id == 100 and first.ok
+
+
+# ---------------------------------------------------------------------------
+# pump pacing: a started statement wakes the pump; idle, it ticks
+# ---------------------------------------------------------------------------
+
+def count_advances(svc: MonitorService) -> list:
+    """Count the pump's steps: one ``_advance`` per step."""
+    calls = []
+    advance = svc._advance
+
+    def counted():
+        calls.append(None)
+        advance()
+
+    svc._advance = counted
+    return calls
+
+
+class TestPumpPacing:
+    def test_requests_do_not_wait_for_the_tick(self):
+        svc = build_service(pump_interval=1.0)
+        elapsed = {}
+
+        def run(i):
+            start = time.monotonic()
+            with connect(svc) as client:
+                client.sql(f"CREATE TABLE t{i} (id INTEGER PRIMARY KEY)")
+                for key in range(19):
+                    client.sql(f"INSERT INTO t{i} (id) VALUES ({key})")
+            elapsed[i] = time.monotonic() - start
+
+        with ServiceRunner(svc):
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        # paced by the 1 s idle tick, 20 requests would take >= 20 s
+        assert sorted(elapsed) == [0, 1]
+        assert max(elapsed.values()) < 10.0
+
+    def test_readmitted_request_runs_on_the_next_step(self):
+        svc = build_service(pump_interval=2.0, queue_timeout=1e9)
+        governor = frozen_governor(svc, GOV_SHEDDING)
+        with ServiceRunner(svc), \
+                connect(svc, criticality=BEST_EFFORT) as queued, \
+                connect(svc) as waker:
+            result = {}
+
+            def blocked_sql():
+                try:
+                    queued.sql("SELECT 1 FROM nothing")
+                except ServiceError as err:
+                    result["err"] = err
+                result["at"] = time.monotonic()
+
+            thread = threading.Thread(target=blocked_sql)
+            thread.start()
+            assert wait_until(lambda: len(svc._queue) == 1)
+            governor.state = GOV_NORMAL
+            released = time.monotonic()
+            # this statement wakes the pump; the step that answers it
+            # re-admits the queued request, which must not then sit out
+            # an idle interval
+            waker.sql("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            thread.join(WAIT)
+            assert not thread.is_alive()
+            assert result["err"].code == E_SQL  # admitted and executed
+            assert result["at"] - released < 0.5 * svc.config.pump_interval
+
+    def test_idle_pump_is_not_a_busy_loop(self, tmp_path):
+        svc = build_durable_service(tmp_path, pump_interval=0.05)
+        steps = count_advances(svc)
+
+        def idle_steps():
+            steps.clear()
+            time.sleep(0.5)
+            return len(steps)
+
+        runner = ServiceRunner(svc)
+        runner.start()
+        try:
+            assert 1 <= idle_steps() <= 15
+            svc.request_restart()
+            assert wait_until(lambda: svc.restarts == 1
+                              and svc.state == "running")
+            assert 1 <= idle_steps() <= 15
+        finally:
+            runner.stop()
+        # a fresh runner (a new event loop) on the same service
+        with ServiceRunner(svc):
+            assert 1 <= idle_steps() <= 15
 
 
 # ---------------------------------------------------------------------------
