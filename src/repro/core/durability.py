@@ -3,7 +3,8 @@
 The monitor's state — rules and their health, LAT contents, stream window
 panes, open incidents, the governor ladder, dead letters, pending timers —
 lives in memory; this module makes it survive being killed.  There is one
-on-disk form, the CRC-framed record line (:func:`frame`), one reader
+on-disk form, the CRC-framed record line (:func:`frame`: a CRC and one
+line of tagged JSON, :func:`repro.core.state.dumps`), one reader
 (:func:`read_journal`) and one apply table (:data:`HANDLERS`).  Two files
 per *generation* N hold such records:
 
@@ -12,8 +13,10 @@ per *generation* N hold such records:
   stops at the first record that fails its CRC, fails to parse, or lacks
   its trailing newline, then discards any trailing records past the last
   *committed* one.  Records written inside an event dispatch are
-  committed as a group by the per-event ``counts`` marker; records
-  written outside dispatch commit alone.
+  committed as a group by the per-event ``counts`` marker, those of a
+  stream event by its one ``stream_obs`` record; records written outside
+  both commit alone.  A group reaches the file with one write and one
+  flush, when its commit record is appended.
 * ``checkpoint-000N.ckpt`` — a **compacted journal**: the shortest record
   sequence that recreates the monitor's folded state in registration
   order (:func:`compact`), written to a temp file and published with
@@ -35,8 +38,8 @@ site and assert digest equality after rebuild.
 
 What "the monitor's state" is, is not decided here: every stateful class
 declares its durable fields once (:mod:`repro.core.state`), record
-payloads are ``fold`` images of those declarations (made literal once,
-when the record is framed), and :func:`compact` is one walk over a
+payloads are ``fold`` images of those declarations (encoded once, when
+the record is framed), and :func:`compact` is one walk over a
 *sequence* of monitors — a serial monitor alone, or the shard monitors
 of a sharded replay folded field by field with each field's declared
 merge-op.
@@ -70,12 +73,12 @@ from repro.core.incidents import (INCIDENT_TABLE, SWEEP_TIMER,
 from repro.core.lat import LATDefinition
 from repro.core.resilience import DeadLetter, RuleHealth
 from repro.core.rules import Rule
-from repro.core.state import (fold, literalize, load, load_into,
-                              parse_literal)
+from repro.core.state import dumps, fold, load, load_into, loads
 from repro.errors import DurabilityError, FaultInjected
 
-#: version of the record vocabulary, carried by a checkpoint's first record
-CHECKPOINT_VERSION = 3
+#: version of the record vocabulary and line format, carried by a
+#: checkpoint's first record (4: JSON lines; 3 wrote ``repr`` lines)
+CHECKPOINT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +133,13 @@ class JournalRecord:
 def frame(seq: int, kind: str, commit: bool, time: float, data: Any) -> str:
     """The one on-disk form, journal and checkpoint alike::
 
-        <crc32 of payload, 8 hex> <repr((seq, kind, commit, time, data))>\n
-    """
-    payload = repr((seq, kind, bool(commit), time, literalize(data)))
-    return f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
+        <crc32 of payload, 8 hex> [seq,"kind",commit,time,data]\n
+
+    The payload is :func:`~repro.core.state.dumps` of that list: ASCII
+    JSON with tags for tuples, bytes and non-string keys, inf and nan as
+    ``Infinity``/``NaN``, and no newline inside."""
+    payload = dumps([seq, kind, bool(commit), time, data])
+    return f"{zlib.crc32(payload.encode('ascii')):08x} {payload}\n"
 
 
 def _chain(crcs) -> int:
@@ -148,22 +154,31 @@ class Journal:
     """Append-only logical redo journal with group-commit markers.
 
     One :func:`frame` line per record.  ``commit`` semantics: records
-    appended while the owning monitor is inside event dispatch default to
-    ``False`` — the per-event ``counts`` record at the end of
-    ``_process_event`` carries an explicit ``commit=True`` and commits the
-    whole group.  Records appended outside dispatch commit alone.  The
-    owners are the monitors whose state the records fold, control first:
-    the one monitor a :class:`DurabilityManager` journals, or the shard
-    monitors of a sharded replay that the checkpoint walk compacts.
-    Recovery replays records only up to and including the last committed
-    one; an uncommitted tail (crash mid-event) is discarded, exactly like
-    a torn tail.
+    appended while the owning monitor is inside event dispatch, or while a
+    caller holds a group open (:attr:`groups_open`: a stream event's
+    ingest loop), default to ``False``.  The record that closes the group
+    commits all of it: the per-event ``counts`` record at the end of
+    ``_process_event`` (an explicit ``commit=True``), or the stream
+    event's ``stream_obs`` record.  Records appended outside both commit
+    alone.  The owners are the monitors whose state the records fold,
+    control first: the one monitor a :class:`DurabilityManager` journals,
+    or the shard monitors of a sharded replay that the checkpoint walk
+    compacts.  Recovery replays records only up to and including the last
+    committed one; an uncommitted tail (crash mid-event) is discarded,
+    exactly like a torn tail.
 
-    A fault injected at ``durability.append`` marks the journal **dead**
-    (the process crashed as far as the disk is concerned): subsequent
-    appends are dropped silently, simulating post-crash execution the
-    recovery must not see.  ``partial`` mode additionally writes a torn
-    half-line first.  A real ``OSError`` also fails open — monitoring
+    Flush policy: the line of an uncommitted record waits in memory, and
+    a commit writes the waiting lines and its own with one ``write`` and
+    one ``flush``.  So every committed record has reached the operating
+    system when :meth:`append` returns (there is no ``fsync``), and a
+    crash loses only lines that recovery would have discarded.
+
+    A fault injected at ``durability.append`` (consulted once per record)
+    marks the journal **dead** (the process crashed as far as the disk is
+    concerned): subsequent appends are dropped silently, simulating
+    post-crash execution the recovery must not see.  ``partial`` mode
+    first writes the waiting lines and the first half of the faulting
+    one, a torn tail.  A real ``OSError`` also fails open — monitoring
     must never die because its journal disk did — and bumps the
     ``sqlcm.durability.journal_failed`` metric.
     """
@@ -172,8 +187,10 @@ class Journal:
         self._monitors = monitors
         self._sqlcm = monitors[0]
         self._file = None
+        self._waiting: list[str] = []  # lines of the uncommitted group
         self.path: str | None = None
         self.seq = 0
+        self.groups_open = 0
         self.dead = False
         self.records_written = 0
         self.on_commit: list[Callable[[], None]] = []
@@ -190,6 +207,10 @@ class Journal:
         self.dead = False
 
     def close(self) -> None:
+        """Close the segment; lines still waiting for a commit are lost,
+        as in a crash (a checkpoint has just saved their state, or
+        nothing ever would have replayed them)."""
+        self._waiting.clear()
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -198,33 +219,39 @@ class Journal:
         if self.dead or self._file is None:
             return
         if commit is None:
-            commit = not any(m._dispatching for m in self._monitors)
+            commit = not (self.groups_open or self._sqlcm._dispatching)
         self.seq += 1
         line = frame(self.seq, kind, commit, self.clock.now, data)
+        waiting = self._waiting
         try:
             self._sqlcm.check_fault("durability.append")
         except FaultInjected as err:
             if err.mode == "partial":
-                # a torn tail: the first half of the line hit the disk
-                self._file.write(line[: max(1, len(line) // 2)])
+                # a torn tail: the group so far and the first half of this
+                # line hit the disk
+                self._file.write("".join(waiting)
+                                 + line[: max(1, len(line) // 2)])
                 self._file.flush()
             self.dead = True
             return
+        waiting.append(line)
+        if not commit:
+            return
         try:
-            self._file.write(line)
+            self._file.write("".join(waiting))
             self._file.flush()
         except OSError:
             self.dead = True
             self._sqlcm.server.obs.count("sqlcm.durability.journal_failed")
             return
-        self.records_written += 1
-        if commit:
-            for callback in self.on_commit:
-                callback()
+        self.records_written += len(waiting)
+        waiting.clear()
+        for callback in self.on_commit:
+            callback()
 
     # builders of the records both the wired subsystems and the checkpoint
     # walk emit (every other kind is appended where it happens); state
-    # records (dataclasses) are turned into images by ``literalize``
+    # records (dataclasses) are written as their images by ``dumps``
 
     def lat_created(self, definition: LATDefinition) -> None:
         self.append("lat_create", {"definition": definition})
@@ -260,6 +287,18 @@ class Journal:
     def dead_lettered(self, entry: DeadLetter) -> None:
         self.append("deadletter", {"entry": entry})
 
+    def dead_letters_changed(self, letters) -> None:
+        """The whole dead-letter ring: a checkpoint's, or what a sweep
+        (``replay``, ``redeliver``, ``clear``) left of it."""
+        self.append("deadletters",
+                    fold([letters]) | {"entries": letters.entries()})
+
+    def timer_set(self, timer) -> None:
+        """A timer's interval and remaining alarms: armed, re-armed, or
+        one alarm closer to done."""
+        self.append("timer", {"name": timer.name, "interval": timer.interval,
+                              "repeats": timer.remaining})
+
     def attach_stream_health(self, streams) -> None:
         """Wire a (possibly lazily-created) stream engine's health registry."""
         streams.health.journal_hook = (
@@ -289,8 +328,8 @@ def read_journal(path: str) -> tuple[list[JournalRecord], int]:
             if len(crc_hex) != 8 or \
                     int(crc_hex, 16) != zlib.crc32(payload.encode("utf-8")):
                 raise ValueError("CRC mismatch")
-            seq, kind, commit, time, data = parse_literal(payload)
-        except (ValueError, SyntaxError):
+            seq, kind, commit, time, data = loads(payload)
+        except (ValueError, TypeError):
             torn = 1
             break
         records.append(JournalRecord(seq, kind, commit, time, data, crc_hex))
@@ -379,8 +418,7 @@ def compact(monitors: Sequence[SQLCM]) -> str:
                        _query_image([e.query(name) for e in engines]))
     out.append("totals", {
         "sqlcm": fold(monitors),
-        "streams": fold(engines) if engines else None,
-        "deadletters": fold([control.dead_letters])})
+        "streams": fold(engines) if engines else None})
     for health in control.health.known():
         out.health_changed("engine", health)
     if streams is not None:
@@ -388,11 +426,9 @@ def compact(monitors: Sequence[SQLCM]) -> str:
             out.health_changed("stream", health)
     if control.governor is not None:
         out.governor_changed(control.governor)
-    for entry in control.dead_letters.entries():
-        out.dead_lettered(entry)
+    out.dead_letters_changed(control.dead_letters)
     for timer in control.timer_service.timers():
-        out.append("timer", {"name": timer.name, "interval": timer.interval,
-                             "repeats": timer.remaining})
+        out.timer_set(timer)
     if manager is not None and manager.policy.history:
         for table_name in manager.history_tables():
             if control.server.catalog.has_table(table_name):
@@ -406,6 +442,15 @@ def compact(monitors: Sequence[SQLCM]) -> str:
     return "".join(out.lines)
 
 
+def _repr_lines(path: str) -> bool:
+    """Does the file open with a whole record line of the version-3
+    format, ``<crc> repr(tuple)``?"""
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        crc_hex, __, payload = handle.readline().rstrip("\n").partition(" ")
+    return payload.startswith("(") \
+        and crc_hex == f"{zlib.crc32(payload.encode('utf-8')):08x}"
+
+
 def read_checkpoint(path: str) -> list[JournalRecord]:
     """A checkpoint's records; raises DurabilityError unless the file is
     whole.  It is whole *iff* its last committed record is the end marker
@@ -413,6 +458,10 @@ def read_checkpoint(path: str) -> list[JournalRecord]:
     other record commits, so no prefix of the file can pass."""
     records, __ = read_journal(path)
     if not records or records[-1].kind != "checkpoint_end":
+        if _repr_lines(path):
+            raise DurabilityError(
+                f"{path}: a version 3 checkpoint (repr record lines); this "
+                f"build reads version {CHECKPOINT_VERSION} (JSON lines) only")
         raise DurabilityError(f"{path}: no end marker (torn or foreign file)")
     *body, end = records
     if end.data != {"records": len(body),
@@ -539,7 +588,6 @@ class _Restorer:
 
     def totals(self, data: dict) -> None:
         load_into(self.sqlcm, data["sqlcm"])
-        load_into(self.sqlcm.dead_letters, data["deadletters"])
         if data["streams"] is not None:
             load_into(self.sqlcm.stream_engine(), data["streams"])
 
@@ -559,18 +607,28 @@ class _Restorer:
             self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
 
     def stream_obs(self, data: dict) -> None:
+        """One stream event: every query's observation, in ingest order,
+        and the queries whose ingest failed (their health is a record of
+        its own)."""
         streams = self.sqlcm._streams
         if streams is None:
             return
-        query = streams._queries.get(data["stream"].lower())
-        if query is None:
-            return
-        key = tuple(data["key"])
-        query.window.observe(key, list(data["values"]), data["time"])
-        if query.next_boundary is None:
-            query.next_boundary = (
-                query.spec.window.pane_index(data["time"]) + 1)
-        query.events_ingested += 1
+        queries = streams._queries
+        now = data["time"]
+        for name, key, values in data["obs"]:
+            query = queries.get(name.lower())
+            if query is not None:
+                query.window.observe(key, values, now)
+                if query.next_boundary is None:
+                    query.next_boundary = \
+                        query.spec.window.pane_index(now) + 1
+                query.events_ingested += 1
+        for name, error in data.get("failed", ()):
+            query = queries.get(name.lower())
+            if query is not None:
+                query.errors += 1
+                query.last_error = error
+                streams.errors += 1
 
     def stream_flush(self, data: dict) -> None:
         streams = self.sqlcm._streams
@@ -623,6 +681,11 @@ class _Restorer:
     def deadletter(self, data: dict) -> None:
         self.sqlcm.dead_letters.append(load(DeadLetter, data["entry"]))
 
+    def deadletters(self, data: dict) -> None:
+        letters = load_into(self.sqlcm.dead_letters, data)
+        letters._entries = [load(DeadLetter, image)
+                            for image in data["entries"]]
+
     def timer(self, data: dict) -> None:
         self.pending_timers[data["name"].lower()] = (
             data["name"], data["interval"], data["repeats"])
@@ -664,6 +727,7 @@ HANDLERS: dict[str, Callable[[_Restorer, Any], None]] = {
     "incidents": _Restorer.incidents,
     "governor": _Restorer.governor,
     "deadletter": _Restorer.deadletter,
+    "deadletters": _Restorer.deadletters,
     "timer": _Restorer.timer,
     "history": _Restorer.history,
 }
@@ -732,7 +796,7 @@ class DurabilityManager:
             lambda health: journal.health_changed("engine", health))
         if sqlcm._streams is not None:
             journal.attach_stream_health(sqlcm._streams)
-        sqlcm.dead_letters.journal_hook = journal.dead_lettered
+        sqlcm.dead_letters.journal = journal
         self.attached = True
         self.checkpoint()
         return self
@@ -746,7 +810,7 @@ class DurabilityManager:
         sqlcm.health.journal_hook = None
         if sqlcm._streams is not None:
             sqlcm._streams.health.journal_hook = None
-        sqlcm.dead_letters.journal_hook = None
+        sqlcm.dead_letters.journal = None
         self.journal.close()
         self.attached = False
 
@@ -838,6 +902,8 @@ class DurabilityManager:
         checkpoint fails verification (torn write) is skipped in
         favor of the previous one, whose journal kept growing because
         rotation only happens after a successful checkpoint publish.
+        When none verifies, the error names why each was refused (a
+        directory written by a version 3 build says so).
 
         ``setup`` runs against the fresh monitor before any state is
         applied — it is the hook for re-registering components whose
@@ -848,15 +914,18 @@ class DurabilityManager:
         generations = _list_generations(directory)
         if not generations:
             raise DurabilityError(f"no checkpoint found in {directory!r}")
+        refused: list[str] = []
         for chosen in reversed(generations):
             try:
                 image = read_checkpoint(_checkpoint_path(directory, chosen))
-            except (DurabilityError, OSError):
+            except (DurabilityError, OSError) as err:
+                refused.append(str(err))
                 continue
             break
         else:
             raise DurabilityError(
-                f"no valid checkpoint generation in {directory!r}")
+                f"no valid checkpoint generation in {directory!r}: "
+                + "; ".join(refused))
         sqlcm = SQLCM(driver if driver is not None else server)
         if setup is not None:
             setup(sqlcm)

@@ -656,7 +656,7 @@ class LAT:
         self.latch_acquisitions += 1
 
     def image(self) -> dict:
-        """This LAT as one literal-codec payload — counters, then every
+        """This LAT as one record payload — counters, then every
         row's key, encoded aggregate states and sequence number: the
         ``lat_image`` record of a checkpoint or a restore."""
         return schema.fold([self]) | {

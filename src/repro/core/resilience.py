@@ -343,14 +343,15 @@ class DeadLetterJournal:
     :attr:`dropped`) rather than letting the journal grow without limit.
     """
 
-    # durability hook (set by DurabilityManager.attach): called with each
-    # appended DeadLetter so the entry survives a monitor crash
-    journal_hook = None
+    # durability journal (set by DurabilityManager.attach): gets each
+    # appended entry, and the whole ring after a sweep removed entries or
+    # re-attempted them, so the ring survives a monitor crash
+    journal = None
 
     STATE = (*state.walked("_entries"),
              *state.fields(state.first, "capacity", "dropped",
                            "poison_dropped"),
-             *state.transient("journal_hook"))
+             *state.transient("journal"))
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -368,8 +369,13 @@ class DeadLetterJournal:
             del self._entries[:overflow]
             self.dropped += overflow
         self._entries.append(entry)
-        if self.journal_hook is not None:
-            self.journal_hook(entry)
+        if self.journal is not None:
+            self.journal.dead_lettered(entry)
+
+    def _swept(self, remaining: list[DeadLetter]) -> None:
+        self._entries = remaining
+        if self.journal is not None:
+            self.journal.dead_letters_changed(self)
 
     def entries(self, rule: str | None = None) -> list[DeadLetter]:
         if rule is None:
@@ -385,7 +391,7 @@ class DeadLetterJournal:
         return len(self._entries)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._swept([])
 
     def replay(self, sqlcm) -> int:
         """Re-attempt delivery of every entry; returns how many succeeded.
@@ -407,7 +413,7 @@ class DeadLetterJournal:
                 entry.attempts += 1
                 entry.error = f"{type(err).__name__}: {err}"
                 remaining.append(entry)
-        self._entries = remaining
+        self._swept(remaining)
         return delivered
 
     def redeliver(self, sqlcm, drop_after: int = 9) -> RedeliveryReport:
@@ -449,7 +455,7 @@ class DeadLetterJournal:
                 self.poison_dropped += 1
             else:
                 remaining.append(entry)
-        self._entries = remaining
+        self._swept(remaining)
         report.remaining = len(remaining)
         return report
 

@@ -25,9 +25,8 @@ per-pane aggregate states keep the direct tagged encodings below.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
-import math
+import json
 from collections import deque
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Sequence
@@ -35,65 +34,91 @@ from typing import Any, Callable, NamedTuple, Sequence
 from repro.core.aggregates import AgingSpec, AgingState, FirstAgg, LastAgg
 
 # ---------------------------------------------------------------------------
-# literal codec: everything on disk round-trips through repr/parse_literal
+# the codec: everything on disk round-trips through dumps/loads, one line of
+# tagged JSON per value
 # ---------------------------------------------------------------------------
 
-
-#: inf/nan have no literal form: they travel as ``(_NONFINITE, repr)`` pairs
-_NONFINITE = "~float"
-
-
-#: passed through by the container branches below without a call: this walk
-#: is the hot loop of every journal append and every checkpoint
-_ATOMS = frozenset((type(None), bool, int, str, bytes))
+#: JSON carries these as themselves (inf and nan as ``Infinity``/``NaN``);
+#: the container branches below pass them without a call, because this
+#: walk is the hot loop of every journal append and every checkpoint
+_SCALARS = frozenset((type(None), bool, int, float, str))
 
 
-def literalize(value: Any) -> Any:
-    """Coerce a value into something :func:`parse_literal` reads back."""
-    if value is None or isinstance(value, (bool, int, str, bytes)):
+def _tagged(value: Any) -> Any:
+    """``value`` as JSON data, with a one-key tag object for each thing
+    JSON has no form of: ``{"~t": [...]}`` a tuple, ``{"~b": hex}`` bytes,
+    ``{"~d": [[key, value], ...]}`` a dict whose keys are not all plain
+    strings (a non-``str`` key, or one starting with ``~``)."""
+    kind = type(value)
+    if kind in _SCALARS:
         return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else (_NONFINITE, repr(value))
-    if isinstance(value, tuple):
-        return tuple([v if type(v) in _ATOMS else literalize(v)
-                      for v in value])
-    if isinstance(value, (list, deque)):
-        return [v if type(v) in _ATOMS else literalize(v) for v in value]
-    if isinstance(value, dict):
-        return {(k if type(k) in _ATOMS else literalize(k)):
-                (v if type(v) in _ATOMS else literalize(v))
+    if kind is tuple:
+        return {"~t": [v if type(v) in _SCALARS else _tagged(v)
+                       for v in value]}
+    if kind is list or kind is deque:
+        return [v if type(v) in _SCALARS else _tagged(v) for v in value]
+    if kind is dict:
+        for key in value:
+            if type(key) is not str or key[:1] == "~":
+                return {"~d": [[_tagged(k), _tagged(v)]
+                               for k, v in value.items()]}
+        return {k: v if type(v) in _SCALARS else _tagged(v)
                 for k, v in value.items()}
+    if kind is bytes:
+        return {"~b": value.hex()}
+    # subclasses of the types above travel as their base type
+    if isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, (list, deque)):
+        return [_tagged(v) for v in value]
+    if isinstance(value, tuple):
+        return _tagged(tuple(value))
+    if isinstance(value, dict):
+        return _tagged(dict(value))
     if isinstance(value, (set, frozenset)):
-        return sorted(literalize(v) for v in value)
+        return [_tagged(v) for v in sorted(value)]
     if dataclasses.is_dataclass(value):
-        return literalize(fold([value]))  # a state record: its image
+        return _tagged(fold([value]))  # a state record: its image
     return str(value)
 
 
-def parse_literal(text: str) -> Any:
-    """Read back ``repr(literalize(value))``, non-finite floats included."""
-    value = ast.literal_eval(text)
-    # the walk is paid only by the rare text that carries a tagged float
-    return _untag(value) if _NONFINITE in text else value
+#: what each tag object decodes to
+_UNTAG: dict[str, Callable] = {"~t": tuple, "~d": dict, "~b": bytes.fromhex}
 
 
-def _untag(value: Any) -> Any:
-    if isinstance(value, tuple):
-        if len(value) == 2 and value[0] == _NONFINITE:
-            return float(value[1])
-        return tuple(_untag(v) for v in value)
-    if isinstance(value, list):
-        return [_untag(v) for v in value]
-    if isinstance(value, dict):
-        return {_untag(k): _untag(v) for k, v in value.items()}
-    return value
+def _untagged(obj: dict) -> Any:
+    """The decoder's object hook: a tag object back to its value (a plain
+    object with one ``~`` key cannot occur, :func:`_tagged` tags it)."""
+    if len(obj) == 1:
+        (key, value), = obj.items()
+        untag = _UNTAG.get(key)
+        if untag is not None:
+            return untag(value)
+    return obj
 
 
-# FIRST/LAST carry class-level "no value yet" sentinels that repr cannot
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder(object_hook=_untagged)
+
+
+def dumps(value: Any) -> str:
+    """One line of tagged JSON that :func:`loads` reads back as ``value``:
+    tuples, bytes, non-``str`` dict keys and non-finite floats included.
+    Sets come back as sorted lists and state records as their ``fold``
+    image; :func:`load` rebuilds both."""
+    return _ENCODER.encode(_tagged(value))
+
+
+def loads(text: str) -> Any:
+    """Read back :func:`dumps` (one C decoder call; raises ValueError)."""
+    return _DECODER.decode(text)
+
+
+# FIRST/LAST carry class-level "no value yet" sentinels that the codec cannot
 # round-trip; aging aggregates carry block deques.  States are encoded as
 # small tagged lists (raw states are never lists, so the tag is unambiguous):
 # ["V", value] plain, ["E"] empty sentinel, ["A", [(block_start, enc), ...]];
-# the values inside become literal with the rest of the record.
+# the values inside are encoded with the rest of the record.
 _EMPTY_SENTINELS = (FirstAgg._EMPTY, LastAgg._EMPTY)
 
 
@@ -211,7 +236,7 @@ def fold(holders: Sequence) -> dict[str, Any]:
 
 def _decode(image: Any, like: Any, element: Any) -> Any:
     """Rebuild one field from its image; ``like`` (the value a fresh holder
-    carries) names the container type the literal form lost."""
+    carries) names the container type the encoded form lost."""
     if element is not None and image is not None:
         build = ((lambda item: load(element, item))
                  if dataclasses.is_dataclass(element) else element)

@@ -60,11 +60,12 @@ class TimerService:
             self._sqlcm.server.scheduler.spawn(
                 f"timer-{name}", self._timer_process(timer, timer.generation)
             )
-        if self._sqlcm.journal is not None:
-            self._sqlcm.journal.append("timer", {
-                "name": name, "interval": timer.interval,
-                "repeats": timer.remaining})
+        self._journal(timer)
         return timer
+
+    def _journal(self, timer: TimerObject) -> None:
+        if self._sqlcm.journal is not None:
+            self._sqlcm.journal.timer_set(timer)
 
     def shutdown(self) -> None:
         """Disarm every timer: running processes see the generation bump
@@ -94,6 +95,7 @@ class TimerService:
                                                {"timer": timer})
             # the alert's rule work executes in this background thread
             yield Delay(server.take_monitor_cost())
+            before = timer.remaining
             if timer.remaining > 0:
                 timer.remaining -= 1
             due += timer.interval
@@ -112,3 +114,7 @@ class TimerService:
                     due += missed * timer.interval
                     if timer.remaining > 0:
                         timer.remaining -= missed
+            if timer.remaining != before:
+                # a recovered monitor re-arms with what is left, rather
+                # than re-firing spent alarms
+                self._journal(timer)

@@ -252,6 +252,26 @@ class StreamEngine:
         # applied, so an event at t never lands in a window ending <= t
         if not self._in_emit:
             self._flush(now)
+        journal = self._sqlcm.journal
+        if journal is None:
+            self._ingest_all(queries, event, payload, now, None)
+            return
+        # one stream_obs record per event: the observations in ingest
+        # order, and the queries that failed.  The event is a journal
+        # group, so a record the loop appends (a failing query's health)
+        # cannot commit ahead of the observations of the queries before it
+        batch: dict = {"time": now, "obs": []}
+        seq = journal.seq
+        journal.groups_open += 1
+        try:
+            self._ingest_all(queries, event, payload, now, batch)
+        finally:
+            journal.groups_open -= 1
+        if batch["obs"] or journal.seq != seq:
+            journal.append("stream_obs", batch)
+
+    def _ingest_all(self, queries: list[StreamQuery], event: str,
+                    payload: dict, now: float, batch: dict | None) -> None:
         obs = self.server.obs
         governor = self._sqlcm.governor
         context: dict | None = None
@@ -270,12 +290,15 @@ class StreamEngine:
                     if not built:
                         context = self._sqlcm._build_context(event, payload)
                         built = True
-                    self._ingest(query, context, now)
+                    self._ingest(query, context, now, batch)
                 except Exception as err:
                     self._record_failure(query, "stream.eval", err)
+                    if batch is not None:
+                        batch.setdefault("failed", []).append(
+                            [query.spec.name, query.last_error])
 
     def _ingest(self, query: StreamQuery, context: dict | None,
-                now: float) -> None:
+                now: float, batch: dict | None) -> None:
         spec = query.spec
         costs = self.server.costs
         self.server.add_monitor_cost(costs.stream_ingest)
@@ -296,14 +319,8 @@ class StreamEngine:
         if query.next_boundary is None:
             query.next_boundary = spec.window.pane_index(now) + 1
         query.events_ingested += 1
-        journal = self._sqlcm.journal
-        if journal is not None:
-            journal.append("stream_obs", {
-                "stream": query.spec.name,
-                "key": key,
-                "values": values,
-                "time": now,
-            })
+        if batch is not None:
+            batch["obs"].append([spec.name, key, values])
         self.health.record_success(query.spec.name)
 
     # ------------------------------------------------------------------

@@ -13,17 +13,18 @@ lose the uncommitted tail, nothing more.
 from __future__ import annotations
 
 import math
-import zlib
 
 import pytest
 
 from repro import (DatabaseServer, EventTrace, InsertAction, LATDefinition,
-                   Rule, ServerConfig, ShardedSQLCM, SQLCM)
+                   Rule, SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
+from repro.core import state
 from repro.core.actions import CallbackAction
-from repro.core.durability import (DigestTap, DurabilityManager, compact,
+from repro.core.durability import (CHECKPOINT_VERSION, DigestTap,
+                                   DurabilityManager, _query_image, compact,
                                    frame, read_checkpoint, read_journal,
                                    verify_recovery)
-from repro.core.resilience import FaultInjected, FaultInjector
+from repro.core.resilience import DeadLetter, FaultInjected, FaultInjector
 from repro.errors import DurabilityError
 
 #: every crash site the durability layer exposes, in both failure modes
@@ -87,6 +88,37 @@ def work(server, n):
         server.close_session(session)
 
 
+def dead_letter_sweep(sqlcm):
+    """Three mails dead-lettered; a sweep delivers the two that still hold
+    their action, and the third stays with one more attempt."""
+    for i in range(3):
+        sqlcm.dead_letters.append(DeadLetter(
+            time=sqlcm.server.clock.now, rule="mailer",
+            action="SendMailAction", payload=f"m{i}",
+            error="SinkError: down", attempts=3,
+            action_obj=None if i == 1 else SendMailAction(f"m{i}", "dba@x")))
+    report = sqlcm.dead_letters.redeliver(sqlcm)
+    assert (report.delivered, report.remaining) == (2, 1)
+
+
+def supervisory(sqlcm):
+    """Timers and dead letters, which the state digest does not cover."""
+    letters = sqlcm.dead_letters
+    return (sorted((t.name, t.interval, t.remaining)
+                   for t in sqlcm.timer_service.timers()),
+            letters.snapshot(), letters.dropped, letters.poison_dropped)
+
+
+class CommitTap:
+    """``capture(monitor)`` at the post-attach checkpoint and at every
+    committed journal append: what recovery must rebuild is the last."""
+
+    def __init__(self, manager, capture):
+        self.points = [capture(manager.sqlcm)]
+        manager.journal.on_commit.append(
+            lambda: self.points.append(capture(manager.sqlcm)))
+
+
 def attach(target, directory):
     manager = DurabilityManager(target, str(directory))
     manager.attach()
@@ -96,7 +128,7 @@ def attach(target, directory):
 def tear_tail(manager):
     """Simulate a torn OS write: half a line lands at the journal tail."""
     with open(manager.journal.path, "a", encoding="utf-8") as handle:
-        handle.write("c0ffee00 (999, 'counts', Tru")
+        handle.write('c0ffee00 [999,"counts",tru')
 
 
 class DiesAtAppend(FaultInjector):
@@ -153,11 +185,6 @@ def crash(manager, sqlcm, server, site, mode):
 # journal file format
 # ---------------------------------------------------------------------------
 
-def _line(seq, kind, commit, time, data):
-    payload = repr((seq, kind, commit, time, data))
-    return f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
-
-
 class TestJournalFormat:
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "nope.wal")) == ([], 0)
@@ -165,19 +192,19 @@ class TestJournalFormat:
     def test_torn_tail_and_uncommitted_group_discarded(self, tmp_path):
         path = tmp_path / "j.wal"
         path.write_text(
-            _line(1, "counts", True, 1.0, {"events": 1})
-            + _line(2, "lat_insert", False, 2.0, {"lat": "L"})
-            + _line(3, "counts", True, 3.0, {"events": 2})[:20],
+            frame(1, "counts", True, 1.0, {"events": 1})
+            + frame(2, "lat_insert", False, 2.0, {"lat": "L"})
+            + frame(3, "counts", True, 3.0, {"events": 2})[:20],
             encoding="utf-8")
         records, discarded = read_journal(str(path))
         assert [r.seq for r in records] == [1]
         assert discarded == 2  # the uncommitted record + the torn line
 
     def test_bit_flip_stops_the_read(self, tmp_path):
-        good = _line(1, "counts", True, 1.0, {"events": 1})
-        bad = _line(2, "counts", True, 2.0, {"events": 2})
+        good = frame(1, "counts", True, 1.0, {"events": 1})
+        bad = frame(2, "counts", True, 2.0, {"events": 2})
         bad = bad.replace("counts", "c0unts", 1)  # payload no longer matches CRC
-        after = _line(3, "counts", True, 3.0, {"events": 3})
+        after = frame(3, "counts", True, 3.0, {"events": 3})
         path = tmp_path / "j.wal"
         path.write_text(good + bad + after, encoding="utf-8")
         records, discarded = read_journal(str(path))
@@ -303,20 +330,25 @@ class TestCrashMatrix:
     def test_serial_recovery_digest(self, tmp_path, site, mode, state):
         server, sqlcm = build_monitor()
         manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, supervisory)
         if state != "empty":
             work(server, 20)
+            dead_letter_sweep(sqlcm)
             server.clock.advance(10.0)
             overflow(sqlcm, "late", -math.inf)  # inf payload, nan state
-            work(server, 5)
+            work(server, 5)  # t1 fires twice: 3 alarms left -> 1
         crash(manager, sqlcm, server, site, mode)
         if state == "torn":
             tear_tail(manager)
         report = verify_recovery(str(tmp_path), tap)
+        assert supervisory(report.sqlcm) == side.points[-1]
         if state != "empty":
             assert report.records_replayed > 0
             late, = (row for row in report.sqlcm.lat("OVF").rows()
                      if row["U"] == "late")
             assert math.isnan(late["S"])
+            timers, letters, __, __ = side.points[-1]
+            assert ("t1", 5.0, 1) in timers and len(letters) == 1
         if state == "torn" or (site == "durability.append"
                                and mode == "partial"):
             assert report.records_discarded >= 1
@@ -331,6 +363,131 @@ class TestCrashMatrix:
             sqlcm.lat("Q_LAT").insert(
                 {"User": f"r{user}", "ID": user, "Duration": 1.0})
         crashed_restore(sqlcm, manager, tmp_path, n)
+
+
+# ---------------------------------------------------------------------------
+# stream state: the digest covers none of it, so it is compared directly
+# ---------------------------------------------------------------------------
+
+STREAM_KEYS = ("Query.Logical_Signature", "Query.User", "Query.Query_Type",
+               "Query.Application")
+
+
+def latstream_monitor():
+    """The monitor shape of the ``latstream-replay`` benchmark: four
+    condition-free rules into four LATs, and eight sliding stream queries
+    over four group keys, half of them alerting on every window."""
+    server = DatabaseServer(ServerConfig(track_completed_queries=True))
+    server.execute_ddl(
+        "CREATE TABLE items (id INT NOT NULL PRIMARY KEY, v INT)")
+    loader = server.create_session()
+    loader.execute("INSERT INTO items (id, v) VALUES (1, 1), (2, 2), (3, 3)")
+    server.close_session(loader)
+    sqlcm = SQLCM(server)
+    sqlcm.set_fault_injector(FaultInjector(seed=7))
+    for name, grouping, aggregations in [
+            ("TopK", "Query.Logical_Signature AS Sig",
+             ["AVG(Query.Duration) AS D", "COUNT(Query.ID) AS N"]),
+            ("ById", "Query.ID AS Qid", ["MAX(Query.Duration) AS D"]),
+            ("ByUser", "Query.User AS U",
+             ["COUNT(Query.ID) AS N", "SUM(Query.Duration) AS Total"]),
+            ("AllQ", "Query.ID AS Qid", ["LAST(Query.Duration) AS D"])]:
+        sqlcm.create_lat(LATDefinition(
+            name=name, monitored_class="Query", grouping=[grouping],
+            aggregations=aggregations))
+        sqlcm.add_rule(Rule(name=f"into_{name}", event="Query.Commit",
+                            actions=[InsertAction(name)]))
+    for i in range(8):
+        having = "Window.N >= 1" if i < 4 else "Window.Avg_D > 1000000"
+        sqlcm.stream_engine().register(
+            f"STREAM s{i} FROM Query.Commit WHERE Query.Duration >= 0 "
+            f"GROUP BY {STREAM_KEYS[i % 4]} AS K "
+            f"WINDOW SLIDING(0.05, 0.01) "
+            f"AGG AVG(Query.Duration) AS Avg_D, COUNT(*) AS N "
+            f"HAVING {having}")
+    return server, sqlcm
+
+
+def stream_work(server, n, start=0):
+    """n one-statement sessions: three users, reads and writes."""
+    for i in range(start, start + n):
+        session = server.create_session(user=f"u{i % 3}")
+        session.execute(f"UPDATE items SET v = {i} WHERE id = {1 + i % 3}"
+                        if i % 2 else
+                        f"SELECT v FROM items WHERE id = {1 + i % 3}")
+        server.close_session(session)
+
+
+def stream_images(sqlcm):
+    """Every stream query's checkpoint image (window panes, alert ring,
+    counters), less ``events_seen`` and ``where_rejected``: the two
+    tallies that are not persisted between checkpoints."""
+    images = {}
+    for query in sqlcm.stream_engine().queries():
+        image = _query_image([query])
+        del image["events_seen"], image["where_rejected"]
+        images[query.name] = state.loads(state.dumps(image))
+    return images
+
+
+class FailsQueryThenDies(FaultInjector):
+    """The ``k``-th stream query of the next stream event raises at
+    ``stream.eval``; the journal dies at the ``m``-th append after that."""
+
+    def __init__(self, k, m):
+        super().__init__(seed=7)
+        self.evals_left, self.m = k, m
+        self.appends_left = 0
+
+    def check(self, site):
+        if site == "stream.eval" and self.evals_left:
+            self.evals_left -= 1
+            if not self.evals_left:
+                self.appends_left = self.m
+                raise FaultInjected(site, "exception")
+        if site == "durability.append" and self.appends_left:
+            self.appends_left -= 1
+            if not self.appends_left:
+                raise FaultInjected(site, "exception")
+        return super().check(site)
+
+
+class TestStreamRecovery:
+    """Recovered ≡ pre-crash for every stream query: panes, alerts and
+    counters equal those at the last commit the disk saw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_recovered_stream_state_equals_pre_crash(self, tmp_path, n):
+        server, sqlcm = latstream_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, stream_images)
+        stream_work(server, 12)
+        manager.checkpoint()  # every query's panes as one stream_image
+        stream_work(server, 12, start=12)
+        sqlcm.set_fault_injector(DiesAtAppend(n))
+        stream_work(server, 6, start=24)  # the journal dies in here
+        assert manager.journal.dead
+        report = verify_recovery(str(tmp_path), tap)
+        expected = side.points[-1]
+        assert stream_images(report.sqlcm) == expected
+        assert all(image["alerts"] for name, image in expected.items()
+                   if name in ("s0", "s1", "s2", "s3"))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_a_query_failing_mid_event_then_a_crash(self, tmp_path, k, m):
+        """The failing query's health record waits for its event's
+        observations: it cannot commit ahead of them."""
+        server, sqlcm = latstream_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, stream_images)
+        stream_work(server, 10)
+        sqlcm.set_fault_injector(FailsQueryThenDies(k, m))
+        stream_work(server, 4, start=10)
+        assert sqlcm.stream_engine().query(f"s{k - 1}").errors == 1
+        assert manager.journal.dead
+        report = verify_recovery(str(tmp_path), tap)
+        assert stream_images(report.sqlcm) == side.points[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +554,8 @@ class TestCheckpointTruncation:
         checkpoint's last committed record must be the end marker."""
         path = tmp_path / "checkpoint-0001.ckpt"
         path.write_text(
-            frame(1, "checkpoint", False, 0.0, {"version": 3})
+            frame(1, "checkpoint", False, 0.0,
+                  {"version": CHECKPOINT_VERSION})
             + frame(2, "totals", True, 0.0, {}), encoding="utf-8")
         records, __ = read_journal(str(path))
         assert [r.kind for r in records] == ["checkpoint", "totals"]

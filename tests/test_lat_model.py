@@ -311,8 +311,8 @@ class LATMachine(RuleBasedStateMachine):
 
     @rule()
     def dump_image(self):
-        images = [schema.parse_literal(repr(schema.literalize(
-            lat.image()))) for lat in self.pair]
+        images = [schema.loads(schema.dumps(lat.image()))
+                  for lat in self.pair]
         assert images[0] == images[1]
         self.image = images[0]
 
@@ -326,9 +326,11 @@ class LATMachine(RuleBasedStateMachine):
     def same_state(self):
         lat, model = self.pair
         assert list(lat._rows) == list(model._rows)
-        assert lat.rows() == model.rows()
+        # results over mixed types (an aged MIN of "a" and 0) raise alike
+        assert outcome(lat.rows) == outcome(model.rows)
         assert schema.fold([lat]) == schema.fold([model])
-        assert lat.integrity_signature() == model.integrity_signature()
+        assert outcome(lat.integrity_signature) \
+            == outcome(model.integrity_signature)
         assert lat.memory_bytes() == model.memory_bytes()
         assert lat.journal.records == model.journal.records
 

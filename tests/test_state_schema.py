@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 import re
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (DatabaseServer, EventTrace, InsertAction, LATDefinition,
                    Rule, SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
@@ -22,7 +26,7 @@ from repro.core import state
 from repro.core.aggregates import AgingSpec
 from repro.core import durability
 from repro.core.durability import (HANDLERS, DurabilityManager, frame,
-                                   read_journal)
+                                   read_checkpoint, read_journal)
 from repro.core.engine import fold_lat, fold_window
 from repro.core.governor import (GOV_SHEDDING, GovernorPolicy,
                                  GovernorTransition)
@@ -150,12 +154,61 @@ class TestCompleteness:
                    sqlcm.health.health_of("mailer"), sqlcm.governor.policy,
                    sqlcm.governor.transitions[-1], sqlcm._incidents.policy,
                    sqlcm.lat("Aged").definition]
+        def image(record):
+            return state.loads(state.dumps(record))
         for record in records:
-            assert state.load(type(record), state.literalize(record)) == record
+            assert state.load(type(record), image(record)) == record
         letter = sqlcm.dead_letters.entries()[0]
-        restored = state.load(DeadLetter, state.literalize(letter))
+        restored = state.load(DeadLetter, image(letter))
         assert restored.action_obj is None and restored.context is None
-        assert state.literalize(restored) == state.literalize(letter)
+        assert state.dumps(restored) == state.dumps(letter)
+
+
+#: dict keys of every kind a record may carry, tag-shaped strings included
+codec_keys = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.booleans(),
+    st.sampled_from([math.inf, -math.inf, "~t", "~d", "~b", "~", "~x", ""]),
+    st.text(max_size=3), st.tuples(st.integers(-2, 2), st.text(max_size=2)))
+codec_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=4), st.binary(max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.tuples(children), st.tuples(children, children),
+        st.dictionaries(codec_keys, children, max_size=3)),
+    max_leaves=12)
+
+
+def same(a, b) -> bool:
+    """``a == b`` with types kept apart (tuple/list, bool/int), nan equal
+    to nan and the sign of a zero compared."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        if math.isnan(a):
+            return math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return same(list(a.items()), list(b.items()))
+    return a == b
+
+
+class TestCodec:
+    @settings(max_examples=300)
+    @given(codec_values)
+    def test_loads_reads_back_what_dumps_wrote(self, value):
+        text = state.dumps(value)
+        assert text.isascii() and "\n" not in text
+        assert same(state.loads(text), value)
+
+    def test_sets_and_records_travel_as_their_images(self):
+        health = RuleHealth("r", error_count=2)
+        assert state.loads(state.dumps({3, 1, 2})) == [1, 2, 3]
+        image = state.loads(state.dumps({"h": health}))["h"]
+        assert image == state.loads(state.dumps(state.fold([health])))
+        assert state.load(RuleHealth, image) == health
 
 
 def checkpoint_records(manager):
@@ -175,7 +228,7 @@ class TestCheckpointRoundTrip:
         assert [r.commit for r in on_disk] == \
             [False] * (len(on_disk) - 1) + [True]
         assert on_disk[0].kind == "checkpoint" \
-            and on_disk[0].data == {"version": 3}
+            and on_disk[0].data == {"version": durability.CHECKPOINT_VERSION}
         assert on_disk[-1].kind == "checkpoint_end" \
             and on_disk[-1].data["records"] == len(on_disk) - 1
 
@@ -196,7 +249,8 @@ class TestCheckpointRoundTrip:
         mailer, = (data["image"] for data in only("health")
                    if data["image"]["name"] == "mailer")
         assert mailer["state"] == "quarantined"
-        assert len(only("deadletter")) == 1
+        letters, = only("deadletters")
+        assert len(letters["entries"]) == 1
         manager.detach()
         report = DurabilityManager.recover(str(tmp_path / "a"))
         assert report.records_replayed == 0
@@ -215,6 +269,27 @@ class TestCheckpointRoundTrip:
                         "end 0f4a3c21\n", encoding="utf-8")
         with pytest.raises(DurabilityError, match="no valid checkpoint"):
             DurabilityManager.recover(str(tmp_path))
+
+    def test_a_directory_of_version_3_checkpoints_is_refused_by_name(
+            self, tmp_path):
+        """Version 3 wrote ``repr`` record lines: whole and CRC-valid, they
+        are refused as what they are, not read as torn files."""
+        def v3_line(seq, kind, commit, data):
+            payload = repr((seq, kind, commit, 0.0, data))
+            return f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
+        header = v3_line(1, "checkpoint", False, {"version": 3})
+        for generation in (1, 2):
+            (tmp_path / f"checkpoint-{generation:04d}.ckpt").write_text(
+                header + v3_line(2, "checkpoint_end", True, {
+                    "records": 1, "crc": zlib.crc32(header[:8].encode())}),
+                encoding="utf-8")
+        with pytest.raises(DurabilityError,
+                           match="a version 3 checkpoint.*reads version 4"):
+            DurabilityManager.recover(str(tmp_path))
+        with pytest.raises(DurabilityError, match="no end marker"):
+            (tmp_path / "checkpoint-0002.ckpt").write_text(
+                header[:20], encoding="utf-8")
+            read_checkpoint(str(tmp_path / "checkpoint-0002.ckpt"))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -259,7 +334,7 @@ class TestRecordKinds:
         assert emitted >= {"checkpoint", "lat_create", "rule_add",
                            "incidents", "stream_register", "lat_image",
                            "stream_image", "totals", "health", "governor",
-                           "deadletter", "timer", "checkpoint_end"}
+                           "deadletters", "timer", "checkpoint_end"}
 
     def test_the_table_is_one_dict_literal_with_no_repeated_kind(self):
         tree = ast.parse(Path(durability.__file__).read_text("utf-8"))
@@ -287,7 +362,7 @@ class TestRecordKinds:
         server, sqlcm = populated_monitor()
         manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
         manager.detach()
-        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 25
+        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 26
         with open(manager.journal.path, "a", encoding="utf-8") as handle:
             handle.write(frame(1, "lat_seed", True, 0.0, {
                 "lat": "Aged", "values": {"U": "x", "N": 1}, "time": 0.0}))

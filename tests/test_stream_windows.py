@@ -194,7 +194,7 @@ class TestImage:
             window.observe(key, [value] * len(self.FUNCS), step * 0.4)
         window.observe(("never", 0), [None] * len(self.FUNCS), 24.0)
         window.emit(5)
-        image = schema.parse_literal(repr(schema.literalize(window.image())))
+        image = schema.loads(schema.dumps(window.image()))
         copy = self._window()
         copy.load_image(image)
         assert copy.groups == window.groups
