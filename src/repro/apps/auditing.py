@@ -66,11 +66,6 @@ class LoginAuditor:
         return [m for m in self.sqlcm.outbox
                 if "login failures" in m.body]
 
-    def remove(self) -> None:
-        self.sqlcm.remove_rule(self.track_rule.name)
-        self.sqlcm.remove_rule(self.alert_rule.name)
-        self.sqlcm.drop_lat(self.lat_name)
-
 
 class UsageAuditor:
     """Per-template and per-user usage summaries, flushed periodically."""
@@ -152,14 +147,3 @@ class UsageAuditor:
         table = server.table(self.user_table)
         columns = table.schema.column_names
         return [dict(zip(columns, row)) for __, row in table.scan()]
-
-    def current_summary(self) -> list[dict]:
-        """The live (not yet flushed) template summary."""
-        return self.template_lat.rows()
-
-    def remove(self) -> None:
-        self.sqlcm.remove_rule(self.collect_rule.name)
-        self.sqlcm.remove_rule(self.flush_rule.name)
-        self.sqlcm.drop_lat(self.lat_name)
-        self.sqlcm.drop_lat(self.user_lat_name)
-        self.timer.remaining = 0

@@ -50,8 +50,6 @@ class AutoRemediator:
         self.sqlcm = sqlcm
         self.manager = sqlcm.incident_manager(policy)
         self.timer_name = timer_name
-        self._rules: list[str] = []
-        self._stream_name: str | None = None
 
         blocking_actions = [OpenIncidentAction(
             "blocking", "{Blocker.Resource}",
@@ -60,7 +58,7 @@ class AutoRemediator:
         if cancel_blockers:
             blocking_actions.append(CancelBlockerAction(
                 "blocking", "{Blocker.Resource}"))
-        self._add(Rule(
+        sqlcm.add_rule(Rule(
             name=f"{timer_name}_blocking",
             event="Timer.Alert",
             condition=(f"Timer.Name = '{timer_name}' AND "
@@ -70,7 +68,7 @@ class AutoRemediator:
         ))
 
         if runaway_threshold is not None:
-            self._add(Rule(
+            sqlcm.add_rule(Rule(
                 name=f"{timer_name}_runaway",
                 event="Timer.Alert",
                 condition=(f"Timer.Name = '{timer_name}' AND "
@@ -99,7 +97,7 @@ class AutoRemediator:
             if reset_lat is not None:
                 governor_actions.append(ResetLATAction(
                     "overload", "governor", lat_name=reset_lat))
-            self._add(Rule(
+            sqlcm.add_rule(Rule(
                 name=f"{timer_name}_overload",
                 event="Governor.Transition",
                 condition="Governor.Reason = 'escalate'",
@@ -108,25 +106,10 @@ class AutoRemediator:
             ))
 
         if deadlock_window > 0:
-            self._stream_name = f"{timer_name}_deadlocks"
             sqlcm.stream_engine().register(
-                f"STREAM {self._stream_name} FROM Query.Rollback "
+                f"STREAM {timer_name}_deadlocks FROM Query.Rollback "
                 f"WINDOW TUMBLING({deadlock_window:g}) "
                 f"AGG COUNT(*) AS Rollbacks "
                 f"HAVING Window.Rollbacks >= {deadlock_threshold}")
 
         self.timer = sqlcm.set_timer(timer_name, sweep_interval, -1)
-
-    def _add(self, rule: Rule) -> None:
-        self.sqlcm.add_rule(rule)
-        self._rules.append(rule.name)
-
-    def remove(self) -> None:
-        """Tear down the rules, the stream query, and the sweep timer."""
-        for name in self._rules:
-            self.sqlcm.remove_rule(name)
-        self._rules.clear()
-        if self._stream_name is not None:
-            self.sqlcm.stream_engine().remove(self._stream_name)
-            self._stream_name = None
-        self.sqlcm.set_timer(self.timer_name, 1.0, 0)  # disarm

@@ -41,7 +41,3 @@ class BlockingAnalyzer:
     def worst_blockers(self, k: int = 10) -> list[dict]:
         """Templates ordered by total delay imposed (the DBA's report)."""
         return self.lat.rows()[:k]
-
-    def remove(self) -> None:
-        self.sqlcm.remove_rule(self.rule.name)
-        self.sqlcm.drop_lat(self.lat_name)

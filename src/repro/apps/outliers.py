@@ -73,16 +73,6 @@ class OutlierDetector:
         columns = table.schema.column_names
         return [dict(zip(columns, row)) for __, row in table.scan()]
 
-    def template_averages(self) -> list[dict]:
-        """Current LAT contents: per-template average durations."""
-        return self.lat.rows()
-
-    def remove(self) -> None:
-        """Tear down the rules and the LAT."""
-        self.sqlcm.remove_rule(self.outlier_rule.name)
-        self.sqlcm.remove_rule(self.track_rule.name)
-        self.sqlcm.drop_lat(self.lat_name)
-
 
 class StreamOutlierDetector:
     """Stream-query variant of :class:`OutlierDetector`.
@@ -121,10 +111,3 @@ class StreamOutlierDetector:
         """Deviation alerts so far (drains trailing windows first)."""
         self.sqlcm.stream_engine().flush()
         return list(self.query.alerts)
-
-    def outlier_signatures(self) -> set:
-        """The distinct flagged group keys (logical signatures)."""
-        return {alert["key"][0] for alert in self.outliers()}
-
-    def remove(self) -> None:
-        self.sqlcm.stream_engine().remove(self.name)

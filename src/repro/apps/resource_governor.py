@@ -85,12 +85,6 @@ class ResourceGovernor:
             self.stats.rejected_users[user] = \
                 self.stats.rejected_users.get(user, 0) + 1
 
-    def remove(self) -> None:
-        if self.runaway_rule is not None:
-            self.sqlcm.remove_rule(self.runaway_rule.name)
-        if self.mpl_rule is not None:
-            self.sqlcm.remove_rule(self.mpl_rule.name)
-
 
 class AdaptiveMPLGovernor:
     """Example 5(c): "adjusting the multi-programming level (MPL)
@@ -183,9 +177,3 @@ class AdaptiveMPLGovernor:
         if len(active) >= self.mpl:
             sqlcm.server.cancel_query(qctx)
             self.mpl_rejected += 1
-
-    def remove(self) -> None:
-        self.sqlcm.remove_rule(self.track_rule.name)
-        self.sqlcm.remove_rule(self.control_rule.name)
-        self.sqlcm.remove_rule(self.mpl_rule.name)
-        self.sqlcm.drop_lat(self.lat_name)

@@ -80,8 +80,3 @@ class StatsCorrector:
         # one refresh request per template: drop its row so the drift
         # condition re-arms only after fresh evidence accumulates
         self.lat.delete_row(self.lat.key_of(context["query"]))
-
-    def remove(self) -> None:
-        self.sqlcm.remove_rule(self.track_rule.name)
-        self.sqlcm.remove_rule(self.alert_rule.name)
-        self.sqlcm.drop_lat(self.lat_name)

@@ -50,11 +50,3 @@ class TopKTracker:
             (row["Query_Id"], row["Query_Text"], row["Duration"])
             for row in rows
         ]
-
-    def persist(self, table_name: str = "topk_report") -> int:
-        """Write the LAT to a table (the Figure 3 end-of-workload step)."""
-        return self.sqlcm.persist_lat(self.lat_name, table_name)
-
-    def remove(self) -> None:
-        self.sqlcm.remove_rule(self.rule.name)
-        self.sqlcm.drop_lat(self.lat_name)

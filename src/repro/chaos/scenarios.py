@@ -38,10 +38,10 @@ class ChaosScenario:
     """Base class: one scripted failure drill.
 
     Subclasses set ``name`` / ``description`` / ``expected_class`` and
-    implement :meth:`inject` (and usually :meth:`check`).  ``load_until``
-    is the virtual time by which all injected scripts are done;
-    ``settle_time`` bounds how long the harness waits beyond that for
-    incidents to resolve.
+    implement :meth:`remediator_kwargs` and :meth:`inject` (and usually
+    :meth:`check`).  ``load_until`` is the virtual time by which all
+    injected scripts are done; ``settle_time`` bounds how long the
+    harness waits beyond that for incidents to resolve.
     """
 
     name = ""
@@ -67,7 +67,8 @@ class ChaosScenario:
                               sweep_interval=0.25)
 
     def remediator_kwargs(self) -> dict:
-        return {}
+        """Keyword arguments of the drill's ``AutoRemediator``."""
+        raise NotImplementedError
 
     def configure(self, harness) -> None:
         """Extra SQLCM wiring (LATs, governor, hostile rules)."""

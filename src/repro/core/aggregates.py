@@ -267,10 +267,6 @@ def aggregate_function(name: str) -> AggregateFunction:
         raise LATError(f"unknown aggregation function {name!r}") from None
 
 
-def aggregate_names() -> list[str]:
-    return sorted(_FUNCTIONS)
-
-
 # ---------------------------------------------------------------------------
 # aging
 # ---------------------------------------------------------------------------

@@ -360,17 +360,6 @@ class IncidentManager:
         records.sort(key=lambda r: (r.time, r.incident_id))
         return records
 
-    def describe(self) -> dict:
-        active = self.open_incidents()
-        return {
-            "opened": self.opened,
-            "deduplicated": self.deduplicated,
-            "resolved": self.resolved_count,
-            "escalations": self.escalations,
-            "active": len(active),
-            "remediations": dict(self.remediation_counts),
-        }
-
     def timeline_digest(self) -> int:
         """CRC32 over every incident's full timeline and remediations.
 

@@ -115,10 +115,6 @@ class MonitoredObject:
 # wraps.  A Transaction's probes also read the statements its event carried,
 # so their second argument is a :class:`_TransactionScope`.
 
-def _query_resource(qctx, factory):
-    return str(qctx.blocked_on) if qctx.blocked_on is not None else None
-
-
 _QUERY_PROBES: dict[str, _Extractor] = {
     "id": lambda q, f: q.query_id,
     "query_text": lambda q, f: q.text,
@@ -142,8 +138,6 @@ _QUERY_PROBES: dict[str, _Extractor] = {
     "actual_rows": lambda q, f: (len(q.result_rows)
                                  if q.query_type == "SELECT"
                                  else q.rows_affected),
-    "wait_time": lambda q, f: 0.0,
-    "resource": _query_resource,
 }
 
 

@@ -383,15 +383,9 @@ class DeadLetterJournal:
         key = rule.lower()
         return [e for e in self._entries if e.rule.lower() == key]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def depth(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._swept([])
 
     def replay(self, sqlcm) -> int:
         """Re-attempt delivery of every entry; returns how many succeeded.
@@ -524,14 +518,6 @@ class FaultInjector:
         self._rngs.setdefault(
             site, random.Random(f"{self.seed}:{site}"))
         return spec
-
-    def disarm(self, site: str | None = None) -> None:
-        if site is None:
-            self._specs.clear()
-            self._bursts.clear()
-        else:
-            self._specs.pop(site, None)
-            self._bursts.pop(site, None)
 
     def fail_next(self, site: str, count: int = 1,
                   mode: str = "exception") -> None:

@@ -203,14 +203,6 @@ def digest(linearization: str) -> bytes:
     return hashlib.sha1(linearization.encode("utf-8")).digest()
 
 
-def logical_signature(node: LogicalNode) -> bytes:
-    return digest(linearize_logical(node))
-
-
-def physical_signature(node: phys.PhysicalNode) -> bytes:
-    return digest(linearize_physical(node))
-
-
 def sequence_signature(ids: Iterable[int]) -> bytes:
     """Transaction signature: digest of an ordered id sequence."""
     body = ",".join(str(i) for i in ids)

@@ -131,6 +131,7 @@ class ProbeDriver(abc.ABC):
     def active_queries(self) -> list:
         """QueryContexts currently executing (rule scope + PULL source)."""
 
+    @abc.abstractmethod
     def active_transactions(self) -> list:
         """Open transactions, for Transaction scope iteration.
 
@@ -138,7 +139,6 @@ class ProbeDriver(abc.ABC):
         iterating the Transaction class then evaluate over no combos,
         the declared degradation for ``transactions=False``.
         """
-        return []
 
     @abc.abstractmethod
     def blocking_pairs(self) -> tuple[list, int]:
@@ -204,11 +204,13 @@ class ProbeDriver(abc.ABC):
             "counters": self.counters(),
         }
 
+    @abc.abstractmethod
     def backend_info(self) -> str:
-        return self.name
+        """Which backend this is, e.g. the database file (``.driver``)."""
 
+    @abc.abstractmethod
     def counters(self) -> dict:
-        return {}
+        """Backend-side counters (``.driver``, ``status``)."""
 
     def close(self) -> None:
         """Release backend resources (connections, files)."""

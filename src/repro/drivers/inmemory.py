@@ -89,9 +89,6 @@ class InMemoryDriver(ProbeDriver):
     def plan_text(self, sql: str) -> str:
         return explain_query(self.host, sql)
 
-    def cancel(self, qctx) -> None:
-        self.host.cancel_query(qctx)
-
     # -- snapshot catalog --------------------------------------------------
 
     def _snapshot_active_queries(self) -> list[dict]:

@@ -521,10 +521,6 @@ class SQLiteDriver(ProbeDriver):
     def execute(self, sql: str, params=None) -> DriverResult:
         return self._primary.execute(sql, params)
 
-    def cancel(self, qctx) -> None:
-        """Asynchronous cancel: honored at the next progress window."""
-        qctx.cancel_requested = True
-
     def _find_blockers(self, waiter: SQLiteConnection) -> list:
         """Connections holding the database lock the waiter wants."""
         blockers = []

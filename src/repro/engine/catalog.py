@@ -158,9 +158,6 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
-    def tables(self) -> list[TableSchema]:
-        return list(self._tables.values())
-
     # -- stored procedures --------------------------------------------------
 
     def create_procedure(self, proc: ProcedureDef) -> ProcedureDef:
@@ -175,6 +172,3 @@ class Catalog:
             return self._procedures[name.lower()]
         except KeyError:
             raise BindError(f"unknown procedure {name!r}") from None
-
-    def has_procedure(self, name: str) -> bool:
-        return name.lower() in self._procedures

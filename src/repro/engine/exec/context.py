@@ -42,10 +42,6 @@ class ExecContext:
         self._accumulated = 0.0
         return cost
 
-    @property
-    def pending_cost(self) -> float:
-        return self._accumulated
-
     # -- locking -----------------------------------------------------------------
 
     def acquire_table_lock(self, table: str, mode: str) -> Iterator[WaitLock]:

@@ -132,17 +132,6 @@ class LockManager:
 
     # -- introspection ---------------------------------------------------------
 
-    def holders_of(self, resource: Resource) -> dict[int, str]:
-        state = self._resources.get(resource)
-        return dict(state.holders) if state else {}
-
-    def waiters_of(self, resource: Resource) -> list[Ticket]:
-        state = self._resources.get(resource)
-        return list(state.queue) if state else []
-
-    def locks_held(self, txn_id: int) -> set[Resource]:
-        return set(self._held_by_txn.get(txn_id, ()))
-
     def waits_for_edges(self) -> list[tuple[int, int, Resource]]:
         """Edges (waiter_txn, holder_txn, resource) of the waits-for graph."""
         edges: list[tuple[int, int, Resource]] = []

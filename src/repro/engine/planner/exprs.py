@@ -29,9 +29,6 @@ class OutputCol:
     binding: str | None
     sql_type: SQLType
 
-    def renamed(self, name: str) -> "OutputCol":
-        return OutputCol(name, self.binding, self.sql_type)
-
 
 @dataclass(frozen=True)
 class SlotRef(ast.Expr):

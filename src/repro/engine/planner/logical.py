@@ -39,9 +39,6 @@ class LogicalSingleRow(LogicalNode):
 
     columns: tuple[OutputCol, ...] = ()
 
-    def label(self) -> str:
-        return "SINGLEROW"
-
 
 @dataclass
 class LogicalGet(LogicalNode):

@@ -39,9 +39,6 @@ class PhysSingleRow(PhysicalNode):
     estimated_rows: float = 1.0
     estimated_cost: float = 0.0
 
-    def label(self) -> str:
-        return "SINGLEROW"
-
 
 @dataclass
 class PhysTableScan(PhysicalNode):

@@ -113,10 +113,6 @@ class Index:
             key = self._sorted[pos].key
             yield from sorted(self._map[key])
 
-    def prefix_scan(self, prefix: tuple) -> Iterator[int]:
-        """Rowids whose index key starts with ``prefix``, in key order."""
-        yield from self.bounded_scan(prefix)
-
     def bounded_scan(self, prefix: tuple, low: Any = None, high: Any = None,
                      low_inclusive: bool = True,
                      high_inclusive: bool = True) -> Iterator[int]:
@@ -288,11 +284,3 @@ class Table:
                 index.delete(current, rowid)
                 index.insert(list(row), rowid)
         self._rows[rowid] = list(row)
-
-    def truncate(self) -> None:
-        """Remove all rows (used by tests and reporting-table resets)."""
-        self._rows.clear()
-        for index_def in list(self.indexes.values()):
-            self.indexes[index_def.definition.name] = Index(
-                index_def.definition, index_def.column_ordinals
-            )

@@ -76,9 +76,6 @@ class TransactionManager:
     def active_transactions(self) -> list[Transaction]:
         return list(self._active.values())
 
-    def get(self, txn_id: int) -> Transaction | None:
-        return self._active.get(txn_id)
-
     def begin(self, session_id: int, *, explicit: bool = False,
               isolation: IsolationLevel = IsolationLevel.READ_COMMITTED
               ) -> Transaction:

@@ -38,14 +38,6 @@ _PYTHON_TYPES = {
     SQLType.BLOB: (bytes, str),
 }
 
-_NUMERIC = (SQLType.INTEGER, SQLType.FLOAT)
-
-
-def is_numeric(sql_type: SQLType) -> bool:
-    """True for INTEGER and FLOAT."""
-    return sql_type in _NUMERIC
-
-
 def coerce(value: Any, sql_type: SQLType) -> Any:
     """Coerce ``value`` to the Python representation of ``sql_type``.
 
@@ -125,12 +117,6 @@ def compare(left: Any, right: Any) -> int | None:
     if isinstance(left, bytes) and isinstance(right, bytes):
         return (left > right) - (left < right)
     raise TypeMismatchError(f"cannot compare {left!r} with {right!r}")
-
-
-def sql_equal(left: Any, right: Any) -> bool | None:
-    """SQL equality with NULL → unknown."""
-    cmp = compare(left, right)
-    return None if cmp is None else cmp == 0
 
 
 def sql_and(left: bool | None, right: bool | None) -> bool | None:

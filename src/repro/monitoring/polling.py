@@ -184,10 +184,6 @@ class PullHistoryMonitor:
         self.server.reserve_memory_pages(self._MEMORY_TAG_PREFIX + self.name,
                                          0)
 
-    @property
-    def history_rows(self) -> int:
-        return len(self._history)
-
     # -- polling ------------------------------------------------------------------
 
     def start(self) -> None:

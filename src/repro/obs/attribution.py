@@ -52,14 +52,6 @@ class CostAttribution:
     def pop(self) -> None:
         self._stack.pop()
 
-    @property
-    def current(self) -> tuple[str, str] | None:
-        return self._stack[-1] if self._stack else None
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
     # -- accounting -----------------------------------------------------------
 
     def account(self, seconds: float) -> None:

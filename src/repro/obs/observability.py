@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs.attribution import KINDS, CostAttribution
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, TraceRecorder
 
 
@@ -140,9 +140,6 @@ class Observability:
     def observe(self, name: str, value: float) -> None:
         self._server.add_monitor_cost(self._costs.obs_metric)
         self.metrics.histogram(name).observe(value)
-
-    def histogram(self, name: str, bounds=None) -> Histogram:
-        return self.metrics.histogram(name, bounds)
 
     # -- snapshot ------------------------------------------------------------
 

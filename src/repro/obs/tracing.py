@@ -87,9 +87,6 @@ class TraceRecorder:
         spans = list(self._ring)
         return spans if limit is None else spans[-limit:]
 
-    def clear(self) -> None:
-        self._ring.clear()
-
     def __len__(self) -> int:
         return len(self._ring)
 

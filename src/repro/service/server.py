@@ -231,13 +231,6 @@ class MonitorService:
         await asyncio.sleep(0)
         await asyncio.sleep(0)
 
-    async def serve_forever(self) -> None:
-        await self.start()
-        try:
-            await self._server.serve_forever()
-        finally:
-            await self.stop()
-
     def describe(self) -> dict:
         """Service-tier counters for the ``status`` endpoint."""
         return {

@@ -122,7 +122,3 @@ class EventTrace:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    @property
-    def end_time(self) -> float:
-        return self.events[-1][2] if self.events else 0.0

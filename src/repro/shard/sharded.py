@@ -118,17 +118,10 @@ class ShardServer:
         # own partition's attribution
         self.obs = ShardObs()
         self.monitor_cost_total = 0.0
-        self._pending = 0.0
 
     def add_monitor_cost(self, seconds: float) -> None:
         self.monitor_cost_total += seconds
-        self._pending += seconds
         self.obs.account(seconds)
-
-    def take_monitor_cost(self) -> float:
-        cost = self._pending
-        self._pending = 0.0
-        return cost
 
     def __getattr__(self, name: str):
         return getattr(self._real, name)
@@ -210,10 +203,6 @@ class ShardedSQLCM:
         """Create one LAT partition per shard; returns the partitions."""
         return [shard.sqlcm.create_lat(definition) for shard in self.shards]
 
-    def drop_lat(self, name: str) -> None:
-        for shard in self.shards:
-            shard.sqlcm.drop_lat(name)
-
     def add_rule(self, rule: Rule) -> Rule:
         """Register a rule on every shard (each shard binds its own clone).
 
@@ -231,10 +220,6 @@ class ShardedSQLCM:
         for shard in self.shards:
             shard.sqlcm.remove_rule(name)
         self.rules.pop(name.lower(), None)
-
-    def enable_rule(self, name: str, enabled: bool = True) -> None:
-        for shard in self.shards:
-            shard.sqlcm.enable_rule(name, enabled)
 
     def register_stream(self, text: str, **kwargs):
         """Register a continuous stream query on every shard."""

@@ -72,7 +72,6 @@ class CostModel:
     # atomic conditions each, every one maintaining a 10-row LAT, add < 4%
     # to a short query — i.e. ≲0.4us of C++ work per rule+LAT-insert
     event_dispatch: float = 0.05e-6
-    probe_collect: float = 0.01e-6
     rule_eval_base: float = 0.04e-6
     rule_atomic_condition: float = 0.006e-6
     lat_lookup: float = 0.05e-6

@@ -103,18 +103,6 @@ class DeviationOperator:
             self.flagged += 1
         return flagged
 
-    def baseline(self, key: tuple) -> tuple[float, float] | None:
-        """Current (mean, sigma) for one group, if enough history exists."""
-        history = self._history.get(key)
-        if not history or len(history) < self.spec.min_history:
-            return None
-        mean = sum(history) / len(history)
-        variance = sum((v - mean) ** 2 for v in history) / len(history)
-        return mean, math.sqrt(variance)
-
-    def forget(self, key: tuple) -> None:
-        self._history.pop(key, None)
-
     def image(self) -> dict:
         """The counters and every group's baseline history: the deviation
         part of a ``stream_image`` record."""
@@ -128,10 +116,6 @@ class DeviationOperator:
         self._history = {
             tuple(key): deque(values, maxlen=self.spec.history)
             for key, values in image["history"]}
-
-    @property
-    def group_count(self) -> int:
-        return len(self._history)
 
 
 class TopKOperator:

@@ -88,11 +88,6 @@ class StreamSpec:
     def event_spec(self) -> str:
         return f"{self.class_def.name}.{self.event_def.name}"
 
-    @property
-    def output_columns(self) -> tuple[str, ...]:
-        return tuple(g.alias for g in self.groups) + \
-            tuple(a.alias for a in self.aggs)
-
 
 def _clause_word(token: Token) -> str | None:
     if token.kind == "KEYWORD" and token.value in _CLAUSE_WORDS:
@@ -219,10 +214,6 @@ class _ClauseParser:
                 f"unexpected end of {self._clause} clause", self._start)
         self._pos += 1
         return token
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._body)
 
     def fail(self, message: str) -> StreamSyntaxError:
         token = self._peek()

@@ -199,6 +199,3 @@ class WindowState:
         """Smallest live pane index across groups (None when empty)."""
         panes = [b[0][0] for b in self.groups.values() if b]
         return min(panes) if panes else None
-
-    def reset(self) -> None:
-        self.groups.clear()

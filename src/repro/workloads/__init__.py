@@ -12,7 +12,6 @@ from repro.workloads.generator import (WorkloadMix, mixed_paper_workload,
                                        short_select_workload)
 from repro.workloads.procedures import register_order_procedures
 from repro.workloads.tpch import TPCHConfig, create_tpch_schema, load_tpch
-from repro.workloads.trace import TraceRecorder, replay, replay_script
 
 __all__ = [
     "TPCHConfig",
@@ -22,7 +21,4 @@ __all__ = [
     "mixed_paper_workload",
     "short_select_workload",
     "register_order_procedures",
-    "TraceRecorder",
-    "replay",
-    "replay_script",
 ]

@@ -53,16 +53,9 @@ class TestOutlierDetector:
         session = server.create_session()
         for i in range(1, 4):
             session.execute("EXEC get_order @okey = @k", {"k": i})
-        averages = detector.template_averages()
+        averages = detector.lat.rows()
         assert len(averages) == 1  # one template
         assert averages[0]["Instances"] == 3
-
-    def test_remove_tears_down(self, world):
-        server, sqlcm = world
-        detector = OutlierDetector(sqlcm)
-        detector.remove()
-        assert not sqlcm.rules
-        assert not sqlcm.lats()
 
 
 class TestBlockingAnalyzer:
@@ -113,7 +106,7 @@ class TestTopKTracker:
         session = server.create_session()
         for i in range(1, 4):
             session.execute("EXEC get_order @okey = @k", {"k": i})
-        written = tracker.persist("topk_out")
+        written = sqlcm.persist_lat(tracker.lat_name, "topk_out")
         assert written == 2
         assert server.table("topk_out").row_count == 2
 
@@ -125,14 +118,14 @@ class TestUsageAuditor:
         session = server.create_session(user="alice", application="erp")
         for i in range(1, 5):
             session.execute("EXEC get_order @okey = @k", {"k": i})
-        assert auditor.current_summary()[0]["Frequency"] == 4
+        assert auditor.template_lat.rows()[0]["Frequency"] == 4
         server.run(until=11.0)  # past one flush period
         reports = auditor.reports()
         assert len(reports) == 1
         assert reports[0]["Frequency"] == 4
         assert reports[0]["App"] == "erp"
         # LAT reset after flush
-        assert auditor.current_summary() == []
+        assert auditor.template_lat.rows() == []
 
     def test_user_activity_report(self, world):
         server, sqlcm = world
@@ -255,16 +248,9 @@ class TestStreamOutlierDetector:
                    for row in rule_rows)
 
         # the stream flagged deviating windows — the same single template
-        assert stream_based.outlier_signatures() == {self.SIG_A}
+        assert {alert["key"][0] for alert in stream_based.outliers()} == \
+            {self.SIG_A}
         flagged = stream_based.outliers()
         assert all(alert["kind"] == "deviation" for alert in flagged)
         assert all(alert["baseline"] == pytest.approx(0.010, abs=1e-3)
                    for alert in flagged)
-
-    def test_remove_tears_down_stream(self):
-        server = DatabaseServer(ServerConfig(track_completed_queries=False))
-        sqlcm = SQLCM(server)
-        detector = StreamOutlierDetector(sqlcm)
-        assert sqlcm.has_streams
-        detector.remove()
-        assert not sqlcm.has_streams

@@ -108,8 +108,7 @@ class TestCatalog:
     def test_procedures(self):
         catalog = Catalog()
         catalog.create_procedure(ProcedureDef("p", ("x",), ["SELECT 1"]))
-        assert catalog.has_procedure("P")
-        assert catalog.procedure("p").params == ("x",)
+        assert catalog.procedure("P").params == ("x",)
         with pytest.raises(CatalogError):
             catalog.create_procedure(ProcedureDef("p", (), []))
         with pytest.raises(BindError):

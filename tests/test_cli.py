@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import Shell
+from repro.core.durability import DurabilityManager
 
 
 @pytest.fixture
@@ -100,6 +101,20 @@ class TestMetaCommands:
         assert "def _condition(context, lat_rows):" in output_of(shell)
         sh.execute_line(".rules nope --source")
         assert "error: unknown rule 'nope'" in output_of(shell)
+
+    def test_checkpoint_attaches_then_checkpoints(self, shell, tmp_path):
+        sh, __ = shell
+        sh.run_script(
+            ".monitor topk 2\n"
+            f".checkpoint {tmp_path}\n"
+            "CREATE TABLE t (a INT PRIMARY KEY);\n"
+            "INSERT INTO t VALUES (1);\n")
+        assert f"checkpoint generation 1 written to {tmp_path} (1 total;" \
+            in output_of(shell)
+        sh.execute_line(f".checkpoint {tmp_path}")
+        assert "checkpoint generation 2 written" in output_of(shell)
+        recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+        assert recovered.state_digest() == sh.sqlcm.state_digest()
 
     def test_queries_history(self, shell):
         sh, __ = shell

@@ -15,8 +15,8 @@ from repro.drivers import (SNAPSHOT_CATALOG, DriverCapabilities,
                            InMemoryDriver, ProbeDriver, SQLiteDriver,
                            from_url)
 from repro.errors import DriverError
-from repro.monitoring import (PullMonitor, missed_top_k,
-                              top_k_ground_truth)
+from repro.monitoring import (PullHistoryMonitor, PullMonitor,
+                              missed_top_k, top_k_ground_truth)
 
 DRIVERS = ("inmemory", "sqlite")
 
@@ -127,7 +127,9 @@ class TestEventContract:
                 else rig.driver._primary)
         conn.execute("BEGIN")
         conn.execute("INSERT INTO t VALUES (50, 5.0)")
+        assert len(rig.driver.active_transactions()) == 1
         conn.execute("COMMIT")
+        assert rig.driver.active_transactions() == []
         names = rig.recorder.names()
         assert "txn.begin" in names
         assert names.index("txn.begin") < names.index("query.start")
@@ -250,6 +252,24 @@ class TestBlocking:
         assert chain["blocker_query_id"] == blocker.query_id
         assert chain["blocked_query_id"] == blocked.query_id
         assert chain["resource"] == str(resource)
+
+
+    def test_sqlite_waiter_gives_up_after_its_busy_retries(self, tmp_path):
+        """Still blocked after ``busy_retries``: the statement fails and
+        its wait leaves no pair behind."""
+        with SQLiteDriver(str(tmp_path / "busy.db"),
+                          busy_retries=3) as driver:
+            driver.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v REAL)")
+            writer = driver.connect(user="writer")
+            waiter = driver.connect(user="waiter")
+            writer.execute("BEGIN")
+            writer.execute("INSERT INTO t VALUES (1, 1.0)")
+            result = waiter.execute("INSERT INTO t VALUES (2, 2.0)")
+            assert not result.ok
+            assert driver.blocking_pairs() == ([], 0)
+            assert result.query.blocked_on is None
+            assert result.query.time_blocked > 0
+            writer.execute("COMMIT")
 
 
 class TestSnapshotCatalog:
@@ -443,6 +463,24 @@ class TestPollingOverSqlite:
             assert monitor.poll_count > 0
             observed = {o.text for o in monitor.observed.values()}
             assert long_sql in observed
+
+    def test_pull_history_monitor_drains_on_driver_ticks(self, tmp_path):
+        with SQLiteDriver(str(tmp_path / "history.db")) as driver:
+            driver.execute("CREATE TABLE big (a INTEGER PRIMARY KEY, "
+                           "b REAL)")
+            driver.execute("INSERT INTO big VALUES " + ", ".join(
+                f"({i}, {float(i)})" for i in range(1, 201)))
+            monitor = PullHistoryMonitor(driver, interval=0.01)
+            monitor.start()
+            short_sql = "SELECT b FROM big WHERE a = 1"
+            driver.execute(short_sql)
+            # the VM ticks of the long query are the polling clock
+            result = driver.execute("SELECT sum(t1.b) FROM big t1, big t2 "
+                                    "WHERE t1.a < t2.a")
+            assert result.ok, result.error
+            monitor.stop()
+            assert monitor.poll_count > 0
+            assert short_sql in {text for __, text, __ in monitor.collected}
 
     def test_pull_misses_queries_shorter_than_the_interval(self, tmp_path):
         with SQLiteDriver(str(tmp_path / "miss.db")) as driver:

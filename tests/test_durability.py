@@ -324,6 +324,21 @@ class TestCleanRecovery:
 # the kill matrix: every crash site x every journal shape
 # ---------------------------------------------------------------------------
 
+#: one mutation after attach for each record kind only a recovery replays
+MUTATIONS = {
+    "rule_remove": lambda sqlcm: sqlcm.remove_rule("spare"),
+    "rule_enable": lambda sqlcm: sqlcm.enable_rule("track", False),
+    "lat_reset": lambda sqlcm: sqlcm.lat("OVF").reset(),
+    "lat_del": lambda sqlcm: sqlcm.lat("Q_LAT").delete_row(("u1",)),
+}
+
+
+def rules_and_lats(sqlcm):
+    """Rule order and enabled flags, and every LAT's rows."""
+    return ([(rule.name, rule.enabled) for rule in sqlcm._rule_order],
+            {lat.definition.name: lat.rows() for lat in sqlcm.lats()})
+
+
 class TestCrashMatrix:
     @pytest.mark.parametrize("state", JOURNAL_STATES)
     @pytest.mark.parametrize("site,mode", CRASH_SITES)
@@ -363,6 +378,26 @@ class TestCrashMatrix:
             sqlcm.lat("Q_LAT").insert(
                 {"User": f"r{user}", "ID": user, "Duration": 1.0})
         crashed_restore(sqlcm, manager, tmp_path, n)
+
+    @pytest.mark.parametrize("site,mode", CRASH_SITES)
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_replayed_mutation_matches_pre_crash(self, tmp_path, kind,
+                                                 site, mode):
+        server, sqlcm = build_monitor()
+        sqlcm.add_rule(Rule(name="spare", event="Query.Commit",
+                            condition="Query.Duration < 0",
+                            actions=[InsertAction("Q_LAT")]))
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, rules_and_lats)
+        work(server, 6)
+        MUTATIONS[kind](sqlcm)
+        work(server, 3)
+        records, __ = read_journal(manager.journal.path)
+        assert kind in {record.kind for record in records}
+        crash(manager, sqlcm, server, site, mode)
+        report = verify_recovery(str(tmp_path), tap)
+        assert rules_and_lats(report.sqlcm) == side.points[-1]
+
 
 
 # ---------------------------------------------------------------------------

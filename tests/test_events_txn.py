@@ -91,7 +91,7 @@ class TestTransactionManager:
         cost = txns.commit(txn)
         assert cost > 0
         assert txn.state is TxnState.COMMITTED
-        assert locks.locks_held(txn.txn_id) == set()
+        assert locks.request(99, ("row", "t", 1), "X").granted
 
     def test_commit_twice_rejected(self, txn_world):
         __, __, txns, tables = txn_world
@@ -129,9 +129,8 @@ class TestTransactionManager:
         txn.statement_read_locks.append(("row", "t", 1))
         locks.request(txn.txn_id, ("row", "t", 2), "X")
         txns.release_statement_read_locks(txn)
-        held = locks.locks_held(txn.txn_id)
-        assert ("row", "t", 1) not in held
-        assert ("row", "t", 2) in held
+        assert locks.request(99, ("row", "t", 1), "X").granted
+        assert not locks.request(98, ("row", "t", 2), "S").granted
 
     def test_repeatable_read_keeps_read_locks(self, txn_world):
         __, locks, txns, __ = txn_world
@@ -139,7 +138,7 @@ class TestTransactionManager:
         locks.request(txn.txn_id, ("row", "t", 1), "S")
         txn.statement_read_locks.append(("row", "t", 1))
         txns.release_statement_read_locks(txn)
-        assert ("row", "t", 1) in locks.locks_held(txn.txn_id)
+        assert not locks.request(99, ("row", "t", 1), "X").granted
         assert txn.statement_read_locks == []
 
     def test_active_transactions_listing(self, txn_world):
@@ -149,5 +148,3 @@ class TestTransactionManager:
         assert txns.active_transactions == [t1, t2]
         txns.commit(t1)
         assert txns.active_transactions == [t2]
-        assert txns.get(t1.txn_id) is None
-        assert txns.get(t2.txn_id) is t2

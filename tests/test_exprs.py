@@ -92,6 +92,11 @@ class TestCompile:
         assert self._eval("name LIKE '_y_'", row, scope) is True
         assert self._eval("name LIKE 'y%'", row, scope) is False
         assert self._eval("name NOT LIKE 'y%'", row, scope) is True
+        # a pattern known only at run time is translated per row
+        assert self._eval("name LIKE @p", row, scope, {"p": "x%"}) is True
+        assert self._eval("name NOT LIKE @p", row, scope,
+                          {"p": "x%"}) is False
+        assert self._eval("name LIKE @p", row, scope, {"p": None}) is None
 
     def test_like_escapes_regex_chars(self, scope):
         row = (2, 3.0, "a.c", 9)

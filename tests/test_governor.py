@@ -329,6 +329,27 @@ class TestShedSelection:
         assert ("rule", "vital") not in shed
         assert ("rule", "casual") in shed
 
+    def test_essential_keeps_the_lats_critical_rules_use(self, server):
+        """ESSENTIAL suspends every LAT but a CRITICAL one and those a
+        CRITICAL rule feeds or reads in its condition."""
+        sqlcm = SQLCM(server)
+        gov = sqlcm.enable_governor(_policy())
+        for name in ("Fed", "Read", "Scratch", "Vital"):
+            sqlcm.create_lat(LATDefinition(
+                name=name, grouping=["Query.User AS U"],
+                aggregations=["COUNT(Query.ID) AS N"],
+                criticality="critical" if name == "Vital" else "normal"))
+        sqlcm.add_rule(Rule(name="feeder", event="Query.Commit",
+                            criticality="critical",
+                            actions=[InsertAction("Fed")]))
+        sqlcm.add_rule(Rule(name="reader", event="Query.Commit",
+                            criticality="critical", condition="Read.N > 5",
+                            actions=[CallbackAction(lambda s, c: None)]))
+        sqlcm.add_rule(Rule(name="scribble", event="Query.Commit",
+                            actions=[InsertAction("Scratch")]))
+        gov._apply_state(GOV_ESSENTIAL)
+        assert gov.suspended == {("lat", "scratch"), ("rule", "scribble")}
+
     def test_removed_rule_leaves_the_suspension_set(self, server):
         sqlcm = SQLCM(server)
         gov = sqlcm.enable_governor(_policy())
@@ -337,6 +358,16 @@ class TestShedSelection:
         gov.suspended = {("rule", "casual")}
         sqlcm.remove_rule("casual")
         assert ("rule", "casual") not in gov.suspended
+
+    def test_removed_stream_leaves_the_suspension_set(self, server):
+        sqlcm = SQLCM(server)
+        gov = sqlcm.enable_governor(_policy())
+        streams = sqlcm.stream_engine()
+        streams.register("STREAM casual FROM Query.Commit "
+                         "WINDOW TUMBLING(1) AGG COUNT(*) AS N")
+        gov.suspended = {("stream", "casual")}
+        streams.remove("casual")
+        assert ("stream", "casual") not in gov.suspended
 
     def test_dropped_lat_leaves_the_suspension_set(self, server, tmp_path):
         """A LAT created under a dropped LAT's name is not born suspended —

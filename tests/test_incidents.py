@@ -107,10 +107,20 @@ class TestLifecycle:
                     (c["incident"].get("Phase"),
                      c["incident"].get("Class"))))],
         ))
+        sqlcm.add_rule(Rule(
+            name="rwatch", event="Remediation.Attempt",
+            actions=[CallbackAction(
+                lambda s, c: seen.append(
+                    (c["remediation"].get("Outcome"),
+                     c["remediation"].get("Target"))))],
+        ))
         manager = sqlcm.incident_manager(_manual_policy())
         incident = manager.report("blocking", "row-1")
+        manager.record_remediation(incident, "CancelBlockerAction",
+                                   "query#1", "ok")
         manager.resolve(incident.incident_id)
         assert ("opened", "blocking") in seen
+        assert ("ok", "query#1") in seen
         assert ("resolved", "blocking") in seen
 
     def test_timeline_digest_tracks_lifecycle(self, server, sqlcm):
@@ -165,7 +175,7 @@ class TestRemediationGuardrails:
         snap = server.obs.metrics.snapshot()
         assert snap["counters"]["sqlcm.remediation.attempts"] == 1
         assert snap["counters"]["sqlcm.remediation.ok"] == 1
-        assert manager.describe()["remediations"]["ok"] == 1
+        assert manager.remediation_counts["ok"] == 1
 
 
 class TestActions:

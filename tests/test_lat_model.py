@@ -19,7 +19,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from repro.core import state as schema
-from repro.core.aggregates import AgingSpec, AgingState, aggregate_names
+from repro.core.aggregates import _FUNCTIONS, AgingSpec, AgingState
 from repro.core.lat import (_AGING_BLOCK_BYTES, _ROW_OVERHEAD_BYTES,
                             _VALUE_BYTES, AggSpec, GroupSpec, LAT,
                             LATDefinition, OrderSpec, _Row)
@@ -196,7 +196,7 @@ def definitions(draw):
             aging = AgingSpec(window=10.0,
                               delta=draw(st.sampled_from([2.0, 5.0])))
         aggregations.append(AggSpec(
-            draw(st.sampled_from(aggregate_names())),
+            draw(st.sampled_from(sorted(_FUNCTIONS))),
             draw(st.sampled_from(VALUE_ATTRS)), f"c{i}", aging))
     columns = [f"g_{attr}" for attr in grouping] + \
         [spec.alias for spec in aggregations]

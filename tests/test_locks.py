@@ -76,7 +76,8 @@ class TestGrantAndConflict:
         locks.request(2, RES, "X")  # queued
         upgrade = locks.request(1, RES, "X")
         assert upgrade.granted  # conversion jumps ahead of waiter
-        assert locks.holders_of(RES)[1] == "X"
+        locks.cancel_wait(2)
+        assert not locks.request(3, RES, "S").granted  # 1 now holds X
 
     def test_fifo_fairness(self, locks):
         locks.request(1, RES, "X")
@@ -103,7 +104,8 @@ class TestGrantAndConflict:
         locks.request(1, RES, "S")
         locks.request(1, ROW, "S")
         locks.release(1, RES)
-        assert locks.locks_held(1) == {ROW}
+        assert locks.request(2, RES, "X").granted
+        assert not locks.request(3, ROW, "X").granted
 
 
 class TestCallbacks:
@@ -190,7 +192,7 @@ class TestCancelAndAbort:
         assert ticket.outcome == "cancelled"
         with pytest.raises(QueryCancelledError):
             ticket.resolve_or_raise()
-        assert locks.waiters_of(RES) == []
+        assert locks.waits_for_edges() == []
 
     def test_cancel_unknown_txn_returns_none(self, locks):
         assert locks.cancel_wait(99) is None

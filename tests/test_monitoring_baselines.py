@@ -128,7 +128,7 @@ class TestPullHistory:
     def test_history_consumes_server_memory(self, busy_server):
         monitor = PullHistoryMonitor(busy_server, interval=1000.0)
         run_workload(busy_server, n=20)
-        assert monitor.history_rows == 21
+        assert monitor.peak_history_rows == 21
         assert busy_server.reserved_pages > 0
         monitor.poll()
         assert busy_server.reserved_pages == 0

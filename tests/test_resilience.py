@@ -334,6 +334,25 @@ class TestRetryAndDeadLetter:
         assert "ConnectionError" in entry.error
         assert "ping" in entry.payload
 
+    def test_extension_action_dead_letters_under_its_repr(self, server,
+                                                          sqlcm):
+        """A side-effecting action class that does not describe its
+        payload is dead-lettered with its ``repr``."""
+        session = _items(server)
+
+        class Page(CallbackAction):
+            side_effect = True
+
+        def pager_down(sqlcm, context):
+            raise ConnectionError("pager down")
+
+        page = Page(pager_down)
+        sqlcm.add_rule(Rule(name="page", event="Query.Commit",
+                            actions=[page]))
+        session.execute("SELECT price FROM items WHERE id = 1")
+        entry, = sqlcm.dead_letters.entries("page")
+        assert entry.payload == repr(page)
+
     def test_dead_letters_replay_after_sink_recovers(self, server, sqlcm):
         session = _items(server)
         sqlcm.external_handler = lambda cmd: (_ for _ in ()).throw(

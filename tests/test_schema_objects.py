@@ -116,6 +116,22 @@ class TestMonitoredObjects:
         assert obj.get("Wait_Time") == 2.5
         assert "items" in obj.get("Resource")
 
+    def test_transaction_object_reads_its_first_statement(self,
+                                                          items_server):
+        sqlcm = SQLCM(items_server)
+        commits = []
+        items_server.events.subscribe("txn.commit",
+                                      lambda e, p: commits.append(p))
+        session = items_server.create_session(user="u", application="app")
+        for sql in ("BEGIN", "SELECT id FROM items WHERE id = 1",
+                    "UPDATE items SET qty = 1 WHERE id = 2", "COMMIT"):
+            session.execute(sql)
+        txn = commits[-1]["txn"]
+        obj = sqlcm.factory.transaction(txn, commits[-1]["statements"])
+        assert obj.snapshot(["User", "Application", "Statement_Count"]) \
+            == {"User": "u", "Application": "app", "Statement_Count": 2}
+        assert sqlcm.factory.transaction(txn, []).get("User") == ""
+
     def test_timer_object(self, items_server):
         sqlcm = SQLCM(items_server)
         timer = sqlcm.set_timer("t1", interval=5.0, repeats=2)

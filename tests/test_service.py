@@ -440,6 +440,21 @@ class TestPushes:
             assert other.drain_pushes() == []
             assert writer.drain_pushes() == []
 
+    def test_unsubscribed_topic_stops_its_pushes(self, service):
+        with connect(service) as writer, connect(service) as listener:
+            listener.subscribe("stream_alert", "incident")
+            assert listener.unsubscribe("stream_alert") == {
+                "topics": ["incident"]}
+            writer.install_stream(
+                "STREAM s FROM Query.Commit WINDOW TUMBLING(0.2) "
+                "AGG COUNT(*) AS N")
+            writer.sql("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            writer.sql("INSERT INTO t (id) VALUES (1)")
+            wait_until(lambda: service.sqlcm.stream_engine()
+                       .alerts_published > 0)
+            listener.ping()
+            assert listener.drain_pushes() == []
+
     def test_incident_push_lifecycle(self, service):
         service.sqlcm.incident_manager(IncidentPolicy(
             sweep_interval=0.1, clear_after=0.3, escalation_timeout=1e9))

@@ -174,7 +174,7 @@ class TestEventTrace:
         commit(server, 3.0, 0.3)  # after detach: not recorded
         assert len(trace) == 2
         assert [t for __, __, t in trace.events] == [1.0, 2.0]
-        assert trace.end_time == 2.0
+        assert trace.events[-1][2] == 2.0
 
     def test_monitor_meta_events_excluded(self):
         server = build_server()
@@ -309,11 +309,13 @@ class TestFacadeControlPlane:
     def test_detach_takes_the_monitor_off_the_bus(self):
         """The bus is a serial monitor's: ``wire`` has an inverse, and
         after ``detach()`` the driver forgets the monitor and a published
-        event reaches no rule."""
+        event reaches no rule and no stream query."""
         server = build_server()
         monitor = SQLCM(server)
         monitor.create_lat(qid_lat())
         monitor.add_rule(track_rule())
+        stream = monitor.stream_engine().register(
+            "STREAM s FROM Query.Commit WINDOW TUMBLING(1) AGG COUNT(*) AS N")
         driver = monitor.driver
         assert driver.sqlcm is monitor
         commit(server, 1.0, 0.5)
@@ -322,6 +324,7 @@ class TestFacadeControlPlane:
         assert driver.sqlcm is None
         commit(server, 2.0, 0.5)
         assert monitor.rules["track"].fire_count == 1
+        assert stream.events_seen == 1
 
     def test_facade_never_subscribes(self):
         """A facade replays a recorded trace; live monitoring is SQLCM's."""

@@ -5,7 +5,7 @@ import pytest
 from repro import DatabaseServer, SQLCM
 from repro.core.signatures import (SignatureRegistry, digest,
                                    linearize_expr, linearize_logical,
-                                   sequence_signature)
+                                   linearize_physical, sequence_signature)
 from repro.engine.catalog import ProcedureDef
 from repro.engine.planner.logical import build_logical_plan
 from repro.engine.sqlparse.parser import parse_statement
@@ -131,6 +131,23 @@ class TestSignaturesThroughEngine:
         # 5 instances share the template signature... but distinct texts
         # compile separately; all share one logical signature
         assert sqlcm.instance_count(result.query.logical_signature) == 5
+
+    @pytest.mark.parametrize("sql, logical, physical", [
+        ("SELECT 1", "SINGLEROW", "SINGLEROW"),
+        ("SELECT DISTINCT segment FROM items", "DISTINCT", "DISTINCT"),
+        ("DELETE FROM items WHERE id = 6", "DELETE(items)", "DELETE(items)"),
+        ("SELECT a.name FROM items a JOIN items b ON a.price < b.price",
+         "JOIN(INNER)", "NLJOIN(INNER)"),
+    ])
+    def test_every_plan_shape_linearizes(self, sig_server, sql, logical,
+                                         physical):
+        server, __ = sig_server
+        result = server.create_session().execute(sql)
+        assert result.error is None
+        assert result.query.logical_signature is not None
+        assert logical in linearize_logical(
+            build_logical_plan(parse_statement(sql), server.catalog))
+        assert physical in linearize_physical(result.query.plan)
 
 
 class TestTransactionSignatures:

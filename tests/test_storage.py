@@ -96,12 +96,6 @@ class TestUpdateDelete:
         assert table.get(rowid) == [1, "a", 1.0]
         assert table.indexes["pk_t"].lookup((7,)) == frozenset()
 
-    def test_truncate(self, table):
-        table.insert([1, "a", 1.0])
-        table.truncate()
-        assert table.row_count == 0
-        assert len(table.indexes["pk_t"]) == 0
-
 
 class TestSecondaryIndexes:
     def test_backfill_on_creation(self, table):
@@ -149,7 +143,7 @@ class TestRangeScans:
             for b in (1, 2, 3):
                 table.insert([a, b])
         index = table.indexes["pk_c"]
-        rows = [table.get(r) for r in index.prefix_scan((2,))]
+        rows = [table.get(r) for r in index.bounded_scan((2,))]
         assert rows == [[2, 1], [2, 2], [2, 3]]
 
     def test_bounded_scan_with_prefix_and_range(self):

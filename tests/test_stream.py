@@ -70,14 +70,13 @@ class TestLanguage:
         assert isinstance(spec.anomaly, DeviationSpec)
         assert spec.anomaly.column == "Avg_D"
         assert spec.anomaly.k == 3.0 and spec.anomaly.history == 12
-        assert spec.output_columns == ("App", "Avg_D", "N")
 
     def test_default_aliases_and_name_parameter(self):
         spec = parse_stream_query(
             "FROM Query.Commit WINDOW TUMBLING(5) "
             "AGG AVG(Query.Duration), COUNT(*)", name="t1")
         assert spec.name == "t1"
-        assert spec.output_columns == ("Avg_Duration", "Count")
+        assert [a.alias for a in spec.aggs] == ["Avg_Duration", "Count"]
         assert spec.groups == ()
 
     def test_window_kinds(self):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.engine.types import (SQLType, arithmetic, coerce, compare,
-                                infer_type, is_numeric, sql_and, sql_equal,
-                                sql_not, sql_or)
+                                infer_type, sql_and, sql_not, sql_or)
 from repro.errors import TypeMismatchError
 
 
@@ -59,11 +58,6 @@ class TestInference:
         assert infer_type(True) is SQLType.BOOLEAN
         assert infer_type(b"") is SQLType.BLOB
 
-    def test_is_numeric(self):
-        assert is_numeric(SQLType.INTEGER)
-        assert is_numeric(SQLType.FLOAT)
-        assert not is_numeric(SQLType.STRING)
-
 
 class TestCompare:
     def test_numbers(self):
@@ -88,11 +82,6 @@ class TestCompare:
     def test_booleans_compare_as_integers(self):
         assert compare(True, 1) == 0
         assert compare(False, True) == -1
-
-    def test_sql_equal(self):
-        assert sql_equal(1, 1) is True
-        assert sql_equal(1, 2) is False
-        assert sql_equal(None, 1) is None
 
 
 class TestThreeValuedLogic:

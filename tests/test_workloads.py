@@ -117,7 +117,7 @@ class TestProcedures:
         names = register_order_procedures(tpch_server)
         assert "get_order" in names
         for name in names:
-            assert tpch_server.catalog.has_procedure(name)
+            tpch_server.catalog.procedure(name)  # raises when missing
 
     def test_get_order_lookup(self, tpch_server):
         register_order_procedures(tpch_server)
