@@ -199,6 +199,8 @@ class Shell:
                     f"{info['groups']} groups, {info['windows']} windows, "
                     f"{info['alerts']} alerts"
                     + (f", {info['errors']} errors" if info["errors"]
+                       else "")
+                    + (f", panes: {info['panes']}" if info["panes"]
                        else ""))
             if not streams.queries():
                 self._print("  (no stream queries)")

@@ -77,8 +77,9 @@ from repro.core.state import dumps, fold, load, load_into, loads
 from repro.errors import DurabilityError, FaultInjected
 
 #: version of the record vocabulary and line format, carried by a
-#: checkpoint's first record (4: JSON lines; 3 wrote ``repr`` lines)
-CHECKPOINT_VERSION = 4
+#: checkpoint's first record (5: one ``stream_obs`` observation per pane
+#: group; 4 wrote one per query; 3 wrote ``repr`` lines)
+CHECKPOINT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +468,14 @@ def read_checkpoint(path: str) -> list[JournalRecord]:
     if end.data != {"records": len(body),
                     "crc": _chain(record.crc for record in body)}:
         raise DurabilityError(f"{path}: end marker does not match its records")
-    if not body or body[0].kind != "checkpoint" \
-            or body[0].data.get("version") != CHECKPOINT_VERSION:
+    if not body or body[0].kind != "checkpoint":
         raise DurabilityError(f"{path}: not a version "
                               f"{CHECKPOINT_VERSION} checkpoint")
+    version = body[0].data.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise DurabilityError(
+            f"{path}: a version {version} checkpoint; this build reads "
+            f"version {CHECKPOINT_VERSION} only")
     return records
 
 
@@ -501,6 +506,8 @@ class _Restorer:
         # hold the history tables (a live supervised restart keeps them)
         self.apply_history = not sqlcm.server.catalog.has_table(
             INCIDENT_TABLE)
+        # the panes and cursor each pane group was loaded with, encoded
+        self.pane_images: dict = {}
 
     def apply(self, records: list[JournalRecord]) -> None:
         for record in records:
@@ -578,9 +585,19 @@ class _Restorer:
         self.sqlcm.lat(data["lat"]).load_image(data)
 
     def stream_image(self, data: dict) -> None:
-        query = load_into(self.sqlcm.stream_engine().query(data["stream"]),
-                          data)
-        query.window.load_image(data["window"])
+        """One query's image.  The queries of a pane group share panes
+        again only if their images hold the same panes and cursor; one
+        whose image differs leaves its group first."""
+        streams = self.sqlcm.stream_engine()
+        query = streams.query(data["stream"])
+        panes = dumps([data["window"], data["next_boundary"]])
+        group = query.panes
+        if self.pane_images.get(group, panes) != panes:
+            group = streams._split(group, [query])
+        load_into(query, data)
+        if group not in self.pane_images:
+            group.window.load_image(data["window"])
+            self.pane_images[group] = panes
         if query.deviation is not None and "deviation" in data:
             query.deviation.load_image(data["deviation"])
         if query.topk is not None and "topk" in data:
@@ -607,22 +624,16 @@ class _Restorer:
             self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
 
     def stream_obs(self, data: dict) -> None:
-        """One stream event: every query's observation, in ingest order,
-        and the queries whose ingest failed (their health is a record of
-        its own)."""
+        """One stream event: one observation per pane group that took it,
+        naming the queries that did, and the queries whose ingest failed
+        (their health is a record of its own)."""
         streams = self.sqlcm._streams
         if streams is None:
             return
         queries = streams._queries
         now = data["time"]
-        for name, key, values in data["obs"]:
-            query = queries.get(name.lower())
-            if query is not None:
-                query.window.observe(key, values, now)
-                if query.next_boundary is None:
-                    query.next_boundary = \
-                        query.spec.window.pane_index(now) + 1
-                query.events_ingested += 1
+        for names, key, values in data["obs"]:
+            streams.replay_observation(names, key, values, now)
         for name, error in data.get("failed", ()):
             query = queries.get(name.lower())
             if query is not None:
@@ -634,11 +645,14 @@ class _Restorer:
         streams = self.sqlcm._streams
         if streams is None:
             return
-        streams.replaying = True
+        # the windows the flush lost live stay lost
+        streams.replaying = {(name.lower(), boundary): error
+                             for name, boundary, error
+                             in data.get("lost", ())}
         try:
             streams.flush(data["time"])
         finally:
-            streams.replaying = False
+            streams.replaying = None
 
     def counts(self, data: dict) -> None:
         sqlcm = self.sqlcm

@@ -770,6 +770,11 @@ class SQLCM:
                 if self.journal is not None:
                     self.journal.append("instance", {
                         "sig": qctx.logical_signature.hex(), "delta": 1})
+        if not self._dispatching and self.governor is None \
+                and not self._rules_by_event.get(event):
+            # no rule and no governor to hear it, and no dispatch for it
+            # to queue behind: the drain would find nothing to do
+            return
         self.dispatch_event(event, payload)
 
     def dispatch_event(self, event: str, payload: dict) -> None:

@@ -8,6 +8,12 @@ matching query's window state (O(#aggregates)); window results are emitted
 lazily when the virtual clock crosses a pane boundary, by merging panes —
 never by rescanning events.
 
+Queries of one *pane shape* — event, window, WHERE text, GROUP BY
+attributes and AGG (function, attribute) pairs — share one
+:class:`PaneGroup`: the event is folded into its panes once and each
+window merged once, while every member charges, filters and publishes as
+if it were alone (DESIGN.md section 7, "Shared panes").
+
 Alerts close the loop three ways:
 
 * kept in the query's bounded in-memory ring (``StreamQuery.alerts``);
@@ -37,6 +43,7 @@ from repro.core.governor import validate_criticality
 from repro.core.resilience import (QuarantinePolicy, RuleHealthRegistry,
                                    register_fault_sites)
 from repro.errors import StreamError
+from repro.obs.observability import NULL_OBS
 from repro.stream.anomaly import (DeviationOperator, DeviationSpec,
                                   TopKOperator, TopKSpec)
 from repro.stream.language import StreamSpec, parse_stream_query
@@ -49,12 +56,113 @@ STREAM_FAULT_SITES = ("stream.eval", "stream.window")
 
 register_fault_sites(*STREAM_FAULT_SITES)
 
+#: an event's context before the first member that needs it builds it
+_UNBUILT = object()
+
+
+def pane_shape(spec: StreamSpec) -> tuple:
+    """What queries sharing panes have in common: everything that decides
+    which events reach a pane and what a pane holds."""
+    return (spec.engine_event, spec.window,
+            None if spec.where is None else spec.where.text,
+            tuple(g.attribute for g in spec.groups),
+            tuple((a.func.upper(), a.attribute) for a in spec.aggs))
+
+
+class PaneGroup:
+    """The stream queries of one pane shape sharing one window state and
+    one boundary cursor.
+
+    Every member has ingested the same events and taken the same windows,
+    so the group folds an event into ``window`` once and merges a window
+    once, and each member then charges, filters and publishes it as its
+    own.  A member about to do otherwise — disabled, quarantined, shed, hit
+    by a fault — leaves first for a group of its own, holding its panes
+    (:meth:`StreamEngine._split`); it never comes back.
+
+    While a shared group flushes, ``steps`` logs each move of the cursor —
+    ``(boundary, window)`` for a window the panes gave (see :meth:`take`),
+    ``(cursor, None)`` for a skip — and ``progress`` counts the steps each
+    member has taken, so later members reuse the windows, and
+    :meth:`state_at` rebuilds a member that leaves part-way from
+    ``origin``, the cursor and panes the flush began with.
+    """
+
+    __slots__ = ("window", "next_boundary", "members", "flush", "origin",
+                 "steps", "progress")
+
+    def __init__(self, window: WindowState, members: list):
+        self.window = window
+        self.next_boundary: int | None = None
+        self.members = members
+        self.flush = 0  # serial of the flush whose log is open; 0: none
+        self.origin: tuple | None = None
+        self.steps: list[tuple] = []
+        self.progress: dict = {}
+
+    @property
+    def fresh(self) -> bool:
+        """Nothing ingested yet: a new query of the shape may join."""
+        return self.next_boundary is None and not self.window.update_ops
+
+    def open(self, serial: int) -> None:
+        """Start the flush log at the cursor and panes as they stand."""
+        self.flush = serial
+        self.origin = (self.next_boundary, self.window.panes())
+        self.steps.clear()
+        self.progress.clear()
+
+    def close(self) -> None:
+        self.flush = 0
+        self.origin = None
+        self.steps.clear()
+        self.progress.clear()
+
+    def take(self, query, boundary: int, step: tuple | None) -> tuple:
+        """``query`` takes the window at ``boundary``: ``step``, taken by
+        an earlier member, or — at the head of the log — the panes' own,
+        which moves the cursor past it.  Returns ``(rows, combine_ops,
+        {column names: named rows})``; the members share the named rows
+        of the window when they name its columns alike."""
+        if step is not None:
+            self.progress[query] = self.progress.get(query, 0) + 1
+            return step
+        step = (*self.window.emit(boundary), {})
+        self.next_boundary = boundary + 1
+        if self.flush:
+            self.steps.append((boundary, step))
+            self.progress[query] = len(self.steps)
+        return step
+
+    def skip(self, query, cursor: int) -> None:
+        """Move the cursor to ``cursor`` past boundaries that see no pane."""
+        self.next_boundary = cursor
+        if self.flush:
+            self.steps.append((cursor, None))
+            self.progress[query] = len(self.steps)
+
+    def state_at(self, pos: int) -> tuple[WindowState, int | None]:
+        """A private copy of the panes and cursor of a member that has
+        taken the first ``pos`` steps of the flush log."""
+        if pos == len(self.steps):
+            return self.window.copy(), self.next_boundary
+        cursor, panes = self.origin
+        window = self.window.copy(panes)
+        for boundary, step in self.steps[:pos]:
+            if step is None:
+                cursor = boundary
+            else:
+                window.emit(boundary)
+                cursor = boundary + 1
+        return window, cursor
+
 
 class StreamQuery:
-    """One registered continuous query: spec + window state + operators."""
+    """One registered continuous query: spec + pane group + operators."""
 
     # the registration (spec text, sink, criticality, ring size) and the
-    # child holders are saved by the checkpoint walk
+    # child holders are saved by the checkpoint walk; the pane group is
+    # rebuilt at registration, its window and cursor saved per member
     STATE = (
         *state.fields(sum, "events_seen", "events_ingested",
                       "where_rejected", "windows_emitted", "alert_count",
@@ -64,15 +172,19 @@ class StreamQuery:
                       "alerts"),
         *state.walked("spec", "sink_lat", "criticality", "window",
                       "deviation", "topk"),
+        *state.transient("panes", "columns"),
     )
 
-    def __init__(self, spec: StreamSpec, sink_lat: str | None = None,
-                 max_alerts: int = 256, criticality: str = "normal"):
+    def __init__(self, spec: StreamSpec, panes: PaneGroup,
+                 sink_lat: str | None = None, max_alerts: int = 256,
+                 criticality: str = "normal"):
         self.spec = spec
+        self.panes = panes
+        # the names of a window row's columns: GROUP BY, then AGG aliases
+        self.columns = (tuple(g.alias for g in spec.groups)
+                        + tuple(a.alias for a in spec.aggs))
         self.sink_lat = sink_lat
         self.criticality = validate_criticality(criticality)
-        self.window = WindowState(
-            spec.window, [aggregate_function(a.func) for a in spec.aggs])
         self.deviation: DeviationOperator | None = None
         self.topk: TopKOperator | None = None
         if isinstance(spec.anomaly, DeviationSpec):
@@ -80,8 +192,6 @@ class StreamQuery:
         elif isinstance(spec.anomaly, TopKSpec):
             self.topk = TopKOperator(spec.anomaly)
         self.enabled = True
-        # pane boundary of the next window to emit; None until first event
-        self.next_boundary: int | None = None
         self.alerts: deque = deque(maxlen=max_alerts)
         self.events_seen = 0
         self.events_ingested = 0
@@ -95,8 +205,23 @@ class StreamQuery:
     def name(self) -> str:
         return self.spec.name
 
+    @property
+    def window(self) -> WindowState:
+        return self.panes.window
+
+    @property
+    def next_boundary(self) -> int | None:
+        """Pane boundary of the next window to emit; None until the first
+        event."""
+        return self.panes.next_boundary
+
+    @next_boundary.setter
+    def next_boundary(self, value: int | None) -> None:
+        self.panes.next_boundary = value
+
     def describe(self) -> dict[str, Any]:
         """Flat stats snapshot (CLI ``.streams`` / report rows)."""
+        members = self.panes.members
         return {
             "name": self.spec.name,
             "event": self.spec.event_spec,
@@ -109,6 +234,8 @@ class StreamQuery:
             "windows": self.windows_emitted,
             "alerts": self.alert_count,
             "errors": self.errors,
+            # the first member of a shared pane group, None when alone
+            "panes": members[0].spec.name if len(members) > 1 else None,
         }
 
 
@@ -121,7 +248,8 @@ class StreamEngine:
                       "errors"),
         *state.walked("_queries", "health"),
         *state.transient("_sqlcm", "server", "_by_event", "_subscribed",
-                         "_in_emit", "replaying"),
+                         "_shapes", "_in_emit", "_flush_serial", "_opened",
+                         "_losses", "replaying"),
     )
 
     def __init__(self, sqlcm, quarantine: QuarantinePolicy | None = None):
@@ -130,12 +258,20 @@ class StreamEngine:
         self._queries: dict[str, StreamQuery] = {}
         self._by_event: dict[str, list[StreamQuery]] = {}
         self._subscribed: set[str] = set()
+        # the newest pane group of each shape: one a new query may join
+        self._shapes: dict[tuple, PaneGroup] = {}
         self.health = RuleHealthRegistry(quarantine)
         self._in_emit = False
-        # True while durability recovery re-runs journaled flushes: alert
-        # rings and counters rebuild, but the sink-LAT insert and the bus
-        # publish are suppressed (both were journaled separately)
-        self.replaying = False
+        self._flush_serial = 0
+        self._opened: list[PaneGroup] = []  # groups logging this flush
+        # [query, boundary, error or None] of each window this flush lost
+        self._losses: list[list] = []
+        # while durability recovery re-runs a journaled flush: the windows
+        # it lost live, by (lowercase query name, boundary), with the
+        # error if a fault lost them.  Alert rings and counters rebuild,
+        # but the sink-LAT insert and the bus publish are suppressed (both
+        # were journaled separately).  None outside replay
+        self.replaying: dict | None = None
         self.events_seen = 0
         self.alerts_published = 0
         self.errors = 0
@@ -148,7 +284,9 @@ class StreamEngine:
                  sink_lat: str | None = None,
                  max_alerts: int = 256,
                  criticality: str = "normal") -> StreamQuery:
-        """Parse, validate, and activate one stream query."""
+        """Parse, validate, and activate one stream query.  It shares the
+        panes of the queries of its shape if their group has ingested
+        nothing yet; otherwise it starts a group, with empty panes."""
         spec = parse_stream_query(text, name=name, schema=self._sqlcm.schema)
         key = spec.name.lower()
         if key in self._queries:
@@ -160,8 +298,15 @@ class StreamEngine:
                     f"sink LAT {sink_lat!r} must be defined over the "
                     f"StreamAlert class, not "
                     f"{lat.definition.monitored_class!r}")
-        query = StreamQuery(spec, sink_lat=sink_lat, max_alerts=max_alerts,
-                            criticality=criticality)
+        shape = pane_shape(spec)
+        group = self._shapes.get(shape)
+        if group is None or not group.fresh:
+            group = self._shapes[shape] = PaneGroup(WindowState(
+                spec.window, [aggregate_function(a.func) for a in spec.aggs]),
+                [])
+        query = StreamQuery(spec, group, sink_lat=sink_lat,
+                            max_alerts=max_alerts, criticality=criticality)
+        group.members.append(query)
         self._queries[key] = query
         self._by_event.setdefault(spec.engine_event, []).append(query)
         # a monitor fed explicitly (a replay shard) never touches the
@@ -184,6 +329,8 @@ class StreamEngine:
         if query is None:
             raise StreamError(f"unknown stream query {name!r}")
         self._by_event[query.spec.engine_event].remove(query)
+        group = query.panes
+        self._split(group, [query], group.progress.get(query, 0))
         # the health record goes with the query: a later query reusing the
         # name must not inherit error counts or quarantine state
         self.health.drop(query.spec.name)
@@ -239,6 +386,66 @@ class StreamEngine:
         return False
 
     # ------------------------------------------------------------------
+    # pane groups: members leaving
+    # ------------------------------------------------------------------
+
+    def _split(self, group: PaneGroup, members: list,
+               pos: int | None = None) -> PaneGroup:
+        """``members`` leave ``group`` for a group of their own, with the
+        panes and cursor they hold: those of a member that took ``pos``
+        steps of the group's flush log (all of them by default)."""
+        window, cursor = group.state_at(
+            len(group.steps) if pos is None else pos)
+        split = PaneGroup(window, members)
+        split.next_boundary = cursor
+        for member in members:
+            group.members.remove(member)
+            member.panes = split
+        return split
+
+    def _settle(self, queries: list[StreamQuery]) -> None:
+        """An event reaching pane groups in the middle of their flush:
+        members that have not yet taken every window the flush gave their
+        group leave it, since the event lands in their panes before those
+        windows do."""
+        serial = self._flush_serial
+        for group in {query.panes: None for query in queries}:
+            if group.flush != serial:
+                continue
+            behind: dict[int, list] = {}
+            for member in group.members:
+                pos = group.progress.get(member, 0)
+                if pos < len(group.steps):
+                    behind.setdefault(pos, []).append(member)
+            for pos, members in behind.items():
+                self._split(group, members, pos)
+
+    def replay_observation(self, names: list[str], key: tuple,
+                           values: list, now: float) -> None:
+        """A journaled observation: the queries ``names`` took ``key``
+        and ``values`` at ``now``.  Members of their pane groups that did
+        not take it leave first, as they did live."""
+        queries = [query for query in map(
+            self._queries.get, (name.lower() for name in names))
+            if query is not None]
+        for group in {query.panes: None for query in queries}:
+            members = [query for query in queries if query.panes is group]
+            self._observe(group, members, key, values, now)
+            for query in members:
+                query.events_ingested += 1
+
+    def _observe(self, group: PaneGroup, members: list, key: tuple,
+                 values: list, now: float) -> None:
+        """``members`` of ``group`` took ``key`` and ``values`` at
+        ``now``: the other members leave, then the panes fold them once."""
+        if len(members) < len(group.members):
+            self._split(group, [member for member in group.members
+                                if member not in members])
+        group.window.observe(key, values, now)
+        if group.next_boundary is None:
+            group.next_boundary = group.window.spec.pane_index(now) + 1
+
+    # ------------------------------------------------------------------
     # event path: flush due boundaries, then ingest
     # ------------------------------------------------------------------
 
@@ -256,10 +463,10 @@ class StreamEngine:
         if journal is None:
             self._ingest_all(queries, event, payload, now, None)
             return
-        # one stream_obs record per event: the observations in ingest
-        # order, and the queries that failed.  The event is a journal
-        # group, so a record the loop appends (a failing query's health)
-        # cannot commit ahead of the observations of the queries before it
+        # one stream_obs record per event: one observation per pane group
+        # that took the event, and the queries that failed.  The event is
+        # a journal group, so a record the loop appends (a failing query's
+        # health) cannot commit ahead of the observations before it
         batch: dict = {"time": now, "obs": []}
         seq = journal.seq
         journal.groups_open += 1
@@ -272,56 +479,105 @@ class StreamEngine:
 
     def _ingest_all(self, queries: list[StreamQuery], event: str,
                     payload: dict, now: float, batch: dict | None) -> None:
+        """Each query, in registration order, takes the event: its gates,
+        charges and counters are its own; what its pane group takes is
+        worked out by the first member that gets there, and folded into
+        the group's panes once, after the loop."""
         obs = self.server.obs
+        health = self.health
         governor = self._sqlcm.governor
-        context: dict | None = None
-        built = False
+        if self._in_emit:
+            self._settle(queries)
+        context = _UNBUILT
+        # pane group -> [key, values, members that took them], or () when
+        # WHERE rejected the event
+        taken: dict[PaneGroup, Any] = {}
         for query in list(queries):
             query.events_seen += 1
             if not query.enabled:
                 continue
-            if not self.health.allow(query.spec.name, now):
+            if not health.all_clear and \
+                    not health.allow(query.spec.name, now):
                 continue
             if governor is not None and not governor.admit_stream(query):
                 continue
-            with obs.attrib("stream", query.spec.name):
-                try:
-                    self._sqlcm.check_fault("stream.eval")
-                    if not built:
-                        context = self._sqlcm._build_context(event, payload)
-                        built = True
-                    self._ingest(query, context, now, batch)
-                except Exception as err:
-                    self._record_failure(query, "stream.eval", err)
-                    if batch is not None:
-                        batch.setdefault("failed", []).append(
-                            [query.spec.name, query.last_error])
+            if obs is NULL_OBS:
+                context = self._ingest(query, event, payload, context, now,
+                                       taken, batch)
+            else:
+                with obs.attrib("stream", query.spec.name):
+                    context = self._ingest(query, event, payload, context,
+                                           now, taken, batch)
+        for group, taking in taken.items():
+            if not taking:
+                continue
+            key, values, members = taking
+            self._observe(group, members, key, values, now)
+            if group.flush:
+                # in the middle of the group's flush: it goes on from here
+                group.open(group.flush)
+            if batch is not None:
+                batch["obs"].append([[member.spec.name for member in members],
+                                     key, values])
 
-    def _ingest(self, query: StreamQuery, context: dict | None,
-                now: float, batch: dict | None) -> None:
+    def _ingest(self, query: StreamQuery, event: str, payload: dict,
+                context: Any, now: float, taken: dict,
+                batch: dict | None) -> Any:
+        """One query's ingest inside its isolation boundary.  Returns the
+        event's context, built by the first query that needs it."""
+        try:
+            if self._sqlcm.faults is not None:
+                self._sqlcm.check_fault("stream.eval")
+            if context is _UNBUILT:
+                context = self._sqlcm._build_context(event, payload)
+            self._take(query, context, now, taken)
+        except Exception as err:
+            self._record_failure(query, "stream.eval", err)
+            if batch is not None:
+                batch.setdefault("failed", []).append(
+                    [query.spec.name, query.last_error])
+        return context
+
+    def _take(self, query: StreamQuery, context: dict | None, now: float,
+              taken: dict) -> None:
         spec = query.spec
-        costs = self.server.costs
-        self.server.add_monitor_cost(costs.stream_ingest)
+        server = self.server
+        costs = server.costs
+        server.add_monitor_cost(costs.stream_ingest)
         obj = None if context is None else context.get(spec.class_key)
         if obj is None:
             return
         if spec.where is not None:
-            self.server.add_monitor_cost(
+            server.add_monitor_cost(
                 costs.stream_where_atomic * spec.where.atomic_count)
-            if not spec.where.evaluate(context, {}):
-                query.where_rejected += 1
-                return
+        group = query.panes
+        taking = taken.get(group)
+        if taking is None:
+            taking = taken[group] = self._extract(spec, group.window,
+                                                  context, obj, now)
+        if not taking:
+            query.where_rejected += 1
+            return
+        server.add_monitor_cost(costs.stream_pane_update * len(spec.aggs))
+        query.events_ingested += 1
+        taking[2].append(query)
+        if not self.health.all_clear:
+            self.health.record_success(spec.name)
+
+    @staticmethod
+    def _extract(spec: StreamSpec, window: WindowState, context: dict,
+                 obj, now: float) -> Any:
+        """What one event gives a pane group: ``()`` when WHERE rejects
+        it, else ``[key, values, []]``."""
+        if spec.where is not None and not spec.where.evaluate(context, {}):
+            return ()
         key = tuple(obj.get(g.attribute) for g in spec.groups)
+        if not window.in_order(key, now):
+            raise StreamError(
+                "stream events must arrive in virtual-time order")
         values = [1 if a.attribute is None else obj.get(a.attribute)
                   for a in spec.aggs]
-        ops = query.window.observe(key, values, now)
-        self.server.add_monitor_cost(costs.stream_pane_update * ops)
-        if query.next_boundary is None:
-            query.next_boundary = spec.window.pane_index(now) + 1
-        query.events_ingested += 1
-        if batch is not None:
-            batch["obs"].append([spec.name, key, values])
-        self.health.record_success(query.spec.name)
+        return [key, values, []]
 
     # ------------------------------------------------------------------
     # window emission
@@ -339,73 +595,142 @@ class StreamEngine:
 
     def _flush(self, now: float) -> None:
         self._in_emit = True
+        self._flush_serial += 1
+        self._losses = losses = []
         advanced = False
         try:
             for query in list(self._queries.values()):
-                before = query.next_boundary
-                self._flush_query(query, now)
-                if query.next_boundary != before:
+                if self._flush_query(query, now):
                     advanced = True
         finally:
             self._in_emit = False
+            for group in self._opened:
+                group.close()
+            self._opened.clear()
         journal = self._sqlcm.journal
-        if journal is not None and advanced and not self.replaying:
-            journal.append("stream_flush", {"time": now})
+        if journal is not None and advanced and self.replaying is None:
+            record: dict = {"time": now}
+            if losses:
+                record["lost"] = losses
+            journal.append("stream_flush", record)
 
-    def _flush_query(self, query: StreamQuery, now: float) -> None:
-        if query.next_boundary is None or not query.enabled:
-            return
-        spec = query.spec
-        current = spec.window.pane_index(now)
-        while query.next_boundary <= current:
-            earliest = query.window.earliest_pane()
+    def _flush_query(self, query: StreamQuery, now: float) -> bool:
+        """One query's turn at the boundaries due at ``now``; True when it
+        moved a cursor.  The first member of a shared pane group to get
+        here drives the group's cursor and logs what the panes gave; the
+        members after it take the same windows from the log."""
+        current = query.spec.window.pane_index(now)
+        serial = self._flush_serial
+        moved = False
+        while True:
+            group = query.panes
+            cursor = group.next_boundary
+            if group.flush != serial:
+                if cursor is None or cursor > current:
+                    return moved
+                if len(group.members) > 1:
+                    group.open(serial)
+                    self._opened.append(group)
+                elif not query.enabled:
+                    return moved
+            pos = group.progress.get(query, 0)
+            if not query.enabled:
+                # its panes and cursor stay where this flush found them
+                self._split(group, [query], pos)
+                return moved
+            if pos < len(group.steps):
+                boundary, step = group.steps[pos]
+                if step is None:
+                    group.progress[query] = pos + 1
+                elif not self._emit_boundary(query, boundary, group, step):
+                    self._split(group, [query], pos).next_boundary = \
+                        boundary + 1
+                    moved = True
+                continue
+            if cursor > current:
+                return moved
+            moved = True
+            earliest = group.window.earliest_pane()
             if earliest is None:
                 # no live panes: every remaining boundary is empty
-                query.next_boundary = current + 1
-                return
-            if query.next_boundary <= earliest:
+                group.skip(query, current + 1)
+                return moved
+            if cursor <= earliest:
                 # window closes before any live pane starts: skip ahead to
                 # the first boundary that can see a pane
-                query.next_boundary = earliest + 1
+                group.skip(query, earliest + 1)
                 continue
-            self._emit_boundary(query, query.next_boundary)
-            # the boundary cursor advances even when emission failed: a
-            # poisoned window is lost, not retried forever
-            query.next_boundary += 1
+            if not self._emit_boundary(query, cursor, group, None):
+                # the boundary cursor advances even when emission failed: a
+                # poisoned window is lost, not retried forever
+                if len(group.members) > 1:
+                    group = self._split(group, [query])
+                group.next_boundary = cursor + 1
 
-    def _emit_boundary(self, query: StreamQuery, boundary: int) -> None:
-        now = self.server.clock.now
-        if not self.health.allow(query.spec.name, now):
-            return
+    def _emit_boundary(self, query: StreamQuery, boundary: int,
+                       group: PaneGroup, step: tuple | None) -> bool:
+        """``query``'s window at ``boundary`` — ``step``, the one an
+        earlier member of its pane group took, or None for the panes' own.
+        False when the window is lost before the query takes it: to
+        quarantine, to a fault, or, in a replayed flush, as it was live."""
+        name = query.spec.name
+        lost = self.replaying
+        if lost is not None:
+            if (name.lower(), boundary) in lost:
+                error = lost[name.lower(), boundary]
+                if error is not None:
+                    query.errors += 1
+                    query.last_error = error
+                    self.errors += 1
+                return False
+        elif not self.health.all_clear and \
+                not self.health.allow(name, self.server.clock.now):
+            self._losses.append([name, boundary, None])
+            return False
         obs = self.server.obs
-        with obs.attrib("stream", query.spec.name), \
-                obs.span(f"stream.window:{query.spec.name}", "stream",
+        if obs is NULL_OBS:
+            return self._take_window(query, boundary, group, step)
+        with obs.attrib("stream", name), \
+                obs.span(f"stream.window:{name}", "stream",
                          boundary=boundary):
-            try:
-                self._sqlcm.check_fault("stream.window")
-                self._evaluate_window(query, boundary)
-                self.health.record_success(query.spec.name)
-            except Exception as err:
-                self._record_failure(query, "stream.window", err)
+            return self._take_window(query, boundary, group, step)
 
-    def _evaluate_window(self, query: StreamQuery, boundary: int) -> None:
+    def _take_window(self, query: StreamQuery, boundary: int,
+                     group: PaneGroup, step: tuple | None) -> bool:
+        taken = False
+        try:
+            if self._sqlcm.faults is not None:
+                self._sqlcm.check_fault("stream.window")
+            window = group.take(query, boundary, step)
+            taken = True
+            self._evaluate_window(query, boundary, *window)
+            if not self.health.all_clear:
+                self.health.record_success(query.spec.name)
+        except Exception as err:
+            self._record_failure(query, "stream.window", err)
+            if not taken:
+                self._losses.append(
+                    [query.spec.name, boundary, query.last_error])
+        return taken
+
+    def _evaluate_window(self, query: StreamQuery, boundary: int,
+                         raw_rows: list, combine_ops: int,
+                         named: dict) -> None:
         spec = query.spec
         costs = self.server.costs
-        raw_rows, combine_ops = query.window.emit(boundary)
         self.server.add_monitor_cost(costs.stream_pane_merge * combine_ops)
         if not raw_rows:
             return
         query.windows_emitted += 1
         window_end = spec.window.boundary_time(boundary)
         window_start = window_end - spec.window.length
-        rows: list[tuple[tuple, dict]] = []
-        for key, results in raw_rows:
-            row: dict[str, Any] = {}
-            for group, value in zip(spec.groups, key):
-                row[group.alias] = value
-            for agg, value in zip(spec.aggs, results):
-                row[agg.alias] = value
-            rows.append((key, row))
+        columns = query.columns
+        rows = named.get(columns)
+        if rows is None:
+            # read-only from here: an alert carries a copy of its row
+            rows = named[columns] = [
+                (key, dict(zip(columns, (*key, *results))))
+                for key, results in raw_rows]
         self.server.add_monitor_cost(costs.stream_emit_row * len(rows))
 
         primary = spec.aggs[0].alias
@@ -468,7 +793,7 @@ class StreamEngine:
         query.alert_count += 1
         self.alerts_published += 1
         self.server.obs.count("sqlcm.stream.alerts")
-        if self.replaying:
+        if self.replaying is not None:
             # journal replay: the sink-LAT insert and the downstream
             # incident cascade were journaled separately (lat_insert /
             # incident records), so re-driving them here would double-apply

@@ -68,7 +68,8 @@ class WindowSpec:
 
 
 class WindowState:
-    """All groups' pane buffers for one stream query.
+    """All groups' pane buffers for the stream queries of one pane
+    group (see :class:`repro.stream.engine.PaneGroup`).
 
     Each group holds a deque of ``(pane_index, [state per aggregate])``;
     panes older than the largest window that could still need them are
@@ -111,6 +112,11 @@ class WindowState:
         self.update_ops += ops
         return ops
 
+    def in_order(self, key: tuple, now: float) -> bool:
+        """Would :meth:`observe` accept an event of ``key`` at ``now``?"""
+        buffer = self.groups.get(key)
+        return not buffer or buffer[-1][0] <= self.spec.pane_index(now)
+
     def emit(self, boundary: int) -> tuple[list[tuple[tuple, list]], int]:
         """Merge each group's panes for the window ending at ``boundary``.
 
@@ -121,6 +127,7 @@ class WindowState:
         aggregate])``.
         """
         low = boundary - self.spec.panes_per_window
+        funcs = self.funcs
         rows: list[tuple[tuple, list]] = []
         ops = 0
         dead: list[tuple] = []
@@ -133,13 +140,16 @@ class WindowState:
             live = [states for pane, states in buffer if pane < boundary]
             if not live:
                 continue
-            merged = list(live[0])
-            for states in live[1:]:
-                for i, func in enumerate(self.funcs):
-                    merged[i] = func.combine(merged[i], states[i])
-                    ops += 1
-            rows.append((key, [f.result(s)
-                               for f, s in zip(self.funcs, merged)]))
+            first, *rest = live
+            ops += len(funcs) * len(rest)
+            results = []
+            # each aggregate folds its panes oldest first
+            for i, func in enumerate(funcs):
+                merged = first[i]
+                for states in rest:
+                    merged = func.combine(merged, states[i])
+                results.append(func.result(merged))
+            rows.append((key, results))
         for key in dead:
             del self.groups[key]
         self.combine_ops += ops
@@ -172,6 +182,25 @@ class WindowState:
                 (pane, merged[pane]) for pane in sorted(merged))
         self.combine_ops += ops
         return ops
+
+    def panes(self) -> tuple:
+        """The panes and counters as they stand, for :meth:`copy`.  The
+        pane state lists are this window's own, so the result is valid
+        until the next :meth:`observe`."""
+        return ([(key, tuple(buffer)) for key, buffer in self.groups.items()],
+                self.update_ops, self.combine_ops)
+
+    def copy(self, panes: tuple | None = None) -> "WindowState":
+        """A window with buffers and state lists of its own, holding this
+        window's panes now, or those an earlier :meth:`panes` returned."""
+        groups, update_ops, combine_ops = panes or self.panes()
+        clone = WindowState(self.spec, self.funcs)
+        clone.groups = {key: deque((pane, list(states))
+                                   for pane, states in buffer)
+                        for key, buffer in groups}
+        clone.update_ops = update_ops
+        clone.combine_ops = combine_ops
+        return clone
 
     def image(self) -> dict:
         """The counters and every group's panes with their aggregate

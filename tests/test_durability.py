@@ -466,16 +466,18 @@ def stream_images(sqlcm):
 
 
 class FailsQueryThenDies(FaultInjector):
-    """The ``k``-th stream query of the next stream event raises at
-    ``stream.eval``; the journal dies at the ``m``-th append after that."""
+    """The ``k``-th check at ``site`` from now raises: at ``stream.eval``
+    the ``k``-th stream query of the next stream event, at
+    ``stream.window`` the ``k``-th window due.  The journal dies at the
+    ``m``-th append after that."""
 
-    def __init__(self, k, m):
+    def __init__(self, k, m, site="stream.eval"):
         super().__init__(seed=7)
-        self.evals_left, self.m = k, m
+        self.evals_left, self.m, self.site = k, m, site
         self.appends_left = 0
 
     def check(self, site):
-        if site == "stream.eval" and self.evals_left:
+        if site == self.site and self.evals_left:
             self.evals_left -= 1
             if not self.evals_left:
                 self.appends_left = self.m
@@ -507,6 +509,11 @@ class TestStreamRecovery:
         assert stream_images(report.sqlcm) == expected
         assert all(image["alerts"] for name, image in expected.items()
                    if name in ("s0", "s1", "s2", "s3"))
+        # s{i} and s{i + 4} share panes, before the crash and after it
+        for monitor in (sqlcm, report.sqlcm):
+            queries = monitor.stream_engine().queries()
+            assert [q.panes.members for q in queries[:4]] == \
+                [[q, queries[i + 4]] for i, q in enumerate(queries[:4])]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 4, 8])
@@ -523,6 +530,47 @@ class TestStreamRecovery:
         assert manager.journal.dead
         report = verify_recovery(str(tmp_path), tap)
         assert stream_images(report.sqlcm) == side.points[-1]
+
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_a_window_lost_to_a_fault_stays_lost_after_a_crash(
+            self, tmp_path, k, m):
+        """The flush that lost a window live journals the loss, so the
+        recovery that re-runs it loses the same window."""
+        server, sqlcm = latstream_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, stream_images)
+        stream_work(server, 10)
+        sqlcm.set_fault_injector(FailsQueryThenDies(k, m, "stream.window"))
+        stream_work(server, 6, start=10)
+        assert sum(q.errors for q in sqlcm.stream_engine().queries()) == 1
+        assert manager.journal.dead
+        report = verify_recovery(str(tmp_path), tap)
+        assert stream_images(report.sqlcm) == side.points[-1]
+
+    def test_a_diverged_member_recovers_apart(self, tmp_path):
+        """s4 misses one event and leaves s0's panes; a checkpoint holds
+        their unequal panes, and recovery keeps the two apart while the
+        other pairs share again."""
+        server, sqlcm = latstream_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, stream_images)
+        stream_work(server, 8)
+        sqlcm.set_fault_injector(FailsQueryThenDies(5, 10 ** 6))
+        stream_work(server, 4, start=8)
+        streams = sqlcm.stream_engine()
+        assert streams.query("s4").panes is not streams.query("s0").panes
+        manager.checkpoint()
+        stream_work(server, 6, start=12)
+        sqlcm.set_fault_injector(DiesAtAppend(7))
+        stream_work(server, 4, start=18)
+        assert manager.journal.dead
+        report = verify_recovery(str(tmp_path), tap)
+        assert stream_images(report.sqlcm) == side.points[-1]
+        recovered = report.sqlcm.stream_engine()
+        assert recovered.query("s4").panes is not \
+            recovered.query("s0").panes
+        assert recovered.query("s1").panes is recovered.query("s5").panes
 
 
 # ---------------------------------------------------------------------------

@@ -284,12 +284,26 @@ class TestCheckpointRoundTrip:
                     "records": 1, "crc": zlib.crc32(header[:8].encode())}),
                 encoding="utf-8")
         with pytest.raises(DurabilityError,
-                           match="a version 3 checkpoint.*reads version 4"):
+                           match="a version 3 checkpoint.*reads version 5"):
             DurabilityManager.recover(str(tmp_path))
         with pytest.raises(DurabilityError, match="no end marker"):
             (tmp_path / "checkpoint-0002.ckpt").write_text(
                 header[:20], encoding="utf-8")
             read_checkpoint(str(tmp_path / "checkpoint-0002.ckpt"))
+
+    def test_a_directory_of_version_4_checkpoints_is_refused_by_name(
+            self, tmp_path):
+        """Version 4 journaled one ``stream_obs`` observation per query:
+        its files are whole JSON lines, refused by the version they
+        carry."""
+        header = frame(1, "checkpoint", False, 0.0, {"version": 4})
+        (tmp_path / "checkpoint-0001.ckpt").write_text(
+            header + frame(2, "checkpoint_end", True, 0.0, {
+                "records": 1, "crc": zlib.crc32(header[:8].encode())}),
+            encoding="utf-8")
+        with pytest.raises(DurabilityError, match="a version 4 checkpoint; "
+                           "this build reads version 5 only"):
+            DurabilityManager.recover(str(tmp_path))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
