@@ -63,7 +63,9 @@ class Action:
     #: side-effecting actions (mail, external programs, persist writes) get
     #: bounded retry + dead-lettering from the engine's isolation boundary;
     #: internal actions (LAT maintenance, cancel, timers) fail fast instead
-    #: because retrying them is not idempotent-safe
+    #: because retrying them is not idempotent-safe.  Each delivery is an
+    #: effect outside the monitor (``SQLCM.effect``): a journaled entry
+    #: records its outcome, and a replay of the entry reads it back
     side_effect = False
 
     #: execute() changes nothing a probe of the context's objects reads.
@@ -340,6 +342,10 @@ class CancelAction(Action):
         return {self.target.lower()}
 
     def execute(self, sqlcm, rule, context, lat_rows) -> None:
+        # the cancel acts on the engine, outside the monitor
+        sqlcm.effect(self._cancel, sqlcm, rule, context)
+
+    def _cancel(self, sqlcm, rule, context) -> None:
         obj = context.get(self.target.lower())
         if obj is None:
             raise ActionError(f"Cancel: no {self.target!r} object in context")

@@ -1,4 +1,4 @@
-"""Crash-safe monitor durability: one journal format, compacted at checkpoints.
+"""Crash-safe monitor durability: a command log, compacted at checkpoints.
 
 The monitor's state — rules and their health, LAT contents, stream window
 panes, open incidents, the governor ladder, dead letters, pending timers —
@@ -8,15 +8,20 @@ line of tagged JSON, :func:`repro.core.state.dumps`), one reader
 (:func:`read_journal`) and one apply table (:data:`HANDLERS`).  Two files
 per *generation* N hold such records:
 
-* ``journal-000N.wal`` — the **append-only logical redo journal** of every
-  mutation made after checkpoint N.  The reader is torn-tail tolerant: it
-  stops at the first record that fails its CRC, fails to parse, or lacks
-  its trailing newline, then discards any trailing records past the last
-  *committed* one.  Records written inside an event dispatch are
-  committed as a group by the per-event ``counts`` marker, those of a
-  stream event by its one ``stream_obs`` record; records written outside
-  both commit alone.  A group reaches the file with one write and one
-  flush, when its commit record is appended.
+* ``journal-000N.wal`` — the **append-only command log** of what reached
+  the monitor after checkpoint N.  Each *entry* into the monitor from
+  outside — an engine event (``event``), a dispatch begun outside every
+  event, such as a timer alarm (``dispatch``), an explicit stream flush
+  (``stream_flush``) — is one committed record holding the inputs the
+  entry read from outside the monitor (:class:`Tape`): the probe values
+  of the objects it built, the faults it was given, the outcomes of its
+  effects, the governor's decisions.  Nothing the entry did is journaled
+  on its own; recovery runs the entry again.  An API call that changes
+  state outside every entry (DDL, ``restore_lat``, a direct LAT insert,
+  a dead-letter sweep, an admin reset) writes its *effect* record.
+  Every journal record is committed.  The reader is torn-tail tolerant:
+  it stops at the first record that fails its CRC, fails to parse, or
+  lacks its trailing newline.
 * ``checkpoint-000N.ckpt`` — a **compacted journal**: the shortest record
   sequence that recreates the monitor's folded state in registration
   order (:func:`compact`), written to a temp file and published with
@@ -26,7 +31,8 @@ per *generation* N hold such records:
   checkpoint or rejects the file and falls back to generation N-1.
 
 Recovery applies the newest valid checkpoint's records and then its
-journal's through the same handlers, so the restored monitor's
+journal's through the same handlers — re-running each entry with the
+monitor's ``tape`` replaying its record — so the restored monitor's
 :meth:`~repro.core.engine.SQLCM.state_digest` equals the digest at the
 last committed journal record before the crash — the same replay-stable
 digest that proves sharded == serial in :mod:`repro.shard`.  Crash-point
@@ -45,12 +51,12 @@ of a sharded replay folded field by field with each field's declared
 merge-op.
 
 Deliberately **not** persisted (see DESIGN.md section 14): the pending
-event queue and in-flight dispatch (the journal only commits completed
-event groups), the outbox/command side-effect logs (already delivered),
+event queue and in-flight dispatch (the journal only holds completed
+entries), the outbox/command side-effect logs (already delivered; a
+replay reads the outcome of each delivery and never delivers again),
 the signature registry's numeric ids (rebuilt on demand; instance counts
-are keyed by signature bytes which do round-trip), the governor's open
-measurement window, and per-stream ``events_seen``/``where_rejected``
-tallies between checkpoints.
+are keyed by signature bytes which do round-trip), and the governor's
+open measurement window.
 """
 
 from __future__ import annotations
@@ -71,15 +77,17 @@ from repro.core.incidents import (INCIDENT_TABLE, SWEEP_TIMER,
                                   IncidentPolicy, OpenIncidentAction,
                                   QuarantineRuleAction, ResetLATAction)
 from repro.core.lat import LATDefinition
+from repro.core.objects import RecordingFactory, ReplayFactory
 from repro.core.resilience import DeadLetter, RuleHealth
 from repro.core.rules import Rule
 from repro.core.state import dumps, fold, load, load_into, loads
 from repro.errors import DurabilityError, FaultInjected
 
 #: version of the record vocabulary and line format, carried by a
-#: checkpoint's first record (5: one ``stream_obs`` observation per pane
-#: group; 4 wrote one per query; 3 wrote ``repr`` lines)
-CHECKPOINT_VERSION = 5
+#: checkpoint's first record (6: one record per entry into the monitor,
+#: re-run on recovery; 5 journaled what each event did, with one stream
+#: observation per pane group; 4 one per query; 3 wrote ``repr`` lines)
+CHECKPOINT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -152,35 +160,34 @@ def _chain(crcs) -> int:
 
 
 class Journal:
-    """Append-only logical redo journal with group-commit markers.
+    """Append-only logical redo journal: a command log of the entries
+    into the monitor, and effect records for its API calls.
 
-    One :func:`frame` line per record.  ``commit`` semantics: records
-    appended while the owning monitor is inside event dispatch, or while a
-    caller holds a group open (:attr:`groups_open`: a stream event's
-    ingest loop), default to ``False``.  The record that closes the group
-    commits all of it: the per-event ``counts`` record at the end of
-    ``_process_event`` (an explicit ``commit=True``), or the stream
-    event's ``stream_obs`` record.  Records appended outside both commit
-    alone.  The owners are the monitors whose state the records fold,
+    One :func:`frame` line per record.  An *entry* is the monitor's
+    response to one thing from outside it — an engine event, a timer
+    alarm, a dispatch an API call starts, an explicit stream flush.  It
+    runs under a recording :class:`Tape` (:meth:`entry`) and leaves one
+    committed record: what it was, and every input it read from outside
+    the monitor.  Recovery re-runs the entry from that record, so nothing
+    the entry did is journaled on its own: an append made inside an entry
+    is dropped.  Outside entries a record is an API call's effect (DDL,
+    ``restore_lat``, a direct LAT insert, a dead-letter sweep, an admin
+    reset).  The owners are the monitors whose state the records fold,
     control first: the one monitor a :class:`DurabilityManager` journals,
     or the shard monitors of a sharded replay that the checkpoint walk
-    compacts.  Recovery replays records only up to and including the last
-    committed one; an uncommitted tail (crash mid-event) is discarded,
-    exactly like a torn tail.
+    compacts.
 
-    Flush policy: the line of an uncommitted record waits in memory, and
-    a commit writes the waiting lines and its own with one ``write`` and
-    one ``flush``.  So every committed record has reached the operating
-    system when :meth:`append` returns (there is no ``fsync``), and a
-    crash loses only lines that recovery would have discarded.
+    Flush policy: every record is framed committed and written with one
+    ``write`` and one ``flush``, so it has reached the operating system
+    when :meth:`append` returns (there is no ``fsync``).
 
     A fault injected at ``durability.append`` (consulted once per record)
     marks the journal **dead** (the process crashed as far as the disk is
     concerned): subsequent appends are dropped silently, simulating
     post-crash execution the recovery must not see.  ``partial`` mode
-    first writes the waiting lines and the first half of the faulting
-    one, a torn tail.  A real ``OSError`` also fails open — monitoring
-    must never die because its journal disk did — and bumps the
+    first writes the first half of the faulting line, a torn tail.  A
+    real ``OSError`` also fails open — monitoring must never die because
+    its journal disk did — and bumps the
     ``sqlcm.durability.journal_failed`` metric.
     """
 
@@ -188,13 +195,13 @@ class Journal:
         self._monitors = monitors
         self._sqlcm = monitors[0]
         self._file = None
-        self._waiting: list[str] = []  # lines of the uncommitted group
         self.path: str | None = None
         self.seq = 0
-        self.groups_open = 0
         self.dead = False
         self.records_written = 0
         self.on_commit: list[Callable[[], None]] = []
+        #: the recording of the entry running now; None outside entries
+        self.tape: Tape | None = None
 
     @property
     def clock(self):
@@ -208,45 +215,54 @@ class Journal:
         self.dead = False
 
     def close(self) -> None:
-        """Close the segment; lines still waiting for a commit are lost,
-        as in a crash (a checkpoint has just saved their state, or
-        nothing ever would have replayed them)."""
-        self._waiting.clear()
+        """Close the segment."""
         if self._file is not None:
             self._file.close()
             self._file = None
 
-    def append(self, kind: str, data: Any, commit: bool | None = None) -> None:
-        if self.dead or self._file is None:
+    def entry(self, kind: str, data: dict, run: Callable[..., bool],
+              *args) -> None:
+        """Run ``run(*args)`` as one entry into the monitor, under a
+        recording tape; when it returns True (it did something) append one
+        committed ``kind`` record: ``data`` and the tape's image."""
+        sqlcm = self._sqlcm
+        tape = self.tape = sqlcm.tape = Tape(sqlcm)
+        factory, faults = sqlcm.factory, sqlcm.faults
+        sqlcm.factory = tape.factory
+        if faults is not None:
+            tape.injector, sqlcm.faults = faults, tape
+        try:
+            changed = run(*args)
+        finally:
+            self.tape = sqlcm.tape = None
+            sqlcm.factory = factory
+            if sqlcm.faults is tape:
+                sqlcm.faults = faults
+        if changed:
+            self.append(kind, data | tape.image())
+
+    def append(self, kind: str, data: Any) -> None:
+        if self.dead or self._file is None or self.tape is not None:
             return
-        if commit is None:
-            commit = not (self.groups_open or self._sqlcm._dispatching)
         self.seq += 1
-        line = frame(self.seq, kind, commit, self.clock.now, data)
-        waiting = self._waiting
+        line = frame(self.seq, kind, True, self.clock.now, data)
         try:
             self._sqlcm.check_fault("durability.append")
         except FaultInjected as err:
             if err.mode == "partial":
-                # a torn tail: the group so far and the first half of this
-                # line hit the disk
-                self._file.write("".join(waiting)
-                                 + line[: max(1, len(line) // 2)])
+                # a torn tail: the first half of this line hits the disk
+                self._file.write(line[: max(1, len(line) // 2)])
                 self._file.flush()
             self.dead = True
             return
-        waiting.append(line)
-        if not commit:
-            return
         try:
-            self._file.write("".join(waiting))
+            self._file.write(line)
             self._file.flush()
         except OSError:
             self.dead = True
             self._sqlcm.server.obs.count("sqlcm.durability.journal_failed")
             return
-        self.records_written += len(waiting)
-        waiting.clear()
+        self.records_written += 1
         for callback in self.on_commit:
             callback()
 
@@ -271,6 +287,15 @@ class Journal:
             "text": query.spec.text, "name": query.name,
             "sink_lat": query.sink_lat, "criticality": query.criticality,
             "max_alerts": query.alerts.maxlen})
+
+    def totals_changed(self) -> None:
+        """The engine totals, folded across the owning monitors: a
+        checkpoint's, or the switch ``enable_signatures`` flipped."""
+        monitors = self._monitors
+        engines = [m._streams for m in monitors if m._streams is not None]
+        self.append("totals", {
+            "sqlcm": fold(monitors),
+            "streams": fold(engines) if engines else None})
 
     def health_changed(self, namespace: str, health: RuleHealth) -> None:
         self.append("health", {"ns": namespace, "image": health})
@@ -304,6 +329,223 @@ class Journal:
         """Wire a (possibly lazily-created) stream engine's health registry."""
         streams.health.journal_hook = (
             lambda health: self.health_changed("stream", health))
+
+
+# ---------------------------------------------------------------------------
+# the tape: what one entry read from outside the monitor
+# ---------------------------------------------------------------------------
+
+_ERROR_TYPES: dict[str, type] = {}
+
+
+def _replayed_error(name: str, message: str) -> Exception:
+    """An exception that formats as the recorded one did (``Name: msg``)."""
+    cls = _ERROR_TYPES.get(name)
+    if cls is None:
+        cls = _ERROR_TYPES[name] = type(name, (Exception,), {})
+    return cls(message)
+
+
+class Tape:
+    """The recording of one journaled entry: every input the entry read
+    from outside the monitor, in the order it read it.  While the entry
+    runs it is the monitor's ``tape`` and stands in as its fault
+    injector; its :meth:`image` goes into the entry's record.
+
+    * ``objects`` — each monitored object the entry built, in creation
+      order, as its extra values and one probe memo per generation
+      (``RecordingFactory``): the event's own context first
+      (``context``, its keys), then iteration-scope expansions;
+    * ``scopes`` — the size of each iteration-scope expansion, and
+      ``[pairs, edges]`` of each blocking-pairs probe;
+    * ``faults`` — each fault the injector gave: ``[ordinal of the
+      check in the entry, site, mode]`` (latency faults add the seconds);
+    * ``effects`` — the outcome of each effect outside the monitor
+      (:meth:`SQLCM.effect`): ``[error type or None, error message or
+      result, cost charged]``;
+    * ``decisions`` — each governor decision: ``[ordinal of the
+      observation, measured, estimated]``, then the transition it made,
+      if any, and the components the transition suspended.
+
+    The fault checks made inside an effect are the effect's own: a
+    replay never makes them, so they are not counted.
+    """
+
+    replaying = False
+
+    def __init__(self, sqlcm: SQLCM):
+        self.sqlcm = sqlcm
+        self.factory = RecordingFactory(sqlcm)
+        self.injector = None
+        self.context: dict | None = None
+        self.scopes: list = []
+        self.faults: list = []
+        self.effects: list = []
+        self.decisions: list = []
+        self.checks = 0
+        self.observes = 0
+        self.paused = 0
+
+    def image(self) -> dict:
+        image: dict = {}
+        if self.context is not None:
+            image["context"] = list(self.context)
+        objects = self.factory.objects
+        if objects:
+            image["objects"] = [obj.image() for obj in objects]
+        for name in ("scopes", "faults", "effects", "decisions"):
+            values = getattr(self, name)
+            if values:
+                image[name] = values
+        return image
+
+    # -- what the monitor calls ------------------------------------------
+
+    def check(self, site: str) -> float:
+        """The fault injector's ``check``, recorded."""
+        if self.paused:
+            return self.injector.check(site)
+        self.checks += 1
+        try:
+            extra = self.injector.check(site)
+        except FaultInjected as err:
+            self.faults.append([self.checks, site, err.mode])
+            raise
+        if extra:
+            self.faults.append([self.checks, site, "latency", extra])
+        return extra
+
+    def iterate(self, class_name: str) -> list:
+        objects = self.sqlcm._scope(class_name)
+        self.scopes.append(len(objects))
+        return objects
+
+    def blocking_pairs(self) -> list:
+        pairs, edges = self.sqlcm.driver.blocking_pairs()
+        self.scopes.append([len(pairs), edges])
+        return self.sqlcm._pairs(pairs, edges)
+
+    def effect(self, run: Callable, args: tuple) -> Any:
+        server = self.sqlcm.server
+        before = server.monitor_cost_total
+        self.paused += 1
+        try:
+            result = run(*args)
+        except Exception as err:
+            self.effects.append([type(err).__name__, str(err),
+                                 server.monitor_cost_total - before])
+            raise
+        finally:
+            self.paused -= 1
+        self.effects.append([None, result, server.monitor_cost_total - before])
+        return result
+
+    def observed(self) -> None:
+        self.observes += 1
+
+    def decided(self, measured: float, estimated: float) -> None:
+        self.decisions.append([self.observes, measured, estimated])
+
+    def transitioned(self, state: str, reason: str, suspended: list) -> None:
+        self.decisions[-1] += [state, reason, suspended]
+
+
+class _Replay:
+    """A record's :class:`Tape` played back, in its place as the
+    monitor's ``tape`` and fault injector: each input the entry read
+    comes from the record, in the order the entry read it, and a replay
+    that asks for one the record does not hold, or leaves one unread, has
+    diverged from the entry (``DurabilityError``)."""
+
+    replaying = True
+
+    def __init__(self, sqlcm: SQLCM, kind: str, data: dict,
+                 restorer: "_Restorer"):
+        self.sqlcm = sqlcm
+        self.kind = kind
+        self.factory = ReplayFactory(sqlcm, data.get("objects", []))
+        self.context = data.get("context")
+        self.placeholders = restorer.placeholders
+        self.history = restorer.apply_history
+        self.recorded = {name: data.get(name, [])
+                         for name in ("scopes", "faults", "effects",
+                                      "decisions")}
+        self.read = dict.fromkeys(self.recorded, 0)
+        self.checks = 0
+        self.observes = 0
+
+    def _next(self, name: str, what: str):
+        values, at = self.recorded[name], self.read[name]
+        if at == len(values):
+            raise DurabilityError(f"replay of a {self.kind!r} record needs "
+                                  f"{what} the record does not hold")
+        self.read[name] = at + 1
+        return values[at]
+
+    def _peek(self, name: str, ordinal: int):
+        values, at = self.recorded[name], self.read[name]
+        if at < len(values) and values[at][0] == ordinal:
+            self.read[name] = at + 1
+            return values[at]
+        return None
+
+    def entry_context(self) -> dict | None:
+        """The event's own context, the first objects the entry built."""
+        if self.context is None:
+            return None
+        return {key: self.factory.replayed(key) for key in self.context}
+
+    def finish(self) -> None:
+        objects = self.factory
+        unread = [name for name, values in self.recorded.items()
+                  if self.read[name] < len(values)]
+        if objects.built < len(objects.images):
+            unread.append("objects")
+        if unread:
+            raise DurabilityError(f"replay of a {self.kind!r} record left "
+                                  f"recorded {', '.join(unread)} unread")
+
+    def check(self, site: str) -> float:
+        self.checks += 1
+        fault = self._peek("faults", self.checks)
+        if fault is None:
+            return 0.0
+        if fault[1] != site:
+            raise DurabilityError(
+                f"replay checked {site!r} where the entry's fault fired at "
+                f"{fault[1]!r}")
+        if fault[2] == "latency":
+            return fault[3]
+        raise FaultInjected(site, fault[2])
+
+    def iterate(self, class_name: str) -> list:
+        count = self._next("scopes", f"the size of a {class_name} scope")
+        return [self.factory.replayed(class_name) for __ in range(count)]
+
+    def blocking_pairs(self) -> list:
+        count, edges = self._next("scopes", "a blocking-pairs probe")
+        return self.sqlcm._pairs([(None, None, None, 0.0)] * count, edges)
+
+    def effect(self, run: Callable, args: tuple) -> Any:
+        error, value, cost = self._next(
+            "effects", f"the outcome of {run.__qualname__}")
+        self.sqlcm.server.add_monitor_cost(cost)
+        if error is not None:
+            raise _replayed_error(error, value)
+        return value
+
+    def observed(self) -> list | None:
+        self.observes += 1
+        decision = self._peek("decisions", self.observes)
+        return None if decision is None else decision[1:]
+
+    def reach(self, event: str) -> None:
+        names = self.placeholders.get(event)
+        if names:
+            raise DurabilityError(
+                f"the journal replays {event} events, which reach callback "
+                f"rule {names[0]!r}: a Python callable cannot be re-run from "
+                f"disk; register the rule again in recover(setup=...)")
 
 
 def read_journal(path: str) -> tuple[list[JournalRecord], int]:
@@ -417,9 +659,7 @@ def compact(monitors: Sequence[SQLCM]) -> str:
         for name in streams._queries:
             out.append("stream_image",
                        _query_image([e.query(name) for e in engines]))
-    out.append("totals", {
-        "sqlcm": fold(monitors),
-        "streams": fold(engines) if engines else None})
+    out.totals_changed()
     for health in control.health.known():
         out.health_changed("engine", health)
     if streams is not None:
@@ -501,13 +741,18 @@ class _Restorer:
     def __init__(self, sqlcm: SQLCM, report: RecoveryReport):
         self.sqlcm = sqlcm
         self.report = report
-        self.pending_timers: dict[str, tuple[str, float, int]] = {}
+        server = sqlcm.server
         # history rows replay only into a server that did not already
         # hold the history tables (a live supervised restart keeps them)
-        self.apply_history = not sqlcm.server.catalog.has_table(
-            INCIDENT_TABLE)
+        self.apply_history = not server.catalog.has_table(INCIDENT_TABLE)
         # the panes and cursor each pane group was loaded with, encoded
         self.pane_images: dict = {}
+        # engine event -> the callback rules on it that could not be rebuilt
+        self.placeholders: dict[str, list[str]] = {}
+        # what replayed entries charge is taken back when recovery ends:
+        # the engine's queries never see it
+        self.costs = (server._pending_monitor_cost, server.monitor_cost_total)
+        sqlcm.timer_service.running = False
 
     def apply(self, records: list[JournalRecord]) -> None:
         for record in records:
@@ -518,10 +763,24 @@ class _Restorer:
                     f"unknown journal record kind {record.kind!r}")
             handler(self, record.data)
 
-    def finish(self) -> None:
-        """Re-arm pending timers (last: their processes need final clock)."""
-        for name, interval, remaining in self.pending_timers.values():
-            self.sqlcm.set_timer(name, interval, remaining)
+    def take_back(self) -> None:
+        """Take back what the replay charged, whether or not it finished."""
+        server = self.sqlcm.server
+        server._pending_monitor_cost, server.monitor_cost_total = self.costs
+
+    def _replay(self, kind: str, data: dict,
+                run: Callable[[_Replay], None]) -> None:
+        """Re-run one journaled entry under its record's tape."""
+        sqlcm = self.sqlcm
+        tape = _Replay(sqlcm, kind, data, self)
+        factory, faults = sqlcm.factory, sqlcm.faults
+        sqlcm.tape, sqlcm.factory = tape, tape.factory
+        sqlcm.faults = tape if tape.recorded["faults"] else None
+        try:
+            run(tape)
+            tape.finish()
+        finally:
+            sqlcm.tape, sqlcm.factory, sqlcm.faults = None, factory, faults
 
     def framing(self, data: dict) -> None:
         """Checkpoint header / end marker: verified by
@@ -548,11 +807,25 @@ class _Restorer:
             if len(actions) < len(image["actions"]):
                 # a callback action cannot be rebuilt from disk; the
                 # recovery setup() callback is the supported path — report
-                # the rule so the operator knows
+                # the rule so the operator knows, and refuse to replay an
+                # event that reaches it
                 self.report.placeholder_rules.append(image["name"])
+                __, event = sqlcm.schema.resolve_event(image["event"])
+                self.placeholders.setdefault(event.engine_event,
+                                             []).append(image["name"])
             if not actions:
                 return  # a pure-callback rule (e.g. an app component's)
             rule = sqlcm.add_rule(load(Rule, image, actions=actions))
+        else:
+            # registered by setup(): it takes its recorded place in the
+            # rule order, where the replayed events expect it
+            event = rule.event_def.engine_event
+            sqlcm._rule_order.remove(rule)
+            sqlcm._rule_order.append(rule)
+            sqlcm._rules_by_event[event] = tuple(
+                r for r in sqlcm._rules_by_event[event] if r is not rule
+            ) + (rule,)
+            sqlcm.invalidate_signature_cache()
         rule.enabled = image["enabled"]
         rule.fire_count = image["fire_count"]
         rule.evaluation_count = image["evaluation_count"]
@@ -560,6 +833,9 @@ class _Restorer:
     def rule_remove(self, data: dict) -> None:
         if data["name"].lower() in self.sqlcm.rules:
             self.sqlcm.remove_rule(data["name"])
+        removed = data["name"].lower()
+        for names in self.placeholders.values():
+            names[:] = [name for name in names if name.lower() != removed]
 
     def rule_enable(self, data: dict) -> None:
         rule = self.sqlcm.rules.get(data["name"].lower())
@@ -605,10 +881,11 @@ class _Restorer:
 
     def totals(self, data: dict) -> None:
         load_into(self.sqlcm, data["sqlcm"])
+        self.sqlcm.invalidate_signature_cache()
         if data["streams"] is not None:
             load_into(self.sqlcm.stream_engine(), data["streams"])
 
-    # -- mutations (journals only) ---------------------------------------
+    # -- direct LAT mutations: API calls outside every entry --------------
 
     def lat_insert(self, data: dict) -> None:
         if self.sqlcm.has_lat(data["lat"]):
@@ -623,52 +900,28 @@ class _Restorer:
         if self.sqlcm.has_lat(data["lat"]):
             self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
 
-    def stream_obs(self, data: dict) -> None:
-        """One stream event: one observation per pane group that took it,
-        naming the queries that did, and the queries whose ingest failed
-        (their health is a record of its own)."""
-        streams = self.sqlcm._streams
-        if streams is None:
-            return
-        queries = streams._queries
-        now = data["time"]
-        for names, key, values in data["obs"]:
-            streams.replay_observation(names, key, values, now)
-        for name, error in data.get("failed", ()):
-            query = queries.get(name.lower())
-            if query is not None:
-                query.errors += 1
-                query.last_error = error
-                streams.errors += 1
+    # -- entries: re-run from their records -----------------------------
+
+    def event(self, data: dict) -> None:
+        """An engine event: the instance count, the rules, the streams."""
+        def run(tape: _Replay) -> None:
+            tape.reach(data["event"])
+            self.sqlcm._enter(data["event"], data.get("alert"),
+                              tape.entry_context())
+        self._replay("event", data, run)
+
+    def dispatch(self, data: dict) -> None:
+        """A dispatch started outside every event: a timer alarm, an
+        incident or governor transition an API call made."""
+        def run(tape: _Replay) -> None:
+            self.sqlcm.dispatch_event(data["event"], None,
+                                      tape.entry_context())
+        self._replay("dispatch", data, run)
 
     def stream_flush(self, data: dict) -> None:
-        streams = self.sqlcm._streams
-        if streams is None:
-            return
-        # the windows the flush lost live stay lost
-        streams.replaying = {(name.lower(), boundary): error
-                             for name, boundary, error
-                             in data.get("lost", ())}
-        try:
-            streams.flush(data["time"])
-        finally:
-            streams.replaying = None
-
-    def counts(self, data: dict) -> None:
-        sqlcm = self.sqlcm
-        sqlcm.events_handled += 1
-        sqlcm.rule_firings += data["firings"]
-        sqlcm.rule_errors += data["errors"]
-        for name, evals, fires in data["rules"]:
-            rule = sqlcm.rules.get(name.lower())
-            if rule is not None:
-                rule.evaluation_count += evals
-                rule.fire_count += fires
-
-    def instance(self, data: dict) -> None:
-        counts = self.sqlcm._instance_counts
-        sig = bytes.fromhex(data["sig"])
-        counts[sig] = counts.get(sig, 0) + data["delta"]
+        """An explicit flush of the stream engine."""
+        self._replay("stream_flush", data, lambda tape:
+                     self.sqlcm.stream_engine()._flush(data["time"]))
 
     # -- supervisory state -----------------------------------------------
 
@@ -701,8 +954,7 @@ class _Restorer:
                             for image in data["entries"]]
 
     def timer(self, data: dict) -> None:
-        self.pending_timers[data["name"].lower()] = (
-            data["name"], data["interval"], data["repeats"])
+        self.sqlcm.set_timer(data["name"], data["interval"], data["repeats"])
 
     def history(self, data: dict) -> None:
         if not self.apply_history:
@@ -733,10 +985,9 @@ HANDLERS: dict[str, Callable[[_Restorer, Any], None]] = {
     "lat_insert": _Restorer.lat_insert,
     "lat_reset": _Restorer.lat_reset,
     "lat_del": _Restorer.lat_del,
-    "stream_obs": _Restorer.stream_obs,
+    "event": _Restorer.event,
+    "dispatch": _Restorer.dispatch,
     "stream_flush": _Restorer.stream_flush,
-    "counts": _Restorer.counts,
-    "instance": _Restorer.instance,
     "health": _Restorer.health,
     "incidents": _Restorer.incidents,
     "governor": _Restorer.governor,
@@ -841,7 +1092,7 @@ class DurabilityManager:
         via ``os.replace``, and only then start the new journal segment
         and prune generations older than the previous one.
         """
-        if self.sqlcm._dispatching:
+        if self.sqlcm._dispatching or self.sqlcm.tape is not None:
             raise DurabilityError("cannot checkpoint mid-dispatch")
         generation = self.generation + 1
         content = compact([self.sqlcm])
@@ -873,7 +1124,7 @@ class DurabilityManager:
         """Checkpoint when the configured interval has elapsed."""
         if self.checkpoint_interval is None or not self.attached:
             return None
-        if self.sqlcm._dispatching:
+        if self.sqlcm._dispatching or self.sqlcm.tape is not None:
             return None
         now = self.clock.now if now is None else now
         last = self.last_checkpoint_at
@@ -921,9 +1172,11 @@ class DurabilityManager:
 
         ``setup`` runs against the fresh monitor before any state is
         applied — it is the hook for re-registering components whose
-        rules carry live callbacks (AutoRemediator, app rule packs);
-        rules that cannot be rebuilt and were not pre-registered are
-        listed in ``RecoveryReport.placeholder_rules``.
+        rules carry live callbacks (AutoRemediator, app rule packs), and a
+        rule it registers takes its recorded place in the rule order.
+        Rules that cannot be rebuilt and were not pre-registered are
+        listed in ``RecoveryReport.placeholder_rules``; a journal whose
+        entries reach one is refused (``DurabilityError`` naming it).
         """
         generations = _list_generations(directory)
         if not generations:
@@ -948,8 +1201,16 @@ class DurabilityManager:
             sqlcm=sqlcm, generation=chosen, records_replayed=len(records),
             records_discarded=discarded)
         restorer = _Restorer(sqlcm, report)
-        restorer.apply(image + records)
-        restorer.finish()
+        try:
+            restorer.apply(image + records)
+        except BaseException:
+            # a refused recovery leaves nothing wired to the server
+            sqlcm.detach()
+            raise
+        finally:
+            restorer.take_back()
+        # timers last: their processes need the final clock
+        sqlcm.timer_service.resume()
         return report
 
 

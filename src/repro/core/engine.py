@@ -49,13 +49,16 @@ from repro.engine.catalog import ColumnDef, TableSchema
 from repro.engine.planner.logical import walk_logical
 from repro.engine.planner.physical import walk_physical
 from repro.engine.types import SQLType
-from repro.errors import (ActionDeliveryError, FaultInjected, LATError,
-                          PersistCorruptionError, RuleError,
+from repro.errors import (ActionDeliveryError, DurabilityError, FaultInjected,
+                          LATError, PersistCorruptionError, RuleError,
                           RuleQuarantinedError, SchemaError)
 from repro.obs.observability import NULL_OBS
 
 _SIGNATURE_ATTRS = {"logical_signature", "physical_signature"}
 _INSTANCE_ATTRS = {"number_of_instances"}
+
+#: the context of a queued event that its dispatch has yet to build
+_UNBUILT = object()
 
 
 class _RulePlan(NamedTuple):
@@ -161,11 +164,9 @@ _RULES_PER_FUNCTION = 32
 
 
 class _DispatchEmitter(FunctionSource):
-    """Writes ``dispatch(sqlcm, context, now, counts)`` for the rules
-    ``rules[start:stop]`` over one context key set.  ``counts`` is None or
-    the list that gets ``(rule name, Δevaluations, Δfires)`` of each rule
-    that ran; the function returns True when it handed the rest of the
-    tuple to the interpreted loop."""
+    """Writes ``dispatch(sqlcm, context, now)`` for the rules
+    ``rules[start:stop]`` over one context key set; the function returns
+    True when it handed the rest of the tuple to the interpreted loop."""
 
     def __init__(self, sqlcm: "SQLCM", event: str, rules: tuple,
                  keys: frozenset, start: int, stop: int):
@@ -191,7 +192,7 @@ class _DispatchEmitter(FunctionSource):
             self.rule(index, self.rules[index])
         self.emit("return False")
         source, dispatch = self.compile(
-            "dispatch", "sqlcm, context, now, counts", "<dispatch>",
+            "dispatch", "sqlcm, context, now", "<dispatch>",
             {"__builtins__": {"Exception": Exception}, "NULL_OBS": NULL_OBS})
         dispatch.__source__ = source
         return dispatch
@@ -216,35 +217,28 @@ class _DispatchEmitter(FunctionSource):
         self.depth += 1
         plan = self.plan(rule)
         if plan is None:
-            self.interpreted(obj, name)
+            self.interpreted(obj)
         else:
             self.unrolled(index, rule, plan, obj, name)
         if index + 1 < len(self.rules):
             emit("if stale:")
             emit(f"    sqlcm._run_framed(event, rules[{index + 1}:], context, "
-                 "now, NULL_OBS, None, counts)")
+                 "now, NULL_OBS, None)")
             emit("    return True")
         self.depth -= 2
 
-    def interpreted(self, obj: str, name: str) -> None:
+    def interpreted(self, obj: str) -> None:
         emit = self.emit
-        emit(f"evals_before = {obj}.evaluation_count")
-        emit(f"fires_before = {obj}.fire_count")
         emit("try:")
         emit(f"    sqlcm._evaluate_rule({obj}, context)")
         emit("except Exception as err:")
         emit(f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
-        emit(f"if counts is not None and ({obj}.evaluation_count != "
-             f"evals_before or {obj}.fire_count != fires_before):")
-        emit(f"    counts.append(({name}, {obj}.evaluation_count - "
-             f"evals_before, {obj}.fire_count - fires_before))")
         emit("stale = sqlcm._dispatch_programs is not programs")
 
     def unrolled(self, index: int, rule: Rule, plan: _RulePlan, obj: str,
                  name: str) -> None:
         emit = self.emit
         cond = rule.compiled_condition
-        emit("fires = 0")
         emit("try:")
         self.depth += 1
         emit(f"{obj}.evaluation_count += 1")
@@ -275,7 +269,6 @@ class _DispatchEmitter(FunctionSource):
             self.depth += 1
         emit(f"{obj}.fire_count += 1")
         emit("sqlcm.rule_firings += 1")
-        emit("fires = 1")
         for number, action in enumerate(rule.actions):
             bound = self.constant(action, f"action{index}_{number}")
             emit(f"add_cost({self.action_dispatch})")
@@ -289,8 +282,6 @@ class _DispatchEmitter(FunctionSource):
         self.depth -= 1
         emit("except Exception as err:")
         emit(f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
-        emit("if counts is not None:")
-        emit(f"    counts.append(({name}, 1, fires))")
 
 
 class SQLCM:
@@ -311,6 +302,8 @@ class SQLCM:
         *state.fields(sum, "events_handled", "rule_firings",
                       "rule_errors"),
         ("_instance_counts", state.dict_total),
+        # whether instances are counted on every commit
+        ("_signatures_forced", state.first),
         *state.walked("rules", "_rule_order", "_lats", "_streams",
                       "_incidents", "health", "dead_letters", "governor",
                       "timer_service"),
@@ -319,9 +312,9 @@ class SQLCM:
             "driver", "server", "bus_subscribed", "schema", "sample_weight",
             "factory", "_rules_by_event", "_dispatch_programs", "outbox",
             "command_journal",
-            "external_handler", "_sig_registry", "_signatures_forced",
-            "_signatures_needed_cache", "_event_queue", "_dispatching",
-            "retry_policy", "faults", "journal"),
+            "external_handler", "_sig_registry", "_signatures_needed_cache",
+            "_event_queue", "_dispatching",
+            "retry_policy", "faults", "journal", "tape"),
     )
 
     def __init__(self, server=None, schema: SQLCMSchema | None = None,
@@ -375,9 +368,13 @@ class SQLCM:
         self.dead_letters = DeadLetterJournal()
         self.faults = faults
         self.rule_errors = 0
-        # durability journal (set by DurabilityManager.attach); mutations
-        # append logical redo records after they complete
+        # durability journal (set by DurabilityManager.attach): one record
+        # per entry into the monitor, and effect records for API calls
         self.journal = None
+        # what the entry running now reads from outside the monitor: the
+        # journal's recording, or the record a recovery replays; None
+        # outside entries and without a journal
+        self.tape = None
         # the continuous stream-query subsystem is created lazily (pay only
         # for what you monitor); see stream_engine()
         self._streams = None
@@ -589,17 +586,15 @@ class SQLCM:
 
         Supervised restart (see :mod:`repro.service`) tears the crashed
         monitor down with this before rebuilding a replacement from the
-        durability directory: bus subscriptions, stream/incident
-        listeners, the governor, and pending timers all come off so the
-        old instance can no longer observe (or charge) the host.
-        Idempotent."""
+        durability directory: bus subscriptions (through which the stream
+        engine and the incident manager hear events too), the governor,
+        and pending timers all come off so the old instance can no longer
+        observe (or charge) the host.  Idempotent."""
         if self.bus_subscribed:
             self.driver.unwire(self)
             self.bus_subscribed = False
         if self._streams is not None:
             self._streams.detach()
-        if self._incidents is not None:
-            self._incidents.detach()
         self.disable_governor()
         self.timer_service.shutdown()
 
@@ -653,6 +648,8 @@ class SQLCM:
         """Force signature computation even with no referencing rule."""
         self._signatures_forced = enabled
         self.invalidate_signature_cache()
+        if self.journal is not None:
+            self.journal.totals_changed()
 
     # ------------------------------------------------------------------
     # signatures / instance counting
@@ -762,41 +759,124 @@ class SQLCM:
     # ------------------------------------------------------------------
 
     def _on_engine_event(self, event: str, payload: dict) -> None:
-        if event == "query.commit" and self.signatures_needed:
-            qctx = payload["query"]
-            if qctx.logical_signature is not None:
-                self._instance_counts[qctx.logical_signature] = \
-                    self._instance_counts.get(qctx.logical_signature, 0) + 1
-                if self.journal is not None:
-                    self.journal.append("instance", {
-                        "sig": qctx.logical_signature.hex(), "delta": 1})
-        if not self._dispatching and self.governor is None \
-                and not self._rules_by_event.get(event):
-            # no rule and no governor to hear it, and no dispatch for it
-            # to queue behind: the drain would find nothing to do
+        """The bus entry: the monitor's one subscriber to each event it
+        hears.  With a journal attached, and outside another entry, the
+        event becomes one journaled entry (see ``Journal.entry``)."""
+        streams = self._streams
+        if not (self._dispatching or self.governor is not None
+                or self._rules_by_event.get(event)
+                or (streams is not None and streams._by_event.get(event))
+                or (event == "query.commit" and self.signatures_needed)
+                or (event == "sqlcm.stream_alert"
+                    and self._incidents is not None
+                    and self._incidents.hears_alerts)):
+            # no rule, stream, instance count or incident manager to hear
+            # it, and no dispatch for it to queue behind: nothing to do
             return
-        self.dispatch_event(event, payload)
+        if self.journal is None or self.tape is not None:
+            self._enter(event, payload,
+                        self._build_context(event, payload))
+        else:
+            data = {"event": event}
+            if event == "sqlcm.stream_alert":
+                # an alert published from outside: the incident manager
+                # reads the alert itself, not its monitored object
+                data["alert"] = payload
+            self.journal.entry("event", data, self._entered,
+                               self._enter, event, payload)
 
-    def dispatch_event(self, event: str, payload: dict) -> None:
+    def _entered(self, run: Callable, event: str, payload: dict) -> bool:
+        """``run(event, payload, context)`` as a journaled entry: the
+        event's context is the first thing the entry builds, so the record
+        names its keys, and its objects come first."""
+        context = self.tape.context = self._build_context(event, payload)
+        run(event, payload, context)
+        return True
+
+    def _enter(self, event: str, payload: dict | None,
+               context: dict | None) -> None:
+        """Everything the monitor does about one engine event, in order:
+        the instance count, the rules (and every event they raise), the
+        stream queries, then, for a stream alert, the incident manager.
+        A replay runs it with the recorded context and no payload (a
+        stream alert's payload is the alert)."""
+        if context is not None and event == "query.commit" \
+                and self.signatures_needed:
+            signature = context["query"]._probe("logical_signature")
+            if signature is not None:
+                self._instance_counts[signature] = \
+                    self._instance_counts.get(signature, 0) + 1
+        if self._dispatching or self.governor is not None \
+                or self._rules_by_event.get(event):
+            self.dispatch_event(event, payload, context)
+        streams = self._streams
+        if streams is not None:
+            queries = streams._by_event.get(event)
+            if queries:
+                streams.ingest(queries, context)
+        if event == "sqlcm.stream_alert":
+            manager = self._incidents
+            if manager is not None and manager.hears_alerts:
+                manager._on_stream_alert(payload)
+
+    def dispatch_event(self, event: str, payload: dict | None,
+                       context: Any = _UNBUILT) -> None:
         """Queue-and-drain dispatch preserving the paper's ordering contract:
-        all rules for an event run before any event they raise.
+        all rules for an event run before any event they raise.  An engine
+        event comes with the ``context`` its entry built already.
 
         Inside a dispatch the event queues behind the current event's
         remaining rules (deferred side effects, Section 5).  Outside any
-        dispatch — restore paths, direct LAT inserts, stream ``flush()`` —
-        it drains immediately: parking it in the queue would hand it to the
-        *next unrelated* event's dispatch (wrong attribution) or lose it to
-        that dispatch's ``clear()`` backstop."""
-        self._event_queue.append((event, payload))
-        if not self._dispatching:
+        dispatch — timer alarms, incident and governor transitions, stream
+        ``flush()`` — it drains immediately: parking it in the queue would
+        hand it to the *next unrelated* event's dispatch (wrong attribution)
+        or lose it to that dispatch's ``clear()`` backstop.  Outside every
+        entry, with a journal attached, it is an entry of its own."""
+        tape = self.tape
+        if tape is not None and tape.replaying:
+            tape.reach(event)
+        queued = (event, payload) if context is _UNBUILT \
+            else (event, payload, context)
+        if self._dispatching:
+            self._event_queue.append(queued)
+            return
+        if self.governor is None and not self._rules_by_event.get(event):
+            return  # no rule and no governor to hear it
+        if self.journal is None or tape is not None:
+            self._event_queue.append(queued)
             self._drain_queue()
+        else:
+            self.journal.entry("dispatch", {"event": event}, self._entered,
+                               self.dispatch_event, event, payload)
+
+    def publish_alert(self, alert: dict) -> None:
+        """Publish a stream alert, the ``sqlcm.stream_alert`` event the
+        monitor raises itself.  A replay hands it to the monitor's own
+        entry only, which runs the rules and the incident manager, and
+        never to an outside subscriber."""
+        event = "sqlcm.stream_alert"
+        tape = self.tape
+        if tape is None or not tape.replaying:
+            self.server.events.publish(event, alert)
+            return
+        tape.reach(event)
+        if self.bus_subscribed:
+            self._on_engine_event(event, alert)
+
+    def effect(self, run: Callable, *args) -> Any:
+        """``run(*args)``: an effect outside the monitor — a mail, a
+        command, a cancel, a ``Persist`` write.  Inside a journaled entry
+        its outcome is recorded; a replay reads the outcome back."""
+        tape = self.tape
+        if tape is None:
+            return run(*args)
+        return tape.effect(run, args)
 
     def _drain_queue(self) -> None:
         self._dispatching = True
         try:
             while self._event_queue:
-                queued_event, queued_payload = self._event_queue.popleft()
-                self._process_event(queued_event, queued_payload)
+                self._process_event(*self._event_queue.popleft())
         finally:
             self._dispatching = False
             # if _process_event escaped (engine bug, not a rule failure —
@@ -813,46 +893,30 @@ class SQLCM:
                 return  # this eviction notification is lost (counted)
             self.dispatch_event("lat.evict", {"lat": lat_name, "row": row})
 
-    def _process_event(self, event: str, payload: dict) -> None:
+    def _process_event(self, event: str, payload: dict | None,
+                       context: Any = _UNBUILT) -> None:
         if self.governor is not None:
             self.governor.on_event(event)
         rules = self._rules_by_event.get(event)
         if not rules:
             return
         self.events_handled += 1
-        journal = self.journal
-        if journal is not None:
-            firings_before = self.rule_firings
-            errors_before = self.rule_errors
         obs = self.server.obs
         if obs.enabled:
             cost_before = self.server.monitor_cost_total
             with obs.span(f"dispatch:{event}", "dispatch"), \
                     obs.attrib("engine", event):
-                counts = self._dispatch_rules(event, payload, rules, obs,
-                                              journal is not None)
+                self._dispatch_rules(event, payload, rules, obs, context)
                 obs.count("sqlcm.events.dispatched")
                 obs.observe("sqlcm.dispatch.cost",
                             self.server.monitor_cost_total - cost_before)
         else:
-            counts = self._dispatch_rules(event, payload, rules, obs,
-                                          journal is not None)
-        if journal is not None:
-            # the per-event counter record doubles as this event group's
-            # commit marker: everything journaled during the dispatch is
-            # uncommitted until this lands (a crash mid-event loses the
-            # whole group, never half of one)
-            journal.append("counts", {
-                "rules": counts,
-                "firings": self.rule_firings - firings_before,
-                "errors": self.rule_errors - errors_before,
-            }, commit=True)
+            self._dispatch_rules(event, payload, rules, obs, context)
 
-    def _dispatch_rules(self, event: str, payload: dict, rules: tuple,
-                        obs, journaled: bool) -> list | None:
-        """The dispatch body: context assembly, then rules in order.
-        Returns, when ``journaled``, ``(rule name, Δevaluations, Δfires)``
-        of each rule that ran, in rule order (the ``counts`` record).
+    def _dispatch_rules(self, event: str, payload: dict | None,
+                        rules: tuple, obs, context: Any) -> None:
+        """The dispatch body: context assembly (unless the entry built the
+        context already), then rules in order.
 
         With no governor and the null observability object the rules run
         as the generated program of their tuple (see
@@ -861,20 +925,18 @@ class SQLCM:
         while its attribution frames are live."""
         server = self.server
         server.add_monitor_cost(server.costs.event_dispatch)
-        counts = [] if journaled else None
-        context = self._build_context(event, payload)
+        if context is _UNBUILT:
+            context = self._build_context(event, payload)
         if context is None:
-            return counts
+            return
         now = server.clock.now
         governor = self.governor
         if governor is None and obs is NULL_OBS:
             for part in self._program(event, rules, frozenset(context)):
-                if part(self, context, now, counts):
+                if part(self, context, now):
                     break  # the interpreted loop ran the rest
         else:
-            self._run_framed(event, rules, context, now, obs, governor,
-                             counts)
-        return counts
+            self._run_framed(event, rules, context, now, obs, governor)
 
     def _program(self, event: str, rules: tuple,
                  keys: frozenset) -> tuple[Callable, ...]:
@@ -900,16 +962,13 @@ class SQLCM:
 
     def _run_framed(self, event: str, rules: tuple,
                     context: dict[str, MonitoredObject], now: float, obs,
-                    governor: OverloadGovernor | None,
-                    counts: list | None) -> None:
+                    governor: OverloadGovernor | None) -> None:
         """The interpreted rule loop, the reference the dispatch program
         unrolls: each rule runs under its own attribution frame so every
         charge it makes is tallied against that rule, and the governor
         admits it first."""
         server = self.server
         costs = server.costs
-        if counts is not None:
-            snapshot = [(r, r.evaluation_count, r.fire_count) for r in rules]
         for rule in rules:
             if not rule.enabled:
                 continue
@@ -939,12 +998,6 @@ class SQLCM:
                         # isolation backstop: scope iteration / context
                         # assembly failures
                         self._record_rule_failure(rule, "evaluate", err)
-        if counts is not None:
-            counts.extend((r.name, r.evaluation_count - evals,
-                           r.fire_count - fires)
-                          for r, evals, fires in snapshot
-                          if r.evaluation_count != evals
-                          or r.fire_count != fires)
 
     # ------------------------------------------------------------------
     # context assembly
@@ -958,6 +1011,11 @@ class SQLCM:
 
     def _iterate_class(self, class_name: str) -> list[MonitoredObject]:
         """All registered objects of a class (Section 5.2 iteration scope)."""
+        if self.tape is not None:
+            return self.tape.iterate(class_name)
+        return self._scope(class_name)
+
+    def _scope(self, class_name: str) -> list[MonitoredObject]:
         factory = self.factory
         if class_name == "query":
             return [factory.query(q) for q in self.driver.active_queries()]
@@ -976,8 +1034,13 @@ class SQLCM:
 
     def _blocking_pairs(self) -> list[tuple[MonitoredObject, MonitoredObject]]:
         """Materialize Blocker/Blocked pairs via the driver's waits probe."""
+        if self.tape is not None:
+            return self.tape.blocking_pairs()
+        return self._pairs(*self.driver.blocking_pairs())
+
+    def _pairs(self, pairs: list, edges: int
+               ) -> list[tuple[MonitoredObject, MonitoredObject]]:
         costs = self.server.costs
-        pairs, edges = self.driver.blocking_pairs()
         self.server.add_monitor_cost(costs.deadlock_search_per_edge
                                      * max(1, edges))
         return [
@@ -1135,8 +1198,11 @@ class SQLCM:
                 self.server.add_monitor_cost(policy.delay_before(attempt))
             try:
                 self.check_fault("action")
-                action.execute(self, rule, combo, lat_rows)
+                # a side effect acts outside the monitor
+                self.effect(action.execute, self, rule, combo, lat_rows)
                 return attempt
+            except DurabilityError:
+                raise  # a replay that diverged is not a failed delivery
             except Exception as err:
                 last = err
         raise ActionDeliveryError(
@@ -1154,6 +1220,9 @@ class SQLCM:
                               min(self.dead_letters.capacity,
                                   self.dead_letters.depth + 1))
         cause = err.__cause__ if err.__cause__ is not None else err
+        # a replayed entry's objects have no source to probe again: its
+        # dead letters can be inspected, not redelivered, like a loaded one
+        live = self.tape is None or not self.tape.replaying
         self.dead_letters.append(DeadLetter(
             time=self.server.clock.now,
             rule=rule.name,
@@ -1161,10 +1230,11 @@ class SQLCM:
             payload=action.describe(combo, lat_rows),
             error=f"{type(cause).__name__}: {cause}",
             attempts=err.attempts,
-            action_obj=action,
+            action_obj=action if live else None,
             # replay and redeliver probe the source as it is then
-            context={key: obj.detached() for key, obj in combo.items()},
-            lat_rows=dict(lat_rows),
+            context={key: obj.detached() for key, obj in combo.items()}
+            if live else None,
+            lat_rows=dict(lat_rows) if live else None,
         ))
         # ring displacement is data loss; surface it as a metric so a
         # persistent sink outage is visible even after entries rotate out
@@ -1174,7 +1244,11 @@ class SQLCM:
 
     def _record_rule_failure(self, rule: Rule, site: str,
                              error: BaseException) -> None:
-        """Charge, account, and surface one isolated rule failure."""
+        """Charge, account, and surface one isolated rule failure.  A
+        replay that diverged from its record is no rule's failure: it
+        escapes the boundary."""
+        if isinstance(error, DurabilityError):
+            raise error
         self.server.add_monitor_cost(self.server.costs.rule_error_cost)
         self.server.obs.count("sqlcm.rules.errors")
         self.rule_errors += 1

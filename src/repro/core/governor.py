@@ -252,11 +252,21 @@ class OverloadGovernor:
 
         Wired into :meth:`DatabaseServer.take_monitor_cost` so the loop
         closes wherever monitoring cost is drained into the virtual clock.
+        Inside a journaled entry each decision is recorded; the replay of
+        the entry applies the recorded decisions and never samples the
+        cost drain, which is outside the monitor.
         """
         if self._in_decision:
             return
         if now is None:
             now = self.server.clock.now
+        tape = self.sqlcm.tape
+        if tape is not None:
+            decision = tape.observed()
+            if tape.replaying:
+                if decision is not None:
+                    self._replay_decision(now, *decision)
+                return
         self.server.add_monitor_cost(self.server.costs.governor_observe)
         cost = self.server.monitor_cost_total
         mark = self._last_mark
@@ -438,6 +448,9 @@ class OverloadGovernor:
         span, measured, estimated = rates
         self.measured_ratio = measured
         self.estimated_ratio = estimated
+        tape = self.sqlcm.tape
+        if tape is not None:
+            tape.decided(measured, estimated)
         self.server.add_monitor_cost(self.server.costs.governor_decision)
         obs = self.server.obs
         if obs.enabled:
@@ -459,8 +472,20 @@ class OverloadGovernor:
             self._transition(now, LADDER[index - 1], measured, estimated,
                              "recover")
 
+    def _replay_decision(self, now: float, measured: float,
+                         estimated: float, *transition) -> None:
+        """A recorded :meth:`_decide`: its ratios, and the transition it
+        made with the components it suspended, if it made one."""
+        self.measured_ratio = measured
+        self.estimated_ratio = estimated
+        if transition:
+            new_state, reason, suspended = transition
+            self._transition(now, new_state, measured, estimated, reason,
+                             set(suspended))
+
     def _transition(self, now: float, new_state: str, measured: float,
-                    estimated: float, reason: str) -> None:
+                    estimated: float, reason: str,
+                    suspended: set | None = None) -> None:
         old_state = self.state
         obs = self.server.obs
         self._in_decision = True
@@ -471,9 +496,15 @@ class OverloadGovernor:
                     overhead_pct=round(measured * 100, 3)):
                 self.state = new_state
                 self.last_transition_at = now
-                self._apply_state(new_state, measured)
+                if suspended is None:
+                    self._apply_state(new_state, measured)
+                else:
+                    self.suspended = suspended
         finally:
             self._in_decision = False
+        tape = self.sqlcm.tape
+        if tape is not None and not tape.replaying:
+            tape.transitioned(new_state, reason, sorted(self.suspended))
         record = GovernorTransition(
             time=now, from_state=old_state, to_state=new_state,
             reason=reason, overhead_ratio=measured,

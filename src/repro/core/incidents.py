@@ -170,7 +170,7 @@ class IncidentManager:
                       "remediation_counts"),
         *schema.walked("policy", "_incidents"),
         *schema.transient("sqlcm", "server", "_listeners", "_history_ready",
-                         "_alert_subscribed"),
+                         "hears_alerts"),
     )
 
     def __init__(self, sqlcm, policy: IncidentPolicy | None = None):
@@ -193,24 +193,16 @@ class IncidentManager:
         #: carries.  Listener errors are isolated, never propagated.
         self._listeners: list = []
         self._history_ready = False
-        self._alert_subscribed = False
-        if self.policy.alert_to_incident or self.policy.history:
-            self.server.events.subscribe("sqlcm.stream_alert",
-                                         self._on_stream_alert)
-            self._alert_subscribed = True
+        #: stream alerts reach the manager through the monitor's entry
+        #: for ``sqlcm.stream_alert`` (``SQLCM._enter``)
+        self.hears_alerts = bool(self.policy.alert_to_incident
+                                 or self.policy.history)
         if sqlcm.journal is not None:
             # before the sweeper: replay re-creates the manager — and with
             # it the sweep rule — where it stood in the rule order
             sqlcm.journal.incidents_changed(self, [])
         if self.policy.sweep_interval > 0:
             self._install_sweeper()
-
-    def detach(self) -> None:
-        """Unsubscribe from the host bus (supervised restart teardown)."""
-        if self._alert_subscribed:
-            self.server.events.unsubscribe("sqlcm.stream_alert",
-                                           self._on_stream_alert)
-            self._alert_subscribed = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -473,11 +465,13 @@ class IncidentManager:
             "summary": incident.summary,
             "time": self.server.clock.now,
         }
-        for listener in list(self._listeners):
-            try:
-                listener(payload)
-            except Exception:
-                pass
+        tape = self.sqlcm.tape
+        if tape is None or not tape.replaying:
+            for listener in list(self._listeners):
+                try:
+                    listener(payload)
+                except Exception:
+                    pass
         if self.sqlcm._rules_by_event.get("sqlcm.incident"):
             self.sqlcm.dispatch_event("sqlcm.incident", payload)
 
@@ -493,7 +487,7 @@ class IncidentManager:
 
     # -- stream-alert sink ----------------------------------------------
 
-    def _on_stream_alert(self, event: str, payload: dict) -> None:
+    def _on_stream_alert(self, payload: dict) -> None:
         self._history_alert(payload)
         if not self.policy.alert_to_incident:
             return
@@ -547,9 +541,12 @@ class IncidentManager:
 
     def _history_row(self, table_name: str, values: list) -> None:
         self.server.add_monitor_cost(self.server.costs.persist_row)
-        table = self.server.table(table_name)
         now = self.server.clock.now
-        table.insert(values + [now])
+        tape = self.sqlcm.tape
+        # a replay writes the row only into a server that lacks the
+        # history its checkpoint carried (a live restart keeps its own)
+        if tape is None or not tape.replaying or tape.history:
+            self.server.table(table_name).insert(values + [now])
         if self.sqlcm.journal is not None:
             self.sqlcm.journal.append("history", {
                 "table": table_name, "values": values, "time": now})
@@ -700,6 +697,9 @@ class CancelBlockerAction(RemediationAction):
         return super().required_classes(sqlcm) | {self.target.lower()}
 
     def _remediate(self, sqlcm, rule, context, lat_rows):
+        return sqlcm.effect(self._cancel, sqlcm, rule, context)
+
+    def _cancel(self, sqlcm, rule, context):
         obj = context.get(self.target.lower())
         if obj is None:
             raise ActionError(

@@ -311,7 +311,8 @@ class _InsertEmitter(FunctionSource):
                  f"if {' or '.join(limits)} else []")
         else:
             emit("evicted = []")
-        emit("if self.journal is not None:")
+        # inside a journaled entry the entry's record stands for the insert
+        emit("if self.journal is not None and self.journal.tape is None:")
         values = ", ".join(f"{self.text(attr)}: {name}"
                            for attr, name in self.slots.items())
         emit(f"    self.journal.append('lat_insert', "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple
 
 from repro.core.schema import MonitoredClassDef
-from repro.errors import SchemaError
+from repro.errors import DurabilityError, SchemaError
 
 #: one probe of a monitored class: ``fn(source, factory)`` -> value
 _Extractor = Callable[[Any, Any], Any]
@@ -107,6 +107,64 @@ class MonitoredObject:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MonitoredObject({self.class_name})"
+
+
+class _RecordedObject(MonitoredObject):
+    """An object built inside a journaled entry: :meth:`forget` starts a
+    new memo instead of clearing the old one, so the entry's record holds
+    every value each generation read."""
+
+    __slots__ = ("generations",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.generations = [self._memo]
+
+    def forget(self) -> None:
+        self._memo = {}
+        self.generations.append(self._memo)
+
+    def image(self) -> list:
+        """``[extra or None, [memo, ...]]``, trailing empty memos dropped."""
+        generations = self.generations
+        while len(generations) > 1 and not generations[-1]:
+            generations.pop()
+        return [self._extra or None, generations]
+
+
+class _Unrecorded(dict):
+    """The probe table of a replayed object: any probe its memo lacks was
+    not read when the entry ran, so the replay has diverged."""
+
+    def get(self, key, default=None):
+        def unrecorded(source, factory):
+            raise DurabilityError(
+                f"replay read probe {key!r}, which the journal did not "
+                f"record for this entry")
+        return unrecorded
+
+
+_UNRECORDED = _Unrecorded()
+
+
+class _ReplayedObject(MonitoredObject):
+    """An object rebuilt from a journal record: its memos are the values
+    the entry read, one per generation, and it has no source to probe."""
+
+    __slots__ = ("_generations", "_at")
+
+    def __init__(self, class_def: MonitoredClassDef, image: list):
+        extra, generations = image
+        super().__init__(class_def, _UNRECORDED, extra)
+        self._generations = generations
+        self._at = 0
+        self._memo = generations[0]
+
+    def forget(self) -> None:
+        self._at += 1
+        generations = self._generations
+        self._memo = generations[self._at] \
+            if self._at < len(generations) else {}
 
 
 # -- probe tables: one per class, built once ----------------------------------
@@ -210,13 +268,16 @@ class ObjectFactory:
         self._sqlcm = sqlcm
         self._clock = sqlcm.server.clock
 
+    #: every object the factory builds; the journal's factories override it
+    _new = MonitoredObject
+
     # -- Query / Blocker / Blocked -----------------------------------------------
 
     def query(self, qctx, class_def: MonitoredClassDef | None = None,
               extra: dict[str, Any] | None = None) -> MonitoredObject:
         """Wrap a QueryContext as a Query (or Blocker/Blocked) object."""
         cls = class_def or self._sqlcm.schema.monitored_class("Query")
-        return MonitoredObject(cls, _QUERY_PROBES, extra, qctx, self)
+        return self._new(cls, _QUERY_PROBES, extra, qctx, self)
 
     def blocker(self, qctx, resource, wait_time: float = 0.0) -> MonitoredObject:
         cls = self._sqlcm.schema.monitored_class("Blocker")
@@ -234,21 +295,20 @@ class ObjectFactory:
 
     def transaction(self, txn, statements: list) -> MonitoredObject:
         cls = self._sqlcm.schema.monitored_class("Transaction")
-        return MonitoredObject(cls, _TRANSACTION_PROBES, source=txn,
-                               factory=_TransactionScope(self, statements))
+        return self._new(cls, _TRANSACTION_PROBES, None, txn,
+                         _TransactionScope(self, statements))
 
     # -- Session ------------------------------------------------------------------
 
     def session(self, session) -> MonitoredObject:
         """Wrap an engine session (successful login/logout events)."""
         cls = self._sqlcm.schema.monitored_class("Session")
-        return MonitoredObject(cls, _SESSION_PROBES, source=session,
-                               factory=self)
+        return self._new(cls, _SESSION_PROBES, None, session, self)
 
     def failed_login(self, payload: dict) -> MonitoredObject:
         """A Session object for a *failed* login (no real session exists)."""
         cls = self._sqlcm.schema.monitored_class("Session")
-        return MonitoredObject(cls, {}, extra={
+        return self._new(cls, {}, {
             "id": 0,
             "user": payload.get("user"),
             "application": payload.get("application"),
@@ -259,8 +319,7 @@ class ObjectFactory:
 
     def timer(self, timer) -> MonitoredObject:
         cls = self._sqlcm.schema.monitored_class("Timer")
-        return MonitoredObject(cls, _TIMER_PROBES, source=timer,
-                               factory=self)
+        return self._new(cls, _TIMER_PROBES, None, timer, self)
 
     # -- LAT evicted rows -----------------------------------------------------------
 
@@ -269,14 +328,14 @@ class ObjectFactory:
         cls = self._sqlcm.schema.monitored_class("Evicted")
         extra = {key.lower(): value for key, value in row_values.items()}
         extra["lat_name"] = lat_name
-        return MonitoredObject(cls, {}, extra, source=row_values)
+        return self._new(cls, {}, extra, row_values)
 
     # -- stream alerts (continuous-query output) ----------------------------------
 
     def stream_alert(self, payload: dict[str, Any]) -> MonitoredObject:
         """Wrap one stream-query alert (the ``sqlcm.stream_alert`` event)."""
         cls = self._sqlcm.schema.monitored_class("StreamAlert")
-        return MonitoredObject(cls, {}, extra={
+        return self._new(cls, {}, {
             "stream_name": payload.get("stream"),
             "kind": payload.get("kind"),
             "group_key": payload.get("group"),
@@ -288,21 +347,21 @@ class ObjectFactory:
             "window_start": payload.get("window_start"),
             "window_end": payload.get("window_end"),
             "current_time": payload.get("time"),
-        }, source=payload)
+        }, payload)
 
     # -- rule failures (meta-monitoring) -----------------------------------------
 
     def rule_failure(self, payload: dict[str, Any]) -> MonitoredObject:
         """Wrap one isolated rule failure (the ``sqlcm.rule_error`` event)."""
         cls = self._sqlcm.schema.monitored_class("RuleFailure")
-        return MonitoredObject(cls, {}, extra={
+        return self._new(cls, {}, {
             "rule_name": payload.get("rule"),
             "site": payload.get("site"),
             "error": payload.get("error"),
             "error_count": payload.get("error_count", 0),
             "quarantined": payload.get("quarantined", False),
             "current_time": payload.get("time"),
-        }, source=payload)
+        }, payload)
 
     # -- incidents / remediations (meta-monitoring) -------------------------------
 
@@ -310,7 +369,7 @@ class ObjectFactory:
         """Wrap one incident lifecycle transition
         (the ``sqlcm.incident`` event)."""
         cls = self._sqlcm.schema.monitored_class("Incident")
-        return MonitoredObject(cls, {}, extra={
+        return self._new(cls, {}, {
             "id": payload.get("incident_id"),
             "class": payload.get("incident_class"),
             "signature": payload.get("signature"),
@@ -320,12 +379,12 @@ class ObjectFactory:
             "occurrences": payload.get("occurrences", 1),
             "summary": payload.get("summary"),
             "current_time": payload.get("time"),
-        }, source=payload)
+        }, payload)
 
     def remediation(self, payload: dict[str, Any]) -> MonitoredObject:
         """Wrap one remediation attempt (the ``sqlcm.remediation`` event)."""
         cls = self._sqlcm.schema.monitored_class("Remediation")
-        return MonitoredObject(cls, {}, extra={
+        return self._new(cls, {}, {
             "incident_id": payload.get("incident_id"),
             "incident_class": payload.get("incident_class"),
             "signature": payload.get("signature"),
@@ -334,7 +393,7 @@ class ObjectFactory:
             "outcome": payload.get("outcome"),
             "detail": payload.get("detail"),
             "current_time": payload.get("time"),
-        }, source=payload)
+        }, payload)
 
     # -- governor transitions (meta-monitoring) ----------------------------------
 
@@ -342,7 +401,7 @@ class ObjectFactory:
         """Wrap one overload-governor ladder transition
         (the ``sqlcm.governor_transition`` event)."""
         cls = self._sqlcm.schema.monitored_class("Governor")
-        return MonitoredObject(cls, {}, extra={
+        return self._new(cls, {}, {
             "from_state": payload.get("from_state"),
             "to_state": payload.get("to_state"),
             "reason": payload.get("reason"),
@@ -350,4 +409,47 @@ class ObjectFactory:
             "estimated_ratio": payload.get("estimated_ratio"),
             "suspended_count": payload.get("suspended_count", 0),
             "current_time": payload.get("time"),
-        }, source=payload)
+        }, payload)
+
+
+# -- the factories of a journaled entry and of its replay ---------------------
+
+class RecordingFactory(ObjectFactory):
+    """The factory while a journaled entry runs: it builds objects that keep
+    every memo generation and lists them in creation order, the order the
+    entry's record holds their images in."""
+
+    def __init__(self, sqlcm):
+        super().__init__(sqlcm)
+        self.objects: list[_RecordedObject] = []
+
+    def _new(self, *args) -> MonitoredObject:
+        obj = _RecordedObject(*args)
+        self.objects.append(obj)
+        return obj
+
+
+class ReplayFactory(ObjectFactory):
+    """The factory while recovery replays an entry: the n-th object it
+    builds is the n-th one the entry built, rebuilt from its image; the
+    source passed in (there is none in a replay) is ignored."""
+
+    def __init__(self, sqlcm, images: list):
+        super().__init__(sqlcm)
+        self.images = images
+        self.built = 0
+
+    def _new(self, class_def, *ignored) -> MonitoredObject:
+        return self.replayed(class_def)
+
+    def replayed(self, class_def: MonitoredClassDef | str) -> MonitoredObject:
+        """The next recorded object, as one of ``class_def``."""
+        if isinstance(class_def, str):
+            class_def = self._sqlcm.schema.monitored_class(class_def)
+        if self.built == len(self.images):
+            raise DurabilityError(
+                f"replay built a {class_def.name} object the journal did "
+                f"not record ({self.built} recorded)")
+        image = self.images[self.built]
+        self.built += 1
+        return _ReplayedObject(class_def, image)

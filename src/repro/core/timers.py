@@ -39,6 +39,9 @@ class TimerService:
         self._sqlcm = sqlcm
         self._timers: dict[str, TimerObject] = {}
         self._next_id = 1
+        # False while a recovery rebuilds the timers: they are armed, with
+        # what is left of them, once it is done (see resume)
+        self.running = True
 
     def timers(self) -> list[TimerObject]:
         return list(self._timers.values())
@@ -56,7 +59,7 @@ class TimerService:
         timer.interval = float(interval)
         timer.remaining = int(repeats)
         timer.generation += 1
-        if timer.enabled:
+        if timer.enabled and self.running:
             self._sqlcm.server.scheduler.spawn(
                 f"timer-{name}", self._timer_process(timer, timer.generation)
             )
@@ -66,6 +69,12 @@ class TimerService:
     def _journal(self, timer: TimerObject) -> None:
         if self._sqlcm.journal is not None:
             self._sqlcm.journal.timer_set(timer)
+
+    def resume(self) -> None:
+        """Start the processes of the timers set while not running."""
+        self.running = True
+        for timer in self.timers():
+            self.set(timer.name, timer.interval, timer.remaining)
 
     def shutdown(self) -> None:
         """Disarm every timer: running processes see the generation bump

@@ -145,9 +145,6 @@ class ShardState:
             self.sqlcm._on_compile(event, payload)
         else:
             self.sqlcm._on_engine_event(event, payload)
-        streams = self.sqlcm._streams
-        if streams is not None:
-            streams.deliver(event, payload)
 
     def replay(self, partition: list, end_time: float) -> float:
         """Replay this shard's trace partition; returns the cost total."""

@@ -1,8 +1,10 @@
 """The continuous stream-query engine.
 
-Registered queries subscribe to the same :class:`~repro.engine.events.EventBus`
-hook points as the ECA rule engine and run synchronously in the triggering
-query's execution path, charging the monitor-cost pool exactly like rules do
+Registered queries hear the same :class:`~repro.engine.events.EventBus` hook
+points as the ECA rule engine — through it: the monitor is the bus's one
+subscriber, and hands each event to its stream queries after its rules —
+and run synchronously in the triggering query's execution path, charging
+the monitor-cost pool exactly like rules do
 ("pay only for what you monitor").  Each event updates one pane of each
 matching query's window state (O(#aggregates)); window results are emitted
 lazily when the virtual clock crosses a pane boundary, by merging panes —
@@ -42,7 +44,7 @@ from repro.core.aggregates import aggregate_function
 from repro.core.governor import validate_criticality
 from repro.core.resilience import (QuarantinePolicy, RuleHealthRegistry,
                                    register_fault_sites)
-from repro.errors import StreamError
+from repro.errors import DurabilityError, StreamError
 from repro.obs.observability import NULL_OBS
 from repro.stream.anomaly import (DeviationOperator, DeviationSpec,
                                   TopKOperator, TopKSpec)
@@ -55,9 +57,6 @@ _SIGNATURE_HINTS = ("logical_signature", "physical_signature",
 STREAM_FAULT_SITES = ("stream.eval", "stream.window")
 
 register_fault_sites(*STREAM_FAULT_SITES)
-
-#: an event's context before the first member that needs it builds it
-_UNBUILT = object()
 
 
 def pane_shape(spec: StreamSpec) -> tuple:
@@ -248,8 +247,7 @@ class StreamEngine:
                       "errors"),
         *state.walked("_queries", "health"),
         *state.transient("_sqlcm", "server", "_by_event", "_subscribed",
-                         "_shapes", "_in_emit", "_flush_serial", "_opened",
-                         "_losses", "replaying"),
+                         "_shapes", "_in_emit", "_flush_serial", "_opened"),
     )
 
     def __init__(self, sqlcm, quarantine: QuarantinePolicy | None = None):
@@ -264,14 +262,6 @@ class StreamEngine:
         self._in_emit = False
         self._flush_serial = 0
         self._opened: list[PaneGroup] = []  # groups logging this flush
-        # [query, boundary, error or None] of each window this flush lost
-        self._losses: list[list] = []
-        # while durability recovery re-runs a journaled flush: the windows
-        # it lost live, by (lowercase query name, boundary), with the
-        # error if a fault lost them.  Alert rings and counters rebuild,
-        # but the sink-LAT insert and the bus publish are suppressed (both
-        # were journaled separately).  None outside replay
-        self.replaying: dict | None = None
         self.events_seen = 0
         self.alerts_published = 0
         self.errors = 0
@@ -309,20 +299,19 @@ class StreamEngine:
         group.members.append(query)
         self._queries[key] = query
         self._by_event.setdefault(spec.engine_event, []).append(query)
-        # a monitor fed explicitly (a replay shard) never touches the
-        # bus: its owner hands it events via deliver()
-        if spec.engine_event not in self._subscribed and \
-                getattr(self._sqlcm, "bus_subscribed", True):
-            self.server.events.subscribe(spec.engine_event, self._on_event)
-            self._subscribed.add(spec.engine_event)
+        # the monitor hands the queries their events: it subscribes to an
+        # event its rule hooks do not cover.  A monitor fed explicitly (a
+        # replay shard) never touches the bus
+        sqlcm = self._sqlcm
+        event = spec.engine_event
+        if sqlcm.bus_subscribed and event not in self._subscribed and \
+                event not in sqlcm.SUBSCRIBED_EVENTS + ("query.compile",):
+            self.server.events.subscribe(event, sqlcm._on_engine_event)
+            self._subscribed.add(event)
         self._sqlcm.invalidate_signature_cache()
         if self._sqlcm.journal is not None:
             self._sqlcm.journal.stream_registered(query)
         return query
-
-    def deliver(self, event: str, payload: dict) -> None:
-        """Explicit event delivery for bus-less (shard-local) engines."""
-        self._on_event(event, payload)
 
     def remove(self, name: str) -> None:
         query = self._queries.pop(name.lower(), None)
@@ -344,7 +333,7 @@ class StreamEngine:
     def detach(self) -> None:
         """Unsubscribe from the host bus (supervised restart teardown)."""
         for event in self._subscribed:
-            self.server.events.unsubscribe(event, self._on_event)
+            self.server.events.unsubscribe(event, self._sqlcm._on_engine_event)
         self._subscribed.clear()
 
     def query(self, name: str) -> StreamQuery:
@@ -420,20 +409,6 @@ class StreamEngine:
             for pos, members in behind.items():
                 self._split(group, members, pos)
 
-    def replay_observation(self, names: list[str], key: tuple,
-                           values: list, now: float) -> None:
-        """A journaled observation: the queries ``names`` took ``key``
-        and ``values`` at ``now``.  Members of their pane groups that did
-        not take it leave first, as they did live."""
-        queries = [query for query in map(
-            self._queries.get, (name.lower() for name in names))
-            if query is not None]
-        for group in {query.panes: None for query in queries}:
-            members = [query for query in queries if query.panes is group]
-            self._observe(group, members, key, values, now)
-            for query in members:
-                query.events_ingested += 1
-
     def _observe(self, group: PaneGroup, members: list, key: tuple,
                  values: list, now: float) -> None:
         """``members`` of ``group`` took ``key`` and ``values`` at
@@ -449,46 +424,26 @@ class StreamEngine:
     # event path: flush due boundaries, then ingest
     # ------------------------------------------------------------------
 
-    def _on_event(self, event: str, payload: dict) -> None:
-        queries = self._by_event.get(event)
-        if not queries:
-            return
+    def ingest(self, queries: list[StreamQuery], context: dict | None
+               ) -> None:
+        """One engine event, from the monitor after its rules: ``queries``
+        are those over the event, ``context`` the event's objects.
+
+        Each query, in registration order, takes the event: its gates,
+        charges and counters are its own; what its pane group takes is
+        worked out by the first member that gets there, and folded into
+        the group's panes once, after the loop."""
         self.events_seen += 1
         now = self.server.clock.now
         # windows whose end time has passed close *before* the new event is
         # applied, so an event at t never lands in a window ending <= t
         if not self._in_emit:
             self._flush(now)
-        journal = self._sqlcm.journal
-        if journal is None:
-            self._ingest_all(queries, event, payload, now, None)
-            return
-        # one stream_obs record per event: one observation per pane group
-        # that took the event, and the queries that failed.  The event is
-        # a journal group, so a record the loop appends (a failing query's
-        # health) cannot commit ahead of the observations before it
-        batch: dict = {"time": now, "obs": []}
-        seq = journal.seq
-        journal.groups_open += 1
-        try:
-            self._ingest_all(queries, event, payload, now, batch)
-        finally:
-            journal.groups_open -= 1
-        if batch["obs"] or journal.seq != seq:
-            journal.append("stream_obs", batch)
-
-    def _ingest_all(self, queries: list[StreamQuery], event: str,
-                    payload: dict, now: float, batch: dict | None) -> None:
-        """Each query, in registration order, takes the event: its gates,
-        charges and counters are its own; what its pane group takes is
-        worked out by the first member that gets there, and folded into
-        the group's panes once, after the loop."""
         obs = self.server.obs
         health = self.health
         governor = self._sqlcm.governor
         if self._in_emit:
             self._settle(queries)
-        context = _UNBUILT
         # pane group -> [key, values, members that took them], or () when
         # WHERE rejected the event
         taken: dict[PaneGroup, Any] = {}
@@ -502,12 +457,10 @@ class StreamEngine:
             if governor is not None and not governor.admit_stream(query):
                 continue
             if obs is NULL_OBS:
-                context = self._ingest(query, event, payload, context, now,
-                                       taken, batch)
+                self._ingest(query, context, now, taken)
             else:
                 with obs.attrib("stream", query.spec.name):
-                    context = self._ingest(query, event, payload, context,
-                                           now, taken, batch)
+                    self._ingest(query, context, now, taken)
         for group, taking in taken.items():
             if not taking:
                 continue
@@ -516,27 +469,16 @@ class StreamEngine:
             if group.flush:
                 # in the middle of the group's flush: it goes on from here
                 group.open(group.flush)
-            if batch is not None:
-                batch["obs"].append([[member.spec.name for member in members],
-                                     key, values])
 
-    def _ingest(self, query: StreamQuery, event: str, payload: dict,
-                context: Any, now: float, taken: dict,
-                batch: dict | None) -> Any:
-        """One query's ingest inside its isolation boundary.  Returns the
-        event's context, built by the first query that needs it."""
+    def _ingest(self, query: StreamQuery, context: dict | None, now: float,
+                taken: dict) -> None:
+        """One query's ingest inside its isolation boundary."""
         try:
             if self._sqlcm.faults is not None:
                 self._sqlcm.check_fault("stream.eval")
-            if context is _UNBUILT:
-                context = self._sqlcm._build_context(event, payload)
             self._take(query, context, now, taken)
         except Exception as err:
             self._record_failure(query, "stream.eval", err)
-            if batch is not None:
-                batch.setdefault("failed", []).append(
-                    [query.spec.name, query.last_error])
-        return context
 
     def _take(self, query: StreamQuery, context: dict | None, now: float,
               taken: dict) -> None:
@@ -588,15 +530,24 @@ class StreamEngine:
 
         The event path calls this automatically; call it explicitly to
         drain trailing windows at the end of a run or before reporting.
+        An explicit flush is an entry into the monitor of its own: with a
+        journal attached, one ``stream_flush`` record when it moved a
+        cursor.
         """
         if self._in_emit:
             return
-        self._flush(self.server.clock.now if now is None else now)
+        now = self.server.clock.now if now is None else now
+        sqlcm = self._sqlcm
+        if sqlcm.journal is None or sqlcm.tape is not None:
+            self._flush(now)
+        else:
+            sqlcm.journal.entry("stream_flush", {"time": now}, self._flush,
+                                now)
 
-    def _flush(self, now: float) -> None:
+    def _flush(self, now: float) -> bool:
+        """Emit the windows due at ``now``; True when a cursor moved."""
         self._in_emit = True
         self._flush_serial += 1
-        self._losses = losses = []
         advanced = False
         try:
             for query in list(self._queries.values()):
@@ -607,12 +558,7 @@ class StreamEngine:
             for group in self._opened:
                 group.close()
             self._opened.clear()
-        journal = self._sqlcm.journal
-        if journal is not None and advanced and self.replaying is None:
-            record: dict = {"time": now}
-            if losses:
-                record["lost"] = losses
-            journal.append("stream_flush", record)
+        return advanced
 
     def _flush_query(self, query: StreamQuery, now: float) -> bool:
         """One query's turn at the boundaries due at ``now``; True when it
@@ -672,20 +618,10 @@ class StreamEngine:
         """``query``'s window at ``boundary`` — ``step``, the one an
         earlier member of its pane group took, or None for the panes' own.
         False when the window is lost before the query takes it: to
-        quarantine, to a fault, or, in a replayed flush, as it was live."""
+        quarantine, or to a fault."""
         name = query.spec.name
-        lost = self.replaying
-        if lost is not None:
-            if (name.lower(), boundary) in lost:
-                error = lost[name.lower(), boundary]
-                if error is not None:
-                    query.errors += 1
-                    query.last_error = error
-                    self.errors += 1
-                return False
-        elif not self.health.all_clear and \
+        if not self.health.all_clear and \
                 not self.health.allow(name, self.server.clock.now):
-            self._losses.append([name, boundary, None])
             return False
         obs = self.server.obs
         if obs is NULL_OBS:
@@ -708,9 +644,6 @@ class StreamEngine:
                 self.health.record_success(query.spec.name)
         except Exception as err:
             self._record_failure(query, "stream.window", err)
-            if not taken:
-                self._losses.append(
-                    [query.spec.name, boundary, query.last_error])
         return taken
 
     def _evaluate_window(self, query: StreamQuery, boundary: int,
@@ -793,11 +726,6 @@ class StreamEngine:
         query.alert_count += 1
         self.alerts_published += 1
         self.server.obs.count("sqlcm.stream.alerts")
-        if self.replaying is not None:
-            # journal replay: the sink-LAT insert and the downstream
-            # incident cascade were journaled separately (lat_insert /
-            # incident records), so re-driving them here would double-apply
-            return
         if query.sink_lat is not None \
                 and self._sqlcm.has_lat(query.sink_lat):
             # the one LAT-maintenance path: governor gate, charges,
@@ -809,7 +737,7 @@ class StreamEngine:
         # the meta-event: ECA rules consume it as StreamAlert.Alert, and
         # stream queries over StreamAlert.Alert ingest it (flush deferred
         # by the _in_emit guard, so alert cascades cannot recurse)
-        self.server.events.publish("sqlcm.stream_alert", alert)
+        self._sqlcm.publish_alert(alert)
 
     # ------------------------------------------------------------------
     # failure accounting
@@ -817,6 +745,8 @@ class StreamEngine:
 
     def _record_failure(self, query: StreamQuery, site: str,
                         error: BaseException) -> None:
+        if isinstance(error, DurabilityError):
+            raise error  # a replay that diverged from its record
         self.server.add_monitor_cost(self.server.costs.rule_error_cost)
         query.errors += 1
         query.last_error = f"{type(error).__name__}: {error}"

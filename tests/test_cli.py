@@ -96,7 +96,7 @@ class TestMetaCommands:
         assert "def insert(self, source, weight, now):" in text
         assert "-- dispatch program of query.commit over a query object " \
                "(Duration_LAT_track is rule 1)" in text
-        assert "def dispatch(sqlcm, context, now, counts):" in text
+        assert "def dispatch(sqlcm, context, now):" in text
         sh.execute_line(".rules Duration_LAT_outliers --source")
         assert "def _condition(context, lat_rows):" in output_of(shell)
         sh.execute_line(".rules nope --source")

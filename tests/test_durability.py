@@ -212,7 +212,9 @@ class TestJournalFormat:
         assert discarded == 1
 
     def test_group_commit_semantics(self, tmp_path, server):
-        """Mid-dispatch records stay uncommitted until the counts marker."""
+        """A statement's commit is one entry into the monitor: one
+        committed ``event`` record with the probe values the rule read,
+        and nothing the dispatch did on its own."""
         sqlcm = SQLCM(server)
         sqlcm.create_lat(LATDefinition(
             name="L", grouping=["Query.User AS U"],
@@ -226,10 +228,13 @@ class TestJournalFormat:
         manager.detach()
         records, discarded = read_journal(manager.journal.path)
         assert discarded == 0
-        groups = [r.kind for r in records if r.commit]
-        assert groups, "expected at least one commit marker"
-        assert all(r.kind == "counts" for r in records if r.commit)
-        assert any(r.kind == "lat_insert" and not r.commit for r in records)
+        assert all(r.commit for r in records)
+        event, = (r for r in records if r.kind == "event")
+        assert [r.kind for r in records] == ["event"]
+        assert event.data["event"] == "query.commit"
+        assert event.data["context"] == ["query"]
+        (extra, (memo,)), = event.data["objects"]
+        assert extra is None and memo["user"] == "u1" and "id" in memo
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +403,25 @@ class TestCrashMatrix:
         report = verify_recovery(str(tmp_path), tap)
         assert rules_and_lats(report.sqlcm) == side.points[-1]
 
+    @pytest.mark.parametrize("site,mode", CRASH_SITES)
+    @pytest.mark.parametrize("when", ["before_attach", "after_attach"])
+    def test_forced_signatures_keep_counting_after_a_crash(
+            self, tmp_path, when, site, mode):
+        """No rule reads a signature, so instances are counted only
+        because ``enable_signatures`` forced it: the switch is recovered
+        with the counts, from the checkpoint or from the journal."""
+        server, sqlcm = build_monitor()
+        assert not sqlcm.signatures_needed
+        if when == "before_attach":
+            sqlcm.enable_signatures()
+        manager, tap = attach(sqlcm, tmp_path)
+        if when == "after_attach":
+            sqlcm.enable_signatures()
+        work(server, 6)
+        assert sqlcm._instance_counts
+        crash(manager, sqlcm, server, site, mode)
+        report = verify_recovery(str(tmp_path), tap)
+        assert report.sqlcm.signatures_needed
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +478,10 @@ def stream_work(server, n, start=0):
 
 
 def stream_images(sqlcm):
-    """Every stream query's checkpoint image (window panes, alert ring,
-    counters), less ``events_seen`` and ``where_rejected``: the two
-    tallies that are not persisted between checkpoints."""
-    images = {}
-    for query in sqlcm.stream_engine().queries():
-        image = _query_image([query])
-        del image["events_seen"], image["where_rejected"]
-        images[query.name] = state.loads(state.dumps(image))
-    return images
+    """Every stream query's checkpoint image: window panes, alert ring and
+    every counter."""
+    return {query.name: state.loads(state.dumps(_query_image([query])))
+            for query in sqlcm.stream_engine().queries()}
 
 
 class FailsQueryThenDies(FaultInjector):
@@ -502,7 +521,7 @@ class TestStreamRecovery:
         manager.checkpoint()  # every query's panes as one stream_image
         stream_work(server, 12, start=12)
         sqlcm.set_fault_injector(DiesAtAppend(n))
-        stream_work(server, 6, start=24)  # the journal dies in here
+        stream_work(server, 16, start=24)  # the journal dies in here
         assert manager.journal.dead
         report = verify_recovery(str(tmp_path), tap)
         expected = side.points[-1]
@@ -542,11 +561,35 @@ class TestStreamRecovery:
         side = CommitTap(manager, stream_images)
         stream_work(server, 10)
         sqlcm.set_fault_injector(FailsQueryThenDies(k, m, "stream.window"))
-        stream_work(server, 6, start=10)
+        stream_work(server, 12, start=10)
         assert sum(q.errors for q in sqlcm.stream_engine().queries()) == 1
         assert manager.journal.dead
         report = verify_recovery(str(tmp_path), tap)
         assert stream_images(report.sqlcm) == side.points[-1]
+
+    def test_an_alert_rule_never_commits_ahead_of_its_alert(self, tmp_path):
+        """A rule on ``StreamAlert.Alert`` runs in the middle of the
+        flush that raised the alert.  Whatever append the journal dies
+        at, the recovered alert rings, panes and counters are those of
+        the last commit, and so is the LAT the rule feeds."""
+        for n in range(1, 60):
+            server, sqlcm = latstream_monitor()
+            sqlcm.create_lat(LATDefinition(
+                name="Alerts", monitored_class="StreamAlert",
+                grouping=["StreamAlert.Stream_Name AS S"],
+                aggregations=["COUNT(StreamAlert.Value) AS N",
+                              "MAX(StreamAlert.Value) AS V"]))
+            sqlcm.add_rule(Rule(name="on_alert", event="StreamAlert.Alert",
+                                actions=[InsertAction("Alerts")]))
+            directory = tmp_path / f"n{n}"
+            manager, tap = attach(sqlcm, directory)
+            side = CommitTap(manager, stream_images)
+            stream_work(server, 6)
+            sqlcm.set_fault_injector(DiesAtAppend(n))
+            stream_work(server, 64, start=6)
+            assert manager.journal.dead, n
+            report = verify_recovery(str(directory), tap)
+            assert stream_images(report.sqlcm) == side.points[-1], n
 
     def test_a_diverged_member_recovers_apart(self, tmp_path):
         """s4 misses one event and leaves s0's panes; a checkpoint holds
@@ -563,7 +606,7 @@ class TestStreamRecovery:
         manager.checkpoint()
         stream_work(server, 6, start=12)
         sqlcm.set_fault_injector(DiesAtAppend(7))
-        stream_work(server, 4, start=18)
+        stream_work(server, 8, start=18)
         assert manager.journal.dead
         report = verify_recovery(str(tmp_path), tap)
         assert stream_images(report.sqlcm) == side.points[-1]
@@ -767,9 +810,92 @@ class TestCallbackRules:
             setup=lambda monitor: monitor.add_rule(self._cb_rule(fired)))
         assert "cb" not in report.placeholder_rules
 
+    def test_a_probe_no_entry_read_is_refused_by_name(self, tmp_path):
+        """A rule only ``setup=`` registers reads a probe that no journaled
+        entry read: the replay has left its record, and says where."""
+        server, sqlcm = build_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        work(server, 3)
+        with pytest.raises(DurabilityError, match="'estimated_cost'"):
+            DurabilityManager.recover(str(tmp_path), setup=lambda monitor:
+                                      monitor.add_rule(Rule(
+                                          name="costly", event="Query.Commit",
+                                          condition="Query.Estimated_Cost > 0",
+                                          actions=[SendMailAction("x", "y")])))
+
     def test_skipped_rules_are_reported(self, tmp_path):
         server, sqlcm = build_monitor()
         sqlcm.add_rule(self._cb_rule([]))
         manager, tap = attach(sqlcm, tmp_path)
         report = DurabilityManager.recover(str(tmp_path))
         assert "cb" in report.placeholder_rules
+
+    def test_removing_one_callback_rule_keeps_the_other_refused(
+            self, tmp_path):
+        server, sqlcm = build_monitor()
+        for name in ("cb1", "cb2"):
+            sqlcm.add_rule(Rule(name=name, event="Query.Commit",
+                                actions=[CallbackAction(
+                                    lambda monitor, context: None)]))
+        manager, tap = attach(sqlcm, tmp_path)
+        sqlcm.remove_rule("cb1")
+        work(server, 3)
+        with pytest.raises(DurabilityError, match="'cb2'"):
+            DurabilityManager.recover(str(tmp_path))
+
+    def test_a_refused_recovery_leaves_the_live_server_as_it_was(
+            self, tmp_path):
+        """A supervised restart recovers onto its running engine: a
+        recovery refused after replaying some entries takes back what
+        they charged, and leaves nothing wired to the engine."""
+        server, sqlcm = build_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        work(server, 3)  # replayed, and charged, before the refusal
+        sqlcm.add_rule(self._cb_rule([]))
+        work(server, 3)
+        manager.detach()
+        sqlcm.detach()
+        costs = (server._pending_monitor_cost, server.monitor_cost_total)
+        with pytest.raises(DurabilityError, match="'cb'"):
+            DurabilityManager.recover(str(tmp_path), server)
+        assert (server._pending_monitor_cost,
+                server.monitor_cost_total) == costs
+        work(server, 3)
+        server.run(until=server.clock.now + 10.0)  # past every timer
+        assert server.monitor_cost_total == costs[1]
+
+
+# ---------------------------------------------------------------------------
+# stream alerts reach the incident manager through the monitor's entry
+# ---------------------------------------------------------------------------
+
+def incident_state(sqlcm):
+    manager = sqlcm.incident_manager()
+    return (manager.opened, manager.deduplicated,
+            sorted((i.incident_class, i.signature, i.occurrences)
+                   for i in manager._incidents.values()))
+
+
+EXTERNAL_ALERT = {"stream": "ext", "kind": "deviation", "group": "g",
+                  "column": "N", "value": 3.0}
+
+
+class TestAlertsToIncidents:
+    def test_an_alert_published_from_outside_recovers_its_incident(
+            self, tmp_path):
+        server, sqlcm = build_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, incident_state)
+        for __ in range(2):
+            server.events.publish("sqlcm.stream_alert", EXTERNAL_ALERT)
+        work(server, 2)
+        assert side.points[-1][0] >= 1
+        report = verify_recovery(str(tmp_path), tap)
+        assert incident_state(report.sqlcm) == side.points[-1]
+
+    def test_a_detached_monitor_s_manager_hears_no_alert(self):
+        server, sqlcm = build_monitor()
+        incidents = sqlcm.incident_manager()
+        sqlcm.detach()
+        server.events.publish("sqlcm.stream_alert", EXTERNAL_ALERT)
+        assert not incidents.opened

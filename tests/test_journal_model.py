@@ -1,13 +1,12 @@
 """The journal against a list model.
 
-:class:`~repro.core.durability.Journal` keeps the lines of an uncommitted
-group in memory and writes the group with one write when its commit
-record is appended.  The state machine below drives a real journal with
-committed, uncommitted and default-commit appends, crash faults at
-``durability.append`` in both modes, and tears of the file at any byte.
-After every step :func:`read_journal` must return exactly the model's
-committed prefix, and count as discarded exactly what the model says is
-on disk past it.
+:class:`~repro.core.durability.Journal` writes each record committed, with
+one write, and drops what is appended inside an entry.  The state machine
+below drives a real journal with appends in and out of entries, entries,
+crash faults at ``durability.append`` in both modes, and tears of the
+file at any byte.  After every step :func:`read_journal` must return
+exactly the model's committed prefix, and count as discarded exactly what
+the model says is on disk past it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from repro import DatabaseServer, SQLCM
-from repro.core.durability import Journal, frame, read_journal
+from repro.core.durability import Journal, Tape, frame, read_journal
 from repro.core.resilience import FaultInjector
 
 payloads = st.dictionaries(
@@ -33,12 +32,13 @@ payloads = st.dictionaries(
               st.lists(st.booleans(), max_size=2)),
     max_size=3)
 
-kinds = st.sampled_from(["lat_insert", "counts", "stream_obs", "health"])
+kinds = st.sampled_from(["lat_insert", "event", "dispatch", "stream_flush",
+                         "health"])
 
 
 class JournalMachine(RuleBasedStateMachine):
     """The disk is a list of chunks, each a whole line with its record or
-    a torn fragment (None); the journal adds chunks only at commits, a
+    a torn fragment (None); the journal adds a chunk at each append, a
     partial fault and a tear."""
 
     @initialize()
@@ -52,10 +52,8 @@ class JournalMachine(RuleBasedStateMachine):
         self.callbacks = 0
         self.journal.on_commit.append(self._count_commit)
         self.disk: list[tuple[str, tuple | None]] = []
-        self.waiting: list[tuple[str, tuple]] = []
         self.seq = 0
         self.commits = 0
-        self.committed_records = 0
         self.dead = False
         self.fault: str | None = None  # armed mode, fires at next append
 
@@ -67,47 +65,48 @@ class JournalMachine(RuleBasedStateMachine):
     def _count_commit(self):
         self.callbacks += 1
 
-    def _model_append(self, kind, data, commit):
+    def _model_append(self, kind, data):
         if self.dead:
             return
         self.seq += 1
-        line = frame(self.seq, kind, commit, self.sqlcm.server.clock.now,
+        line = frame(self.seq, kind, True, self.sqlcm.server.clock.now,
                      data)
-        record = (self.seq, kind, commit, data)
         if self.fault is not None:
             if self.fault == "partial":
-                self.disk += self.waiting
                 self.disk.append((line[: max(1, len(line) // 2)], None))
-            self.waiting = []
             self.dead = True
             return
-        self.waiting.append((line, record))
-        if commit:
-            self.disk += self.waiting
-            self.committed_records += len(self.waiting)
-            self.waiting = []
-            self.commits += 1
+        self.disk.append((line, (self.seq, kind, True, data)))
+        self.commits += 1
 
     # -- steps -----------------------------------------------------------
 
-    @rule(kind=kinds, data=payloads, commit=st.booleans())
-    def append(self, kind, data, commit):
-        self.journal.append(kind, data, commit=commit)
-        self._model_append(kind, data, commit)
-
-    @rule(kind=kinds, data=payloads, grouped=st.booleans(),
-          dispatching=st.booleans())
-    def append_default_commit(self, kind, data, grouped, dispatching):
-        """No explicit flag: inside a group or a dispatch the record waits
-        for the group's commit, outside both it commits alone."""
-        self.journal.groups_open += grouped
-        self.sqlcm._dispatching = dispatching
+    @rule(kind=kinds, data=payloads, in_entry=st.booleans())
+    def append(self, kind, data, in_entry):
+        """Outside every entry the record commits alone; inside an entry
+        it is dropped, since the entry's own record stands for everything
+        the entry did."""
+        if in_entry:
+            self.journal.tape = Tape(self.sqlcm)
         try:
             self.journal.append(kind, data)
         finally:
-            self.journal.groups_open -= grouped
-            self.sqlcm._dispatching = False
-        self._model_append(kind, data, not (grouped or dispatching))
+            self.journal.tape = None
+        if not in_entry:
+            self._model_append(kind, data)
+
+    @rule(kind=kinds, data=payloads, changed=st.booleans(),
+          inner=st.booleans())
+    def entry(self, kind, data, changed, inner):
+        """An entry writes one committed record, and only when it did
+        something; what it appends itself never reaches the file."""
+        def run():
+            if inner:
+                self.journal.append("health", {"inner": 1})
+            return changed
+        self.journal.entry(kind, data, run)
+        if changed:
+            self._model_append(kind, data)
 
     @rule(seconds=st.sampled_from([0.0, 0.25, 1e-9]))
     def advance(self, seconds):
@@ -134,7 +133,7 @@ class JournalMachine(RuleBasedStateMachine):
             elif size < cut:
                 kept.append((chunk[: cut - size], None))
             size += len(chunk)
-        self.disk, self.waiting, self.dead = kept, [], True
+        self.disk, self.dead = kept, True
 
     # -- the property ----------------------------------------------------
 
@@ -154,7 +153,7 @@ class JournalMachine(RuleBasedStateMachine):
         got = [(r.seq, r.kind, r.commit, r.data) for r in records]
         assert got == readable[: last + 1]
         assert discarded == len(readable) - (last + 1) + torn
-        assert self.journal.records_written == self.committed_records
+        assert self.journal.records_written == self.commits
         assert self.callbacks == self.commits
 
 

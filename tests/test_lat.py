@@ -264,8 +264,8 @@ class TestCompiledInsert:
         compile(source, "<test>", "exec")
 
         records = []
-        lat.journal = type("J", (), {"append": staticmethod(
-            lambda kind, data, commit=False: records.append(data))})
+        lat.journal = type("J", (), {"tape": None, "append": staticmethod(
+            lambda kind, data: records.append(data))})
         lat.insert({group: 1, summed: 2.0, last: "x", first: "y",
                     counted: 0})
         lat.insert({group: 1, summed.lower(): 3.0, counted: None})

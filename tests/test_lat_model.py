@@ -237,10 +237,12 @@ def sources(draw):
 class Recorder:
     """Stands in for the durability journal: keeps what was appended."""
 
+    tape = None  # never inside an entry
+
     def __init__(self):
         self.records = []
 
-    def append(self, kind, data, commit=False):
+    def append(self, kind, data):
         self.records.append((kind, data))
 
 

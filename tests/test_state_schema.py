@@ -284,7 +284,7 @@ class TestCheckpointRoundTrip:
                     "records": 1, "crc": zlib.crc32(header[:8].encode())}),
                 encoding="utf-8")
         with pytest.raises(DurabilityError,
-                           match="a version 3 checkpoint.*reads version 5"):
+                           match="a version 3 checkpoint.*reads version 6"):
             DurabilityManager.recover(str(tmp_path))
         with pytest.raises(DurabilityError, match="no end marker"):
             (tmp_path / "checkpoint-0002.ckpt").write_text(
@@ -302,15 +302,31 @@ class TestCheckpointRoundTrip:
                 "records": 1, "crc": zlib.crc32(header[:8].encode())}),
             encoding="utf-8")
         with pytest.raises(DurabilityError, match="a version 4 checkpoint; "
-                           "this build reads version 5 only"):
+                           "this build reads version 6 only"):
+            DurabilityManager.recover(str(tmp_path))
+
+    def test_a_directory_of_version_5_checkpoints_is_refused_by_name(
+            self, tmp_path):
+        """Version 5 journaled what each event did (``counts``,
+        ``lat_insert``, ``stream_obs`` records), not the event itself:
+        refused by the version it carries."""
+        header = frame(1, "checkpoint", False, 0.0, {"version": 5})
+        (tmp_path / "checkpoint-0001.ckpt").write_text(
+            header + frame(2, "checkpoint_end", True, 0.0, {
+                "records": 1, "crc": zlib.crc32(header[:8].encode())}),
+            encoding="utf-8")
+        with pytest.raises(DurabilityError, match="a version 5 checkpoint; "
+                           "this build reads version 6 only"):
             DurabilityManager.recover(str(tmp_path))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: ``journal.append("kind", ...)`` anywhere, and the ``self``/``out`` spellings
-#: of the journal's own builders and the checkpoint walk in durability.py
-_APPEND_RE = re.compile(r"""\bjournal\.append\(\s*['"]([a-z_]+)['"]""")
+#: ``journal.append("kind", ...)`` and ``journal.entry("kind", ...)``
+#: anywhere, and the ``self``/``out`` spellings of the journal's own builders
+#: and the checkpoint walk in durability.py
+_APPEND_RE = re.compile(
+    r"""\bjournal\.(?:append|entry)\(\s*['"]([a-z_]+)['"]""")
 _OWN_APPEND_RE = re.compile(
     r"""\b(?:self|out)\.append\(\s*['"]([a-z_]+)['"]""")
 
@@ -332,8 +348,8 @@ class TestRecordKinds:
     def test_grep_finds_the_known_call_sites(self):
         """Guard the guard."""
         kinds = appended_kinds()
-        assert {"lat_insert", "counts", "timer", "history", "stream_obs",
-                "rule_add", "lat_image", "checkpoint_end"} <= kinds
+        assert {"lat_insert", "event", "dispatch", "stream_flush", "timer",
+                "history", "rule_add", "lat_image", "checkpoint_end"} <= kinds
 
     def test_every_appended_kind_has_a_handler_and_no_handler_is_dead(self):
         assert appended_kinds() == set(HANDLERS)
@@ -376,7 +392,7 @@ class TestRecordKinds:
         server, sqlcm = populated_monitor()
         manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
         manager.detach()
-        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 26
+        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 25
         with open(manager.journal.path, "a", encoding="utf-8") as handle:
             handle.write(frame(1, "lat_seed", True, 0.0, {
                 "lat": "Aged", "values": {"U": "x", "N": 1}, "time": 0.0}))
