@@ -227,8 +227,8 @@ class Shell:
                         f"  [{alert['stream']}] {alert['kind']} "
                         f"group={_fmt(alert['group'])} "
                         f"{alert['column']}={_fmt(alert['value'])} "
-                        f"window=[{alert['window_start']:.0f}s,"
-                        f"{alert['window_end']:.0f}s)" + extra)
+                        f"window=[{alert['window_start']:g}s,"
+                        f"{alert['window_end']:g}s)" + extra)
                     shown += 1
             if not shown:
                 self._print("  (no alerts)")

@@ -84,10 +84,12 @@ from repro.core.state import dumps, fold, load, load_into, loads
 from repro.errors import DurabilityError, FaultInjected
 
 #: version of the record vocabulary and line format, carried by a
-#: checkpoint's first record (6: one record per entry into the monitor,
-#: re-run on recovery; 5 journaled what each event did, with one stream
-#: observation per pane group; 4 one per query; 3 wrote ``repr`` lines)
-CHECKPOINT_VERSION = 6
+#: checkpoint's first record (7: a ``stream_image`` holds its alert ring as
+#: window rows, where 6 held whole alert dicts; since 6 the journal holds
+#: one record per entry into the monitor, re-run on recovery; 5 journaled
+#: what each event did, with one stream observation per pane group; 4 one
+#: per query; 3 wrote ``repr`` lines)
+CHECKPOINT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +601,26 @@ class _Compactor(Journal):
                                 self.clock.now, data))
 
 
+def _alert_row(alert: dict) -> list:
+    """One alert as ``[kind, window_end, time, *row values, *anomaly]``,
+    the row in ``query.columns`` order; ``StreamQuery.alert`` derives the
+    rest again."""
+    kind = alert["kind"]
+    item = [kind, alert["window_end"], alert["time"], *alert["row"].values()]
+    if kind == "deviation":
+        item += (alert["value"], alert["baseline"], alert["sigma"])
+    elif kind == "topk":
+        item.append(alert["rank"])
+    return item
+
+
 def _query_image(copies: Sequence) -> dict:
     """One stream query across its per-shard ``copies``: anomaly history
-    from the control shard's, counters summed, panes merged."""
+    and alert ring from the control shard's, counters summed, panes
+    merged."""
     query = copies[0]
-    image = fold(copies) | {"stream": query.name}
+    image = fold(copies) | {"stream": query.name,
+                            "alerts": [_alert_row(a) for a in query.alerts]}
     image["window"] = fold_window(copies).image() \
         | fold([q.window for q in copies])
     if query.deviation is not None:
@@ -871,6 +888,13 @@ class _Restorer:
         if self.pane_images.get(group, panes) != panes:
             group = streams._split(group, [query])
         load_into(query, data)
+        columns, groups = query.columns, len(query.spec.groups)
+        query.alerts.clear()
+        query.alerts.extend(
+            query.alert(kind, tuple(values[:groups]),
+                        dict(zip(columns, values)), window_end, time,
+                        *values[len(columns):])
+            for kind, window_end, time, *values in data["alerts"])
         if group not in self.pane_images:
             group.window.load_image(data["window"])
             self.pane_images[group] = panes

@@ -133,7 +133,7 @@ def stream_activity(sqlcm, alert_limit: int = 5) -> str:
             [
                 (f"{t:.1f}s", name, a["kind"], _short(a["group"], 20),
                  a["column"], _short(a["value"]),
-                 f"[{a['window_start']:.0f},{a['window_end']:.0f})")
+                 f"[{a['window_start']:g},{a['window_end']:g})")
                 for t, name, a in recent[-alert_limit * 2:]
             ],
         )

@@ -166,11 +166,11 @@ class StreamQuery:
         *state.fields(sum, "events_seen", "events_ingested",
                       "where_rejected", "windows_emitted", "alert_count",
                       "errors"),
-        # per-shard alert rings have no merge order: the control's is kept
-        *state.fields(state.first, "enabled", "next_boundary", "last_error",
-                      "alerts"),
+        *state.fields(state.first, "enabled", "next_boundary", "last_error"),
+        # the alert ring is saved as window rows and rebuilt by ``alert``;
+        # per-shard rings have no merge order: the control's is kept
         *state.walked("spec", "sink_lat", "criticality", "window",
-                      "deviation", "topk"),
+                      "deviation", "topk", "alerts"),
         *state.transient("panes", "columns"),
     )
 
@@ -217,6 +217,41 @@ class StreamQuery:
     @next_boundary.setter
     def next_boundary(self, value: int | None) -> None:
         self.panes.next_boundary = value
+
+    def alert(self, kind: str, key: tuple, row: dict, window_end: float,
+              time: float, *anomaly: Any) -> dict:
+        """The alert of ``kind`` on window row ``row`` of group ``key``.
+        ``anomaly`` holds what the row does not determine: ``value,
+        baseline, sigma`` of a deviation, ``rank`` of a top-k; every other
+        field derives from the query.  Publishing and checkpoint recovery
+        both build alerts here, so a recovered alert is the live one."""
+        spec = self.spec
+        baseline = sigma = rank = None
+        if kind == "deviation":
+            column = self.deviation.spec.column
+            value, baseline, sigma = anomaly
+        else:
+            if kind == "topk":
+                column = self.topk.spec.column
+                rank, = anomaly
+            else:
+                column = spec.aggs[0].alias
+            value = row.get(column)
+        return {
+            "stream": spec.name,
+            "kind": kind,
+            "group": ", ".join(str(v) for v in key) if key else None,
+            "key": key,
+            "column": column,
+            "value": value,
+            "baseline": baseline,
+            "sigma": sigma,
+            "rank": rank,
+            "window_start": window_end - spec.window.length,
+            "window_end": window_end,
+            "time": time,
+            "row": dict(row),
+        }
 
     def describe(self) -> dict[str, Any]:
         """Flat stats snapshot (CLI ``.streams`` / report rows)."""
@@ -656,7 +691,6 @@ class StreamEngine:
             return
         query.windows_emitted += 1
         window_end = spec.window.boundary_time(boundary)
-        window_start = window_end - spec.window.length
         columns = query.columns
         rows = named.get(columns)
         if rows is None:
@@ -666,62 +700,38 @@ class StreamEngine:
                 for key, results in raw_rows]
         self.server.add_monitor_cost(costs.stream_emit_row * len(rows))
 
-        primary = spec.aggs[0].alias
         if spec.having is not None:
             for key, row in rows:
                 if spec.having.evaluate({}, {"window": row}):
-                    self._publish(query, "having", key, row, primary,
-                                  row.get(primary), window_start, window_end)
+                    self._publish(query, "having", key, row, window_end)
         elif query.deviation is None and query.topk is None:
             for key, row in rows:
-                self._publish(query, "window", key, row, primary,
-                              row.get(primary), window_start, window_end)
+                self._publish(query, "window", key, row, window_end)
         if query.deviation is not None:
             column = query.deviation.spec.column
             for key, row in rows:
                 self.server.add_monitor_cost(costs.stream_anomaly_update)
                 flagged = query.deviation.observe(key, row.get(column))
                 if flagged is not None:
-                    self._publish(query, "deviation", key, row, column,
-                                  flagged.value, window_start, window_end,
-                                  baseline=flagged.baseline,
-                                  sigma=flagged.sigma)
+                    self._publish(query, "deviation", key, row, window_end,
+                                  flagged.value, flagged.baseline,
+                                  flagged.sigma)
         if query.topk is not None:
-            column = query.topk.spec.column
             self.server.add_monitor_cost(
                 costs.stream_anomaly_update * len(rows))
             by_row = {id(row): key for key, row in rows}
             for rank, row in query.topk.rank([row for __, row in rows]):
-                self._publish(query, "topk", by_row[id(row)], row, column,
-                              row.get(column), window_start, window_end,
-                              rank=rank)
+                self._publish(query, "topk", by_row[id(row)], row,
+                              window_end, rank)
 
     # ------------------------------------------------------------------
     # sinks
     # ------------------------------------------------------------------
 
     def _publish(self, query: StreamQuery, kind: str, key: tuple,
-                 row: dict, column: str, value: Any,
-                 window_start: float, window_end: float,
-                 baseline: float | None = None, sigma: float | None = None,
-                 rank: int | None = None) -> None:
-        costs = self.server.costs
-        now = self.server.clock.now
-        alert = {
-            "stream": query.spec.name,
-            "kind": kind,
-            "group": ", ".join(str(v) for v in key) if key else None,
-            "key": key,
-            "column": column,
-            "value": value,
-            "baseline": baseline,
-            "sigma": sigma,
-            "rank": rank,
-            "window_start": window_start,
-            "window_end": window_end,
-            "time": now,
-            "row": dict(row),
-        }
+                 row: dict, window_end: float, *anomaly: Any) -> None:
+        alert = query.alert(kind, key, row, window_end,
+                            self.server.clock.now, *anomaly)
         query.alerts.append(alert)
         query.alert_count += 1
         self.alerts_published += 1
@@ -733,7 +743,7 @@ class StreamEngine:
             InsertAction(query.sink_lat).execute(
                 self._sqlcm, None,
                 {"streamalert": self._sqlcm.factory.stream_alert(alert)}, {})
-        self.server.add_monitor_cost(costs.stream_alert_publish)
+        self.server.add_monitor_cost(self.server.costs.stream_alert_publish)
         # the meta-event: ECA rules consume it as StreamAlert.Alert, and
         # stream queries over StreamAlert.Alert ingest it (flush deferred
         # by the _in_emit guard, so alert cascades cannot recurse)

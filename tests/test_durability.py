@@ -13,16 +13,20 @@ lose the uncommitted tail, nothing more.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import (DatabaseServer, EventTrace, InsertAction, LATDefinition,
                    Rule, SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
 from repro.core import state
 from repro.core.actions import CallbackAction
 from repro.core.durability import (CHECKPOINT_VERSION, DigestTap,
-                                   DurabilityManager, _query_image, compact,
-                                   frame, read_checkpoint, read_journal,
+                                   DurabilityManager, RecoveryReport,
+                                   _query_image, _Restorer, compact, frame,
+                                   read_checkpoint, read_journal,
                                    verify_recovery)
 from repro.core.resilience import DeadLetter, FaultInjected, FaultInjector
 from repro.errors import DurabilityError
@@ -477,10 +481,26 @@ def stream_work(server, n, start=0):
         server.close_session(session)
 
 
+def strict(value):
+    """``value`` in a form whose ``==`` is exact: each scalar beside its
+    type (``bytes`` is not ``str``, ``1`` is not ``1.0``, a tuple is not a
+    list), each dict as its items in order, and NaN equal to NaN."""
+    if isinstance(value, dict):
+        return "dict", [(strict(k), strict(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple, deque)):
+        return type(value).__name__, [strict(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return "float", "nan"
+    return type(value).__name__, value
+
+
 def stream_images(sqlcm):
-    """Every stream query's checkpoint image: window panes, alert ring and
-    every counter."""
+    """Every stream query's checkpoint image — window panes, alert ring
+    and every counter — and, as ``ring``, its live alerts compared
+    strictly: the image holds window rows, from which recovery derives
+    the rest of each alert."""
     return {query.name: state.loads(state.dumps(_query_image([query])))
+            | {"ring": strict(list(query.alerts))}
             for query in sqlcm.stream_engine().queries()}
 
 
@@ -614,6 +634,114 @@ class TestStreamRecovery:
         assert recovered.query("s4").panes is not \
             recovered.query("s0").panes
         assert recovered.query("s1").panes is recovered.query("s5").panes
+
+
+# ---------------------------------------------------------------------------
+# alert rings: a checkpoint holds each alert's window row, and recovery
+# rebuilds the alert through the constructor that published it
+# ---------------------------------------------------------------------------
+
+#: one query per alert kind: ``win`` groups by signature bytes, ``hav`` has
+#: no GROUP BY, ``dev`` watches an int COUNT, ``top`` ranks a float
+RING_QUERIES = (
+    "STREAM win FROM Query.Commit GROUP BY Query.Logical_Signature AS Sig "
+    "WINDOW TUMBLING(0.5) AGG COUNT(*) AS N, AVG(Query.Duration) AS D",
+    "STREAM hav FROM Query.Commit WINDOW SLIDING(0.05, 0.01) "
+    "AGG AVG(Query.Duration) AS D, COUNT(*) AS N HAVING Window.N >= 2",
+    "STREAM dev FROM Query.Commit GROUP BY Query.User AS U "
+    "WINDOW TUMBLING(1) AGG COUNT(*) AS N ANOMALY DEVIATION(N, 1, 3)",
+    "STREAM top FROM Query.Commit GROUP BY Query.User AS U, "
+    "Query.Query_Type AS T WINDOW SLIDING(2, 1) "
+    "AGG MAX(Query.Duration) AS M ANOMALY TOPK(M, 2)",
+)
+
+_values = st.one_of(st.floats(), st.integers(-3, 3), st.none())
+_counts = st.integers(1, 40)
+_users = st.sampled_from(["u0", "u1", "u2"])
+
+
+def _rows(keys, results):
+    """One window's rows of a query: ``(key, aggregate results)`` pairs,
+    one per group."""
+    return st.lists(st.tuples(keys, results), max_size=3,
+                    unique_by=lambda row: row[0])
+
+
+#: each window's rows, query by query
+WINDOW_ROWS = st.fixed_dictionaries({
+    "win": _rows(st.tuples(st.binary(min_size=1, max_size=3)),
+                 st.tuples(_counts, _values)),
+    "hav": _rows(st.just(()), st.tuples(_values, _counts)),
+    "dev": _rows(st.tuples(_users), st.tuples(_counts)),
+    "top": _rows(st.tuples(_users, st.sampled_from(["SELECT", "UPDATE"])),
+                 st.tuples(_values)),
+})
+
+#: eight windows that give every kind, wrap every ring of four, and carry
+#: bytes keys, inf and nan, and deviations flagged on an int COUNT
+EVERY_CASE = [{
+    "win": [((b"\x01\xff",), (3, math.inf)), ((b"\x02",), (1, math.nan))],
+    "hav": [((), (math.nan, 2))],
+    "dev": [(("u0",), (2 if i < 3 else 9,)), (("u1",), (2 if i < 3 else 7,))],
+    "top": [(("u0", "SELECT"), (1.5,)), (("u1", "UPDATE"), (-math.inf,)),
+            (("u2", "SELECT"), (None,))],
+} for i in range(8)]
+
+
+def ring_monitor(windows, max_alerts):
+    """A monitor whose ``RING_QUERIES`` emitted ``windows`` through the
+    engine's window evaluation, one boundary each."""
+    sqlcm = SQLCM(DatabaseServer())
+    streams = sqlcm.stream_engine()
+    for text in RING_QUERIES:
+        streams.register(text, max_alerts=max_alerts)
+    for boundary, rows in enumerate(windows, 1):
+        sqlcm.server.clock.advance(0.37)
+        for query in streams.queries():
+            streams._evaluate_window(query, boundary,
+                                     rows[query.name.lower()], 0, {})
+    return sqlcm
+
+
+def recovered_ring(query):
+    """``query``'s ring sent through the checkpoint: image, encode, decode,
+    and the ``stream_image`` handler on a fresh monitor."""
+    fresh = ring_monitor([], query.alerts.maxlen)
+    image = state.loads(state.dumps(_query_image([query])))
+    _Restorer(fresh, RecoveryReport(fresh, 0)).stream_image(image)
+    return fresh.stream_engine().query(query.name).alerts
+
+
+class TestAlertRings:
+    @settings(deadline=None, max_examples=40)
+    @given(windows=st.lists(WINDOW_ROWS, max_size=12),
+           max_alerts=st.sampled_from([3, 8, 256]))
+    @example(windows=EVERY_CASE, max_alerts=4)
+    def test_a_ring_round_trips_through_a_checkpoint(self, windows,
+                                                     max_alerts):
+        for query in ring_monitor(windows, max_alerts).stream_engine() \
+                .queries():
+            ring = recovered_ring(query)
+            assert ring.maxlen == query.alerts.maxlen
+            assert strict(list(ring)) == strict(list(query.alerts))
+
+    def test_the_example_covers_every_case(self):
+        queries = ring_monitor(EVERY_CASE, 4).stream_engine().queries()
+        alerts = {query.name.lower(): list(query.alerts)
+                  for query in queries}
+        assert {name: {a["kind"] for a in ring}
+                for name, ring in alerts.items()} == {
+            "win": {"window"}, "hav": {"having"}, "dev": {"deviation"},
+            "top": {"topk"}}
+        assert all(len(query.alerts) == 4 < query.alert_count
+                   for query in queries)
+        assert all(type(a["key"][0]) is bytes for a in alerts["win"])
+        assert {str(a["row"]["D"]) for a in alerts["win"]} == {"inf", "nan"}
+        assert all(a["key"] == () and a["group"] is None
+                   and math.isnan(a["row"]["D"]) for a in alerts["hav"])
+        assert all(type(a["value"]) is float and type(a["row"]["N"]) is int
+                   for a in alerts["dev"])
+        assert {a["rank"] for a in alerts["top"]} == {1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Tests for the DBA text reports."""
 
+import io
+import re
+
 import pytest
 
 from repro import (InsertAction, LATDefinition, Rule, SQLCM, Statement)
+from repro.cli import Shell
 from repro.monitoring.report import (blocking_health, full_report,
                                      lat_contents,
                                      monitoring_configuration,
-                                     server_activity)
+                                     server_activity, stream_activity)
 
 
 @pytest.fixture
@@ -84,9 +88,41 @@ class TestReports:
         assert "MONITORING CONFIGURATION" in text
 
     def test_cli_report_command(self, world):
-        import io
-        from repro.cli import Shell
         out = io.StringIO()
         shell = Shell(out=out)
         shell.execute_line(".report")
         assert "MONITORING CONFIGURATION" in out.getvalue()
+
+
+class TestSubSecondWindows:
+    """A window shorter than a second prints its two bounds, not ``[5s,5s)``
+    for every window."""
+
+    @pytest.fixture
+    def shell(self):
+        out = io.StringIO()
+        shell = Shell(out=out)
+        shell.execute_line(".stream STREAM fast FROM Query.Commit "
+                           "WINDOW SLIDING(0.05, 0.01) AGG COUNT(*) AS N")
+        shell.run_script("CREATE TABLE t (a INT PRIMARY KEY);"
+                         "INSERT INTO t VALUES (1); SELECT a FROM t;")
+        shell.server.clock.advance(0.1)
+        return shell, out
+
+    @staticmethod
+    def assert_distinct_bounds(bounds):
+        assert len(bounds) >= 2
+        for start, end in bounds:
+            assert float(end) - float(start) == pytest.approx(0.05)
+        assert len(set(bounds)) == len(bounds)
+
+    def test_cli_alerts(self, shell):
+        shell, out = shell
+        shell.execute_line(".alerts")
+        self.assert_distinct_bounds(
+            re.findall(r"window=\[(\S+)s,(\S+)s\)", out.getvalue()))
+
+    def test_report_streams_section(self, shell):
+        shell, __ = shell
+        self.assert_distinct_bounds(
+            re.findall(r"\[(\S+),(\S+)\)", stream_activity(shell.sqlcm)))

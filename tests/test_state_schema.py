@@ -35,6 +35,8 @@ from repro.core.lat import AggSpec, GroupSpec, OrderSpec
 from repro.core.resilience import DeadLetter, RuleHealth
 from repro.errors import DurabilityError
 
+from test_durability import strict
+
 #: dataclass state records, with the fields each keeps out of its image
 RECORDS = {
     RuleHealth: set(), GovernorPolicy: set(), GovernorTransition: set(),
@@ -284,7 +286,7 @@ class TestCheckpointRoundTrip:
                     "records": 1, "crc": zlib.crc32(header[:8].encode())}),
                 encoding="utf-8")
         with pytest.raises(DurabilityError,
-                           match="a version 3 checkpoint.*reads version 6"):
+                           match="a version 3 checkpoint.*reads version 7"):
             DurabilityManager.recover(str(tmp_path))
         with pytest.raises(DurabilityError, match="no end marker"):
             (tmp_path / "checkpoint-0002.ckpt").write_text(
@@ -302,7 +304,7 @@ class TestCheckpointRoundTrip:
                 "records": 1, "crc": zlib.crc32(header[:8].encode())}),
             encoding="utf-8")
         with pytest.raises(DurabilityError, match="a version 4 checkpoint; "
-                           "this build reads version 6 only"):
+                           "this build reads version 7 only"):
             DurabilityManager.recover(str(tmp_path))
 
     def test_a_directory_of_version_5_checkpoints_is_refused_by_name(
@@ -316,7 +318,20 @@ class TestCheckpointRoundTrip:
                 "records": 1, "crc": zlib.crc32(header[:8].encode())}),
             encoding="utf-8")
         with pytest.raises(DurabilityError, match="a version 5 checkpoint; "
-                           "this build reads version 6 only"):
+                           "this build reads version 7 only"):
+            DurabilityManager.recover(str(tmp_path))
+
+    def test_a_directory_of_version_6_checkpoints_is_refused_by_name(
+            self, tmp_path):
+        """Version 6 held each alert of a ring as a whole dict, version 7
+        holds its window row: refused by the version it carries."""
+        header = frame(1, "checkpoint", False, 0.0, {"version": 6})
+        (tmp_path / "checkpoint-0001.ckpt").write_text(
+            header + frame(2, "checkpoint_end", True, 0.0, {
+                "records": 1, "crc": zlib.crc32(header[:8].encode())}),
+            encoding="utf-8")
+        with pytest.raises(DurabilityError, match="a version 6 checkpoint; "
+                           "this build reads version 7 only"):
             DurabilityManager.recover(str(tmp_path))
 
 
@@ -409,7 +424,18 @@ class TestOneShardFoldIsTheSerialMonitor:
         assert fold_lat([sqlcm], "Aged") is sqlcm.lat("Aged")
         query = sqlcm.stream_engine().query("dev")
         assert fold_window([query]) is query.window
-        assert state.fold([query])["alerts"] is query.alerts
+
+    def test_an_alert_ring_is_walked_and_round_trips(self, tmp_path):
+        """The ring is no field of a query's image: the checkpoint walk
+        writes each alert as its window row, and recovery rebuilds it."""
+        server, sqlcm = populated_monitor()
+        query = sqlcm.stream_engine().query("top")
+        assert ("alerts", None) in type(query).STATE
+        assert "alerts" not in state.fold([query]) and query.alerts
+        DurabilityManager(sqlcm, str(tmp_path)).attach().detach()
+        recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+        assert strict(list(recovered.stream_engine().query("top").alerts)) \
+            == strict(list(query.alerts))
 
     def test_one_shard_facade_merges_nothing(self):
         server = DatabaseServer(ServerConfig(track_completed_queries=True))
