@@ -148,52 +148,80 @@ _CONTEXT_BUILDERS: dict[str, Callable] = {
 # order: the enabled test, the quarantine charge and check, the evaluation
 # count and charge, the fault check, each LAT probe with its charge, the
 # condition called through ``CompiledCondition.evaluate``, the fire counts,
-# each action with its charge through ``SQLCM._run_action``, and the end of
-# a probation.  Every charge keeps its operand and its place, so the
-# virtual cost is the same float.  The plan is decided when the text is
+# each action with its charge, and the end of a probation.  An ``Insert``
+# the plan binds runs in the block, as ``SQLCM._run_action`` and
+# ``InsertAction._maintain`` would run it; any other action runs through
+# ``_run_action``.  The monitor-cost pool is held in two locals,
+# ``pending`` and ``total``, and each charge is the two additions
+# ``add_monitor_cost`` makes, so the virtual cost is the same float; the
+# locals are written back before every call that may charge or read the
+# pool and read again after it.  The plan is decided when the text is
 # written; a rule whose plan cannot be built, or that needs a class the
 # context lacks, gets a block that calls ``_evaluate_rule``, so plan
 # failures and iteration scope stay in one place.  An action that changes
-# the rules or LATs drops the program it runs in: the rules after it run
-# through ``_run_framed``, which works their plans out again.
+# the rules or LATs drops the program it runs in, and one that turns on
+# observability or a governor needs what the program leaves out (see
+# ``_STALE``): either way the rules after it run through ``_run_framed``,
+# which works their plans out again.
 
-#: rules per generated function.  ``compile()`` needs about 100 kB per rule
-#: of one function's text while it runs (a 1000-rule tuple in one function
-#: took 105 MB more peak memory), so a program is a run of functions
-_RULES_PER_FUNCTION = 32
+#: characters of text per generated function.  ``compile()`` holds memory
+#: in proportion to one function's text while it runs (a 1000-rule tuple
+#: in one function took 105 MB more peak memory), so a program is a run of
+#: functions, each ended by the first rule that takes it past this length
+_TEXT_PER_FUNCTION = 40_000
+
+#: the pool's locals written back to the server, and read from it again
+_STORE = ("server._pending_monitor_cost, server.monitor_cost_total = "
+          "pending, total")
+_LOAD = ("pending, total = server._pending_monitor_cost, "
+         "server.monitor_cost_total")
+#: an action dropped the program (the rules or LATs changed), or turned on
+#: observability (a charge held in the locals skips ``obs.account``) or a
+#: governor (a fused Insert skips ``lat_allowed``)
+_STALE = ("sqlcm._dispatch_programs is not programs "
+          "or server._obs is not None or sqlcm.governor is not None")
 
 
 class _DispatchEmitter(FunctionSource):
-    """Writes ``dispatch(sqlcm, context, now)`` for the rules
-    ``rules[start:stop]`` over one context key set; the function returns
-    True when it handed the rest of the tuple to the interpreted loop."""
+    """Writes ``dispatch(sqlcm, context, now)`` for the rules from
+    ``rules[start]`` on over one context key set, up to the one that takes
+    the text past ``_TEXT_PER_FUNCTION``; ``stop`` is then the first rule
+    left out.  The function returns True when it handed the rest of the
+    tuple to the interpreted loop."""
 
     def __init__(self, sqlcm: "SQLCM", event: str, rules: tuple,
-                 keys: frozenset, start: int, stop: int):
+                 keys: frozenset, start: int):
         super().__init__()
         self.sqlcm = sqlcm
         self.rules = rules
         self.keys = keys
-        self.indexes = range(start, min(stop, len(rules)))
+        self.stop = start
         costs = sqlcm.server.costs
         self.quarantine_check = self.literal(costs.quarantine_check)
         self.lat_probe = self.literal(costs.lat_lookup + costs.lat_latch)
         self.action_dispatch = self.literal(costs.action_dispatch)
+        self.lat_insert = self.literal(costs.lat_insert + 3 * costs.lat_latch)
+        self.lat_evict = self.literal(costs.lat_evict)
         self.constant(event, "event")
         self.constant(rules, "rules")
         self.constant(sqlcm._dispatch_programs, "programs")
 
     def function(self) -> Callable:
         """The ``dispatch`` function; its text is ``__source__``."""
-        self.emit("add_cost = sqlcm.server.add_monitor_cost")
+        self.emit("server = sqlcm.server")
         self.emit("health = sqlcm.health")
+        self.emit(_LOAD)
         self.emit("stale = False")
-        for index in self.indexes:
-            self.rule(index, self.rules[index])
+        while self.stop < len(self.rules) \
+                and sum(map(len, self.lines)) < _TEXT_PER_FUNCTION:
+            self.rule(self.stop, self.rules[self.stop])
+            self.stop += 1
+        self.emit(_STORE)
         self.emit("return False")
         source, dispatch = self.compile(
             "dispatch", "sqlcm, context, now", "<dispatch>",
-            {"__builtins__": {"Exception": Exception}, "NULL_OBS": NULL_OBS})
+            {"__builtins__": {"Exception": Exception, "len": len},
+             "NULL_OBS": NULL_OBS})
         dispatch.__source__ = source
         return dispatch
 
@@ -205,6 +233,39 @@ class _DispatchEmitter(FunctionSource):
             return None  # fails again, in the boundary, at each evaluation
         return plan if plan.needed <= self.keys else None
 
+    # -- the pool in two locals
+
+    def charge(self, amount: str) -> None:
+        """What ``add_monitor_cost(amount)`` adds, to the locals."""
+        self.emit(f"pending += {amount}; total += {amount}")
+
+    def call_out(self, *lines: str) -> None:
+        """``lines``, which call what may charge or read the pool: the
+        locals are written back first and read again however they end."""
+        self.emit(_STORE)
+        self.emit("try:")
+        for line in lines:
+            self.emit("    " + line)
+        self.emit("finally:")
+        self.emit("    " + _LOAD)
+
+    def fault_check(self, site: str) -> None:
+        self.emit("if sqlcm.faults is not None:")
+        self.depth += 1
+        self.call_out(f"sqlcm.check_fault({site!r})")
+        self.depth -= 1
+
+    def failure(self, obj: str, site: str, failed: bool = True) -> None:
+        """The ``except`` clause of one isolation boundary."""
+        self.emit("except Exception as err:")
+        self.depth += 1
+        self.call_out(f"sqlcm._record_rule_failure({obj}, {site!r}, err)")
+        if failed:
+            self.emit("failed = True")
+        self.depth -= 1
+
+    # -- one rule
+
     def rule(self, index: int, rule: Rule) -> None:
         emit = self.emit
         obj = self.constant(rule, f"rule{index}")
@@ -212,56 +273,58 @@ class _DispatchEmitter(FunctionSource):
         emit(f"# rule {index}")
         emit(f"if {obj}.enabled:")
         self.depth += 1
-        emit(f"add_cost({self.quarantine_check})")
+        self.charge(self.quarantine_check)
         emit(f"if health.all_clear or health.allow({name}, now):")
         self.depth += 1
         plan = self.plan(rule)
         if plan is None:
-            self.interpreted(obj)
+            may_stale = self.interpreted(obj)
         else:
-            self.unrolled(index, rule, plan, obj, name)
-        if index + 1 < len(self.rules):
+            may_stale = self.unrolled(index, rule, plan, obj, name)
+        if may_stale and index + 1 < len(self.rules):
             emit("if stale:")
+            emit("    " + _STORE)
             emit(f"    sqlcm._run_framed(event, rules[{index + 1}:], context, "
                  "now, NULL_OBS, None)")
             emit("    return True")
         self.depth -= 2
 
-    def interpreted(self, obj: str) -> None:
-        emit = self.emit
-        emit("try:")
-        emit(f"    sqlcm._evaluate_rule({obj}, context)")
-        emit("except Exception as err:")
-        emit(f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
-        emit("stale = sqlcm._dispatch_programs is not programs")
+    def interpreted(self, obj: str) -> bool:
+        self.call_out(
+            "try:",
+            f"    sqlcm._evaluate_rule({obj}, context)",
+            "except Exception as err:",
+            f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
+        self.emit(f"stale = {_STALE}")
+        return True
 
     def unrolled(self, index: int, rule: Rule, plan: _RulePlan, obj: str,
-                 name: str) -> None:
+                 name: str) -> bool:
+        """The block of a rule whose plan holds; True when one of its
+        actions runs through ``_run_action`` and so may leave the program
+        stale."""
         emit = self.emit
         cond = rule.compiled_condition
         emit("try:")
         self.depth += 1
         emit(f"{obj}.evaluation_count += 1")
-        emit(f"add_cost({self.literal(plan.charge)})")
+        self.charge(self.literal(plan.charge))
         emit("failed = False")
         emit("lat_rows = {}")
         emit("try:")
-        emit("    if sqlcm.faults is not None:")
-        emit("        sqlcm.check_fault('condition')")
+        self.depth += 1
+        self.fault_check("condition")
         if cond is not None:
-            self.depth += 1
             for probe, (lat_name, lat, owner) in enumerate(plan.lat_probes):
                 table = self.constant(lat, f"lat{index}_{probe}")
                 emit(f"probed = context.get({owner!r})")
-                emit(f"add_cost({self.lat_probe})")
+                self.charge(self.lat_probe)
                 emit(f"lat_rows[{lat_name!r}] = {table}.lookup_object("
                      "probed) if probed is not None else None")
             condition = self.constant(cond, f"condition{index}")
             emit(f"fired = {condition}.evaluate(context, lat_rows)")
-            self.depth -= 1
-        emit("except Exception as err:")
-        emit(f"    sqlcm._record_rule_failure({obj}, 'condition', err)")
-        emit("    failed = True")
+        self.depth -= 1
+        self.failure(obj, "condition")
         emit("else:")
         self.depth += 1
         if cond is not None:
@@ -269,19 +332,65 @@ class _DispatchEmitter(FunctionSource):
             self.depth += 1
         emit(f"{obj}.fire_count += 1")
         emit("sqlcm.rule_firings += 1")
+        called_out = False
         for number, action in enumerate(rule.actions):
             bound = self.constant(action, f"action{index}_{number}")
-            emit(f"add_cost({self.action_dispatch})")
-            emit(f"if not sqlcm._run_action({obj}, {bound}, context, "
-                 "lat_rows):")
-            emit("    failed = True")
-        emit("stale = sqlcm._dispatch_programs is not programs")
+            target = plan.inserts.get(action.lat_name) \
+                if type(action) is InsertAction else None
+            # an action run before it may have dropped the plan, or turned
+            # on what wants this one's charges accounted
+            if target is None or called_out:
+                self.run_action(obj, bound)
+                called_out = True
+            else:
+                self.insert(obj, bound, target, f"{index}_{number}")
+        if called_out:
+            emit(f"stale = {_STALE}")
         self.depth -= 2 if cond is not None else 1
         emit("if not failed and not health.all_clear:")
         emit(f"    health.record_success({name})")
         self.depth -= 1
-        emit("except Exception as err:")
-        emit(f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
+        self.failure(obj, "evaluate", failed=False)
+        return called_out
+
+    def run_action(self, obj: str, bound: str) -> None:
+        """An action through ``_run_action``, the isolation boundary (with
+        its retries and dead letters); the charge before it goes through
+        the server, which accounts it once observability is on."""
+        self.call_out(
+            f"server.add_monitor_cost({self.action_dispatch})",
+            f"if not sqlcm._run_action({obj}, {bound}, context, lat_rows):",
+            "    failed = True")
+
+    def insert(self, obj: str, bound: str, target: tuple,
+               suffix: str) -> None:
+        """A bound ``Insert`` as ``_run_action`` and ``_maintain`` run it
+        with no governor and no observability: the dispatch charge, the
+        action's fault site, the owner (a missing one makes ``execute``
+        raise its ``ActionError``), the maintenance charge, the insert's
+        fault site, ``LAT.insert``, the eviction charge and an evict event
+        per row pushed out; a failure is the action's."""
+        emit = self.emit
+        lat, owner = target
+        table = self.constant(lat, f"target{suffix}")
+        self.charge(self.action_dispatch)
+        emit("try:")
+        self.depth += 1
+        self.fault_check("action")
+        emit(f"owner = context.get({owner!r})")
+        emit("if owner is None:")  # it raises before it charges
+        emit(f"    {bound}.execute(sqlcm, {obj}, context, lat_rows)")
+        self.charge(self.lat_insert)
+        self.fault_check("lat.insert")
+        emit(f"evicted = {table}.insert(owner, sqlcm.sample_weight)")
+        emit("if evicted:")
+        self.depth += 1
+        emit(f"charge = {self.lat_evict} * len(evicted)")
+        self.charge("charge")
+        self.call_out("for row in evicted:",
+                      f"    sqlcm.enqueue_evict_event({bound}.lat_name, row)")
+        self.depth -= 2
+        self.failure(obj, "action")
 
 
 class SQLCM:
@@ -947,10 +1056,13 @@ class SQLCM:
         programs = self._dispatch_programs
         entry = programs.get((event, keys))
         if entry is None or entry[0] is not rules:
-            entry = programs[event, keys] = (rules, tuple(
-                _DispatchEmitter(self, event, rules, keys, start,
-                                 start + _RULES_PER_FUNCTION).function()
-                for start in range(0, len(rules), _RULES_PER_FUNCTION)))
+            parts = []
+            start = 0
+            while start < len(rules):
+                emitter = _DispatchEmitter(self, event, rules, keys, start)
+                parts.append(emitter.function())
+                start = emitter.stop
+            entry = programs[event, keys] = (rules, tuple(parts))
         return entry[1]
 
     def dispatch_source(self, event: str, keys: Iterable[str]) -> str:

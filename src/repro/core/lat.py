@@ -348,15 +348,17 @@ class LAT:
                        "eviction_count", "latch_acquisitions", "peak_rows",
                        "seed_count"),
         *schema.walked("definition", "_rows"),
-        *schema.transient("_clock", "_functions", "_order_indexes",
-                          "_ordering_cacheable", "_row_bytes",
-                          "_aging_indexes", "_insert", "_heap", "_dirty",
-                          "journal"),
+        *schema.transient("_clock", "_columns", "_functions",
+                          "_order_indexes", "_ordering_cacheable",
+                          "_row_bytes", "_aging_indexes", "_insert",
+                          "_heap", "_dirty", "journal"),
     )
 
     def __init__(self, definition: LATDefinition, clock):
         self.definition = definition
         self._clock = clock
+        # every row dict a probe or an eviction builds is keyed by these
+        self._columns = definition.column_names()
         self._functions: list[AggregateFunction] = [
             aggregate_function(a.func) for a in definition.aggregations
         ]
@@ -372,7 +374,7 @@ class LAT:
             for index, __ in self._order_indexes
         )
         self._row_bytes = (_ROW_OVERHEAD_BYTES
-                           + len(definition.column_names()) * _VALUE_BYTES)
+                           + len(self._columns) * _VALUE_BYTES)
         self._aging_indexes = tuple(
             i for i, spec in enumerate(definition.aggregations)
             if spec.aging is not None)
@@ -389,7 +391,7 @@ class LAT:
         self.seed_count = 0  # rows re-uploaded by restore_lat
 
     def _resolve_order_indexes(self) -> list[tuple[int, bool]]:
-        columns = [c.lower() for c in self.definition.column_names()]
+        columns = [c.lower() for c in self._columns]
         return [
             (columns.index(o.column.lower()), o.descending)
             for o in self.definition.ordering
@@ -526,8 +528,7 @@ class LAT:
         return values
 
     def _row_values(self, row: _Row, now: float) -> dict:
-        columns = self.definition.column_names()
-        return dict(zip(columns, self._ordered_values(row, now)))
+        return dict(zip(self._columns, self._ordered_values(row, now)))
 
     # -- reads --------------------------------------------------------------------
 

@@ -74,7 +74,7 @@ CONDITIONS = {
 }
 
 ACTIONS = ("insert_top", "insert_hot", "mail", "external", "raise", "log",
-           "set_timer", "add_rule", "remove_rule", "swap_top")
+           "set_timer", "add_rule", "remove_rule", "swap_top", "govern")
 
 
 def _top(owner: str) -> LATDefinition:
@@ -93,9 +93,14 @@ _rules = st.lists(
               st.booleans() | st.just(True)),
     min_size=1, max_size=7)
 
-_faults = st.fixed_dictionaries({
-    site: st.sampled_from([0.0, 0.0, 0.3])
-    for site in ("condition", "action", "lat.insert")})
+# a latency fault charges inside ``check_fault``: the program must write
+# the pool it holds in locals back before the call and read it after.
+# ``None`` is no injector at all, where the program skips every fault
+# check and holds the pool across a whole block
+_faults = st.none() | st.fixed_dictionaries({
+    site: st.tuples(st.sampled_from([0.0, 0.0, 0.3]),
+                    st.sampled_from(["exception", "latency"]))
+    for site in ("condition", "action", "lat.insert", "lat.evict", "sink")})
 
 
 class _Side:
@@ -108,10 +113,12 @@ class _Side:
             # disabled like the null object, but not it: the interpreted
             # loop runs, and nothing is charged for its frames
             server._obs = type(NULL_OBS)()
-        injector = FaultInjector(seed=seed)
-        for site, rate in faults.items():
-            if rate:
-                injector.arm(site, rate=rate)
+        injector = None
+        if faults is not None:
+            injector = FaultInjector(seed=seed)
+            for site, (rate, mode) in faults.items():
+                if rate:
+                    injector.arm(site, rate=rate, mode=mode)
         self.injector = injector
         self.sqlcm = sqlcm = SQLCM(server, faults=injector,
                                    quarantine=QuarantinePolicy(
@@ -173,6 +180,17 @@ class _Side:
         sqlcm.drop_lat("Top")
         sqlcm.create_lat(_top(owner))
 
+    @staticmethod
+    def _govern(sqlcm, context) -> None:
+        """Install the governor mid-dispatch, which turns observability
+        on: the rules after this one run framed and accounted.  The
+        framed side's stand-in would hide the real layer from
+        ``enable_observability``, so both sides get the real one."""
+        server = sqlcm.server
+        if server._obs is not None and not server._obs.enabled:
+            server._obs = None
+        sqlcm.enable_governor()
+
     def _action(self, kind: str):
         return {
             "insert_top": lambda: InsertAction("Top"),
@@ -185,6 +203,7 @@ class _Side:
             "add_rule": lambda: CallbackAction(self._add_rule),
             "remove_rule": lambda: CallbackAction(self._remove_rule),
             "swap_top": lambda: CallbackAction(self._swap_top),
+            "govern": lambda: CallbackAction(self._govern),
         }[kind]()
 
     def replay(self) -> None:
@@ -212,7 +231,8 @@ class _Side:
             "dead_letters": sqlcm.dead_letters.snapshot(),
             "outbox": list(sqlcm.outbox),
             "commands": list(sqlcm.command_journal),
-            "faults": self.injector.snapshot(),
+            "faults": None if self.injector is None
+            else self.injector.snapshot(),
             "log": self.log,
             "calls": self.calls,
             "journal": journal,
@@ -229,6 +249,18 @@ class _Side:
 @example([("Query.Commit", 0, ["add_rule", "log"], True),
           ("Query.Commit", 1, ["remove_rule", "insert_hot"], True),
           ("Query.Commit", 4, ["mail"], True)], {}, 0, True)
+# one rule drops the LAT its own next action inserts into: an Insert
+# after an action run through ``_run_action`` runs through it too
+@example([("Query.Commit", 0, ["swap_top", "insert_top"], True),
+          ("Query.Commit", 0, ["insert_top"], True)], {}, 0, True)
+# the governor comes on mid-dispatch, before an insert of the same rule
+# and before the rules after it
+@example([("Query.Commit", 0, ["govern", "insert_top"], True),
+          ("Query.Commit", 4, ["insert_hot"], True)], {}, 0, False)
+# no fault injector: every fault check is skipped, and the pool stays in
+# the locals from a rule's first charge to its evict events
+@example([("Query.Commit", 0, ["insert_top", "mail"], True),
+          ("Query.Commit", 4, ["insert_hot"], True)], None, 0, False)
 def test_program_matches_the_interpreted_loop(rules, faults, seed,
                                               journaled):
     with tempfile.TemporaryDirectory() as directory:
@@ -262,17 +294,55 @@ def test_program_is_kept_per_rule_tuple_and_dropped_on_change():
                                                     {"query"})
 
 
+def test_a_bound_insert_runs_in_the_program():
+    """An Insert the plan binds calls ``LAT.insert`` from the program, with
+    no ``_run_action``, unless an action before it in the rule ran
+    through ``_run_action``; the condition is still called through
+    ``CompiledCondition.evaluate``, and every fault check the program makes
+    is guarded by ``sqlcm.faults``."""
+    side = _Side(False, [("Query.Commit", 1, ["insert_hot", "mail"], True),
+                         ("Query.Commit", 1, ["mail", "insert_hot"], True)],
+                 {}, 0, False, None)
+    sqlcm = side.sqlcm
+    source = sqlcm.dispatch_source("query.commit", {"query"})
+    (function,) = sqlcm._program("query.commit",
+                                 sqlcm._rules_by_event["query.commit"],
+                                 frozenset({"query"}))
+    assert function.__globals__["target0_0"] is sqlcm.lat("Hot")
+    assert "target0_0.insert(" in source
+    assert "_run_action(rule0, action0_0," not in source
+    assert "_run_action(rule0, action0_1," in source  # SendMail is not bound
+    # an Insert after an action run through ``_run_action`` runs through it
+    assert "_run_action(rule1, action1_1," in source
+    assert "target1_1" not in source
+    assert "condition0.evaluate(context, lat_rows)" in source
+    lines = source.splitlines()
+    checks = [number for number, line in enumerate(lines)
+              if "check_fault(" in line]
+    assert len(checks) == 4  # condition, action, lat.insert; condition
+    for number in checks:
+        indent = len(lines[number]) - len(lines[number].lstrip())
+        enclosing = []
+        for line in reversed(lines[:number]):
+            depth = len(line) - len(line.lstrip())
+            if line.strip() and depth < indent:
+                enclosing.append(line.strip())
+                indent = depth
+        assert "if sqlcm.faults is not None:" in enclosing, lines[number]
+
+
 def test_a_long_rule_tuple_is_a_run_of_functions():
-    """70 rules: functions over rules 0-31, 32-63 and 64-69; an action in
-    the second that adds a rule hands the rest to the interpreted loop,
-    and the third function does not run."""
+    """70 rules: seven functions of about 40 000 characters each (rules
+    0-10, 11-20, ..., 62-69); an action in the fourth (rule 40) that adds a
+    rule hands the rest to the interpreted loop, and the later functions
+    do not run."""
     side = _Side(False, [("Query.Commit", 1, ["insert_hot"], True)] * 40
                  + [("Query.Commit", 0, ["add_rule"], True)]
                  + [("Query.Commit", 1, ["insert_hot"], True)] * 29,
                  {}, 0, False, None)
     sqlcm = side.sqlcm
     source = sqlcm.dispatch_source("query.commit", {"query"})
-    assert source.count("def dispatch(") == 3
+    assert source.count("def dispatch(") == 7
     assert "rule31.enabled" in source and "rule69.enabled" in source
     side.replay()
     commits = sum(event == "query.commit" for event, __, __ in _trace())
