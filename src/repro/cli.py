@@ -23,9 +23,8 @@ Besides SQL, the shell understands monitoring meta-commands:
 ``.rules NAME --source``
                        the generated code a rule runs: its condition, the
                        insert of each LAT it feeds, and the dispatch
-                       program of its event (built on request: with
-                       observability on, as in this shell, rules run
-                       through the interpreted loop instead)
+                       program of its event (the framed variant, since
+                       this shell turns observability on)
 ``.monitor topk K``    install a top-K-expensive-queries tracker
 ``.monitor outliers``  install the Example 1 outlier detector
 ``.monitor deviation`` install the stream-query outlier detector

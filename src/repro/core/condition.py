@@ -486,13 +486,16 @@ class FunctionSource:
         return source, namespace[name]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4096)
 def _code(source: str, filename: str):
     """The code object of one generated source text.  Sharded monitors bind
     every rule and build every LAT once per shard (scratch copies, the
     shard fold and recovery build more) and ``compile()`` is most of that;
     the text is the key because trees that differ only in ``1`` / ``1.0`` /
-    ``TRUE`` compare equal yet generate different code."""
+    ``TRUE`` compare equal yet generate different code.  The size holds
+    the texts of a 1000-rule set (bench G1's are 1 127: 1000 conditions,
+    one LAT insert and 63 functions of each dispatch variant), which a
+    smaller cache would compile again, all of them, for every monitor."""
     return compile(source, filename, "exec")
 
 

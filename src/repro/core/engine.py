@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core import state
@@ -140,29 +141,26 @@ _CONTEXT_BUILDERS: dict[str, Callable] = {
 
 # -- compiled dispatch -------------------------------------------------------
 #
-# With no governor and observability off, an event's rules run as the
-# program generated for the event's rule tuple and the key set of its
-# context: the rule loop of ``SQLCM._run_framed`` and the body of
-# ``SQLCM._evaluate_rule`` unrolled rule by rule, in the manner of
-# ``core/condition.py``.  A block keeps every step of the loop, in its
-# order: the enabled test, the quarantine charge and check, the evaluation
-# count and charge, the fault check, each LAT probe with its charge, the
-# condition called through ``CompiledCondition.evaluate``, the fire counts,
-# each action with its charge, and the end of a probation.  An ``Insert``
-# the plan binds runs in the block, as ``SQLCM._run_action`` and
-# ``InsertAction._maintain`` would run it; any other action runs through
-# ``_run_action``.  The monitor-cost pool is held in two locals,
-# ``pending`` and ``total``, and each charge is the two additions
-# ``add_monitor_cost`` makes, so the virtual cost is the same float; the
-# locals are written back before every call that may charge or read the
-# pool and read again after it.  The plan is decided when the text is
-# written; a rule whose plan cannot be built, or that needs a class the
-# context lacks, gets a block that calls ``_evaluate_rule``, so plan
-# failures and iteration scope stay in one place.  An action that changes
-# the rules or LATs drops the program it runs in, and one that turns on
-# observability or a governor needs what the program leaves out (see
-# ``_STALE``): either way the rules after it run through ``_run_framed``,
-# which works their plans out again.
+# An event's rules run as the program generated for the event's rule tuple
+# and the key set of its context: the rule loop unrolled rule by rule, in
+# the manner of ``core/condition.py``.  A block keeps every step of the
+# loop, in its order: the enabled test, the quarantine charge and check,
+# the evaluation count and charge, the fault check, each LAT probe with its
+# charge, the condition called through ``CompiledCondition.evaluate``, the
+# fire counts, each action with its charge, and the end of a probation.
+# The plan is decided when the text is written: a rule over a class the
+# context lacks loops over ``SQLCM._combos``, and one whose plan cannot be
+# built builds it again, to fail in the rule's boundary.  The *framed*
+# variant runs each rule under its attribution frame and span, admitted
+# and weighed by the governor, and charges through ``add_monitor_cost``.
+# The *pooled* one, with no governor and observability off, holds the
+# pool in two locals, ``pending`` and ``total``, each charge being the two
+# additions ``add_monitor_cost`` makes (so the virtual cost is the same
+# float), written back around every call that may charge or read it; and
+# it runs an ``Insert`` the plan binds in the block, as ``_run_action``
+# and ``InsertAction._maintain`` would.  An action that leaves a program
+# stale (see ``_STALE``) hands the rest of the tuple to the framed program
+# of the rest, written over their plans as they are then.
 
 #: characters of text per generated function.  ``compile()`` holds memory
 #: in proportion to one function's text while it runs (a 1000-rule tuple
@@ -175,27 +173,32 @@ _STORE = ("server._pending_monitor_cost, server.monitor_cost_total = "
           "pending, total")
 _LOAD = ("pending, total = server._pending_monitor_cost, "
          "server.monitor_cost_total")
-#: an action dropped the program (the rules or LATs changed), or turned on
-#: observability (a charge held in the locals skips ``obs.account``) or a
-#: governor (a fused Insert skips ``lat_allowed``)
-_STALE = ("sqlcm._dispatch_programs is not programs "
-          "or server._obs is not None or sqlcm.governor is not None")
+#: an action dropped the program (the rules or LATs changed); or, for the
+#: pooled one, turned on observability (a charge held in the locals skips
+#: ``obs.account``) or a governor (a fused Insert skips ``lat_allowed``)
+_FRAMED_STALE = "sqlcm._dispatch_programs is not programs"
+_STALE = (_FRAMED_STALE + " or server._obs is not None"
+          " or sqlcm.governor is not None")
 
 
 class _DispatchEmitter(FunctionSource):
-    """Writes ``dispatch(sqlcm, context, now)`` for the rules from
+    """Writes ``dispatch(sqlcm, context, now)``, or with ``framed``
+    ``dispatch(sqlcm, context, now, obs, governor)``, for the rules from
     ``rules[start]`` on over one context key set, up to the one that takes
     the text past ``_TEXT_PER_FUNCTION``; ``stop`` is then the first rule
     left out.  The function returns True when it handed the rest of the
-    tuple to the interpreted loop."""
+    tuple to the framed program of the rest."""
 
     def __init__(self, sqlcm: "SQLCM", event: str, rules: tuple,
-                 keys: frozenset, start: int):
+                 keys: frozenset, start: int, framed: bool):
         super().__init__()
         self.sqlcm = sqlcm
         self.rules = rules
         self.keys = keys
         self.stop = start
+        self.framed = framed
+        #: whether the pool is in the locals where the text now stands
+        self.held = not framed
         costs = sqlcm.server.costs
         self.quarantine_check = self.literal(costs.quarantine_check)
         self.lat_probe = self.literal(costs.lat_lookup + costs.lat_latch)
@@ -210,44 +213,56 @@ class _DispatchEmitter(FunctionSource):
         """The ``dispatch`` function; its text is ``__source__``."""
         self.emit("server = sqlcm.server")
         self.emit("health = sqlcm.health")
-        self.emit(_LOAD)
+        if self.held:
+            self.emit(_LOAD)
         self.emit("stale = False")
         while self.stop < len(self.rules) \
                 and sum(map(len, self.lines)) < _TEXT_PER_FUNCTION:
             self.rule(self.stop, self.rules[self.stop])
             self.stop += 1
-        self.emit(_STORE)
+        if self.held:
+            self.emit(_STORE)
         self.emit("return False")
         source, dispatch = self.compile(
-            "dispatch", "sqlcm, context, now", "<dispatch>",
+            "dispatch", "sqlcm, context, now, obs, governor" if self.framed
+            else "sqlcm, context, now", "<dispatch>",
             {"__builtins__": {"Exception": Exception, "len": len},
              "NULL_OBS": NULL_OBS})
         dispatch.__source__ = source
         return dispatch
 
-    def plan(self, rule: Rule) -> _RulePlan | None:
-        """The rule's plan if its block can be unrolled over the keys."""
-        try:
-            plan = rule.plan or self.sqlcm._plan(rule)
-        except Exception:
-            return None  # fails again, in the boundary, at each evaluation
-        return plan if plan.needed <= self.keys else None
-
-    # -- the pool in two locals
+    # -- the pool, in two locals or on the server
 
     def charge(self, amount: str) -> None:
-        """What ``add_monitor_cost(amount)`` adds, to the locals."""
-        self.emit(f"pending += {amount}; total += {amount}")
+        """What ``add_monitor_cost(amount)`` adds, to the locals when they
+        hold the pool."""
+        if self.held:
+            self.emit(f"pending += {amount}; total += {amount}")
+        else:
+            self.emit(f"server.add_monitor_cost({amount})")
 
-    def call_out(self, *lines: str) -> None:
-        """``lines``, which call what may charge or read the pool: the
-        locals are written back first and read again however they end."""
+    @contextmanager
+    def released(self):
+        """What is written inside runs with the pool on the server: the
+        locals are written back first and read again however it ends."""
+        if not self.held:
+            yield
+            return
         self.emit(_STORE)
         self.emit("try:")
-        for line in lines:
-            self.emit("    " + line)
+        self.depth += 1
+        self.held = False
+        yield
+        self.held = True
+        self.depth -= 1
         self.emit("finally:")
         self.emit("    " + _LOAD)
+
+    def call_out(self, *lines: str) -> None:
+        """``lines``, which call what may charge or read the pool."""
+        with self.released():
+            for line in lines:
+                self.emit(line)
 
     def fault_check(self, site: str) -> None:
         self.emit("if sqlcm.faults is not None:")
@@ -273,43 +288,100 @@ class _DispatchEmitter(FunctionSource):
         emit(f"# rule {index}")
         emit(f"if {obj}.enabled:")
         self.depth += 1
+        outer = self.depth
+        if self.framed:
+            emit(f"with obs.attrib('rule', {name}):")
+            self.depth += 1
         self.charge(self.quarantine_check)
         emit(f"if health.all_clear or health.allow({name}, now):")
         self.depth += 1
-        plan = self.plan(rule)
-        if plan is None:
-            may_stale = self.interpreted(obj)
-        else:
-            may_stale = self.unrolled(index, rule, plan, obj, name)
+        may_stale = self.evaluate(index, rule, obj, name)
+        if self.framed:
+            self.depth = outer  # hand off outside the rule's frames
         if may_stale and index + 1 < len(self.rules):
             emit("if stale:")
-            emit("    " + _STORE)
-            emit(f"    sqlcm._run_framed(event, rules[{index + 1}:], context, "
-                 "now, NULL_OBS, None)")
+            if self.held:
+                emit("    " + _STORE)
+            handed = "obs, governor" if self.framed else "NULL_OBS, None"
+            emit(f"    sqlcm._dispatch_framed(event, rules[{index + 1}:], "
+                 f"context, now, {handed})")
             emit("    return True")
-        self.depth -= 2
+        self.depth = outer - 1
 
-    def interpreted(self, obj: str) -> bool:
-        self.call_out(
-            "try:",
-            f"    sqlcm._evaluate_rule({obj}, context)",
-            "except Exception as err:",
-            f"    sqlcm._record_rule_failure({obj}, 'evaluate', err)")
-        self.emit(f"stale = {_STALE}")
-        return True
-
-    def unrolled(self, index: int, rule: Rule, plan: _RulePlan, obj: str,
-                 name: str) -> bool:
-        """The block of a rule whose plan holds; True when one of its
-        actions runs through ``_run_action`` and so may leave the program
-        stale."""
+    def evaluate(self, index: int, rule: Rule, obj: str, name: str) -> bool:
+        """The rule's evaluation in its ``evaluate`` isolation boundary,
+        admitted, weighed and timed by a governor and in its span when
+        framed; True when one of its actions runs through ``_run_action``
+        and so may leave the program stale."""
         emit = self.emit
-        cond = rule.compiled_condition
+        if self.framed:
+            span = self.constant(f"rule:{rule.name}", f"span{index}")
+            emit("if governor is not None:")
+            emit(f"    admitted, weight = governor.admit({obj}, event)")
+            emit("if governor is None or admitted:")
+            emit(f"    with obs.span({span}, 'rule', event=event):")
+            self.depth += 2
         emit("try:")
         self.depth += 1
+        if self.framed:
+            emit("if governor is not None:")
+            emit("    cost_before = server.monitor_cost_total")
+            emit("    sqlcm.sample_weight = weight")
+            emit("try:")
+            self.depth += 1
+        try:
+            plan = rule.plan or self.sqlcm._plan(rule)
+        except Exception:
+            plan = None
+        if plan is None:  # it fails again, in the boundary, at each call
+            emit(f"sqlcm._plan({obj})")
+            may_stale = False
+        elif plan.needed <= self.keys:
+            may_stale = self.combination(index, rule, plan, obj, "context")
+            emit("if not failed and not health.all_clear:")
+            emit(f"    health.record_success({name})")
+        else:
+            may_stale = self.scoped(index, rule, plan, obj, name)
+        if self.framed:
+            self.depth -= 1
+            emit("finally:")
+            emit("    if governor is not None:")
+            emit("        sqlcm.sample_weight = 1")
+            emit("if governor is not None:")
+            emit(f"    governor.note_eval({name}, "
+                 "server.monitor_cost_total - cost_before)")
+        self.depth -= 1
+        self.failure(obj, "evaluate", failed=False)
+        return may_stale
+
+    def scoped(self, index: int, rule: Rule, plan: _RulePlan, obj: str,
+               name: str) -> bool:
+        """Iteration scope (Section 5.2): the block once per combination of
+        the context with registered objects of the classes it lacks, with
+        the pool on the server."""
+        emit = self.emit
+        missing = self.constant(plan.needed - self.keys, f"missing{index}")
+        with self.released():
+            emit("evaluated = failed = False")
+            emit(f"for combo in sqlcm._combos({missing}, context):")
+            self.depth += 1
+            emit("evaluated = True")
+            may_stale = self.combination(index, rule, plan, obj, "combo")
+            self.depth -= 1
+            emit("if evaluated and not failed and not health.all_clear:")
+            emit(f"    health.record_success({name})")
+        return may_stale
+
+    def combination(self, index: int, rule: Rule, plan: _RulePlan, obj: str,
+                    combo: str) -> bool:
+        """One evaluation of the condition and, if it fires, the actions,
+        against the objects in the local ``combo``."""
+        emit = self.emit
+        cond = rule.compiled_condition
         emit(f"{obj}.evaluation_count += 1")
         self.charge(self.literal(plan.charge))
-        emit("failed = False")
+        if combo == "context":  # a loop keeps ``failed`` across combos
+            emit("failed = False")
         emit("lat_rows = {}")
         emit("try:")
         self.depth += 1
@@ -317,12 +389,12 @@ class _DispatchEmitter(FunctionSource):
         if cond is not None:
             for probe, (lat_name, lat, owner) in enumerate(plan.lat_probes):
                 table = self.constant(lat, f"lat{index}_{probe}")
-                emit(f"probed = context.get({owner!r})")
+                emit(f"probed = {combo}.get({owner!r})")
                 self.charge(self.lat_probe)
                 emit(f"lat_rows[{lat_name!r}] = {table}.lookup_object("
                      "probed) if probed is not None else None")
             condition = self.constant(cond, f"condition{index}")
-            emit(f"fired = {condition}.evaluate(context, lat_rows)")
+            emit(f"fired = {condition}.evaluate({combo}, lat_rows)")
         self.depth -= 1
         self.failure(obj, "condition")
         emit("else:")
@@ -332,34 +404,33 @@ class _DispatchEmitter(FunctionSource):
             self.depth += 1
         emit(f"{obj}.fire_count += 1")
         emit("sqlcm.rule_firings += 1")
+        if not self.held:
+            emit("server.obs.count('sqlcm.rules.fired')")
         called_out = False
         for number, action in enumerate(rule.actions):
             bound = self.constant(action, f"action{index}_{number}")
             target = plan.inserts.get(action.lat_name) \
                 if type(action) is InsertAction else None
             # an action run before it may have dropped the plan, or turned
-            # on what wants this one's charges accounted
-            if target is None or called_out:
-                self.run_action(obj, bound)
+            # on what wants this one's charges accounted; where the pool
+            # is on the server (the framed program, a loop) nothing fuses
+            if target is None or called_out or not self.held:
+                self.run_action(obj, bound, combo)
                 called_out = True
             else:
                 self.insert(obj, bound, target, f"{index}_{number}")
         if called_out:
-            emit(f"stale = {_STALE}")
+            emit(f"stale = {_FRAMED_STALE if self.framed else _STALE}")
         self.depth -= 2 if cond is not None else 1
-        emit("if not failed and not health.all_clear:")
-        emit(f"    health.record_success({name})")
-        self.depth -= 1
-        self.failure(obj, "evaluate", failed=False)
         return called_out
 
-    def run_action(self, obj: str, bound: str) -> None:
+    def run_action(self, obj: str, bound: str, combo: str) -> None:
         """An action through ``_run_action``, the isolation boundary (with
         its retries and dead letters); the charge before it goes through
         the server, which accounts it once observability is on."""
         self.call_out(
             f"server.add_monitor_cost({self.action_dispatch})",
-            f"if not sqlcm._run_action({obj}, {bound}, context, lat_rows):",
+            f"if not sqlcm._run_action({obj}, {bound}, {combo}, lat_rows):",
             "    failed = True")
 
     def insert(self, obj: str, bound: str, target: tuple,
@@ -1025,13 +1096,10 @@ class SQLCM:
     def _dispatch_rules(self, event: str, payload: dict | None,
                         rules: tuple, obs, context: Any) -> None:
         """The dispatch body: context assembly (unless the entry built the
-        context already), then rules in order.
-
-        With no governor and the null observability object the rules run
-        as the generated program of their tuple (see
-        ``_DispatchEmitter``).  The test is identity with the null object,
-        not ``obs.enabled``: a replay shard's ShardObs reads disabled
-        while its attribution frames are live."""
+        context already), then the rules in order, as the generated
+        program of their tuple (see ``_DispatchEmitter``): the pooled
+        variant with no governor and the null observability object, the
+        framed one otherwise."""
         server = self.server
         server.add_monitor_cost(server.costs.event_dispatch)
         if context is _UNBUILT:
@@ -1041,75 +1109,49 @@ class SQLCM:
         now = server.clock.now
         governor = self.governor
         if governor is None and obs is NULL_OBS:
-            for part in self._program(event, rules, frozenset(context)):
+            for part in self._program(event, rules, frozenset(context),
+                                      False):
                 if part(self, context, now):
-                    break  # the interpreted loop ran the rest
+                    break  # the framed program ran the rest
         else:
-            self._run_framed(event, rules, context, now, obs, governor)
+            self._dispatch_framed(event, rules, context, now, obs, governor)
 
-    def _program(self, event: str, rules: tuple,
-                 keys: frozenset) -> tuple[Callable, ...]:
-        """The dispatch program of ``rules`` over a context holding
-        ``keys``, as its run of functions: built on first use, kept while
-        ``rules`` is still the event's tuple and no registration change
-        has dropped the cache."""
+    def _dispatch_framed(self, event: str, rules: tuple,
+                         context: dict[str, MonitoredObject], now: float,
+                         obs, governor: OverloadGovernor | None) -> None:
+        """``rules`` as the framed program."""
+        for part in self._program(event, rules, frozenset(context), True):
+            if part(self, context, now, obs, governor):
+                break  # the framed program of the rest ran it
+
+    def _program(self, event: str, rules: tuple, keys: frozenset,
+                 framed: bool) -> tuple[Callable, ...]:
+        """The pooled or ``framed`` dispatch program of ``rules`` over a
+        context holding ``keys``, as its run of functions: built on first
+        use, kept while ``rules`` is still the tuple it was built for and
+        no registration change has dropped the cache."""
         programs = self._dispatch_programs
-        entry = programs.get((event, keys))
+        entry = programs.get((event, keys, framed))
         if entry is None or entry[0] is not rules:
             parts = []
             start = 0
             while start < len(rules):
-                emitter = _DispatchEmitter(self, event, rules, keys, start)
+                emitter = _DispatchEmitter(self, event, rules, keys, start,
+                                           framed)
                 parts.append(emitter.function())
                 start = emitter.stop
-            entry = programs[event, keys] = (rules, tuple(parts))
+            entry = programs[event, keys, framed] = (rules, tuple(parts))
         return entry[1]
 
     def dispatch_source(self, event: str, keys: Iterable[str]) -> str:
         """The text of the dispatch program of ``event``'s rules over a
-        context holding the objects of ``keys`` (lowercase class names),
-        built now if no dispatch has needed it."""
+        context holding the objects of ``keys`` (lowercase class names), in
+        the variant a dispatch would run now, built now if no dispatch has
+        needed it."""
+        framed = self.governor is not None or self.server.obs is not NULL_OBS
         return "\n".join(part.__source__ for part in self._program(
-            event, self._rules_by_event.get(event, ()), frozenset(keys)))
-
-    def _run_framed(self, event: str, rules: tuple,
-                    context: dict[str, MonitoredObject], now: float, obs,
-                    governor: OverloadGovernor | None) -> None:
-        """The interpreted rule loop, the reference the dispatch program
-        unrolls: each rule runs under its own attribution frame so every
-        charge it makes is tallied against that rule, and the governor
-        admits it first."""
-        server = self.server
-        costs = server.costs
-        for rule in rules:
-            if not rule.enabled:
-                continue
-            with obs.attrib("rule", rule.name):
-                server.add_monitor_cost(costs.quarantine_check)
-                if not self.health.allow(rule.name, now):
-                    continue
-                if governor is not None:
-                    admitted, weight = governor.admit(rule, event)
-                    if not admitted:
-                        continue
-                with obs.span(f"rule:{rule.name}", "rule", event=event):
-                    try:
-                        if governor is None:
-                            self._evaluate_rule(rule, context)
-                        else:
-                            cost_before = server.monitor_cost_total
-                            self.sample_weight = weight
-                            try:
-                                self._evaluate_rule(rule, context)
-                            finally:
-                                self.sample_weight = 1
-                            governor.note_eval(
-                                rule.name,
-                                server.monitor_cost_total - cost_before)
-                    except Exception as err:
-                        # isolation backstop: scope iteration / context
-                        # assembly failures
-                        self._record_rule_failure(rule, "evaluate", err)
+            event, self._rules_by_event.get(event, ()), frozenset(keys),
+            framed))
 
     # ------------------------------------------------------------------
     # context assembly
@@ -1168,10 +1210,11 @@ class SQLCM:
     # ------------------------------------------------------------------
 
     def _plan(self, rule: Rule) -> _RulePlan:
-        """Build and keep ``rule.plan``.  Runs inside the rule's isolation
-        boundary on its first evaluation after a registration change, so
-        a plan that cannot be built (an action naming a dropped LAT) fails
-        there, every time: nothing is kept unless all of it resolved."""
+        """Build and keep ``rule.plan``, when the dispatch program is
+        written.  A plan that cannot be built (an action naming a dropped
+        LAT) is built again in the rule's block, inside its isolation
+        boundary, so it fails there, every time: nothing is kept unless
+        all of it resolved."""
         cond = rule.compiled_condition
         costs = self.server.costs
         needed: set[str] = set()
@@ -1213,52 +1256,6 @@ class SQLCM:
                       for obj in self._iterate_class(class_name)
                       for combo in combos]
         return combos
-
-    def _evaluate_rule(self, rule: Rule,
-                       context: dict[str, MonitoredObject]) -> None:
-        plan = rule.plan or self._plan(rule)
-        if context.keys() >= plan.needed:
-            combos = (context,)  # the event's own context, as it is
-        else:
-            combos = self._combos(plan.needed.difference(context), context)
-        cond = rule.compiled_condition
-        server = self.server
-        costs = server.costs
-        evaluated = False
-        failed = False
-        for combo in combos:
-            rule.evaluation_count += 1
-            evaluated = True
-            server.add_monitor_cost(plan.charge)
-            lat_rows: dict[str, dict | None] = {}
-            try:
-                self.check_fault("condition")
-                if cond is not None:
-                    for lat_name, lat, owner in plan.lat_probes:
-                        obj = combo.get(owner)
-                        server.add_monitor_cost(
-                            costs.lat_lookup + costs.lat_latch
-                        )
-                        lat_rows[lat_name] = (
-                            lat.lookup_object(obj) if obj is not None
-                            else None
-                        )
-                fired = cond is None or cond.evaluate(combo, lat_rows)
-            except Exception as err:
-                self._record_rule_failure(rule, "condition", err)
-                failed = True
-                continue
-            if not fired:
-                continue
-            rule.fire_count += 1
-            self.rule_firings += 1
-            server.obs.count("sqlcm.rules.fired")
-            for action in rule.actions:
-                server.add_monitor_cost(costs.action_dispatch)
-                if not self._run_action(rule, action, combo, lat_rows):
-                    failed = True
-        if evaluated and not failed and not self.health.all_clear:
-            self.health.record_success(rule.name)  # ends a probation
 
     # ------------------------------------------------------------------
     # isolation boundary: action execution, retry, dead letters

@@ -61,20 +61,6 @@ class CostAttribution:
         self.charges[key] = self.charges.get(key, 0) + 1
         self.total += seconds
 
-    def merge_from(self, other: "CostAttribution") -> None:
-        """Fold another attribution's tallies into this one.
-
-        The shard merge boundary (see repro.shard): per-shard attributions
-        each satisfy the conservation invariant locally, and summation
-        preserves it — the merged per-component sums equal the merged pool
-        total up to float associativity."""
-        for key, cost in other.totals.items():
-            self.totals[key] = self.totals.get(key, 0.0) + cost
-        for key, count in other.charges.items():
-            self.charges[key] = self.charges.get(key, 0) + count
-        self.total += other.total
-        self.pushes += other.pushes
-
     # -- read side ------------------------------------------------------------
 
     def attributed_total(self) -> float:

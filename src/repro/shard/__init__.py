@@ -9,8 +9,7 @@ proof.
 """
 
 from repro.shard.partition import QUERY_KEY_MODES, EventTrace, Partitioner
-from repro.shard.sharded import (ShardedSQLCM, ShardObs, ShardServer,
-                                 ShardState)
+from repro.shard.sharded import ShardedSQLCM, ShardServer, ShardState
 
 __all__ = [
     "ShardedSQLCM",
@@ -18,6 +17,5 @@ __all__ = [
     "EventTrace",
     "ShardServer",
     "ShardState",
-    "ShardObs",
     "QUERY_KEY_MODES",
 ]

@@ -16,9 +16,9 @@ The facade is a harness over a recorded
 :class:`~repro.shard.partition.EventTrace`, never a monitor on the live
 bus (that is :class:`~repro.core.engine.SQLCM`).  Each shard processes
 its partition of the trace with a shard-local clock view pinned to each
-event's recorded time, accumulating costs and attribution entirely
-shard-locally; partitions run one after another (sharding is a
-state-partitioning model, see DESIGN.md section 12).  The virtual
+event's recorded time, accumulating costs entirely shard-locally;
+partitions run one after another (sharding is a state-partitioning
+model, see DESIGN.md section 12).  The virtual
 makespan (max per-shard cost) is the tier's cost model: events/makespan
 is the virtual throughput the P1 bench reports.
 
@@ -42,8 +42,7 @@ from repro.core.schema import SCHEMA, SQLCMSchema
 from repro.drivers.base import resolve
 from repro.engine.events import EventBus
 from repro.errors import RuleError, StreamError
-from repro.obs.attribution import CostAttribution
-from repro.obs.observability import _AttribContext, _NullObservability
+from repro.obs.observability import NULL_OBS
 from repro.shard.partition import EventTrace, Partitioner
 from repro.stream.windows import WindowState
 
@@ -72,31 +71,6 @@ class ShardClock:
         self._override = t
 
 
-class ShardObs(_NullObservability):
-    """A shard's observability facade: shard-local attribution only.
-
-    Spans and metrics stay the null object's no-ops (``enabled`` reads
-    False), but attribution frames still open — every charge the shard
-    makes is tallied against the innermost frame of the *shard's own*
-    :class:`CostAttribution`.  That is what a replay can say about where
-    the monitoring cost of each partition went: each shard's tally
-    satisfies the conservation invariant on its own, and
-    :meth:`ShardedSQLCM.merged_attribution` folds them into the per-rule,
-    per-LAT, per-stream breakdown of the whole trace.
-    """
-
-    __slots__ = ("attribution",)
-
-    def __init__(self):
-        self.attribution = CostAttribution()
-
-    def account(self, seconds: float) -> None:
-        self.attribution.account(seconds)
-
-    def attrib(self, kind: str, name: str) -> _AttribContext:
-        return _AttribContext(self.attribution, kind, name)
-
-
 class ShardServer:
     """Per-shard server proxy: shard-local clock, costs, obs, and bus.
 
@@ -114,14 +88,16 @@ class ShardServer:
         self.clock = ShardClock(server.clock)
         self.costs = server.costs
         self.events = EventBus()
-        # a replay has no live facade to charge: each shard tallies its
-        # own partition's attribution
-        self.obs = ShardObs()
+        # a replay observes nothing, so its shards run the pooled dispatch
+        # program, which holds this proxy's own pool and reads ``_obs``
+        self.obs = NULL_OBS
+        self._obs = None
+        self._pending_monitor_cost = 0.0
         self.monitor_cost_total = 0.0
 
     def add_monitor_cost(self, seconds: float) -> None:
+        self._pending_monitor_cost += seconds
         self.monitor_cost_total += seconds
-        self.obs.account(seconds)
 
     def __getattr__(self, name: str):
         return getattr(self._real, name)
@@ -284,17 +260,6 @@ class ShardedSQLCM:
                 raise StreamError(f"unknown stream query {stream_name!r}")
             queries.append(monitor._streams.query(stream_name))
         return fold_window(queries)
-
-    def merged_attribution(self) -> CostAttribution:
-        """Per-shard attributions folded together.
-
-        Each shard's attribution satisfies the conservation invariant
-        locally; the fold preserves it, so the merged per-component sums
-        equal the merged pool total up to float associativity."""
-        merged = CostAttribution()
-        for shard in self.shards:
-            merged.merge_from(shard.proxy.obs.attribution)
-        return merged
 
     def rule_stats(self, name: str) -> tuple[int, int]:
         """Merged ``(fire_count, evaluation_count)`` across shards."""

@@ -96,11 +96,28 @@ class TestMetaCommands:
         assert "def insert(self, source, weight, now):" in text
         assert "-- dispatch program of query.commit over a query object " \
                "(Duration_LAT_track is rule 1)" in text
-        assert "def dispatch(sqlcm, context, now):" in text
+        assert "def dispatch(sqlcm, context, now, obs, governor):" in text
         sh.execute_line(".rules Duration_LAT_outliers --source")
         assert "def _condition(context, lat_rows):" in output_of(shell)
         sh.execute_line(".rules nope --source")
         assert "error: unknown rule 'nope'" in output_of(shell)
+
+    def test_rule_source_is_the_program_the_shell_runs(self, shell):
+        """The shell observes itself, so its rules run framed: the program
+        it prints opens each rule's attribution frame, and is the one its
+        dispatches ran."""
+        sh, __ = shell
+        sh.run_script(".monitor topk 2\n"
+                      "CREATE TABLE t (a INT PRIMARY KEY);\n"
+                      "INSERT INTO t VALUES (1);\n")
+        rule = next(iter(sh.sqlcm.rules.values()))
+        sh.execute_line(f".rules {rule.name} --source")
+        assert "with obs.attrib('rule', name0):" in output_of(shell)
+        (key, (__, program)), = [
+            item for item in sh.sqlcm._dispatch_programs.items()
+            if item[0][0] == "query.commit"]
+        assert key[2] is True  # framed
+        assert program[0].__source__ in output_of(shell)
 
     def test_checkpoint_attaches_then_checkpoints(self, shell, tmp_path):
         sh, __ = shell

@@ -279,7 +279,7 @@ class TestProbeMemo:
             self, monitored, duration_calls, observed):
         server, sqlcm = monitored
         if observed:
-            server.enable_observability()  # the interpreted loop
+            server.enable_observability()  # the framed program
         sqlcm.create_lat(LATDefinition(
             name="Last", monitored_class="Query",
             grouping=["Query.ID AS Qid"],

@@ -1,7 +1,7 @@
 """Tests for the sharded replay tier (repro.shard).
 
 Covers the replay-stable partitioner, event-trace recording, the LAT /
-window / attribution merge boundary, and the determinism proof: a
+window merge boundary, and the determinism proof: a
 replayed sharded run, on any shard count, digest-equals the serial run
 on the same trace whenever the monitored group keys align with the
 partition key.  The proof tests are marked ``shard_determinism``
@@ -10,7 +10,6 @@ so CI can run them as a named tier-1 step.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -22,7 +21,6 @@ from repro.core.lat import LAT
 from repro.engine.query import QueryContext
 from repro.errors import LATError
 from repro.sim import SimClock
-from repro.sim.costs import CostModel
 from repro.stream.windows import WindowState
 
 _IDS = itertools.count(1)
@@ -355,61 +353,6 @@ class TestDeterminismProof:
         assert sum(quad["shard_costs"]) == pytest.approx(
             single["makespan"], rel=1e-9)
         assert quad["makespan"] < single["makespan"]
-        # per-shard attribution satisfies the conservation invariant
-        merged = quad_facade.merged_attribution()
-        assert merged.attributed_total() == pytest.approx(
-            merged.total, rel=1e-9)
-        assert merged.total == pytest.approx(sum(quad["shard_costs"]),
-                                             rel=1e-9)
-
-    def test_replay_attributes_cost_to_each_rule_like_serial(self):
-        """Per-rule attribution survives the dispatch loop's fast path.
-
-        ``ShardObs.enabled`` is False *while its attribution frames are
-        live*, so a fast loop entered on ``not obs.enabled`` (instead of
-        ``obs is NULL_OBS``) would run replay shards frameless: every
-        rule's cost would land unattributed, conservation and all digests
-        would still hold, and only this comparison fails.  The serial
-        side runs with observability on and its self-charges priced at
-        zero, so a rule's frame holds exactly what the shards tally."""
-        conditions = {
-            "one_atom": "Query.Duration >= 0",
-            "three_atoms": "Query.Duration >= 0 AND Query.ID > 0 "
-                           "AND Query.Query_Type = 'SELECT'",
-            "five_atoms": "Query.Duration >= 0 AND Query.ID > 0 "
-                          "AND Query.Times_Blocked >= 0 "
-                          "AND Query.User = 'u1' AND Query.Duration < 0",
-        }
-
-        def install(monitor):
-            monitor.create_lat(qid_lat())
-            for name, condition in conditions.items():
-                monitor.add_rule(Rule(name=name, event="Query.Commit",
-                                      condition=condition,
-                                      actions=[InsertAction("Q_LAT")]))
-
-        free_obs = dataclasses.replace(CostModel(), obs_attrib=0.0,
-                                       obs_span=0.0, obs_metric=0.0)
-        server = DatabaseServer(ServerConfig(costs=free_obs))
-        server.execute_ddl("CREATE TABLE items (id INT PRIMARY KEY, v INT)")
-        server.enable_observability()
-        install(SQLCM(server))
-        trace = EventTrace().attach(server)
-        drive(server)
-        trace.detach()
-        serial = server.obs.attribution.totals
-
-        facade = ShardedSQLCM(build_server(), n_shards=4, subscribe=False)
-        install(facade)
-        facade.run_trace(trace)
-        merged = facade.merged_attribution().totals
-        costs = [merged[("rule", name)] for name in conditions]
-        assert costs == sorted(costs) and len(set(costs)) == 3
-        for name in conditions:
-            assert merged[("rule", name)] == pytest.approx(
-                serial[("rule", name)], rel=1e-9)
-        assert merged[("lat", "q_lat")] == pytest.approx(
-            serial[("lat", "q_lat")], rel=1e-9)
 
     def test_merged_lat_and_rule_stats_match_serial(self):
         server = build_server()
