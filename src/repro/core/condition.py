@@ -247,7 +247,8 @@ class CompiledCondition:
     ``attributes`` — lowercase class-attribute names the condition reads
     (bound references only, not LAT columns or literals — this is what
     ``signatures_needed`` consults instead of scanning the raw text);
-    ``source`` — the text of the generated function, for debugging.
+    ``bound`` — the :class:`IndexBound` its leading conjuncts imply, or
+    None; ``source`` — the text of the generated function, for debugging.
     """
 
     def __init__(self, text: str, tree, classes: set[str], lats: set[str],
@@ -258,6 +259,7 @@ class CompiledCondition:
         self.lats = lats
         self.atomic_count = atomic_count
         self.attributes = attributes if attributes is not None else set()
+        self.bound = _index_bound(tree)
 
     def evaluate(self, context: dict[str, Any],
                  lat_rows: dict[str, dict | None]) -> bool:
@@ -396,6 +398,53 @@ def _bind_refs(node, columns: dict[str, dict[str, str]]):
                 return CLiteral(-value)
         return CUnary(node.op, operand)
     return node
+
+
+class IndexBound(NamedTuple):
+    """The interval a condition's leading conjuncts hold one attribute of
+    one class in: the condition is False wherever that attribute is NULL,
+    or a number outside it.  ``lower`` and ``upper`` are ``(value,
+    strict)``, or None where the conjuncts set no bound on that side."""
+
+    class_name: str  # lowercase
+    attribute: str   # lowercase
+    lower: tuple | None
+    upper: tuple | None
+
+
+#: comparison -> the sides ``Class.Attr <op> literal`` bounds, with strictness
+_BOUND_SIDES = {">": ((0, True),), ">=": ((0, False),), "<": ((1, True),),
+                "<=": ((1, False),), "=": ((0, False), (1, False))}
+
+
+def _index_bound(tree) -> IndexBound | None:
+    """The bound the leading top-level AND conjuncts of a bound tree imply:
+    each ``Class.Attr <op> literal`` over the same attribute, with ``op``
+    one of ``< <= > >= =`` and a finite number as the literal.  The first
+    of them is the condition's first probe, and each reads that attribute
+    alone, so while they all hold the condition has read nothing else."""
+    operands = _operands(tree) \
+        if isinstance(tree, CBinary) and tree.op == "AND" else [tree]
+    ref = None
+    limits: list = [None, None]  # lower, upper
+    for operand in operands:
+        if not (isinstance(operand, CBinary) and operand.op in _BOUND_SIDES
+                and isinstance(operand.left, _BoundClassAttr)
+                and (ref is None or operand.left == ref)
+                and isinstance(operand.right, CLiteral)
+                and type(operand.right.value) in (int, float)
+                and (type(operand.right.value) is int
+                     or math.isfinite(operand.right.value))):
+            break
+        ref, value = operand.left, operand.right.value
+        for side, strict in _BOUND_SIDES[operand.op]:
+            limit = limits[side]
+            if limit is None or value == limit[0] and strict \
+                    or (value > limit[0] if side == 0 else value < limit[0]):
+                limits[side] = (value, strict)
+    if ref is None:
+        return None
+    return IndexBound(ref.class_name, ref.attribute, *limits)
 
 
 # -- code generation -------------------------------------------------------------

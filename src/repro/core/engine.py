@@ -25,6 +25,7 @@ Design contracts from the paper honored here:
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -160,7 +161,10 @@ _CONTEXT_BUILDERS: dict[str, Callable] = {
 # it runs an ``Insert`` the plan binds in the block, as ``_run_action``
 # and ``InsertAction._maintain`` would.  An action that leaves a program
 # stale (see ``_STALE``) hands the rest of the tuple to the framed program
-# of the rest, written over their plans as they are then.
+# of the rest, written over their plans as they are then.  Both variants
+# call the condition of a rule over the context itself only if its
+# ``_ThresholdIndex`` leaves the rule a candidate; everything else in the
+# block runs, so no count or charge tells the difference.
 
 #: characters of text per generated function.  ``compile()`` holds memory
 #: in proportion to one function's text while it runs (a 1000-rule tuple
@@ -181,6 +185,105 @@ _STALE = (_FRAMED_STALE + " or server._obs is not None"
           " or sqlcm.governor is not None")
 
 
+class _ThresholdIndex:
+    """The rules of one program whose conditions bound one attribute of
+    one in-context class (``CompiledCondition.bound``): their thresholds
+    in sorted arrays, one per side and strictness, and the ``ranks`` of a
+    value in those arrays, from which a rule's ``test`` reads whether its
+    interval holds the value.  A rule fails its test only where its
+    condition is certainly False: the value is NULL, or a number outside
+    the interval.  A NaN, a value that does not compare with numbers, or
+    no object at all leaves every rule a candidate, and its condition
+    decides, or raises, as it would have."""
+
+    #: (side, strict) -> the bisect whose rank ``r`` passes the threshold
+    #: at index ``k`` when ``k < r`` (a lower bound) or ``r <= k`` (upper)
+    _SEARCH = {(0, False): bisect_right, (0, True): bisect_left,
+               (1, False): bisect_left, (1, True): bisect_right}
+
+    def __init__(self, class_name: str, attribute: str, bounds: list):
+        self.class_name = class_name
+        self.attribute = attribute
+        values: dict[tuple, set] = {}
+        for bound in bounds:
+            for side, limit in enumerate((bound.lower, bound.upper)):
+                if limit is not None:
+                    values.setdefault((side, limit[1]), set()).add(limit[0])
+        self.kinds = sorted(values)
+        self.arrays = [sorted(values[kind]) for kind in self.kinds]
+        self.searches = [(self._SEARCH[kind], array)
+                         for kind, array in zip(self.kinds, self.arrays)]
+        #: the ranks that leave every rule a candidate, and none
+        self.every = tuple(len(array) if side == 0 else 0
+                           for (side, __), array in zip(self.kinds,
+                                                        self.arrays))
+        self.none = tuple(0 if side == 0 else len(array)
+                          for (side, __), array in zip(self.kinds,
+                                                       self.arrays))
+        #: the last value ranked and its ranks: each function of a long
+        #: program ranks the same probed value again
+        self.last: tuple = (self, self.every)
+
+    def ranks(self, obj: MonitoredObject | None) -> tuple:
+        """The ranks of ``obj``'s value: the probe the condition makes
+        first, made where it would have made it."""
+        if obj is None:
+            return self.every  # the condition raises its SchemaError
+        value = obj._probe(self.attribute)
+        last = self.last
+        if value is last[0]:
+            return last[1]
+        if value is None:
+            return self.none
+        ranks = self.every
+        try:
+            if value == value:  # not NaN
+                ranks = tuple([search(array, value)
+                               for search, array in self.searches])
+        except TypeError:
+            pass
+        self.last = (value, ranks)
+        return ranks
+
+    def test(self, bound, ranks: str) -> str:
+        """The expression, over the local ``ranks``, true when the value
+        lies in ``bound``."""
+        terms = []
+        for side, limit in enumerate((bound.lower, bound.upper)):
+            if limit is not None:
+                kind = self.kinds.index((side, limit[1]))
+                at = bisect_left(self.arrays[kind], limit[0])
+                terms.append(f"{at} < {ranks}[{kind}]" if side == 0
+                             else f"{ranks}[{kind}] <= {at}")
+        return " and ".join(terms)
+
+
+def _threshold_indexes(sqlcm: "SQLCM", rules: tuple, keys: frozenset
+                       ) -> dict[int, tuple[int, _ThresholdIndex]]:
+    """Position -> (group, its index) of each rule of ``rules`` that a
+    program over ``keys`` evaluates against the context itself and whose
+    condition has a bound; a group is the rules bounding one (class,
+    attribute), numbered in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for position, rule in enumerate(rules):
+        cond = rule.compiled_condition
+        if cond is None or cond.bound is None:
+            continue
+        try:
+            plan = rule.plan or sqlcm._plan(rule)
+        except Exception:
+            continue  # the block rebuilds the plan, to fail
+        if plan.needed <= keys:
+            groups.setdefault(cond.bound[:2], []).append(position)
+    indexes = {}
+    for group, (key, positions) in enumerate(groups.items()):
+        index = _ThresholdIndex(*key, [rules[position].compiled_condition
+                                       .bound for position in positions])
+        for position in positions:
+            indexes[position] = (group, index)
+    return indexes
+
+
 class _DispatchEmitter(FunctionSource):
     """Writes ``dispatch(sqlcm, context, now)``, or with ``framed``
     ``dispatch(sqlcm, context, now, obs, governor)``, for the rules from
@@ -190,13 +293,18 @@ class _DispatchEmitter(FunctionSource):
     tuple to the framed program of the rest."""
 
     def __init__(self, sqlcm: "SQLCM", event: str, rules: tuple,
-                 keys: frozenset, start: int, framed: bool):
+                 keys: frozenset, start: int, framed: bool,
+                 indexes: dict[int, tuple[int, _ThresholdIndex]]):
         super().__init__()
         self.sqlcm = sqlcm
         self.rules = rules
         self.keys = keys
         self.stop = start
         self.framed = framed
+        self.indexes = indexes
+        #: the groups of ``indexes`` read so far, each through its local
+        #: ``ranks<group>``, None until a rule of the group fills it
+        self.used: list[int] = []
         #: whether the pool is in the locals where the text now stands
         self.held = not framed
         costs = sqlcm.server.costs
@@ -216,10 +324,13 @@ class _DispatchEmitter(FunctionSource):
         if self.held:
             self.emit(_LOAD)
         self.emit("stale = False")
+        prologue = len(self.lines)
         while self.stop < len(self.rules) \
                 and sum(map(len, self.lines)) < _TEXT_PER_FUNCTION:
             self.rule(self.stop, self.rules[self.stop])
             self.stop += 1
+        if self.used:
+            self.lines.insert(prologue, f"    {self.unranked()}")
         if self.held:
             self.emit(_STORE)
         self.emit("return False")
@@ -378,11 +489,16 @@ class _DispatchEmitter(FunctionSource):
         against the objects in the local ``combo``."""
         emit = self.emit
         cond = rule.compiled_condition
+        indexed = self.indexes.get(index) if combo == "context" else None
+        # with no LAT probe, only a candidate's condition and actions read
+        # the LAT rows, so a rule that is not one makes none
+        rows_late = indexed is not None and not plan.lat_probes
         emit(f"{obj}.evaluation_count += 1")
         self.charge(self.literal(plan.charge))
         if combo == "context":  # a loop keeps ``failed`` across combos
             emit("failed = False")
-        emit("lat_rows = {}")
+        if not rows_late:
+            emit("lat_rows = {}")
         emit("try:")
         self.depth += 1
         self.fault_check("condition")
@@ -394,7 +510,13 @@ class _DispatchEmitter(FunctionSource):
                 emit(f"lat_rows[{lat_name!r}] = {table}.lookup_object("
                      "probed) if probed is not None else None")
             condition = self.constant(cond, f"condition{index}")
-            emit(f"fired = {condition}.evaluate({combo}, lat_rows)")
+            call = f"fired = {condition}.evaluate({combo}, lat_rows)"
+            if indexed is None:
+                emit(call)
+            else:
+                self.candidate(indexed, cond.bound,
+                               ("lat_rows = {}", call) if rows_late
+                               else (call,))
         self.depth -= 1
         self.failure(obj, "condition")
         emit("else:")
@@ -427,11 +549,39 @@ class _DispatchEmitter(FunctionSource):
     def run_action(self, obj: str, bound: str, combo: str) -> None:
         """An action through ``_run_action``, the isolation boundary (with
         its retries and dead letters); the charge before it goes through
-        the server, which accounts it once observability is on."""
+        the server, which accounts it once observability is on.  The
+        action may make the context's objects forget what they probed, so
+        the ranks read so far are read again."""
+        if self.used:
+            self.emit(self.unranked())
         self.call_out(
             f"server.add_monitor_cost({self.action_dispatch})",
             f"if not sqlcm._run_action({obj}, {bound}, {combo}, lat_rows):",
             "    failed = True")
+
+    def candidate(self, indexed: tuple, bound, call: tuple) -> None:
+        """The lines of ``call`` if the rule's group index leaves it a
+        candidate, ``fired = False`` otherwise; the group's ranks are
+        filled by the first of its rules to get here."""
+        emit = self.emit
+        group, index = indexed
+        ranks = f"ranks{group}"
+        table = self.constant(index, f"index{group}")
+        if group not in self.used:
+            self.used.append(group)
+        emit(f"if {ranks} is None:")
+        emit(f"    {ranks} = {table}.ranks("
+             f"context.get({index.class_name!r}))")
+        emit(f"if {index.test(bound, ranks)}:")
+        for line in call:
+            emit(f"    {line}")
+        emit("else:")
+        emit("    fired = False")
+
+    def unranked(self) -> str:
+        """The statement that sets the ranks of every group used so far
+        to None."""
+        return " = ".join(f"ranks{group}" for group in self.used) + " = None"
 
     def insert(self, obj: str, bound: str, target: tuple,
                suffix: str) -> None:
@@ -1135,9 +1285,10 @@ class SQLCM:
         if entry is None or entry[0] is not rules:
             parts = []
             start = 0
+            indexes = _threshold_indexes(self, rules, keys)
             while start < len(rules):
                 emitter = _DispatchEmitter(self, event, rules, keys, start,
-                                           framed)
+                                           framed, indexes)
                 parts.append(emitter.function())
                 start = emitter.stop
             entry = programs[event, keys, framed] = (rules, tuple(parts))

@@ -18,9 +18,10 @@ every Python call, on every thread.  There are two sets of drivers:
 Every ``def`` that ``ast`` finds under ``src/repro`` is then *reached by a
 driver*, *reached only by tests* or *never reached*.  The table and the
 two shorter classes, def by def, go to standard output.  The exit status
-is 2 when a driver fails, else 1 when a def is never reached and is not
-kept: a dunder, an abstract or raise-only def, or an entry of
-:data:`ALLOW`.
+is 2 when a driver fails (the last lines of each failing driver's
+standard output follow ``drivers failed``), else 1 when a def is never
+reached and is not kept: a dunder, an abstract or raise-only def, or an
+entry of :data:`ALLOW`.
 """
 
 from __future__ import annotations
@@ -277,7 +278,14 @@ def drivers(tmp: Path) -> list[tuple[str, str, list[str], Path]]:
     return runs
 
 
-def run_child(argv: list[str], cwd: Path, out: Path) -> tuple[int, set]:
+#: lines of a failing driver's output the census prints
+TAIL_LINES = 40
+
+
+def run_child(argv: list[str], cwd: Path, out: Path
+              ) -> tuple[int, set, list[str]]:
+    """Exit status, reached ``(path, line)`` keys and the last
+    :data:`TAIL_LINES` lines of standard output of one driver."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -289,12 +297,14 @@ def run_child(argv: list[str], cwd: Path, out: Path) -> tuple[int, set]:
     done = subprocess.run(
         [sys.executable, "-c", boot, str(Path(__file__).resolve().parent),
          str(out), *argv],
-        cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+        cwd=cwd, env=env, stdout=subprocess.PIPE, text=True,
+        errors="replace")
+    tail = done.stdout.splitlines()[-TAIL_LINES:]
     if not out.exists():
-        return done.returncode or 1, set()
+        return done.returncode or 1, set(), tail
     result = json.loads(out.read_text(encoding="utf-8"))
     return result["exit"] or done.returncode, {
-        (path, line) for path, line in result["reached"]}
+        (path, line) for path, line in result["reached"]}, tail
 
 
 # -- classifying ------------------------------------------------------------
@@ -402,21 +412,28 @@ def report(census: dict[str, list[Def]], out=sys.stdout) -> list[Def]:
 def main() -> int:
     reached = {"driver": set(), "tests": set()}
     failed = []
+    tails = []
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
         tmp = Path(scratch)
         for index, (kind, label, argv, cwd) in enumerate(drivers(tmp)):
             started = time.monotonic()
-            status, keys = run_child(argv, cwd,
-                                     tmp / f"reached-{index}.json")
+            status, keys, tail = run_child(argv, cwd,
+                                           tmp / f"reached-{index}.json")
             reached[kind] |= keys
             print(f"# {kind:<6} {label:<40} exit {status}, "
                   f"{len(keys)} code objects, "
                   f"{time.monotonic() - started:.0f} s", flush=True)
             if status:
                 failed.append(label)
+                tails.append((label, status, tail))
     flagged = report(classify(PACKAGE, reached["driver"], reached["tests"]))
     if failed:
         print(f"\ndrivers failed: {', '.join(failed)}")
+        for label, status, tail in tails:
+            print(f"\n## {label} (exit {status}), the last {len(tail)} "
+                  f"lines of its output:")
+            for line in tail:
+                print(f"    {line}")
         return 2
     if flagged:
         print(f"\n{len(flagged)} never-reached defs are not kept: "

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.condition import (CAttrRef, CBinary, CLiteral, CUnary,
                                   bind_condition, bind_row_condition,
                                   parse_condition)
+from repro.core.engine import _ThresholdIndex
 from repro.core.objects import MonitoredObject
 from repro.core.schema import SCHEMA
 from repro.errors import SchemaError
@@ -242,6 +243,108 @@ class TestGeneratedAgainstReference:
         actual, __ = outcome(
             lambda __: compiled.evaluate({}, {"window": row}), list)
         assert actual is expected, compiled.source
+
+
+# ---------------------------------------------------------------------------
+# the threshold index: a rule it rules out is one whose condition is False
+# ---------------------------------------------------------------------------
+
+_BOUND_ATTRS = ["Query.Duration", "query.duration", "Query.Times_Blocked",
+                "Query.User"]
+_BOUND_OPS = ["<", "<=", ">", ">=", "=", "!="]
+#: literals near the values, equal to some, and one that is not finite
+_BOUND_LITERALS = ["0", "0.0", "-0.0", "1", "2.5", "-3", "7", "12", "1e999"]
+
+
+def _leading_run(atoms):
+    """The conjuncts the bound should count: a prefix over one attribute,
+    each with an ordering or ``=`` and a finite literal."""
+    run = []
+    for attribute, op, literal in atoms:
+        if op == "!=" or literal == "1e999" or \
+                (run and attribute.lower() != run[0][0].lower()):
+            break
+        run.append((attribute, op, literal))
+    return run
+
+
+class TestThresholdIndex:
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.tuples(st.sampled_from(_BOUND_ATTRS),
+                              st.sampled_from(_BOUND_OPS),
+                              st.sampled_from(_BOUND_LITERALS)),
+                    min_size=1, max_size=4),
+           st.none() | conditions_over(_rule_refs),
+           st.fixed_dictionaries({a: _values | st.sampled_from(
+               [float("nan"), b"sig", 10 ** 30, -0.0, 7.0, 2.5])
+               for a in QUERY_ATTRS}))
+    def test_ruled_out_only_where_false(self, atoms, rest, query):
+        """Conditions led by threshold conjuncts: where the index rules
+        the rule out, the condition is False having probed that attribute
+        alone; where the value is a number, the index rules it out exactly
+        when a counted conjunct fails."""
+        texts = [" ".join(atom) for atom in atoms]
+        if rest is not None:
+            texts.append(f"({rest})")
+        text = " AND ".join(texts)
+        compiled = bind(text)
+        run = _leading_run(atoms)
+        bound = compiled.bound
+        assert (bound is None) == (not run), text
+        if bound is None:
+            return
+        assert bound[:2] == ("query", run[0][0].partition(".")[2].lower())
+        index = _ThresholdIndex(*bound[:2], [bound])
+        ranks = index.ranks(recording("Query", query, []))
+        candidate = eval(index.test(bound, "ranks"), {"ranks": ranks})
+        expected, probes = outcome(
+            lambda context: reference(parse_condition(text), context, {}),
+            lambda log: {"query": recording("Query", query, log)})
+        if not candidate:
+            assert expected is False, text
+            assert set(probes) == {("query", bound.attribute)}, text
+        value = {attribute.lower(): value for attribute, value
+                 in query.items()}[bound.attribute]
+        if type(value) in (int, float) and value == value:
+            holds = reference(parse_condition(" AND ".join(
+                " ".join(atom) for atom in run)),
+                {"query": recording("Query", query, [])}, {})
+            assert candidate is holds, text
+
+    def test_null_rules_out_every_rule_and_no_object_none(self):
+        bounds = [bind(text).bound for text in (
+            "Query.Duration > 1", "Query.Duration <= 4", "Query.Duration = 2")]
+        index = _ThresholdIndex("query", "duration", bounds)
+        tests = [index.test(bound, "ranks") for bound in bounds]
+
+        def candidates(ranks):
+            return [eval(test, {"ranks": ranks}) for test in tests]
+
+        assert candidates(index.ranks(recording(
+            "Query", {"Duration": None}, []))) == [False] * 3
+        assert candidates(index.ranks(None)) == [True] * 3
+        assert candidates(index.ranks(recording(
+            "Query", {"Duration": "x"}, []))) == [True] * 3
+        assert candidates(index.ranks(recording(
+            "Query", {"Duration": 2}, []))) == [True] * 3
+        assert candidates(index.ranks(recording(
+            "Query", {"Duration": 1}, []))) == [False, True, False]
+        assert candidates(index.ranks(recording(
+            "Query", {"Duration": 4.5}, []))) == [True, False, False]
+
+    def test_what_has_no_bound(self):
+        for text in ("Query.Duration != 1", "1 < Query.Duration",
+                     "Query.Duration > 1e999", "Query.Duration > 'a'",
+                     "Query.Duration > TRUE", "Stats_LAT.N > 1",
+                     "Query.Duration > 1 OR Query.Duration < 0",
+                     "Query.Duration + 1 > 2", "NOT Query.Duration > 1"):
+            assert bind(text).bound is None, text
+        assert bind("Query.Duration > 1 AND Query.User > 2 "
+                    "AND Query.Duration > 5").bound == \
+            ("query", "duration", (1, True), None)
+        assert bind("Query.Duration >= 3 AND Query.Duration > 3 "
+                    "AND Query.Duration <= -1 AND Query.Duration = -1.0"
+                    ).bound == ("query", "duration", (3, True), (-1, False))
 
 
 class TestGeneratedShape:

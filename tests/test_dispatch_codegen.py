@@ -29,6 +29,7 @@ from repro import (DatabaseServer, EventTrace, FaultInjector, InsertAction,
                    SQLCM)
 from repro.core.actions import (CallbackAction, RunExternalAction,
                                 SetTimerAction)
+from repro.core.condition import CompiledCondition
 from repro.core.durability import DurabilityManager
 from repro.core.engine import _UNBUILT
 from repro.core.governor import GOV_NORMAL, GovernorPolicy, OverloadGovernor
@@ -174,10 +175,22 @@ CONDITIONS = {
         "Hot.N >= 1 OR Top.D >= 0",        # two probes, two charges
         "Timer.Interval > 5",              # iterates the armed timers
         "Transaction.Statement_Count >= 1",  # none active: no combination
+        # threshold chains: the trace's query IDs are 2-19
+        "Query.ID > 6",                    # strict beside non-strict at 6
+        "Query.ID >= 6 AND Query.ID < 12",   # an upper bound
+        "Query.ID = 7",
+        "Query.ID <= 7.0 AND Query.ID >= 7",  # = as two bounds
+        # another attribute between two bounds ends the leading run
+        "Query.ID <= 12 AND Query.Estimated_Cost > 0.0001 AND Query.ID > 9",
+        "Query.Estimated_Cost < 0.0001 AND Query.Estimated_Cost >= -1",
+        "Query.User > 3",                  # a string against a number
+        "Query.Logical_Signature >= 1",    # bytes against a number
     ],
-    "Query.Start": [None, "Query.Duration >= 0", "Hot.N > 1"],
+    "Query.Start": [None, "Query.Duration >= 0", "Hot.N > 1",
+                    "Query.Logical_Signature > 3"],  # NULL before compile
     "Transaction.Commit": [None, "Transaction.Statement_Count >= 2",
-                           "Transaction.Duration >= 0"],
+                           "Transaction.Duration >= 0",
+                           "Transaction.Statement_Count < 2"],
     "Evicted.Evict": [None],
     "RuleFailure.Error": [None, "RuleFailure.Error_Count > 1"],
 }
@@ -198,7 +211,7 @@ def _top(owner: str) -> LATDefinition:
 
 _rules = st.lists(
     st.tuples(st.sampled_from(sorted(CONDITIONS)),
-              st.integers(0, 8),
+              st.integers(0, max(map(len, CONDITIONS.values())) - 1),
               st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=3),
               st.booleans() | st.just(True)),
     min_size=1, max_size=7)
@@ -349,6 +362,14 @@ class _Side:
 
     def replay(self) -> None:
         server = self.server
+        # a monitor that reads signatures writes them into the trace's
+        # plan entries and query contexts: each side starts from none, as
+        # the trace was recorded
+        for __, payload, __ in _trace():
+            for key in ("entry", "query"):
+                if payload.get(key) is not None:
+                    payload[key].logical_signature = None
+                    payload[key].physical_signature = None
         for event, payload, time in _trace():
             server.clock.advance_to(time)
             server.events.publish(event, payload)
@@ -432,6 +453,15 @@ class _Side:
 @example([("Query.Commit", 0, ["insert_top", "mail"], True),
           ("Query.Commit", 4, ["insert_hot"], True)], None, 0, False,
          "pooled")
+# an action run through ``_run_action`` between two indexed rules makes
+# the objects forget what they probed: the second rule, not a candidate,
+# still ranks the value again where its condition would probe it again
+@example([("Query.Commit", 10, ["log"], True),
+          ("Query.Commit", 9, ["insert_hot"], True),
+          ("Query.Commit", 11, ["log"], True)], {}, 0, True, "pooled")
+@example([("Query.Commit", 10, ["log"], True),
+          ("Query.Commit", 9, ["insert_hot"], True)], None, 0, True,
+         "observed")
 # iteration scope: a rule over the armed timers, and one over the active
 # transactions (none), beside a LAT probe, admitted and sampled by a
 # governor that the trace drives off NORMAL
@@ -533,3 +563,71 @@ def test_a_long_rule_tuple_is_a_run_of_functions():
     assert [r.evaluation_count for r in sqlcm._rule_order[:70]] \
         == [commits] * 70
     assert sqlcm.rules["late"].evaluation_count == commits - 1
+
+
+def _threshold_rules(sqlcm) -> None:
+    """The rules-replay shape, cut down: 16 ``Query.Commit`` rules of six
+    ``Query.Duration`` atoms, every 8th always true and inserting, the
+    others bounded above any duration by one atom; and one rule whose
+    leading atom always holds and whose last atom, over another
+    attribute, never does."""
+    for i in range(16):
+        atoms = [f"Query.Duration >= {-1.0 * j}" for j in range(6)]
+        if i % 8 == 0:
+            sqlcm.create_lat(LATDefinition(
+                name=f"Rules_LAT_{i}", monitored_class="Query",
+                grouping=["Query.ID AS Qid"],
+                aggregations=["LAST(Query.Duration) AS Duration"]))
+        else:
+            atoms[i % 6] = f"Query.Duration > {1e6 + i}"
+        sqlcm.add_rule(Rule(name=f"rule_{i:02d}", event="Query.Commit",
+                            condition=" AND ".join(atoms),
+                            actions=[InsertAction(f"Rules_LAT_{i - i % 8}")]))
+    sqlcm.add_rule(Rule(name="candidate", event="Query.Commit",
+                        condition="Query.Duration >= 0 "
+                                  "AND Query.Estimated_Cost > 1000000",
+                        actions=[InsertAction("Rules_LAT_0")]))
+
+
+def test_the_threshold_index_calls_only_the_candidates(monkeypatch):
+    """A rule whose leading conjuncts the index proves false never calls
+    its condition; its evaluation is counted and charged all the same."""
+    sides = {}
+    for reference in (False, True):
+        server = DatabaseServer()
+        sqlcm = (Reference if reference else SQLCM)(server)
+        _threshold_rules(sqlcm)
+        calls = []
+        evaluate = CompiledCondition.evaluate
+        with monkeypatch.context() as patch:
+            patch.setattr(CompiledCondition, "evaluate",
+                          lambda self, *args: calls.append(self)
+                          or evaluate(self, *args))
+            for event, payload, time in _trace():
+                server.clock.advance_to(time)
+                server.events.publish(event, payload)
+        sides[reference] = (sqlcm, server, calls)
+    (program, server, calls), (reference, reference_server, __) = \
+        sides[False], sides[True]
+    commits = sum(event == "query.commit" for event, __, __ in _trace())
+    # the two always-true rules and the candidate that never fires
+    assert len(calls) == 3 * commits
+    assert program.rule_firings == 2 * commits
+    assert [rule.evaluation_count for rule in program._rule_order] \
+        == [rule.evaluation_count for rule in reference._rule_order] \
+        == [commits] * 17
+    assert program.state_digest() == reference.state_digest()
+    assert server.monitor_cost_total == reference_server.monitor_cost_total
+    source = program.dispatch_source("query.commit", {"query"})
+    # one group, (query, duration): each rule fills its ranks if unfilled
+    assert source.count("ranks0 = index0.ranks(context.get('query'))") == 17
+    assert "index1" not in source
+
+    bare = SQLCM(DatabaseServer())
+    bare.create_lat(LATDefinition(
+        name="Q", monitored_class="Query", grouping=["Query.ID AS Qid"],
+        aggregations=["COUNT(Query.ID) AS N"]))
+    bare.add_rule(Rule(name="all", event="Query.Commit",
+                       actions=[InsertAction("Q")]))
+    source = bare.dispatch_source("query.commit", {"query"})
+    assert "ranks" not in source and "index" not in source
