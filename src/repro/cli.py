@@ -242,21 +242,21 @@ class Shell:
             if not self.sqlcm.outbox:
                 self._print("  (empty)")
         elif command == ".deadletters":
-            journal = self.sqlcm.dead_letters
+            letters = self.sqlcm.dead_letters
             if len(parts) > 1 and parts[1].lower() == "retry":
-                report = journal.redeliver(self.sqlcm)
+                report = letters.redeliver(self.sqlcm)
                 self._print(f"  redelivered {report.delivered}, "
                             f"dropped {report.dropped} poison, "
                             f"{report.remaining} remaining")
                 return
-            for entry in journal.entries():
+            for entry in letters.entries():
                 self._print(f"  t={entry.time:.3f}s rule={entry.rule} "
                             f"{entry.payload} ({entry.attempts} attempts): "
                             f"{entry.error}")
-            if journal.dropped:
-                self._print(f"  ({journal.dropped} older entries dropped "
+            if letters.dropped:
+                self._print(f"  ({letters.dropped} older entries dropped "
                             f"from the ring)")
-            if not journal.depth:
+            if not letters.depth:
                 self._print("  (empty)")
         elif command == ".incidents":
             self._show_incidents(parts[1:])

@@ -9,19 +9,16 @@ line of tagged JSON, :func:`repro.core.state.dumps`), one reader
 per *generation* N hold such records:
 
 * ``journal-000N.wal`` — the **append-only command log** of what reached
-  the monitor after checkpoint N.  Each *entry* into the monitor from
-  outside — an engine event (``event``), a dispatch begun outside every
-  event, such as a timer alarm (``dispatch``), an explicit stream flush
-  (``stream_flush``) — is one committed record holding the inputs the
-  entry read from outside the monitor (:class:`Tape`): the probe values
-  of the objects it built, the faults it was given, the outcomes of its
-  effects, the governor's decisions.  Nothing the entry did is journaled
-  on its own; recovery runs the entry again.  An API call that changes
-  state outside every entry (DDL, ``restore_lat``, a direct LAT insert,
-  a dead-letter sweep, an admin reset) writes its *effect* record.
-  Every journal record is committed.  The reader is torn-tail tolerant:
-  it stops at the first record that fails its CRC, fails to parse, or
-  lacks its trailing newline.
+  the monitor after checkpoint N: one committed record per *entry* into
+  the monitor from outside — an engine event (``event``), a dispatch
+  begun outside every event (``dispatch``), a call of a :func:`command`
+  (``call``: an API call, the explicit stream flush, a timer alarm, a
+  governor decision at a cost drain) — holding what the entry was and
+  the inputs it read from outside the monitor (:class:`Tape`); recovery
+  runs the entry again.  The one other record is ``restore_lat``'s
+  ``lat_image``: the LAT it read from a server table, whole.  The reader
+  is torn-tail tolerant: it stops at the first record that fails its
+  CRC, fails to parse, or lacks its trailing newline.
 * ``checkpoint-000N.ckpt`` — a **compacted journal**: the shortest record
   sequence that recreates the monitor's folded state in registration
   order (:func:`compact`), written to a temp file and published with
@@ -61,55 +58,146 @@ open measurement window.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.actions import (Action, CancelAction, InsertAction,
                                 ResetAction, PersistAction,
                                 RunExternalAction, SendMailAction,
                                 SetTimerAction)
-from repro.core.engine import SQLCM, fold_lat, fold_window
-from repro.core.governor import GovernorPolicy
-from repro.core.incidents import (INCIDENT_TABLE, SWEEP_TIMER,
-                                  CancelBlockerAction, Incident,
-                                  IncidentPolicy, OpenIncidentAction,
-                                  QuarantineRuleAction, ResetLATAction)
-from repro.core.lat import LATDefinition
 from repro.core.objects import RecordingFactory, ReplayFactory
-from repro.core.resilience import DeadLetter, RuleHealth
-from repro.core.rules import Rule
 from repro.core.state import dumps, fold, load, load_into, loads
 from repro.errors import DurabilityError, FaultInjected
 
+if TYPE_CHECKING:
+    from repro.core.engine import SQLCM
+    from repro.core.rules import Rule
+
+# the modules whose methods are commands import this one for
+# :func:`command`: what it needs of them is imported where it is used
+
 #: version of the record vocabulary and line format, carried by a
-#: checkpoint's first record (7: a ``stream_image`` holds its alert ring as
-#: window rows, where 6 held whole alert dicts; since 6 the journal holds
-#: one record per entry into the monitor, re-run on recovery; 5 journaled
-#: what each event did, with one stream observation per pane group; 4 one
-#: per query; 3 wrote ``repr`` lines)
-CHECKPOINT_VERSION = 7
+#: checkpoint's first record (8: an API call is a ``call`` record, where
+#: 7 wrote its effect; 7 holds an alert ring as window rows, 6 as alert
+#: dicts; since 6 the journal holds one record per entry into the
+#: monitor; 5 journaled what each event did, with one stream observation
+#: per pane group; 4 one per query; 3 wrote ``repr`` lines)
+CHECKPOINT_VERSION = 8
+
+
+# ---------------------------------------------------------------------------
+# commands: an API call is an entry into the monitor, journaled as itself
+# ---------------------------------------------------------------------------
+
+def command(method: Callable | None = None, *,
+            unless: Callable[..., bool] | None = None,
+            body: str | None = None) -> Callable:
+    """Mark a method that changes monitor state as a *command*.
+
+    Its owner names its monitor (``sqlcm``, None if none) and its place
+    under it (``command_path``: an attribute or accessor of the monitor,
+    then the accessor's arguments).  With a journal attached and outside
+    every entry, a call is one ``call`` entry (:meth:`Journal.entry`)
+    whose record holds the path, the method and each argument by name;
+    recovery calls the method again under a replay of what the call read
+    from outside the monitor.  Otherwise the call runs straight through,
+    as it does when ``unless(owner, ...)`` holds.  A call that raises, or
+    returns ``False`` (it changed nothing), writes no record: a command
+    raises only before it mutates.  The wrapper has the method's own
+    signature and, for a method that only calls its owner's ``body``
+    function (``LAT._insert``), calls that itself: a dispatch's
+    ``LAT.insert`` costs no more than a journal test (DESIGN §14)."""
+    if method is None:
+        return functools.partial(command, unless=unless, body=body)
+    name = method.__name__
+    __, *params = inspect.signature(method).parameters.values()
+    signature, forward = ["owner"], ["owner"]
+    for p in params:  # defaults are literals: their repr is their source
+        keyword = p.kind is p.KEYWORD_ONLY
+        if keyword and "*" not in signature:
+            signature.append("*")
+        signature.append(p.name if p.default is p.empty
+                         else f"{p.name}={p.default!r}")
+        forward.append(f"{p.name}={p.name}" if keyword else p.name)
+    forward = ", ".join(forward)
+    args = ", ".join(f"{p.name!r}: {p.name}" for p in params)
+    straight = "sqlcm is None or sqlcm.journal is None " \
+        "or sqlcm.tape is not None"
+    if unless is not None:
+        straight += f" or unless({forward})"
+    run = "method" if body is None else f"owner.{body}"
+    source = (f"def {name}({', '.join(signature)}):\n"
+              f"    sqlcm = owner.sqlcm\n"
+              f"    if {straight}:\n"
+              f"        return {run}({forward})\n"
+              f"    data = call_data(sqlcm, owner, {name!r}, {{{args}}})\n"
+              f"    return sqlcm.journal.entry('call', data, method, "
+              f"{forward})\n")
+    namespace = {"method": method, "unless": unless,
+                 "call_data": call_data}
+    exec(compile(source, f"<command {name}>", "exec"), namespace)
+    return functools.update_wrapper(namespace[name], method)
+
+
+def call_data(sqlcm: SQLCM, owner: Any, method: str, args: dict) -> dict:
+    """A ``call`` record's data: the target's path, the method, and each
+    argument by name as a ``[type, value]`` pair (:func:`_argument`)."""
+    return {"path": list(owner.command_path), "method": method,
+            "args": {key: _argument(sqlcm, value)
+                     for key, value in args.items()}}
+
+
+def _argument(sqlcm: SQLCM, value: Any) -> list:
+    """``[None, value]`` for what ``dumps`` carries itself, ``["monitor",
+    None]`` for the monitor, ``[class name, image]`` for a state record
+    (a rule's image is :func:`rule_image`)."""
+    if value is sqlcm:
+        return ["monitor", None]
+    kind = type(value).__name__
+    if kind == "Rule":
+        return [kind, rule_image([value])]
+    if kind in _record_types():
+        return [kind, fold([value])]
+    return [None, value]
+
+
+@functools.cache
+def _record_types() -> dict[str, type]:
+    """The state records an API call takes as arguments."""
+    from repro.core.governor import GovernorPolicy
+    from repro.core.incidents import IncidentPolicy
+    from repro.core.lat import LATDefinition
+    from repro.core.resilience import DeadLetter
+    return {cls.__name__: cls for cls in (LATDefinition, GovernorPolicy,
+                                          IncidentPolicy, DeadLetter)}
 
 
 # ---------------------------------------------------------------------------
 # images the field codec cannot derive: polymorphic actions, registrations
 # ---------------------------------------------------------------------------
 
-# every declaratively-constructed action round-trips; CallbackAction holds
-# a live closure and cannot (its rules are re-created by the recovery
-# ``setup`` callback or reported as placeholders)
-_ACTION_TYPES: dict[str, type] = {
-    cls.__name__: cls
-    for cls in (InsertAction, ResetAction, PersistAction, SendMailAction,
-                RunExternalAction, CancelAction, SetTimerAction,
-                OpenIncidentAction, CancelBlockerAction,
-                QuarantineRuleAction, ResetLATAction)
-}
+@functools.cache
+def _action_types() -> dict[str, type]:
+    """Every declaratively-constructed action: each round-trips, where a
+    CallbackAction holds a live closure (its rules are re-created by the
+    recovery ``setup`` callback or reported as placeholders)."""
+    from repro.core.incidents import (CancelBlockerAction,
+                                      OpenIncidentAction,
+                                      QuarantineRuleAction, ResetLATAction)
+    return {cls.__name__: cls
+            for cls in (InsertAction, ResetAction, PersistAction,
+                        SendMailAction, RunExternalAction, CancelAction,
+                        SetTimerAction, OpenIncidentAction,
+                        CancelBlockerAction, QuarantineRuleAction,
+                        ResetLATAction)}
 
 
 def action_spec(action: Action) -> list | None:
-    cls = _ACTION_TYPES.get(type(action).__name__)
+    cls = _action_types().get(type(action).__name__)
     if type(action) is not cls:
         return None
     return [cls.__name__, fold([action])]
@@ -117,7 +205,7 @@ def action_spec(action: Action) -> list | None:
 
 def action_from_spec(spec: list) -> Action:
     name, image = spec
-    return load(_ACTION_TYPES[name], image)
+    return load(_action_types()[name], image)
 
 
 def rule_image(clones: Sequence[Rule]) -> dict:
@@ -163,21 +251,17 @@ def _chain(crcs) -> int:
 
 class Journal:
     """Append-only logical redo journal: a command log of the entries
-    into the monitor, and effect records for its API calls.
+    into the monitor.
 
     One :func:`frame` line per record.  An *entry* is the monitor's
-    response to one thing from outside it — an engine event, a timer
-    alarm, a dispatch an API call starts, an explicit stream flush.  It
-    runs under a recording :class:`Tape` (:meth:`entry`) and leaves one
-    committed record: what it was, and every input it read from outside
-    the monitor.  Recovery re-runs the entry from that record, so nothing
-    the entry did is journaled on its own: an append made inside an entry
-    is dropped.  Outside entries a record is an API call's effect (DDL,
-    ``restore_lat``, a direct LAT insert, a dead-letter sweep, an admin
-    reset).  The owners are the monitors whose state the records fold,
-    control first: the one monitor a :class:`DurabilityManager` journals,
-    or the shard monitors of a sharded replay that the checkpoint walk
-    compacts.
+    response to one thing from outside it — an engine event, a dispatch
+    begun outside every event, or a call of a :func:`command` (DDL, a
+    direct LAT insert, a dead-letter sweep, the explicit stream flush, a
+    timer alarm ...).  It runs under a recording :class:`Tape`
+    (:meth:`entry`) and leaves one committed record: what it was, and
+    every input it read from outside the monitor.  Recovery re-runs the
+    entry, so an append made inside an entry is dropped.  It journals the
+    first of ``monitors``.
 
     Flush policy: every record is framed committed and written with one
     ``write`` and one ``flush``, so it has reached the operating system
@@ -194,7 +278,6 @@ class Journal:
     """
 
     def __init__(self, monitors: Sequence[SQLCM]):
-        self._monitors = monitors
         self._sqlcm = monitors[0]
         self._file = None
         self.path: str | None = None
@@ -204,10 +287,6 @@ class Journal:
         self.on_commit: list[Callable[[], None]] = []
         #: the recording of the entry running now; None outside entries
         self.tape: Tape | None = None
-
-    @property
-    def clock(self):
-        return self._sqlcm.server.clock
 
     def rotate(self, path: str) -> None:
         """Close the current segment and start a fresh one (post-checkpoint)."""
@@ -222,11 +301,12 @@ class Journal:
             self._file.close()
             self._file = None
 
-    def entry(self, kind: str, data: dict, run: Callable[..., bool],
-              *args) -> None:
-        """Run ``run(*args)`` as one entry into the monitor, under a
-        recording tape; when it returns True (it did something) append one
-        committed ``kind`` record: ``data`` and the tape's image."""
+    def entry(self, kind: str, data: dict, run: Callable, *args,
+              **kwargs) -> Any:
+        """Run ``run(*args, **kwargs)`` as one entry into the monitor,
+        under a recording tape, and return what it returns; unless that is
+        ``False`` (it did nothing), append one committed ``kind`` record:
+        ``data`` and the tape's image."""
         sqlcm = self._sqlcm
         tape = self.tape = sqlcm.tape = Tape(sqlcm)
         factory, faults = sqlcm.factory, sqlcm.faults
@@ -234,20 +314,22 @@ class Journal:
         if faults is not None:
             tape.injector, sqlcm.faults = faults, tape
         try:
-            changed = run(*args)
+            result = run(*args, **kwargs)
         finally:
             self.tape = sqlcm.tape = None
             sqlcm.factory = factory
             if sqlcm.faults is tape:
                 sqlcm.faults = faults
-        if changed:
+        if result is not False:
             self.append(kind, data | tape.image())
+        return result
 
     def append(self, kind: str, data: Any) -> None:
         if self.dead or self._file is None or self.tape is not None:
             return
         self.seq += 1
-        line = frame(self.seq, kind, True, self.clock.now, data)
+        line = frame(self.seq, kind, True, self._sqlcm.server.clock.now,
+                     data)
         try:
             self._sqlcm.check_fault("durability.append")
         except FaultInjected as err:
@@ -267,70 +349,6 @@ class Journal:
         self.records_written += 1
         for callback in self.on_commit:
             callback()
-
-    # builders of the records both the wired subsystems and the checkpoint
-    # walk emit (every other kind is appended where it happens); state
-    # records (dataclasses) are written as their images by ``dumps``
-
-    def lat_created(self, definition: LATDefinition) -> None:
-        self.append("lat_create", {"definition": definition})
-
-    def lat_imaged(self, name: str) -> None:
-        """One LAT whole, folded across the owning monitors: a checkpoint's
-        state image, or what ``restore_lat`` made of the LAT."""
-        self.append("lat_image", fold_lat(self._monitors, name).image())
-
-    def rule_added(self, *clones: Rule) -> None:
-        self.append("rule_add", {"rule": rule_image(clones)})
-
-    def stream_registered(self, query) -> None:
-        """What ``StreamEngine.register`` needs to re-create a query."""
-        self.append("stream_register", {
-            "text": query.spec.text, "name": query.name,
-            "sink_lat": query.sink_lat, "criticality": query.criticality,
-            "max_alerts": query.alerts.maxlen})
-
-    def totals_changed(self) -> None:
-        """The engine totals, folded across the owning monitors: a
-        checkpoint's, or the switch ``enable_signatures`` flipped."""
-        monitors = self._monitors
-        engines = [m._streams for m in monitors if m._streams is not None]
-        self.append("totals", {
-            "sqlcm": fold(monitors),
-            "streams": fold(engines) if engines else None})
-
-    def health_changed(self, namespace: str, health: RuleHealth) -> None:
-        self.append("health", {"ns": namespace, "image": health})
-
-    def incidents_changed(self, manager, incidents) -> None:
-        """``incidents`` (all of them, or the one that changed) plus what
-        re-creates their manager where it stood in the rule order."""
-        self.append("incidents", {"policy": manager.policy,
-                                  "manager": fold([manager]),
-                                  "incidents": list(incidents)})
-
-    def governor_changed(self, governor) -> None:
-        self.append("governor", fold([governor]))
-
-    def dead_lettered(self, entry: DeadLetter) -> None:
-        self.append("deadletter", {"entry": entry})
-
-    def dead_letters_changed(self, letters) -> None:
-        """The whole dead-letter ring: a checkpoint's, or what a sweep
-        (``replay``, ``redeliver``, ``clear``) left of it."""
-        self.append("deadletters",
-                    fold([letters]) | {"entries": letters.entries()})
-
-    def timer_set(self, timer) -> None:
-        """A timer's interval and remaining alarms: armed, re-armed, or
-        one alarm closer to done."""
-        self.append("timer", {"name": timer.name, "interval": timer.interval,
-                              "repeats": timer.remaining})
-
-    def attach_stream_health(self, streams) -> None:
-        """Wire a (possibly lazily-created) stream engine's health registry."""
-        streams.health.journal_hook = (
-            lambda health: self.health_changed("stream", health))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +560,8 @@ class _Replay:
         return None if decision is None else decision[1:]
 
     def reach(self, event: str) -> None:
-        names = self.placeholders.get(event)
+        names = [name for name, on in self.placeholders.values()
+                 if on == event]
         if names:
             raise DurabilityError(
                 f"the journal replays {event} events, which reach callback "
@@ -588,12 +607,11 @@ def read_journal(path: str) -> tuple[list[JournalRecord], int]:
 # the checkpoint: one walk over a sequence of monitors, emitting records
 # ---------------------------------------------------------------------------
 
-class _Compactor(Journal):
-    """The checkpoint walk's sink: a journal that frames every record into
-    memory, uncommitted, so the walk shares the journal's record builders."""
+class _Compactor:
+    """The checkpoint walk's sink: records framed into memory."""
 
-    def __init__(self, monitors: Sequence[SQLCM]):
-        super().__init__(monitors)
+    def __init__(self, clock):
+        self.clock = clock
         self.lines: list[str] = []
 
     def append(self, kind: str, data: Any, commit: bool = False) -> None:
@@ -618,6 +636,7 @@ def _query_image(copies: Sequence) -> dict:
     """One stream query across its per-shard ``copies``: anomaly history
     and alert ring from the control shard's, counters summed, panes
     merged."""
+    from repro.core.engine import fold_window
     query = copies[0]
     image = fold(copies) | {"stream": query.name,
                             "alerts": [_alert_row(a) for a in query.alerts]}
@@ -650,43 +669,58 @@ def compact(monitors: Sequence[SQLCM]) -> str:
     whole file: the record count and a CRC chained over every preceding
     record's CRC.
     """
+    from repro.core.engine import fold_lat
+    from repro.core.incidents import SWEEP_TIMER
     control = monitors[0]
-    out = _Compactor(monitors)
+    out = _Compactor(control.server.clock)
     out.append("checkpoint", {"version": CHECKPOINT_VERSION})
     for lat in control.lats():
-        out.lat_created(lat.definition)
+        out.append("call", call_data(control, control, "create_lat",
+                                     {"definition": lat.definition}))
     manager = control._incidents
-    unplaced = manager is not None
+    # the incidents, and what re-creates their manager where its sweep
+    # rule stands in the rule order (at the end if it has none)
+    incidents = manager and {"policy": manager.policy,
+                             "manager": fold([manager]),
+                             "incidents": list(manager._incidents.values())}
     for rule in control._rule_order:
         key = rule.name.lower()
-        if unplaced and key == SWEEP_TIMER:
-            out.incidents_changed(manager, manager._incidents.values())
-            unplaced = False
-        out.rule_added(*(m.rules[key] for m in monitors if key in m.rules))
-    if unplaced:  # a manager that never installed its sweeper
-        out.incidents_changed(manager, manager._incidents.values())
+        if incidents and key == SWEEP_TIMER:
+            out.append("incidents", incidents)
+        out.append("rule_add", {"rule": rule_image(
+            [m.rules[key] for m in monitors if key in m.rules])})
+    if incidents and SWEEP_TIMER not in control.rules:
+        out.append("incidents", incidents)
     streams = control._streams
     engines = [m._streams for m in monitors if m._streams is not None]
     if streams is not None:
         for query in streams.queries():
-            out.stream_registered(query)
+            out.append("call", call_data(control, streams, "register", {
+                "text": query.spec.text, "name": query.name,
+                "sink_lat": query.sink_lat,
+                "max_alerts": query.alerts.maxlen,
+                "criticality": query.criticality}))
     for name in control._lats:
-        out.lat_imaged(name)
+        out.append("lat_image", fold_lat(monitors, name).image())
     if streams is not None:
         for name in streams._queries:
             out.append("stream_image",
                        _query_image([e.query(name) for e in engines]))
-    out.totals_changed()
+    out.append("totals", {"sqlcm": fold(monitors),
+                          "streams": fold(engines) if engines else None})
     for health in control.health.known():
-        out.health_changed("engine", health)
+        out.append("health", {"ns": "engine", "image": health})
     if streams is not None:
         for health in streams.health.known():
-            out.health_changed("stream", health)
+            out.append("health", {"ns": "stream", "image": health})
     if control.governor is not None:
-        out.governor_changed(control.governor)
-    out.dead_letters_changed(control.dead_letters)
+        out.append("governor", fold([control.governor]))
+    letters = control.dead_letters
+    out.append("deadletters",
+               fold([letters]) | {"entries": letters.entries()})
     for timer in control.timer_service.timers():
-        out.timer_set(timer)
+        out.append("timer", {"name": timer.name, "interval": timer.interval,
+                             "repeats": timer.remaining})
     if manager is not None and manager.policy.history:
         for table_name in manager.history_tables():
             if control.server.catalog.has_table(table_name):
@@ -756,6 +790,7 @@ class _Restorer:
     listed in :data:`HANDLERS`."""
 
     def __init__(self, sqlcm: SQLCM, report: RecoveryReport):
+        from repro.core.incidents import INCIDENT_TABLE
         self.sqlcm = sqlcm
         self.report = report
         server = sqlcm.server
@@ -764,8 +799,9 @@ class _Restorer:
         self.apply_history = not server.catalog.has_table(INCIDENT_TABLE)
         # the panes and cursor each pane group was loaded with, encoded
         self.pane_images: dict = {}
-        # engine event -> the callback rules on it that could not be rebuilt
-        self.placeholders: dict[str, list[str]] = {}
+        # the callback rules that could not be rebuilt: lower-cased name ->
+        # (name, the engine event the rule is on)
+        self.placeholders: dict[str, tuple[str, str]] = {}
         # what replayed entries charge is taken back when recovery ends:
         # the engine's queries never see it
         self.costs = (server._pending_monitor_cost, server.monitor_cost_total)
@@ -803,18 +839,84 @@ class _Restorer:
         """Checkpoint header / end marker: verified by
         :func:`read_checkpoint` before anything is applied."""
 
-    # -- registrations ---------------------------------------------------
+    # -- entries: re-run from their records -----------------------------
 
-    def lat_create(self, data: dict) -> None:
-        definition = load(LATDefinition, data["definition"])
-        if not self.sqlcm.has_lat(definition.name):
-            self.sqlcm.create_lat(definition)
+    def call(self, data: dict) -> None:
+        """An API call: the method again, on the target its path names."""
+        sqlcm, method, path = self.sqlcm, data["method"], data["path"]
+        args = {} if method == "add_rule" else {
+            key: self._argument(arg) for key, arg in data["args"].items()}
+        if self._settled(path, method, args):
+            return
 
-    def lat_drop(self, data: dict) -> None:
-        if self.sqlcm.has_lat(data["name"]):
-            self.sqlcm.drop_lat(data["name"])
+        def run(tape: _Replay) -> None:
+            if not path and method == "add_rule":
+                self.rule_add({"rule": data["args"]["rule"][1]})
+                return
+            try:
+                target = sqlcm
+                if path:
+                    target = getattr(sqlcm, path[0])
+                    if callable(target):
+                        target = target(*path[1:])
+                getattr(target, method)(**args)
+            except Exception as err:
+                raise DurabilityError(
+                    f"replay of the {method!r} call raised "
+                    f"{type(err).__name__}: {err}; the recorded call "
+                    f"returned") from err
+        self._replay(f"call to {method}", data, run)
+
+    def _settled(self, path: list, method: str, args: dict) -> bool:
+        """Does the call find nothing to do?  A registration ``setup()``
+        made stands for the record's; a callback rule that was never
+        rebuilt cannot be acted on."""
+        sqlcm = self.sqlcm
+        if not path and method == "create_lat":
+            return sqlcm.has_lat(args["definition"].name)
+        if path == ["stream_engine"] and method == "register":
+            from repro.stream.language import parse_stream_query
+            name = args["name"] or parse_stream_query(
+                args["text"], schema=sqlcm.schema).name
+            return sqlcm._streams is not None \
+                and name.lower() in sqlcm._streams._queries
+        if path or method not in ("remove_rule", "enable_rule",
+                                  "release_quarantine"):
+            return False
+        key = args["name"].lower()
+        placeholder = key in self.placeholders and key not in sqlcm.rules
+        if method == "remove_rule":
+            self.placeholders.pop(key, None)
+        return placeholder
+
+    def _argument(self, pair: list) -> Any:
+        """One argument back from its ``[type, value]`` pair."""
+        kind, value = pair
+        if kind is None:
+            return value
+        if kind == "monitor":
+            return self.sqlcm
+        return load(_record_types()[kind], value)
+
+    def event(self, data: dict) -> None:
+        """An engine event: the instance count, the rules, the streams."""
+        def run(tape: _Replay) -> None:
+            tape.reach(data["event"])
+            self.sqlcm._enter(data["event"], data.get("alert"),
+                              tape.entry_context())
+        self._replay("event", data, run)
+
+    def dispatch(self, data: dict) -> None:
+        """A dispatch started outside every event and every call."""
+        def run(tape: _Replay) -> None:
+            self.sqlcm.dispatch_event(data["event"], None,
+                                      tape.entry_context())
+        self._replay("dispatch", data, run)
+
+    # -- a checkpoint's registrations and state images -------------------
 
     def rule_add(self, data: dict) -> None:
+        from repro.core.rules import Rule
         sqlcm = self.sqlcm
         image = data["rule"]
         rule = sqlcm.rules.get(image["name"].lower())
@@ -828,8 +930,8 @@ class _Restorer:
                 # event that reaches it
                 self.report.placeholder_rules.append(image["name"])
                 __, event = sqlcm.schema.resolve_event(image["event"])
-                self.placeholders.setdefault(event.engine_event,
-                                             []).append(image["name"])
+                self.placeholders[image["name"].lower()] = (
+                    image["name"], event.engine_event)
             if not actions:
                 return  # a pure-callback rule (e.g. an app component's)
             rule = sqlcm.add_rule(load(Rule, image, actions=actions))
@@ -847,34 +949,8 @@ class _Restorer:
         rule.fire_count = image["fire_count"]
         rule.evaluation_count = image["evaluation_count"]
 
-    def rule_remove(self, data: dict) -> None:
-        if data["name"].lower() in self.sqlcm.rules:
-            self.sqlcm.remove_rule(data["name"])
-        removed = data["name"].lower()
-        for names in self.placeholders.values():
-            names[:] = [name for name in names if name.lower() != removed]
-
-    def rule_enable(self, data: dict) -> None:
-        rule = self.sqlcm.rules.get(data["name"].lower())
-        if rule is not None:
-            rule.enabled = data["enabled"]
-
-    def stream_register(self, data: dict) -> None:
-        streams = self.sqlcm.stream_engine()
-        if data["name"].lower() not in streams._queries:
-            streams.register(
-                data["text"], name=data["name"], sink_lat=data["sink_lat"],
-                max_alerts=data["max_alerts"],
-                criticality=data["criticality"])
-
-    def stream_remove(self, data: dict) -> None:
-        streams = self.sqlcm._streams
-        if streams is not None and data["name"].lower() in streams._queries:
-            streams.remove(data["name"])
-
-    # -- state images (a checkpoint's; ``lat_image`` also a restore's) ----
-
     def lat_image(self, data: dict) -> None:
+        """A checkpoint's LAT, or what ``restore_lat`` made of one."""
         self.sqlcm.lat(data["lat"]).load_image(data)
 
     def stream_image(self, data: dict) -> None:
@@ -909,55 +985,16 @@ class _Restorer:
         if data["streams"] is not None:
             load_into(self.sqlcm.stream_engine(), data["streams"])
 
-    # -- direct LAT mutations: API calls outside every entry --------------
-
-    def lat_insert(self, data: dict) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).insert(
-                data["values"], data["weight"], now=data["time"])
-
-    def lat_reset(self, data: dict) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).reset()
-
-    def lat_del(self, data: dict) -> None:
-        if self.sqlcm.has_lat(data["lat"]):
-            self.sqlcm.lat(data["lat"]).delete_row(tuple(data["key"]))
-
-    # -- entries: re-run from their records -----------------------------
-
-    def event(self, data: dict) -> None:
-        """An engine event: the instance count, the rules, the streams."""
-        def run(tape: _Replay) -> None:
-            tape.reach(data["event"])
-            self.sqlcm._enter(data["event"], data.get("alert"),
-                              tape.entry_context())
-        self._replay("event", data, run)
-
-    def dispatch(self, data: dict) -> None:
-        """A dispatch started outside every event: a timer alarm, an
-        incident or governor transition an API call made."""
-        def run(tape: _Replay) -> None:
-            self.sqlcm.dispatch_event(data["event"], None,
-                                      tape.entry_context())
-        self._replay("dispatch", data, run)
-
-    def stream_flush(self, data: dict) -> None:
-        """An explicit flush of the stream engine."""
-        self._replay("stream_flush", data, lambda tape:
-                     self.sqlcm.stream_engine()._flush(data["time"]))
-
-    # -- supervisory state -----------------------------------------------
-
     def health(self, data: dict) -> None:
+        from repro.core.resilience import RuleHealth
         if data["ns"] == "stream":
             registry = self.sqlcm.stream_engine().health
         else:
             registry = self.sqlcm.health
-        image = data["image"]
-        registry.restore(load(RuleHealth, image))
+        registry.restore(load(RuleHealth, data["image"]))
 
     def incidents(self, data: dict) -> None:
+        from repro.core.incidents import Incident, IncidentPolicy
         manager = self.sqlcm.incident_manager(
             load(IncidentPolicy, data["policy"]))
         for image in data["incidents"]:
@@ -965,14 +1002,13 @@ class _Restorer:
         load_into(manager, data["manager"])
 
     def governor(self, data: dict) -> None:
+        from repro.core.governor import GovernorPolicy
         if self.sqlcm.governor is None:
             self.sqlcm.enable_governor(load(GovernorPolicy, data["policy"]))
         load_into(self.sqlcm.governor, data)
 
-    def deadletter(self, data: dict) -> None:
-        self.sqlcm.dead_letters.append(load(DeadLetter, data["entry"]))
-
     def deadletters(self, data: dict) -> None:
+        from repro.core.resilience import DeadLetter
         letters = load_into(self.sqlcm.dead_letters, data)
         letters._entries = [load(DeadLetter, image)
                             for image in data["entries"]]
@@ -996,26 +1032,16 @@ class _Restorer:
 HANDLERS: dict[str, Callable[[_Restorer, Any], None]] = {
     "checkpoint": _Restorer.framing,
     "checkpoint_end": _Restorer.framing,
-    "lat_create": _Restorer.lat_create,
-    "lat_drop": _Restorer.lat_drop,
+    "event": _Restorer.event,
+    "dispatch": _Restorer.dispatch,
+    "call": _Restorer.call,
     "rule_add": _Restorer.rule_add,
-    "rule_remove": _Restorer.rule_remove,
-    "rule_enable": _Restorer.rule_enable,
-    "stream_register": _Restorer.stream_register,
-    "stream_remove": _Restorer.stream_remove,
     "lat_image": _Restorer.lat_image,
     "stream_image": _Restorer.stream_image,
     "totals": _Restorer.totals,
-    "lat_insert": _Restorer.lat_insert,
-    "lat_reset": _Restorer.lat_reset,
-    "lat_del": _Restorer.lat_del,
-    "event": _Restorer.event,
-    "dispatch": _Restorer.dispatch,
-    "stream_flush": _Restorer.stream_flush,
     "health": _Restorer.health,
     "incidents": _Restorer.incidents,
     "governor": _Restorer.governor,
-    "deadletter": _Restorer.deadletter,
     "deadletters": _Restorer.deadletters,
     "timer": _Restorer.timer,
     "history": _Restorer.history,
@@ -1049,8 +1075,8 @@ def _list_generations(directory: str) -> list[int]:
 class DurabilityManager:
     """Owns one monitor's on-disk durability state.
 
-    ``attach()`` wires the journal hooks into every subsystem and takes
-    the initial checkpoint; ``checkpoint()`` publishes a new generation
+    ``attach()`` gives the monitor its journal and takes the initial
+    checkpoint; ``checkpoint()`` publishes a new generation
     atomically and rotates the journal; :func:`recover` (also exposed as
     a static method) rebuilds a monitor from the newest valid generation.
     """
@@ -1074,32 +1100,16 @@ class DurabilityManager:
     # -- wiring ----------------------------------------------------------
 
     def attach(self) -> "DurabilityManager":
-        """Install journal hooks on every subsystem, then checkpoint."""
+        """Give the monitor its journal, then checkpoint."""
         os.makedirs(self.directory, exist_ok=True)
-        journal = self.journal
-        sqlcm = self.sqlcm
-        sqlcm.journal = journal
-        for lat in sqlcm.lats():
-            lat.journal = journal
-        sqlcm.health.journal_hook = (
-            lambda health: journal.health_changed("engine", health))
-        if sqlcm._streams is not None:
-            journal.attach_stream_health(sqlcm._streams)
-        sqlcm.dead_letters.journal = journal
+        self.sqlcm.journal = self.journal
         self.attached = True
         self.checkpoint()
         return self
 
     def detach(self) -> None:
-        """Remove every journal hook and close the journal file."""
-        sqlcm = self.sqlcm
-        sqlcm.journal = None
-        for lat in sqlcm.lats():
-            lat.journal = None
-        sqlcm.health.journal_hook = None
-        if sqlcm._streams is not None:
-            sqlcm._streams.health.journal_hook = None
-        sqlcm.dead_letters.journal = None
+        """Take the journal off the monitor and close its file."""
+        self.sqlcm.journal = None
         self.journal.close()
         self.attached = False
 
@@ -1179,13 +1189,12 @@ class DurabilityManager:
     # -- recovery --------------------------------------------------------
 
     @staticmethod
-    def recover(directory: str, server=None, *, driver=None,
+    def recover(directory: str, server=None, *,
                 setup: Callable[[SQLCM], None] | None = None
                 ) -> RecoveryReport:
         """Rebuild a serial monitor from the newest valid generation, over
         ``server`` — a DatabaseServer or a ProbeDriver, as for
-        :class:`SQLCM`; the ``driver`` keyword is the older spelling of
-        the second — or a fresh in-memory engine.
+        :class:`SQLCM` — or a fresh in-memory engine.
 
         Tries checkpoint generations newest-first; a generation whose
         checkpoint fails verification (torn write) is skipped in
@@ -1217,7 +1226,8 @@ class DurabilityManager:
             raise DurabilityError(
                 f"no valid checkpoint generation in {directory!r}: "
                 + "; ".join(refused))
-        sqlcm = SQLCM(driver if driver is not None else server)
+        from repro.core.engine import SQLCM
+        sqlcm = SQLCM(server)
         if setup is not None:
             setup(sqlcm)
         records, discarded = read_journal(_journal_path(directory, chosen))

@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from repro.core import state
 from repro.core.actions import InsertAction
 from repro.core.condition import FunctionSource, bind_condition
+from repro.core.durability import command
 from repro.core.governor import GovernorPolicy, OverloadGovernor
 from repro.core.lat import LAT, LATDefinition
 from repro.core.objects import MonitoredObject, ObjectFactory
@@ -696,10 +697,11 @@ class SQLCM:
         self.health = RuleHealthRegistry(quarantine)
         self.retry_policy = retry or RetryPolicy()
         self.dead_letters = DeadLetterJournal()
+        self.dead_letters.sqlcm = self
         self.faults = faults
         self.rule_errors = 0
         # durability journal (set by DurabilityManager.attach): one record
-        # per entry into the monitor, and effect records for API calls
+        # per entry into the monitor, an API call's included
         self.journal = None
         # what the entry running now reads from outside the monitor: the
         # journal's recording, or the record a recovery replays; None
@@ -715,10 +717,15 @@ class SQLCM:
         if governor is not None:
             self.enable_governor(governor)
 
+    #: a command's monitor and its place under it (``durability.command``)
+    sqlcm = property(lambda self: self)
+    command_path = ()
+
     # ------------------------------------------------------------------
     # LAT management
     # ------------------------------------------------------------------
 
+    @command
     def create_lat(self, definition: LATDefinition) -> LAT:
         """Create a LAT; validates grouping/aggregation attributes."""
         key = definition.name.lower()
@@ -729,13 +736,12 @@ class SQLCM:
             for attr in definition.source_attributes():
                 cls.attribute(attr)  # raises SchemaError if unknown
         lat = LAT(definition, self.server.clock)
+        lat.sqlcm = self
         self._lats[key] = lat
         self.invalidate_signature_cache()
-        if self.journal is not None:
-            lat.journal = self.journal
-            self.journal.lat_created(definition)
         return lat
 
+    @command
     def drop_lat(self, name: str) -> None:
         key = name.lower()
         if key not in self._lats:
@@ -754,13 +760,11 @@ class SQLCM:
                         f"LAT {name!r} is the alert sink of stream query "
                         f"{query.spec.name!r}"
                     )
-        del self._lats[key]
+        self._lats.pop(key).sqlcm = None
         # a later LAT reusing the name must not be born suspended
         if self.governor is not None:
             self.governor.forget_lat(name)
         self.invalidate_signature_cache()
-        if self.journal is not None:
-            self.journal.append("lat_drop", {"name": name})
 
     def lat(self, name: str) -> LAT:
         try:
@@ -778,6 +782,7 @@ class SQLCM:
     # rule management
     # ------------------------------------------------------------------
 
+    @command
     def add_rule(self, rule: Rule) -> Rule:
         """Bind and register a rule (takes effect immediately)."""
         key = rule.name.lower()
@@ -799,10 +804,9 @@ class SQLCM:
         self._rules_by_event[event] = \
             self._rules_by_event.get(event, ()) + (rule,)
         self.invalidate_signature_cache()
-        if self.journal is not None:
-            self.journal.rule_added(rule)
         return rule
 
+    @command
     def remove_rule(self, name: str) -> None:
         rule = self.rules.pop(name.lower(), None)
         if rule is None:
@@ -823,9 +827,8 @@ class SQLCM:
         if self.governor is not None:
             self.governor.forget_rule(rule.name)
         self.invalidate_signature_cache()
-        if self.journal is not None:
-            self.journal.append("rule_remove", {"name": rule.name})
 
+    @command
     def enable_rule(self, name: str, enabled: bool = True) -> None:
         rule = self.rules.get(name.lower())
         if rule is None:
@@ -836,9 +839,6 @@ class SQLCM:
                 f"({self.health.health_of(name).quarantine_reason}); "
                 f"call release_quarantine first")
         rule.enabled = enabled
-        if self.journal is not None:
-            self.journal.append("rule_enable", {"name": rule.name,
-                                                "enabled": enabled})
 
     # ------------------------------------------------------------------
     # fault isolation: health, quarantine, fault injection
@@ -856,6 +856,7 @@ class SQLCM:
         return [r.name for r in self._rule_order
                 if r.name.lower() in quarantined]
 
+    @command
     def release_quarantine(self, name: str) -> None:
         """DBA override: put a quarantined rule back in the eval path."""
         if name.lower() not in self.rules:
@@ -876,6 +877,7 @@ class SQLCM:
         if extra:
             self.server.add_monitor_cost(extra)
 
+    @command
     def set_timer(self, name: str, interval: float, repeats: int = -1):
         """Arm a timer (the Set action, also usable directly)."""
         return self.timer_service.set(name, interval, repeats)
@@ -884,6 +886,7 @@ class SQLCM:
     # overload governor
     # ------------------------------------------------------------------
 
+    @command
     def enable_governor(self, policy: GovernorPolicy | None = None
                         ) -> OverloadGovernor:
         """Install the closed-loop overload governor.
@@ -898,6 +901,7 @@ class SQLCM:
             self.server.attach_governor(self.governor)
         return self.governor
 
+    @command
     def disable_governor(self) -> None:
         """Remove the governor, releasing every suspension."""
         governor = self.governor
@@ -943,8 +947,6 @@ class SQLCM:
         if self._streams is None:
             from repro.stream import StreamEngine
             self._streams = StreamEngine(self)
-            if self.journal is not None:
-                self.journal.attach_stream_health(self._streams)
         return self._streams
 
     @property
@@ -956,6 +958,7 @@ class SQLCM:
     # incident lifecycle
     # ------------------------------------------------------------------
 
+    @command(unless=lambda sqlcm, policy=None: sqlcm._incidents is not None)
     def incident_manager(self, policy=None):
         """The incident manager, created on first use.
 
@@ -974,12 +977,11 @@ class SQLCM:
         """True once the incident manager exists and saw some incident."""
         return self._incidents is not None and bool(self._incidents.opened)
 
+    @command
     def enable_signatures(self, enabled: bool = True) -> None:
         """Force signature computation even with no referencing rule."""
         self._signatures_forced = enabled
         self.invalidate_signature_cache()
-        if self.journal is not None:
-            self.journal.totals_changed()
 
     # ------------------------------------------------------------------
     # signatures / instance counting
@@ -1115,13 +1117,12 @@ class SQLCM:
             self.journal.entry("event", data, self._entered,
                                self._enter, event, payload)
 
-    def _entered(self, run: Callable, event: str, payload: dict) -> bool:
+    def _entered(self, run: Callable, event: str, payload: dict) -> None:
         """``run(event, payload, context)`` as a journaled entry: the
         event's context is the first thing the entry builds, so the record
         names its keys, and its objects come first."""
         context = self.tape.context = self._build_context(event, payload)
         run(event, payload, context)
-        return True
 
     def _enter(self, event: str, payload: dict | None,
                context: dict | None) -> None:
@@ -1705,7 +1706,7 @@ class SQLCM:
             scratch.seed_row(values)
         lat.adopt(scratch)
         if self.journal is not None:
-            self.journal.lat_imaged(lat.definition.name)
+            self.journal.append("lat_image", lat.image())
         return len(rows)
 
 

@@ -52,6 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core import state
+from repro.core.durability import command
 from repro.errors import SQLCMError
 
 __all__ = [
@@ -247,17 +248,29 @@ class OverloadGovernor:
             self._event_salt = zlib.crc32(
                 f"{event}:{self._event_seq}".encode())
 
-    def observe(self, now: float | None = None) -> None:
-        """Record one (time, cost) sample and maybe run the controller.
+    command_path = ("governor",)
+
+    def _idle(self, now: float | None = None) -> bool:
+        """No decision is due: an observation changes no durable field."""
+        if now is None:
+            now = self.server.clock.now
+        return self._in_decision \
+            or now - self._last_decision_at < self.policy.decision_interval
+
+    @command(unless=_idle)
+    def observe(self, now: float | None = None) -> bool:
+        """Record one (time, cost) sample and maybe run the controller;
+        True when it made a transition.
 
         Wired into :meth:`DatabaseServer.take_monitor_cost` so the loop
         closes wherever monitoring cost is drained into the virtual clock.
         Inside a journaled entry each decision is recorded; the replay of
         the entry applies the recorded decisions and never samples the
-        cost drain, which is outside the monitor.
+        cost drain, which is outside the monitor.  Outside every entry an
+        observation that decides is a command of its own.
         """
         if self._in_decision:
-            return
+            return False
         if now is None:
             now = self.server.clock.now
         tape = self.sqlcm.tape
@@ -266,7 +279,7 @@ class OverloadGovernor:
             if tape.replaying:
                 if decision is not None:
                     self._replay_decision(now, *decision)
-                return
+                return False
         self.server.add_monitor_cost(self.server.costs.governor_observe)
         cost = self.server.monitor_cost_total
         mark = self._last_mark
@@ -281,8 +294,11 @@ class OverloadGovernor:
         horizon = now - self.policy.window
         while len(samples) >= 3 and samples[1][0] <= horizon:
             samples.popleft()
-        if now - self._last_decision_at >= self.policy.decision_interval:
-            self._decide(now)
+        if self._idle(now):
+            return False
+        made = len(self.transitions)
+        self._decide(now)
+        return len(self.transitions) > made
 
     def note_eval(self, rule_name: str, cost: float) -> None:
         """Feed one observed rule-evaluation cost into the skip estimator."""
@@ -408,11 +424,14 @@ class OverloadGovernor:
         """Drop cached criticality; re-derive the shed set if degraded.
 
         Called whenever rules / LATs / streams are added or removed so the
-        suspension set never references departed components.
+        suspension set never references departed components.  The set is
+        ranked by attributed cost, read from outside the monitor: inside a
+        journaled entry it is an effect, which a replay reads back.
         """
         self._eff_crit.clear()
         if self.state in (GOV_SHEDDING, GOV_ESSENTIAL):
-            self._apply_state(self.state)
+            self.suspended = set(self.sqlcm.effect(self._shed_set,
+                                                   self.state))
 
     def forget_rule(self, name: str) -> None:
         key = name.lower()
@@ -497,7 +516,7 @@ class OverloadGovernor:
                 self.state = new_state
                 self.last_transition_at = now
                 if suspended is None:
-                    self._apply_state(new_state, measured)
+                    self.suspended = self._shed_set(new_state, measured)
                 else:
                     self.suspended = suspended
         finally:
@@ -512,19 +531,16 @@ class OverloadGovernor:
             suspended=tuple(sorted(
                 f"{kind}:{name}" for kind, name in self.suspended)))
         self.transitions.append(record)
-        if self.sqlcm.journal is not None:
-            self.sqlcm.journal.governor_changed(self)
         self._publish(record)
 
-    def _apply_state(self, state: str, measured: float | None = None) -> None:
+    def _shed_set(self, state: str, measured: float | None = None) -> set:
         if measured is None:
             measured = self.measured_ratio
         if state in (GOV_NORMAL, GOV_SAMPLED):
-            self.suspended = set()
-        elif state == GOV_SHEDDING:
-            self.suspended = self._select_shed(measured)
-        else:
-            self.suspended = self._all_non_critical()
+            return set()
+        if state == GOV_SHEDDING:
+            return self._select_shed(measured)
+        return self._all_non_critical()
 
     def _select_shed(self, measured: float) -> set[tuple[str, str]]:
         """Pick components to suspend from the attributed-cost ranking.

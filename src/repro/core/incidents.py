@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from repro.core import state as schema  # ``Incident.state`` is a field
 from repro.core.actions import (Action, CallbackAction, _PLACEHOLDER_RE,
                                 _substitute, cancel_with_outcome)
+from repro.core.durability import command
 from repro.core.rules import Rule
 from repro.errors import ActionError, IncidentError
 
@@ -161,7 +162,7 @@ class IncidentManager:
     bookkeeping charges the monitor-cost pool.
     """
 
-    # the counters ride every journaled incident image; the incidents
+    # the counters ride the checkpoint's incident image; the incidents
     # themselves (and the construction-time policy) are saved one by one
     STATE = (
         ("_open_times", schema.first, deque),
@@ -197,10 +198,6 @@ class IncidentManager:
         #: for ``sqlcm.stream_alert`` (``SQLCM._enter``)
         self.hears_alerts = bool(self.policy.alert_to_incident
                                  or self.policy.history)
-        if sqlcm.journal is not None:
-            # before the sweeper: replay re-creates the manager — and with
-            # it the sweep rule — where it stood in the rule order
-            sqlcm.journal.incidents_changed(self, [])
         if self.policy.sweep_interval > 0:
             self._install_sweeper()
 
@@ -208,6 +205,9 @@ class IncidentManager:
     # lifecycle
     # ------------------------------------------------------------------
 
+    command_path = ("incident_manager",)
+
+    @command
     def report(self, incident_class: str, signature: str, *,
                severity: str = "warning", summary: str = "") -> Incident:
         """Record one detection: open a new incident or bump an active one.
@@ -226,7 +226,6 @@ class IncidentManager:
             incident.occurrences += 1
             incident.last_seen = now
             self.deduplicated += 1
-            self._journal_incident(incident)
             return incident
         self.server.add_monitor_cost(costs.incident_open)
         incident = Incident(
@@ -253,6 +252,7 @@ class IncidentManager:
         self._history_incident(incident, "opened")
         return incident
 
+    @command
     def ack(self, incident_id: int, by: str = "dba") -> Incident:
         """Acknowledge an open incident (stops escalation)."""
         incident = self.incident(incident_id)
@@ -268,6 +268,7 @@ class IncidentManager:
         self._history_incident(incident, "acked")
         return incident
 
+    @command
     def resolve(self, incident_id: int, resolution: str = "",
                 by: str = "dba") -> Incident:
         """Close an active incident; a later re-detection opens a new one."""
@@ -289,6 +290,7 @@ class IncidentManager:
         self._history_incident(incident, "resolved")
         return incident
 
+    @command
     def sweep(self) -> None:
         """Escalate stale open incidents; auto-resolve quiet ones.
 
@@ -432,14 +434,6 @@ class IncidentManager:
                   detail: str = "") -> None:
         incident.timeline.append(
             (self.server.clock.now, phase, detail))
-        # every lifecycle phase (and every remediation attempt — see
-        # record_remediation) ends in a timeline entry, so this is the
-        # one durable-image hook that covers them all
-        self._journal_incident(incident)
-
-    def _journal_incident(self, incident: Incident) -> None:
-        if self.sqlcm.journal is not None:
-            self.sqlcm.journal.incidents_changed(self, [incident])
 
     def add_listener(self, listener) -> None:
         """Register a callable fired on every incident lifecycle
@@ -547,9 +541,6 @@ class IncidentManager:
         # history its checkpoint carried (a live restart keeps its own)
         if tape is None or not tape.replaying or tape.history:
             self.server.table(table_name).insert(values + [now])
-        if self.sqlcm.journal is not None:
-            self.sqlcm.journal.append("history", {
-                "table": table_name, "values": values, "time": now})
 
     def _history_incident(self, incident: Incident, phase: str) -> None:
         if not self._ensure_history():

@@ -25,6 +25,7 @@ from repro.core import state as schema  # ``state`` names aggregate states here
 from repro.core.aggregates import (AggregateFunction, AgingSpec, AgingState,
                                    aggregate_function)
 from repro.core.condition import FunctionSource
+from repro.core.durability import command
 from repro.core.governor import validate_criticality
 from repro.core.objects import MonitoredObject
 from repro.errors import LATError
@@ -311,16 +312,12 @@ class _InsertEmitter(FunctionSource):
                  f"if {' or '.join(limits)} else []")
         else:
             emit("evicted = []")
-        # inside a journaled entry the entry's record stands for the insert
-        emit("if self.journal is not None and self.journal.tape is None:")
-        values = ", ".join(f"{self.text(attr)}: {name}"
-                           for attr, name in self.slots.items())
-        emit(f"    self.journal.append('lat_insert', "
-             f"{{'lat': {self.text(definition.name)}, "
-             f"'values': {{{values}}}, 'weight': weight, 'time': now}})")
         emit("return evicted")
+        # one code object per name: LATs of one shape sharing one would
+        # thrash its specialized instructions, each with its own namespace
         source, insert = self.compile(
-            "insert", "self, source, weight, now", "<lat insert>",
+            "insert", "self, source, weight, now",
+            f"<lat insert {definition.name}>",
             {"__builtins__": {"isinstance": isinstance, "len": len},
              "MonitoredObject": MonitoredObject, "AgingState": AgingState,
              "_Row": _Row, "_item": _item})
@@ -337,9 +334,9 @@ def _has_weighted_form(func: AggregateFunction) -> bool:
 class LAT:
     """The default LAT structure: hash on group key, heap on importance."""
 
-    # durability journal (set by DurabilityManager.attach / create_lat);
-    # mutations append redo records after they complete
-    journal = None
+    #: the owning monitor (``SQLCM.create_lat``), whose journal records a
+    #: command; None for a scratch copy, a fold or a table on its own
+    sqlcm = None
 
     # the counters and the row sequence: everything scratch_copy, adopt,
     # and the checkpoint carry besides the rows themselves
@@ -351,7 +348,7 @@ class LAT:
         *schema.transient("_clock", "_columns", "_functions",
                           "_order_indexes", "_ordering_cacheable",
                           "_row_bytes", "_aging_indexes", "_insert",
-                          "_heap", "_dirty", "journal"),
+                          "_heap", "_dirty", "sqlcm"),
     )
 
     def __init__(self, definition: LATDefinition, clock):
@@ -413,6 +410,11 @@ class LAT:
             return source.get(attr)
         return _item(source, attr, attr.lower())
 
+    @property
+    def command_path(self) -> tuple:
+        return ("lat", self.definition.name)
+
+    @command(body="_insert")
     def insert(self, source: "MonitoredObject | dict",
                weight: int = 1, now: float | None = None) -> list[dict]:
         """Insert-or-update the row matching the object's group key.
@@ -421,8 +423,7 @@ class LAT:
         events (overload-governor compensation): COUNT/SUM/AVG scale the
         contribution; order/extreme aggregates apply the value once.
 
-        ``now`` overrides the clock time (journal replay re-applies
-        inserts at their original timestamps).
+        ``now`` overrides the clock time.
 
         Returns the rows evicted to satisfy the size constraint (possibly
         including the row just inserted), as column dicts.
@@ -554,22 +555,19 @@ class LAT:
         )
         return [self._row_values(row, now) for row in ordered]
 
+    @command
     def reset(self) -> None:
         """Clear all content and free memory (the Reset action)."""
         self._rows.clear()
         self._drop_heap()
         self.latch_acquisitions += 1
-        if self.journal is not None:
-            self.journal.append("lat_reset", {"lat": self.definition.name})
 
+    @command
     def delete_row(self, key: tuple) -> bool:
-        """Remove one group's row (e.g. to re-arm a threshold rule)."""
+        """Remove one group's row (e.g. to re-arm a threshold rule); False
+        when there was none."""
         self.latch_acquisitions += 2
-        removed = self._rows.pop(tuple(key), None) is not None
-        if removed and self.journal is not None:
-            self.journal.append("lat_del", {"lat": self.definition.name,
-                                            "key": tuple(key)})
-        return removed
+        return self._rows.pop(tuple(key), None) is not None
 
     def seed_row(self, persisted: dict[str, Any]) -> None:
         """Reconstruct one row from persisted column values (LAT restore).

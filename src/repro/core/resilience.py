@@ -26,6 +26,7 @@ evaluation path:
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from collections import deque
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core import state
+from repro.core.durability import command
 from repro.errors import FaultInjected, RuleError
 
 # rule health states
@@ -135,12 +137,8 @@ class RuleHealth:
 class RuleHealthRegistry:
     """All rules' health records plus the quarantine state machine."""
 
-    # durability hook (set by DurabilityManager.attach): called with the
-    # RuleHealth record after every durable state change
-    journal_hook = None
-
     STATE = (*state.walked("_health"),
-             *state.transient("policy", "journal_hook", "all_clear"))
+             *state.transient("policy", "all_clear"))
 
     def __init__(self, policy: QuarantinePolicy | None = None):
         self.policy = policy or QuarantinePolicy()
@@ -152,10 +150,6 @@ class RuleHealthRegistry:
     def _refresh_all_clear(self) -> None:
         self.all_clear = all(h.state == HEALTHY
                              for h in self._health.values())
-
-    def _notify(self, health: RuleHealth) -> None:
-        if self.journal_hook is not None:
-            self.journal_hook(health)
 
     def health_of(self, name: str) -> RuleHealth:
         key = name.lower()
@@ -214,7 +208,6 @@ class RuleHealthRegistry:
             # the reactivation probe failed: straight back to quarantine
             self._quarantine(health, now, "reactivation probe failed: "
                              + health.last_error)
-            self._notify(health)
             return health, True
         failures = health.recent_failures
         failures.append(now)
@@ -226,9 +219,7 @@ class RuleHealthRegistry:
                 health, now,
                 f"{len(failures)} failures within "
                 f"{self.policy.window:g}s: {health.last_error}")
-            self._notify(health)
             return health, True
-        self._notify(health)
         return health, False
 
     def record_success(self, name: str) -> None:
@@ -240,7 +231,6 @@ class RuleHealthRegistry:
             health.reactivate_at = None
             health.recent_failures.clear()
             self._refresh_all_clear()
-            self._notify(health)
 
     def quarantine(self, name: str, now: float, reason: str) -> None:
         """Force a rule into quarantine (remediation / DBA override).
@@ -251,7 +241,6 @@ class RuleHealthRegistry:
         """
         health = self.health_of(name)
         self._quarantine(health, now, reason)
-        self._notify(health)
 
     def release(self, name: str) -> None:
         """Manually clear a quarantine (DBA override)."""
@@ -264,7 +253,6 @@ class RuleHealthRegistry:
         health.reactivate_at = None
         health.recent_failures.clear()
         self._refresh_all_clear()
-        self._notify(health)
 
     def _quarantine(self, health: RuleHealth, now: float,
                     reason: str) -> None:
@@ -343,15 +331,14 @@ class DeadLetterJournal:
     :attr:`dropped`) rather than letting the journal grow without limit.
     """
 
-    # durability journal (set by DurabilityManager.attach): gets each
-    # appended entry, and the whole ring after a sweep removed entries or
-    # re-attempted them, so the ring survives a monitor crash
-    journal = None
+    #: the owning monitor (set by ``SQLCM``), whose journal records a command
+    sqlcm = None
+    command_path = ("dead_letters",)
 
     STATE = (*state.walked("_entries"),
              *state.fields(state.first, "capacity", "dropped",
                            "poison_dropped"),
-             *state.transient("journal"))
+             *state.transient("sqlcm"))
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -363,19 +350,13 @@ class DeadLetterJournal:
         #: entries discarded as poison by :meth:`redeliver`
         self.poison_dropped = 0
 
+    @command
     def append(self, entry: DeadLetter) -> None:
         if len(self._entries) >= self.capacity:
             overflow = len(self._entries) - self.capacity + 1
             del self._entries[:overflow]
             self.dropped += overflow
         self._entries.append(entry)
-        if self.journal is not None:
-            self.journal.dead_lettered(entry)
-
-    def _swept(self, remaining: list[DeadLetter]) -> None:
-        self._entries = remaining
-        if self.journal is not None:
-            self.journal.dead_letters_changed(self)
 
     def entries(self, rule: str | None = None) -> list[DeadLetter]:
         if rule is None:
@@ -387,29 +368,16 @@ class DeadLetterJournal:
     def depth(self) -> int:
         return len(self._entries)
 
+    @command
     def replay(self, sqlcm) -> int:
         """Re-attempt delivery of every entry; returns how many succeeded.
 
         Entries that fail again stay in the journal with an incremented
         attempt count.
         """
-        remaining: list[DeadLetter] = []
-        delivered = 0
-        for entry in self._entries:
-            if entry.action_obj is None:
-                remaining.append(entry)
-                continue
-            try:
-                entry.action_obj.execute(
-                    sqlcm, None, entry.context or {}, entry.lat_rows or {})
-                delivered += 1
-            except Exception as err:  # still undeliverable
-                entry.attempts += 1
-                entry.error = f"{type(err).__name__}: {err}"
-                remaining.append(entry)
-        self._swept(remaining)
-        return delivered
+        return self._sweep(sqlcm, 1, math.inf).delivered
 
+    @command
     def redeliver(self, sqlcm, drop_after: int = 9) -> RedeliveryReport:
         """Replay every entry through the engine's :class:`RetryPolicy`.
 
@@ -421,37 +389,52 @@ class DeadLetterJournal:
         (counted in :attr:`poison_dropped`) so a permanently broken sink
         cannot clog the journal forever.
         """
-        policy = sqlcm.retry_policy
-        server = sqlcm.server
+        return self._sweep(sqlcm, max(1, sqlcm.retry_policy.max_attempts),
+                           drop_after)
+
+    def _sweep(self, sqlcm, attempts: int,
+               drop_after: float) -> RedeliveryReport:
         remaining: list[DeadLetter] = []
         report = RedeliveryReport()
         for entry in self._entries:
-            if entry.action_obj is None:
+            outcome = sqlcm.effect(self._deliver, sqlcm, entry, attempts)
+            if outcome is None:
                 remaining.append(entry)
                 continue
-            delivered = False
-            for attempt in range(1, max(1, policy.max_attempts) + 1):
-                if attempt > 1:
-                    server.add_monitor_cost(policy.delay_before(attempt))
-                entry.attempts += 1
-                try:
-                    entry.action_obj.execute(
-                        sqlcm, None, entry.context or {},
-                        entry.lat_rows or {})
-                    delivered = True
-                    break
-                except Exception as err:  # still undeliverable
-                    entry.error = f"{type(err).__name__}: {err}"
-            if delivered:
+            made, error = outcome
+            entry.attempts += made
+            if error is None:
                 report.delivered += 1
-            elif entry.attempts >= drop_after:
+                continue
+            entry.error = error
+            if entry.attempts >= drop_after:
                 report.dropped += 1
                 self.poison_dropped += 1
             else:
                 remaining.append(entry)
-        self._swept(remaining)
+        self._entries = remaining
         report.remaining = len(remaining)
         return report
+
+    @staticmethod
+    def _deliver(sqlcm, entry: DeadLetter, attempts: int) -> list | None:
+        """Up to ``attempts`` deliveries, an effect (a replay reads the
+        outcome back): None when the entry holds no live action (one read
+        from disk), else ``[attempts made, error or None]``."""
+        if entry.action_obj is None:
+            return None
+        policy = sqlcm.retry_policy
+        error = None
+        for attempt in range(1, attempts + 1):
+            if attempt > 1:
+                sqlcm.server.add_monitor_cost(policy.delay_before(attempt))
+            try:
+                entry.action_obj.execute(
+                    sqlcm, None, entry.context or {}, entry.lat_rows or {})
+                return [attempt, None]
+            except Exception as err:  # still undeliverable
+                error = f"{type(err).__name__}: {err}"
+        return [attempts, error]
 
     def snapshot(self) -> tuple:
         return tuple((e.time, e.rule, e.action, e.payload, e.error,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.core.durability import command
 from repro.errors import FaultInjected
 from repro.sim.scheduler import Delay
 
@@ -35,8 +36,10 @@ class TimerObject:
 class TimerService:
     """Creates and (re)arms timers as scheduler processes."""
 
+    command_path = ("timer_service",)
+
     def __init__(self, sqlcm):
-        self._sqlcm = sqlcm
+        self.sqlcm = sqlcm
         self._timers: dict[str, TimerObject] = {}
         self._next_id = 1
         # False while a recovery rebuilds the timers: they are armed, with
@@ -51,24 +54,20 @@ class TimerService:
 
     def set(self, name: str, interval: float, repeats: int) -> TimerObject:
         """Arm (or disarm, with repeats=0) a timer; spawns its process."""
+        interval, repeats = float(interval), int(repeats)
         timer = self._timers.get(name.lower())
         if timer is None:
             timer = TimerObject(self._next_id, name)
             self._next_id += 1
             self._timers[name.lower()] = timer
-        timer.interval = float(interval)
-        timer.remaining = int(repeats)
+        timer.interval = interval
+        timer.remaining = repeats
         timer.generation += 1
         if timer.enabled and self.running:
-            self._sqlcm.server.scheduler.spawn(
+            self.sqlcm.server.scheduler.spawn(
                 f"timer-{name}", self._timer_process(timer, timer.generation)
             )
-        self._journal(timer)
         return timer
-
-    def _journal(self, timer: TimerObject) -> None:
-        if self._sqlcm.journal is not None:
-            self._sqlcm.journal.timer_set(timer)
 
     def resume(self) -> None:
         """Start the processes of the timers set while not running."""
@@ -83,47 +82,51 @@ class TimerService:
             timer.generation += 1
             timer.remaining = 0
 
+    @command
+    def alarm(self, name: str, due: float) -> tuple[float, float]:
+        """One alarm, due at ``due``, as one entry: the alert, then the
+        countdown, which a recovered monitor re-arms from rather than
+        re-firing spent alarms.  Returns how long the alert's work took
+        (drained from the server: an input, read back on replay) and when
+        the next alarm is due."""
+        sqlcm = self.sqlcm
+        server = sqlcm.server
+        timer = self.get(name)
+        with server.obs.attrib("engine", "timer"):
+            server.add_monitor_cost(server.costs.timer_fire)
+            try:
+                sqlcm.check_fault("timer")
+            except FaultInjected:
+                pass  # this alert is lost; the timer itself survives
+            else:
+                sqlcm.dispatch_event("timer.alert", {"timer": timer})
+        # the alert's rule work executes in this background thread
+        work = sqlcm.effect(float, server.take_monitor_cost())
+        if timer.remaining > 0:
+            timer.remaining -= 1
+        due += timer.interval
+        # an absolute schedule from arm time: a slow alert skips the alarms
+        # its work ran past (a backlog would only add more work)
+        now = server.clock.now + work
+        if timer.enabled and now >= due:
+            missed = int((now - due) // timer.interval) + 1
+            if timer.remaining > 0:
+                missed = min(missed, timer.remaining)
+            if missed > 0:
+                timer.overruns += missed
+                server.obs.count("sqlcm.timer.overruns", missed)
+                due += missed * timer.interval
+                if timer.remaining > 0:
+                    timer.remaining -= missed
+        return work, due
+
     def _timer_process(self, timer: TimerObject,
                        generation: int) -> Iterator:
-        server = self._sqlcm.server
-        # alarms follow an absolute schedule from arm time, so a slow alert
-        # does not drift the whole series
+        server = self.sqlcm.server
         due = server.clock.now + timer.interval
         while timer.generation == generation and timer.enabled:
             yield Delay(max(0.0, due - server.clock.now))
             if timer.generation != generation or not timer.enabled:
                 return
-            with server.obs.attrib("engine", "timer"):
-                server.add_monitor_cost(server.costs.timer_fire)
-                try:
-                    self._sqlcm.check_fault("timer")
-                except FaultInjected:
-                    pass  # this alert is lost; the timer itself survives
-                else:
-                    self._sqlcm.dispatch_event("timer.alert",
-                                               {"timer": timer})
-            # the alert's rule work executes in this background thread
-            yield Delay(server.take_monitor_cost())
-            before = timer.remaining
-            if timer.remaining > 0:
-                timer.remaining -= 1
-            due += timer.interval
-            # overrun coalescing: when the alert's own rule work ran past
-            # one or more subsequent deadlines, skip the missed alarms in
-            # one step — a backlog of instantly-due alarms would only add
-            # more work to an already overloaded series
-            now = server.clock.now
-            if timer.enabled and now >= due:
-                missed = int((now - due) // timer.interval) + 1
-                if timer.remaining > 0:
-                    missed = min(missed, timer.remaining)
-                if missed > 0:
-                    timer.overruns += missed
-                    server.obs.count("sqlcm.timer.overruns", missed)
-                    due += missed * timer.interval
-                    if timer.remaining > 0:
-                        timer.remaining -= missed
-            if timer.remaining != before:
-                # a recovered monitor re-arms with what is left, rather
-                # than re-firing spent alarms
-                self._journal(timer)
+            work, due = self.alarm(timer.name, due)
+            yield Delay(work)

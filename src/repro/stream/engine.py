@@ -41,6 +41,7 @@ from typing import Any
 from repro.core import state
 from repro.core.actions import InsertAction
 from repro.core.aggregates import aggregate_function
+from repro.core.durability import command
 from repro.core.governor import validate_criticality
 from repro.core.resilience import (QuarantinePolicy, RuleHealthRegistry,
                                    register_fault_sites)
@@ -281,12 +282,12 @@ class StreamEngine:
         *state.fields(sum, "events_seen", "alerts_published",
                       "errors"),
         *state.walked("_queries", "health"),
-        *state.transient("_sqlcm", "server", "_by_event", "_subscribed",
+        *state.transient("sqlcm", "server", "_by_event", "_subscribed",
                          "_shapes", "_in_emit", "_flush_serial", "_opened"),
     )
 
     def __init__(self, sqlcm, quarantine: QuarantinePolicy | None = None):
-        self._sqlcm = sqlcm
+        self.sqlcm = sqlcm
         self.server = sqlcm.server
         self._queries: dict[str, StreamQuery] = {}
         self._by_event: dict[str, list[StreamQuery]] = {}
@@ -305,6 +306,9 @@ class StreamEngine:
     # query management
     # ------------------------------------------------------------------
 
+    command_path = ("stream_engine",)
+
+    @command
     def register(self, text: str, *, name: str | None = None,
                  sink_lat: str | None = None,
                  max_alerts: int = 256,
@@ -312,12 +316,12 @@ class StreamEngine:
         """Parse, validate, and activate one stream query.  It shares the
         panes of the queries of its shape if their group has ingested
         nothing yet; otherwise it starts a group, with empty panes."""
-        spec = parse_stream_query(text, name=name, schema=self._sqlcm.schema)
+        spec = parse_stream_query(text, name=name, schema=self.sqlcm.schema)
         key = spec.name.lower()
         if key in self._queries:
             raise StreamError(f"stream query {spec.name!r} already exists")
         if sink_lat is not None:
-            lat = self._sqlcm.lat(sink_lat)  # raises LATError if unknown
+            lat = self.sqlcm.lat(sink_lat)  # raises LATError if unknown
             if lat.definition.monitored_class.lower() != "streamalert":
                 raise StreamError(
                     f"sink LAT {sink_lat!r} must be defined over the "
@@ -337,17 +341,16 @@ class StreamEngine:
         # the monitor hands the queries their events: it subscribes to an
         # event its rule hooks do not cover.  A monitor fed explicitly (a
         # replay shard) never touches the bus
-        sqlcm = self._sqlcm
+        sqlcm = self.sqlcm
         event = spec.engine_event
         if sqlcm.bus_subscribed and event not in self._subscribed and \
                 event not in sqlcm.SUBSCRIBED_EVENTS + ("query.compile",):
             self.server.events.subscribe(event, sqlcm._on_engine_event)
             self._subscribed.add(event)
-        self._sqlcm.invalidate_signature_cache()
-        if self._sqlcm.journal is not None:
-            self._sqlcm.journal.stream_registered(query)
+        self.sqlcm.invalidate_signature_cache()
         return query
 
+    @command
     def remove(self, name: str) -> None:
         query = self._queries.pop(name.lower(), None)
         if query is None:
@@ -358,17 +361,14 @@ class StreamEngine:
         # the health record goes with the query: a later query reusing the
         # name must not inherit error counts or quarantine state
         self.health.drop(query.spec.name)
-        if self._sqlcm.governor is not None:
-            self._sqlcm.governor.forget_stream(query.spec.name)
-        self._sqlcm.invalidate_signature_cache()
-        if self._sqlcm.journal is not None:
-            self._sqlcm.journal.append("stream_remove",
-                                       {"name": query.spec.name})
+        if self.sqlcm.governor is not None:
+            self.sqlcm.governor.forget_stream(query.spec.name)
+        self.sqlcm.invalidate_signature_cache()
 
     def detach(self) -> None:
         """Unsubscribe from the host bus (supervised restart teardown)."""
         for event in self._subscribed:
-            self.server.events.unsubscribe(event, self._sqlcm._on_engine_event)
+            self.server.events.unsubscribe(event, self.sqlcm._on_engine_event)
         self._subscribed.clear()
 
     def query(self, name: str) -> StreamQuery:
@@ -380,6 +380,7 @@ class StreamEngine:
     def queries(self) -> list[StreamQuery]:
         return list(self._queries.values())
 
+    @command
     def enable(self, name: str, enabled: bool = True) -> None:
         self.query(name).enabled = enabled
 
@@ -388,6 +389,7 @@ class StreamEngine:
         return [q.spec.name for q in self._queries.values()
                 if q.spec.name.lower() in quarantined]
 
+    @command
     def release_quarantine(self, name: str) -> None:
         self.query(name)  # raises on unknown name
         self.health.release(name)
@@ -476,7 +478,7 @@ class StreamEngine:
             self._flush(now)
         obs = self.server.obs
         health = self.health
-        governor = self._sqlcm.governor
+        governor = self.sqlcm.governor
         if self._in_emit:
             self._settle(queries)
         # pane group -> [key, values, members that took them], or () when
@@ -509,8 +511,8 @@ class StreamEngine:
                 taken: dict) -> None:
         """One query's ingest inside its isolation boundary."""
         try:
-            if self._sqlcm.faults is not None:
-                self._sqlcm.check_fault("stream.eval")
+            if self.sqlcm.faults is not None:
+                self.sqlcm.check_fault("stream.eval")
             self._take(query, context, now, taken)
         except Exception as err:
             self._record_failure(query, "stream.eval", err)
@@ -560,24 +562,19 @@ class StreamEngine:
     # window emission
     # ------------------------------------------------------------------
 
-    def flush(self, now: float | None = None) -> None:
-        """Emit every window boundary due at (or before) virtual ``now``.
+    @command
+    def flush(self, now: float | None = None) -> bool:
+        """Emit every window boundary due at (or before) virtual ``now``;
+        True when a cursor moved.
 
         The event path calls this automatically; call it explicitly to
         drain trailing windows at the end of a run or before reporting.
-        An explicit flush is an entry into the monitor of its own: with a
-        journal attached, one ``stream_flush`` record when it moved a
-        cursor.
+        An explicit flush is a command: with a journal attached, one
+        ``call`` record when it moved a cursor.
         """
         if self._in_emit:
-            return
-        now = self.server.clock.now if now is None else now
-        sqlcm = self._sqlcm
-        if sqlcm.journal is None or sqlcm.tape is not None:
-            self._flush(now)
-        else:
-            sqlcm.journal.entry("stream_flush", {"time": now}, self._flush,
-                                now)
+            return False
+        return self._flush(self.server.clock.now if now is None else now)
 
     def _flush(self, now: float) -> bool:
         """Emit the windows due at ``now``; True when a cursor moved."""
@@ -670,8 +667,8 @@ class StreamEngine:
                      group: PaneGroup, step: tuple | None) -> bool:
         taken = False
         try:
-            if self._sqlcm.faults is not None:
-                self._sqlcm.check_fault("stream.window")
+            if self.sqlcm.faults is not None:
+                self.sqlcm.check_fault("stream.window")
             window = group.take(query, boundary, step)
             taken = True
             self._evaluate_window(query, boundary, *window)
@@ -737,17 +734,17 @@ class StreamEngine:
         self.alerts_published += 1
         self.server.obs.count("sqlcm.stream.alerts")
         if query.sink_lat is not None \
-                and self._sqlcm.has_lat(query.sink_lat):
+                and self.sqlcm.has_lat(query.sink_lat):
             # the one LAT-maintenance path: governor gate, charges,
             # eviction events and the ("lat", name) attribution frame
             InsertAction(query.sink_lat).execute(
-                self._sqlcm, None,
-                {"streamalert": self._sqlcm.factory.stream_alert(alert)}, {})
+                self.sqlcm, None,
+                {"streamalert": self.sqlcm.factory.stream_alert(alert)}, {})
         self.server.add_monitor_cost(self.server.costs.stream_alert_publish)
         # the meta-event: ECA rules consume it as StreamAlert.Alert, and
         # stream queries over StreamAlert.Alert ingest it (flush deferred
         # by the _in_emit guard, so alert cascades cannot recurse)
-        self._sqlcm.publish_alert(alert)
+        self.sqlcm.publish_alert(alert)
 
     # ------------------------------------------------------------------
     # failure accounting

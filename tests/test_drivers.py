@@ -386,11 +386,12 @@ class TestFromUrl:
             from_url("oracle:tns")
 
 
-def _recovered(directory, **backend):
+def _recovered(directory, *backend, **spelled):
     """A monitor rebuilt from the checkpoint of one that had seen nothing."""
     manager = DurabilityManager(SQLCM(DatabaseServer()), str(directory))
     manager.attach().detach()
-    return DurabilityManager.recover(str(directory), **backend).sqlcm
+    return DurabilityManager.recover(str(directory), *backend,
+                                     **spelled).sqlcm
 
 
 #: every way to say which backend a monitor watches (the keyword forms are
@@ -402,9 +403,8 @@ SPELLINGS = {
         lambda server, tmp: SQLCM(driver=InMemoryDriver(server)),
     "recover(dir, server=)":
         lambda server, tmp: _recovered(tmp / "s", server=server),
-    "recover(dir, driver=)":
-        lambda server, tmp: _recovered(tmp / "d",
-                                       driver=InMemoryDriver(server)),
+    "recover(dir, driver)":
+        lambda server, tmp: _recovered(tmp / "d", InMemoryDriver(server)),
 }
 
 

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import (DatabaseServer, EventTrace, InsertAction, LATDefinition,
+from repro import (DatabaseServer, EventTrace, GovernorPolicy,
+                   IncidentPolicy, InsertAction, LATDefinition,
                    Rule, SendMailAction, ServerConfig, ShardedSQLCM, SQLCM)
 from repro.core import state
 from repro.core.actions import CallbackAction
@@ -43,8 +44,9 @@ CRASH_SITES = [
 JOURNAL_STATES = ["empty", "long", "torn"]
 
 
-def build_monitor():
-    """A monitor exercising every journaled subsystem."""
+def build_monitor(incidents=True):
+    """A monitor exercising every journaled subsystem (the incident
+    manager unless ``incidents`` is false)."""
     server = DatabaseServer(ServerConfig(track_completed_queries=True))
     server.execute_ddl(
         "CREATE TABLE items (id INT NOT NULL PRIMARY KEY, "
@@ -71,7 +73,8 @@ def build_monitor():
         "STREAM s1 FROM Query.Commit GROUP BY Query.User AS U "
         "WINDOW TUMBLING(2) AGG COUNT(*) AS N "
         "ANOMALY DEVIATION(N, 2, 2)")
-    sqlcm.incident_manager()
+    if incidents:
+        sqlcm.incident_manager()
     sqlcm.enable_governor()
     sqlcm.set_timer("t1", 5.0, 3)
     return server, sqlcm
@@ -333,12 +336,86 @@ class TestCleanRecovery:
 # the kill matrix: every crash site x every journal shape
 # ---------------------------------------------------------------------------
 
-#: one mutation after attach for each record kind only a recovery replays
+def dead_letters(sqlcm):
+    """Two mails dead-lettered, each still holding its action."""
+    for i in range(2):
+        sqlcm.dead_letters.append(DeadLetter(
+            time=sqlcm.server.clock.now, rule="mailer",
+            action="SendMailAction", payload=f"m{i}",
+            error="SinkError: down", attempts=3,
+            action_obj=SendMailAction(f"m{i}", "dba@x")))
+
+
+def open_incident(sqlcm):
+    sqlcm.incident_manager().report("drill", "x", summary="opened")
+
+
+#: one API call after attach for each command, by the name of the record
+#: kind a version 7 journal wrote for it: the method, what is done before
+#: the attach (or None), and the call
 MUTATIONS = {
-    "rule_remove": lambda sqlcm: sqlcm.remove_rule("spare"),
-    "rule_enable": lambda sqlcm: sqlcm.enable_rule("track", False),
-    "lat_reset": lambda sqlcm: sqlcm.lat("OVF").reset(),
-    "lat_del": lambda sqlcm: sqlcm.lat("Q_LAT").delete_row(("u1",)),
+    "lat_create": ("create_lat", None, lambda sqlcm: sqlcm.create_lat(
+        LATDefinition(name="NEW", monitored_class="Query",
+                      grouping=["Query.ID AS Q"],
+                      aggregations=["COUNT(Query.ID) AS N"]))),
+    "lat_drop": ("drop_lat", None, lambda sqlcm: sqlcm.drop_lat("OVF")),
+    "rule_add": ("add_rule", None, lambda sqlcm: sqlcm.add_rule(Rule(
+        name="extra", event="Query.Commit", condition="Query.ID > 0",
+        actions=[InsertAction("OVF")]))),
+    "rule_remove":
+        ("remove_rule", None, lambda sqlcm: sqlcm.remove_rule("spare")),
+    "rule_enable": ("enable_rule", None,
+                    lambda sqlcm: sqlcm.enable_rule("track", False)),
+    "rule_release": (
+        "release_quarantine",
+        lambda sqlcm: sqlcm.health.quarantine("spare", 0.0, "drill"),
+        lambda sqlcm: sqlcm.release_quarantine("spare")),
+    "timer": ("set_timer", None,
+              lambda sqlcm: sqlcm.set_timer("t2", 1.0, 2)),
+    "governor_on": (
+        "enable_governor", lambda sqlcm: sqlcm.disable_governor(),
+        lambda sqlcm: sqlcm.enable_governor(
+            GovernorPolicy(decision_interval=0.5))),
+    "governor_off": ("disable_governor", None,
+                     lambda sqlcm: sqlcm.disable_governor()),
+    "totals": ("enable_signatures", None,
+               lambda sqlcm: sqlcm.enable_signatures()),
+    "incidents": ("incident_manager", None,
+                  lambda sqlcm: sqlcm.incident_manager(
+                      IncidentPolicy(sweep_interval=0.5))),
+    "lat_insert": ("insert", None, lambda sqlcm: sqlcm.lat("Q_LAT").insert(
+        {"User": "direct", "ID": 1, "Duration": 2.0})),
+    "lat_reset": ("reset", None, lambda sqlcm: sqlcm.lat("OVF").reset()),
+    "lat_del": ("delete_row", None,
+                lambda sqlcm: sqlcm.lat("Q_LAT").delete_row(("u1",))),
+    "stream_register": ("register", None, lambda sqlcm: sqlcm.stream_engine(
+        ).register("STREAM s2 FROM Query.Commit GROUP BY Query.User AS U "
+                   "WINDOW TUMBLING(1) AGG COUNT(*) AS N")),
+    "stream_remove": ("remove", None,
+                      lambda sqlcm: sqlcm.stream_engine().remove("s1")),
+    "stream_release": (
+        "release_quarantine",
+        lambda sqlcm: sqlcm.stream_engine().health.quarantine(
+            "s1", 0.0, "drill"),
+        lambda sqlcm: sqlcm.stream_engine().release_quarantine("s1")),
+    "stream_flush": ("flush", None, lambda sqlcm: (
+        sqlcm.server.clock.advance(3.0), sqlcm.stream_engine().flush())),
+    "incident_report": ("report", None, open_incident),
+    "incident_ack": ("ack", open_incident,
+                     lambda sqlcm: sqlcm.incident_manager().ack(1)),
+    "incident_resolve": (
+        "resolve", open_incident,
+        lambda sqlcm: sqlcm.incident_manager().resolve(1, "fixed")),
+    "incident_sweep": ("sweep", None,
+                       lambda sqlcm: sqlcm.incident_manager().sweep()),
+    "deadletter": ("append", None, dead_letters),
+    "deadletters_replay": ("replay", dead_letters,
+                           lambda sqlcm: sqlcm.dead_letters.replay(sqlcm)),
+    "deadletters_redeliver": (
+        "redeliver", dead_letters,
+        lambda sqlcm: sqlcm.dead_letters.redeliver(sqlcm)),
+    "timer_alarm": ("alarm", None, lambda sqlcm: sqlcm.server.run(
+        until=sqlcm.server.clock.now + 6.0)),
 }
 
 
@@ -392,20 +469,78 @@ class TestCrashMatrix:
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_replayed_mutation_matches_pre_crash(self, tmp_path, kind,
                                                  site, mode):
-        server, sqlcm = build_monitor()
+        method, prepare, mutate = MUTATIONS[kind]
+        server, sqlcm = build_monitor(incidents=method != "incident_manager")
         sqlcm.add_rule(Rule(name="spare", event="Query.Commit",
                             condition="Query.Duration < 0",
                             actions=[InsertAction("Q_LAT")]))
+        if prepare is not None:
+            prepare(sqlcm)
         manager, tap = attach(sqlcm, tmp_path)
         side = CommitTap(manager, rules_and_lats)
         work(server, 6)
-        MUTATIONS[kind](sqlcm)
+        mutate(sqlcm)
         work(server, 3)
         records, __ = read_journal(manager.journal.path)
-        assert kind in {record.kind for record in records}
+        assert ("call", method) in {
+            (record.kind, record.data.get("method")) for record in records}
         crash(manager, sqlcm, server, site, mode)
         report = verify_recovery(str(tmp_path), tap)
         assert rules_and_lats(report.sqlcm) == side.points[-1]
+
+    def test_a_dispatch_outside_every_entry_is_an_entry(self, tmp_path):
+        """``dispatch_event`` called directly, outside every event and
+        every call, is one ``dispatch`` record, re-run on recovery."""
+        server, sqlcm = build_monitor()
+        sqlcm.create_lat(LATDefinition(
+            name="Ticks", monitored_class="Timer",
+            grouping=["Timer.Name AS T"],
+            aggregations=["LAST(Timer.Interval) AS I"]))
+        sqlcm.add_rule(Rule(name="tick", event="Timer.Alert",
+                            actions=[InsertAction("Ticks")]))
+        manager, tap = attach(sqlcm, tmp_path)
+        sqlcm.dispatch_event("timer.alert",
+                             {"timer": sqlcm.timer_service.get("t1")})
+        records, __ = read_journal(manager.journal.path)
+        assert [r.kind for r in records] == ["dispatch"]
+        report = verify_recovery(str(tmp_path), tap)
+        assert report.sqlcm.lat("Ticks").rows() == [{"T": "t1", "I": 5.0}]
+
+    def test_a_call_torn_mid_record_is_not_replayed(self, tmp_path):
+        """The journal dies half-way through a ``call`` record: recovery
+        discards the torn line and rebuilds the monitor from before the
+        call."""
+        server, sqlcm = build_monitor()
+        manager, tap = attach(sqlcm, tmp_path)
+        side = CommitTap(manager, rules_and_lats)
+        work(server, 4)
+        sqlcm.faults.fail_next("durability.append", mode="partial")
+        sqlcm.remove_rule("track")
+        assert manager.journal.dead and "track" not in sqlcm.rules
+        with open(manager.journal.path, encoding="utf-8") as handle:
+            assert '"call"' in handle.read().rpartition("\n")[2]
+        report = verify_recovery(str(tmp_path), tap)
+        assert report.records_discarded == 1
+        assert "track" in report.sqlcm.rules
+        assert rules_and_lats(report.sqlcm) == side.points[-1]
+
+    def test_a_replayed_call_that_raises_has_diverged(self, tmp_path):
+        """The journal says ``enable_rule`` returned; on the rebuilt
+        monitor, where ``setup`` quarantined the rule, it raises: the
+        replay has left its record and recovery says which call did."""
+        server, sqlcm = build_monitor()
+        manager, __ = attach(sqlcm, tmp_path)
+        sqlcm.enable_rule("track")
+        manager.detach()
+
+        def setup(monitor):
+            monitor.create_lat(sqlcm.lat("Q_LAT").definition)
+            monitor.add_rule(Rule(name="track", event="Query.Commit",
+                                  actions=[InsertAction("Q_LAT")]))
+            monitor.health.quarantine("track", 0.0, "drill")
+        with pytest.raises(DurabilityError,
+                           match="'enable_rule' call raised"):
+            DurabilityManager.recover(str(tmp_path), setup=setup)
 
     @pytest.mark.parametrize("site,mode", CRASH_SITES)
     @pytest.mark.parametrize("when", ["before_attach", "after_attach"])

@@ -347,7 +347,7 @@ class TestShedSelection:
                             actions=[CallbackAction(lambda s, c: None)]))
         sqlcm.add_rule(Rule(name="scribble", event="Query.Commit",
                             actions=[InsertAction("Scratch")]))
-        gov._apply_state(GOV_ESSENTIAL)
+        gov.suspended = gov._shed_set(GOV_ESSENTIAL)
         assert gov.suspended == {("lat", "scratch"), ("rule", "scribble")}
 
     def test_removed_rule_leaves_the_suspension_set(self, server):
@@ -380,7 +380,7 @@ class TestShedSelection:
         sqlcm.create_lat(definition)
         manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
         gov.suspended = {("lat", "shed")}
-        sqlcm.journal.governor_changed(gov)  # as a transition does
+        manager.checkpoint()  # the checkpoint holds the governor's image
         sqlcm.drop_lat("Shed")
         sqlcm.create_lat(definition)
         manager.detach()

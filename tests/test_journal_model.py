@@ -32,8 +32,7 @@ payloads = st.dictionaries(
               st.lists(st.booleans(), max_size=2)),
     max_size=3)
 
-kinds = st.sampled_from(["lat_insert", "event", "dispatch", "stream_flush",
-                         "health"])
+kinds = st.sampled_from(["call", "event", "dispatch"])
 
 
 class JournalMachine(RuleBasedStateMachine):
@@ -102,7 +101,7 @@ class JournalMachine(RuleBasedStateMachine):
         something; what it appends itself never reaches the file."""
         def run():
             if inner:
-                self.journal.append("health", {"inner": 1})
+                self.journal.append("call", {"inner": 1})
             return changed
         self.journal.entry(kind, data, run)
         if changed:

@@ -7,7 +7,7 @@ by a scan over every row through ``_Orderable.__lt__``, ``memory_bytes`` by
 a walk — kept as a subclass so the two share only what did not change.
 A state machine drives both with the same operations and requires, after
 every step, the same evicted rows, the same error if one was raised, and
-the same rows, counters, journal records, image and signature.
+the same rows, counters, image and signature.
 """
 
 from typing import Any
@@ -102,16 +102,7 @@ class ReferenceLAT(LAT):
         row.importance = None
         self.insert_count += 1
         self.peak_rows = max(self.peak_rows, len(self._rows))
-        evicted = self._enforce_limits(now)
-        if self.journal is not None:
-            self.journal.append("lat_insert", {
-                "lat": self.definition.name,
-                "values": {attr: self._value(source, attr)
-                           for attr in self.definition.source_attributes()},
-                "weight": weight,
-                "time": now,
-            })
-        return evicted
+        return self._enforce_limits(now)
 
     def _least_important(self, now):
         worst = None
@@ -234,18 +225,6 @@ def sources(draw):
     return record
 
 
-class Recorder:
-    """Stands in for the durability journal: keeps what was appended."""
-
-    tape = None  # never inside an entry
-
-    def __init__(self):
-        self.records = []
-
-    def append(self, kind, data):
-        self.records.append((kind, data))
-
-
 def outcome(call):
     try:
         return call()
@@ -263,8 +242,6 @@ class LATMachine(RuleBasedStateMachine):
         self.lat = LAT(definition, self.clock)
         self.model = ReferenceLAT(definition, self.clock)
         self.pair = (self.lat, self.model)
-        for lat in self.pair:
-            lat.journal = Recorder()
         self.image = None
 
     def both(self, operation):
@@ -334,7 +311,6 @@ class LATMachine(RuleBasedStateMachine):
         assert outcome(lat.integrity_signature) \
             == outcome(model.integrity_signature)
         assert lat.memory_bytes() == model.memory_bytes()
-        assert lat.journal.records == model.journal.records
 
 
 LATMachine.TestCase.settings = settings(

@@ -7,9 +7,14 @@ action, LAT, sink and stream sites; a mail sink and an external program
 that fail until a delivery is dead-lettered; cancels; a timer rule whose
 condition iterates the running queries; actions after which the
 context's objects forget their probes; an engaged overload governor;
-incidents opened by rules and by stream alerts, and acknowledged through
-the API.  Hypothesis draws the
-statements, the fault rates and the append the journal dies at; the
+incidents opened by rules and by stream alerts.  Between the statements
+Hypothesis draws API calls, each a ``call`` entry: rules added, removed
+and enabled, direct LAT inserts, resets and deletes, incidents
+acknowledged and resolved, quarantines released, dead-letter sweeps,
+timers set, the governor switched on and off, signatures forced — and
+calls that raise (a duplicate rule, an unknown LAT, enabling a
+quarantined rule), which must change nothing and write no record.  It
+draws the fault rates and the append the journal dies at too; the
 recovered monitor must equal the monitor at the last commit the disk saw
 — its digest, every stream query's image, and its timers and dead
 letters.
@@ -29,6 +34,7 @@ from repro.core.actions import CancelAction, SetTimerAction
 from repro.core.durability import (DigestTap, DurabilityManager,
                                    verify_recovery)
 from repro.core.resilience import FaultInjected, FaultInjector
+from repro.errors import SQLCMError
 
 from test_durability import CommitTap, stream_images, supervisory
 
@@ -126,28 +132,93 @@ def monitor(seed, rates, governed):
         "ANOMALY DEVIATION(D, 1, 2)")
     sqlcm.set_timer("tick", 0.003, -1)
     if governed:
-        sqlcm.enable_governor(GovernorPolicy(
-            target_overhead=0.01, exit_overhead=0.005, window=0.01,
-            cooldown=0.01, decision_interval=0.002, sample_rate=2))
+        sqlcm.enable_governor(POLICY)
     return server, sqlcm, injector
 
 
+POLICY = GovernorPolicy(
+    target_overhead=0.01, exit_overhead=0.005, window=0.01,
+    cooldown=0.01, decision_interval=0.002, sample_rate=2)
+
+#: rules an API call may touch, each name two calls may disagree about
+RULES = ("recent", "slow", "page", "extra0", "extra1")
+
+
+def first(items):
+    return items[0] if items else None
+
+
+def api_call(sqlcm, kind, arg):
+    """One API call of ``kind``; a call that has nothing to act on is a
+    call that raises."""
+    manager = sqlcm.incident_manager()
+    rule = RULES[arg % len(RULES)]
+    if kind == "rule_add":
+        sqlcm.add_rule(Rule(
+            name=f"extra{arg % 2}", event="Query.Commit",
+            condition=f"Query.Duration >= {arg * 1e-4}",
+            actions=[InsertAction("Recent")]))
+    elif kind == "rule_remove":
+        sqlcm.remove_rule(f"extra{arg % 2}")
+    elif kind == "rule_enable":
+        sqlcm.enable_rule(rule, arg % 3 != 0)
+    elif kind == "release":
+        sqlcm.release_quarantine(first(sqlcm.quarantined_rules()) or rule)
+    elif kind == "lat_insert":
+        sqlcm.lat("ByUser").insert(
+            {"User": f"d{arg % 3}", "ID": arg, "Duration": arg * 1e-4})
+    elif kind == "lat_reset":
+        sqlcm.lat("Recent" if arg % 2 else "ByUser").reset()
+    elif kind == "lat_delete":
+        sqlcm.lat("ByUser").delete_row((f"u{arg % 3}",))
+    elif kind == "unknown_lat":
+        sqlcm.drop_lat(f"Nope{arg}")
+    elif kind == "ack":
+        incident = first(manager.incidents("open"))
+        manager.ack(incident.incident_id if incident else 10 ** 6)
+    elif kind == "resolve":
+        incident = first(manager.open_incidents())
+        manager.resolve(incident.incident_id if incident else 10 ** 6)
+    elif kind == "replay":
+        sqlcm.dead_letters.replay(sqlcm)
+    elif kind == "redeliver":
+        sqlcm.dead_letters.redeliver(sqlcm, drop_after=4 + arg)
+    elif kind == "set_timer":
+        sqlcm.set_timer(f"extra_t{arg % 2}", 0.002 * (1 + arg % 3), arg % 4)
+    elif kind == "governor":
+        if sqlcm.governor is None:
+            sqlcm.enable_governor(POLICY)
+        else:
+            sqlcm.disable_governor()
+    elif kind == "signatures":
+        sqlcm.enable_signatures(arg % 2 == 0)
+
+
+CALLS = ("rule_add", "rule_remove", "rule_enable", "release", "lat_insert",
+         "lat_reset", "lat_delete", "unknown_lat", "ack", "resolve",
+         "replay", "redeliver", "set_timer", "governor", "signatures")
+
 statements = st.lists(st.tuples(
-    st.sampled_from(["select", "update", "insert", "think", "flush", "ack"]),
+    st.sampled_from(["select", "update", "insert", "think", "flush",
+                     *CALLS]),
     st.integers(0, 9)), min_size=4, max_size=24)
 
 
-def run(server, sqlcm, steps, start):
+def run(server, sqlcm, journal, steps, start):
     for i, (kind, arg) in enumerate(steps, start):
         if kind == "think":
             server.clock.advance(0.001 * (1 + arg))
             server.run(until=server.clock.now + 0.001)
         elif kind == "flush":
             sqlcm.stream_engine().flush()
-        elif kind == "ack":
-            manager = sqlcm.incident_manager()
-            for incident in manager.incidents("open")[:1]:
-                manager.ack(incident.incident_id)
+        elif kind in CALLS:
+            digest, written = sqlcm.state_digest(), journal.records_written
+            try:
+                api_call(sqlcm, kind, arg)
+            except SQLCMError:
+                # a call that raises changed nothing and wrote nothing
+                assert sqlcm.state_digest() == digest
+                assert journal.records_written == written
         else:
             session = server.create_session(user=f"u{arg % 3}")
             session.execute({
@@ -179,10 +250,10 @@ def test_recovered_equals_the_last_commit(seed, rates, governed, before,
         manager = DurabilityManager(sqlcm, directory).attach()
         tap = DigestTap(manager)
         side = CommitTap(manager, capture)
-        run(server, sqlcm, before, 0)
+        run(server, sqlcm, manager.journal, before, 0)
         manager.checkpoint()
         injector.appends_left = crash
-        run(server, sqlcm, after, len(before))
+        run(server, sqlcm, manager.journal, after, len(before))
         manager.journal.close()  # the crash, if the journal still lives
         report = verify_recovery(directory, tap)
         assert capture(report.sqlcm) == side.points[-1]

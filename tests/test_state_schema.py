@@ -286,7 +286,7 @@ class TestCheckpointRoundTrip:
                     "records": 1, "crc": zlib.crc32(header[:8].encode())}),
                 encoding="utf-8")
         with pytest.raises(DurabilityError,
-                           match="a version 3 checkpoint.*reads version 7"):
+                           match="a version 3 checkpoint.*reads version 8"):
             DurabilityManager.recover(str(tmp_path))
         with pytest.raises(DurabilityError, match="no end marker"):
             (tmp_path / "checkpoint-0002.ckpt").write_text(
@@ -304,7 +304,7 @@ class TestCheckpointRoundTrip:
                 "records": 1, "crc": zlib.crc32(header[:8].encode())}),
             encoding="utf-8")
         with pytest.raises(DurabilityError, match="a version 4 checkpoint; "
-                           "this build reads version 7 only"):
+                           "this build reads version 8 only"):
             DurabilityManager.recover(str(tmp_path))
 
     def test_a_directory_of_version_5_checkpoints_is_refused_by_name(
@@ -318,7 +318,7 @@ class TestCheckpointRoundTrip:
                 "records": 1, "crc": zlib.crc32(header[:8].encode())}),
             encoding="utf-8")
         with pytest.raises(DurabilityError, match="a version 5 checkpoint; "
-                           "this build reads version 7 only"):
+                           "this build reads version 8 only"):
             DurabilityManager.recover(str(tmp_path))
 
     def test_a_directory_of_version_6_checkpoints_is_refused_by_name(
@@ -331,7 +331,7 @@ class TestCheckpointRoundTrip:
                 "records": 1, "crc": zlib.crc32(header[:8].encode())}),
             encoding="utf-8")
         with pytest.raises(DurabilityError, match="a version 6 checkpoint; "
-                           "this build reads version 7 only"):
+                           "this build reads version 8 only"):
             DurabilityManager.recover(str(tmp_path))
 
 
@@ -363,8 +363,8 @@ class TestRecordKinds:
     def test_grep_finds_the_known_call_sites(self):
         """Guard the guard."""
         kinds = appended_kinds()
-        assert {"lat_insert", "event", "dispatch", "stream_flush", "timer",
-                "history", "rule_add", "lat_image", "checkpoint_end"} <= kinds
+        assert {"call", "event", "dispatch", "timer", "history",
+                "rule_add", "lat_image", "checkpoint_end"} <= kinds
 
     def test_every_appended_kind_has_a_handler_and_no_handler_is_dead(self):
         assert appended_kinds() == set(HANDLERS)
@@ -376,10 +376,10 @@ class TestRecordKinds:
         emitted = {record.kind for record in checkpoint_records(manager)}
         assert emitted <= set(HANDLERS)
         # the populated monitor makes the walk emit its whole vocabulary
-        assert emitted >= {"checkpoint", "lat_create", "rule_add",
-                           "incidents", "stream_register", "lat_image",
-                           "stream_image", "totals", "health", "governor",
-                           "deadletters", "timer", "checkpoint_end"}
+        assert emitted >= {"checkpoint", "call", "rule_add", "incidents",
+                           "lat_image", "stream_image", "totals", "health",
+                           "governor", "deadletters", "timer",
+                           "checkpoint_end"}
 
     def test_the_table_is_one_dict_literal_with_no_repeated_kind(self):
         tree = ast.parse(Path(durability.__file__).read_text("utf-8"))
@@ -399,6 +399,23 @@ class TestRecordKinds:
             DurabilityManager.recover(str(tmp_path))
 
 
+    def test_a_directory_of_version_7_checkpoints_is_refused_by_name(
+            self, tmp_path):
+        """Version 7 journaled the effect of an API call (``lat_create``,
+        ``lat_insert``, ``rule_remove`` ...), version 8 the call: refused
+        by the version it carries."""
+        header = frame(1, "checkpoint", False, 0.0, {"version": 7})
+        (tmp_path / "checkpoint-0001.ckpt").write_text(
+            header + frame(2, "lat_create", False, 0.0, {"definition": {}})
+            + frame(3, "checkpoint_end", True, 0.0, {
+                "records": 2, "crc": zlib.crc32(
+                    (header[:8] + frame(2, "lat_create", False, 0.0, {
+                        "definition": {}})[:8]).encode())}),
+            encoding="utf-8")
+        with pytest.raises(DurabilityError, match="a version 7 checkpoint; "
+                           "this build reads version 8 only"):
+            DurabilityManager.recover(str(tmp_path))
+
     def test_a_journal_from_before_restore_was_one_record_is_refused(
             self, tmp_path):
         """``lat_seed`` (one self-committing record per restored row) is
@@ -407,7 +424,7 @@ class TestRecordKinds:
         server, sqlcm = populated_monitor()
         manager = DurabilityManager(sqlcm, str(tmp_path)).attach()
         manager.detach()
-        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 25
+        assert "lat_seed" not in HANDLERS and len(HANDLERS) == 15
         with open(manager.journal.path, "a", encoding="utf-8") as handle:
             handle.write(frame(1, "lat_seed", True, 0.0, {
                 "lat": "Aged", "values": {"U": "x", "N": 1}, "time": 0.0}))
