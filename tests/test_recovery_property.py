@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (DatabaseServer, GovernorPolicy, IncidentPolicy,
@@ -236,6 +236,16 @@ def capture(sqlcm):
 
 
 @settings(deadline=None, max_examples=25)
+# a rule added while the governor sheds re-ranks the shed set by
+# attributed cost: the replay must read that set back, not rank again
+@example(seed=0, rates={site: 0.4 if site == "stream.window" else
+                        0.1 if site == "action" else 0.0 for site in SITES},
+         governed=False,
+         before=[("update", 0), ("select", 0), ("governor", 0),
+                 ("select", 0), ("select", 0), ("select", 0)],
+         after=[("select", 0), ("rule_add", 0), ("select", 0),
+                ("select", 0)],
+         crash=17)
 @given(seed=st.integers(0, 5),
        rates=st.fixed_dictionaries(
            {site: st.sampled_from([0.0, 0.0, 0.1, 0.4]
